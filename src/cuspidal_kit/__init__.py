@@ -33,7 +33,6 @@ from .optimizer import (
     NelderMeadOptions,
     OptResult,
     ReducedParams,
-    Toolpath,
     WorkpiecePose,
     decompose_rz_rxy,
     nelder_mead,

@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .kinematics import Pose, RobotModel, quat_to_rotation, rotation_to_quat
-from .optimizer import Toolpath
 from .planner import TaskPath
 
 _AXIS_WARN_TOL = 1e-6
@@ -143,11 +142,11 @@ def task_path_from_doc(doc: dict) -> TaskPath:
     return TaskPath(poses, dlambda=dlambda, closed=closed)
 
 
-def toolpath_from_doc(doc: dict) -> Toolpath:
+def toolpath_from_doc(doc: dict) -> TaskPath:
     poses, dlambda, frame, closed = poses_from_doc(doc)
     if frame != "workpiece":
         raise ValueError("optimization expects a workpiece-frame toolpath")
-    return Toolpath(poses, dlambda=dlambda, closed=closed)
+    return TaskPath(poses, dlambda=dlambda, closed=closed)
 
 
 # --- helix generator -------------------------------------------------------

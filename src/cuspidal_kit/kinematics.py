@@ -76,26 +76,6 @@ def geodesic_distance(Ra, Rb) -> float:
     return rotation_angle(np.asarray(Ra).T @ np.asarray(Rb))
 
 
-def rotation_log(R) -> np.ndarray:
-    """Rotation vector (axis * angle) of a single rotation matrix."""
-    R = np.asarray(R, dtype=float)
-    vee = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    s = np.linalg.norm(vee)            # |sin(theta)|
-    c = (np.trace(R) - 1.0) / 2.0
-    theta = np.arctan2(s, c)
-    if s > 1e-7:
-        return vee * (theta / s)
-    if c > 0.0:                        # theta ~ 0
-        return vee * (1.0 + theta * theta / 6.0)
-    # theta ~ pi: axis from the dominant column of R + I
-    A = R + np.eye(3)
-    k = int(np.argmax(np.diag(A)))
-    axis = A[:, k] / np.linalg.norm(A[:, k])
-    if vee @ axis < 0.0:
-        axis = -axis
-    return axis * theta
-
-
 def quat_to_rotation(q_wxyz) -> np.ndarray:
     """Unit-quaternion (w, x, y, z) to rotation matrix; normalizes first."""
     w, x, y, z = np.asarray(q_wxyz, dtype=float) / np.linalg.norm(q_wxyz)
@@ -181,6 +161,9 @@ class RobotModel:
             raise ValueError("axes and offsets must both be (dof, 3)")
         if self.tool_offset.shape != (3,):
             raise ValueError("tool_offset must be a 3-vector")
+        if not (np.isfinite(self.axes).all() and np.isfinite(self.offsets).all()
+                and np.isfinite(self.tool_offset).all()):
+            raise ValueError("axes, offsets and tool_offset must be finite")
         norms = np.linalg.norm(self.axes, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_AXIS_TOL):
             raise ValueError("joint axes must be unit vectors")
@@ -188,6 +171,8 @@ class RobotModel:
             joint_limits = np.asarray(joint_limits, dtype=float)
             if joint_limits.shape != (self.dof, 2):
                 raise ValueError("joint_limits must be (dof, 2)")
+            if np.isnan(joint_limits).any():
+                raise ValueError("joint_limits must not be NaN")
             if np.any(joint_limits[:, 0] >= joint_limits[:, 1]):
                 raise ValueError("each joint limit must satisfy lo < hi")
         self.joint_limits = joint_limits

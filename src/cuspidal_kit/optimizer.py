@@ -33,28 +33,6 @@ INFEASIBLE_SENTINEL = 1e9
 
 
 @dataclass
-class Toolpath:
-    """Evenly sampled path in the workpiece frame."""
-    poses: list[Pose]
-    dlambda: float
-    closed: bool = False
-
-    def __post_init__(self):
-        if len(self.poses) < 2:
-            raise ValueError("a toolpath needs at least two samples")
-        if self.dlambda <= 0:
-            raise ValueError("dlambda must be positive")
-
-    @property
-    def K(self) -> int:
-        return len(self.poses) - 1
-
-    @property
-    def length(self) -> float:
-        return self.K * self.dlambda
-
-
-@dataclass
 class WorkpiecePose:
     """Rigid placement as quaternion (w, x, y, z) plus translation.
 
@@ -120,7 +98,7 @@ def reduced_to_pose(x: ReducedParams) -> WorkpiecePose:
     return WorkpiecePose(quat=quat, p=R @ x.p)
 
 
-def transform_toolpath(wp: WorkpiecePose, tp: Toolpath) -> TaskPath:
+def transform_toolpath(wp: WorkpiecePose, tp: TaskPath) -> TaskPath:
     """Place the toolpath in the base frame; sample spacing is preserved."""
     R = wp.rotation
     poses = [Pose(R @ s.rotation, wp.p + R @ s.position) for s in tp.poses]
@@ -166,7 +144,7 @@ def _unreachable_penalty(task: TaskPath, radii) -> float:
     return dist
 
 
-def objective_from_pose(robot: RobotModel, tp: Toolpath, wp: WorkpiecePose,
+def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
                         planner_cfg: PlannerConfig | None = None,
                         ik_cfg: IKConfig | None = None,
                         task_penalty=None, radii=None, threads: int = 1) -> float:
@@ -185,7 +163,7 @@ def objective_from_pose(robot: RobotModel, tp: Toolpath, wp: WorkpiecePose,
     return INFEASIBLE_SENTINEL + _unreachable_penalty(task, radii) + extra
 
 
-def objective(robot: RobotModel, tp: Toolpath, x: ReducedParams,
+def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
               planner_cfg: PlannerConfig | None = None,
               ik_cfg: IKConfig | None = None,
               task_penalty=None, radii=None, threads: int = 1) -> float:
@@ -274,7 +252,7 @@ class StartExhaustionError(RuntimeError):
         self.attempts = attempts
 
 
-def random_feasible_start(robot: RobotModel, tp: Toolpath, rng,
+def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
                           bounds=None, max_attempts: int = 100,
                           planner_cfg: PlannerConfig | None = None,
                           ik_cfg: IKConfig | None = None,
@@ -325,7 +303,7 @@ def _strict_rms(robot, tp, x, planner_cfg, ik_cfg, threads):
     return res.path.rms
 
 
-def optimize_workpiece_pose(robot: RobotModel, tp: Toolpath, n_starts: int = 2,
+def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
                             seed: int = 0, nm_opts: NelderMeadOptions | None = None,
                             planner_cfg: PlannerConfig | None = None,
                             ik_cfg: IKConfig | None = None,

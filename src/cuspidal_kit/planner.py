@@ -28,7 +28,11 @@ _DEFAULT_QDOT_MAX = 4.0 * np.pi
 
 @dataclass
 class TaskPath:
-    """Evenly sampled task-space path; sample k sits at lambda = k*dlambda."""
+    """Evenly sampled task-space path; sample k sits at lambda = k*dlambda.
+
+    Base-frame paths are planned directly; workpiece-frame toolpaths are
+    placed in the base frame by the optimizer first.
+    """
     poses: list[Pose]
     dlambda: float
     closed: bool = False
@@ -36,8 +40,11 @@ class TaskPath:
     def __post_init__(self):
         if len(self.poses) < 2:
             raise ValueError("a path needs at least two samples")
-        if self.dlambda <= 0:
-            raise ValueError("dlambda must be positive")
+        if not (np.isfinite(self.dlambda) and self.dlambda > 0):
+            raise ValueError("dlambda must be finite and positive")
+        if not all(np.isfinite(p.position).all() and np.isfinite(p.rotation).all()
+                   for p in self.poses):
+            raise ValueError("path samples must be finite")
         if self.closed:
             gap = pose_difference(self.poses[0], self.poses[-1])
             if gap > 1e-9:
@@ -46,14 +53,6 @@ class TaskPath:
     @property
     def K(self) -> int:
         return len(self.poses) - 1
-
-    @property
-    def length(self) -> float:
-        return self.K * self.dlambda
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.arange(len(self.poses)) * self.dlambda
 
 
 @dataclass
@@ -72,7 +71,6 @@ class PlannerConfig:
     manipulability_W: np.ndarray | None = None
     joint_limit_barrier: float = 0.0
     enforce_joint_limits: bool = False
-    admit_approximate: bool = True
 
     def __post_init__(self):
         if self.eps0 is not None and self.eps0 <= 0:
@@ -123,14 +121,10 @@ class PlanGraph:
     eps: float
     Q: list[np.ndarray]                 # (M_k, n) wrapped joint vectors
     det_j: list[np.ndarray]
-    approximate: list[np.ndarray]
-    orig_index: list[np.ndarray]        # vertex -> index in the layer's IKSolutionSet
-    penalties: list[np.ndarray]
     unwrapped: list[np.ndarray]         # per-vertex turn-tracked representative
-    edges: dict                         # (k, d) -> dict(weight=..., metric=...), inf = absent
+    edges: dict                         # (k, d) -> dict(weight=(M_k, M_k+d)), inf = absent
     s_edges: dict                       # (k, m) -> weight
     f_edges: dict                       # (k, m) -> weight
-    config: PlannerConfig = None
 
     @property
     def n_layers(self) -> int:
@@ -145,13 +139,10 @@ class PlanGraph:
         interior = sum(int(np.isfinite(e["weight"]).sum()) for e in self.edges.values())
         return interior + len(self.s_edges) + len(self.f_edges)
 
-    def stats(self) -> dict:
-        return {
-            "layers": self.n_layers,
-            "layer_counts": self.layer_counts,
-            "edges": self.edge_count,
-            "eps": self.eps,
-        }
+    @property
+    def depth(self) -> int:
+        """Longest admitted edge, in layers."""
+        return max((d for _, d in self.edges), default=1)
 
 
 def _pairwise_cost(Qa: np.ndarray, Qb: np.ndarray, gap_lambda: float) -> np.ndarray:
@@ -162,19 +153,37 @@ def _pairwise_cost(Qa: np.ndarray, Qb: np.ndarray, gap_lambda: float) -> np.ndar
     return np.einsum("abj,abj->ab", d, d) / gap_lambda
 
 
-def _window_reachability(edges, by_head, counts, k_from: int, k_to: int) -> np.ndarray:
-    """Boolean (M_from, M_to): connectivity inside layers [k_from, k_to]
-    via already admitted edges."""
-    reach = {k_from: np.eye(counts[k_from], dtype=bool)}
-    for j in range(k_from + 1, k_to + 1):
-        acc = np.zeros((counts[k_from], counts[j]), dtype=bool)
-        for (k, d) in by_head.get(j, ()):
-            if k >= k_from:
-                src = reach.get(k)
-                if src is not None and src.any():
-                    acc |= src @ np.isfinite(edges[(k, d)]["weight"])
-        reach[j] = acc
-    return reach[k_to]
+def incoming(edges, j: int, depth: int) -> list[tuple[int, int]]:
+    """Keys (k, d) of the admitted edges into layer j no longer than depth,
+    nearest layer first."""
+    return [(j - d, d) for d in range(1, min(depth, j) + 1) if (j - d, d) in edges]
+
+
+def reach(edges, depth: int, rows: dict, lo: int, hi: int, forward: bool = True) -> dict:
+    """Boolean reachability along admitted edges inside layers [lo, hi].
+
+    rows maps every layer k in [lo, hi] to an (R, M_k) array of seed rows
+    and is filled in place and returned: forward, row r at layer j ends up
+    marking the vertices that row r's seeds reach; backward, the vertices
+    from which row r's seeds are reached.
+    """
+    heads = range(lo + 1, hi + 1) if forward else range(hi, lo, -1)
+    for j in heads:
+        for (k, d) in incoming(edges, j, min(depth, j - lo)):
+            src, dst = (k, j) if forward else (j, k)
+            if rows[src].any():
+                ok = np.isfinite(edges[(k, d)]["weight"])
+                rows[dst] |= rows[src] @ (ok if forward else ok.T)
+    return rows
+
+
+def _terminal_rows(counts, terminals, lo: int, hi: int) -> dict:
+    """One seed row per layer in [lo, hi], marking the given (k, m) terminals."""
+    rows = {k: np.zeros((1, counts[k]), dtype=bool) for k in range(lo, hi + 1)}
+    for (k, m) in terminals:
+        if lo <= k <= hi:
+            rows[k][0, m] = True
+    return rows
 
 
 def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | None = None,
@@ -193,30 +202,18 @@ def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | N
     K = path.K
     if len(layers) != K + 1:
         raise ValueError("layer count must match path samples")
-    dof = None
-    Q, det_j, approx, orig = [], [], [], []
-    for layer in layers:
-        sols = layer.solutions.solutions
-        keep = [i for i, s in enumerate(sols) if cfg.admit_approximate or not s.approximate]
-        if keep and dof is None:
-            dof = sols[keep[0]].q.shape[0]
-        Q.append(np.stack([sols[i].q for i in keep]) if keep else np.empty((0, 0)))
-        det_j.append(np.array([sols[i].det_j for i in keep]))
-        approx.append(np.array([sols[i].approximate for i in keep], dtype=bool))
-        orig.append(np.array(keep, dtype=int))
-    if dof is None:
-        dof = robot.dof if robot is not None else 3
+    sols = [layer.solutions.solutions for layer in layers]
+    dof = next((ss[0].q.shape[0] for ss in sols if ss),
+               robot.dof if robot is not None else 3)
     eps = path.dlambda * cfg.resolve_eps0(dof)
-
-    # fix empty layers to consistent shapes
-    Q = [q if q.size else np.empty((0, dof)) for q in Q]
+    Q = [np.stack([s.q for s in ss]) if ss else np.empty((0, dof)) for ss in sols]
+    det_j = [np.array([s.det_j for s in ss]) for ss in sols]
 
     # vertex penalties
     penalties = []
-    residuals = [np.array([layer.solutions.solutions[i].residual for i in o])
-                 for layer, o in zip(layers, orig)]
     for k in range(K + 1):
-        pen = _APPROX_PENALTY * np.where(approx[k], residuals[k], 0.0)
+        pen = _APPROX_PENALTY * np.array([s.residual if s.approximate else 0.0
+                                          for s in sols[k]])
         if cfg.manipulability_weight > 0.0:
             if cfg.manipulability_W is None:
                 mu = np.abs(det_j[k])
@@ -230,47 +227,45 @@ def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | N
 
     sign = [np.sign(d) for d in det_j]
     edges: dict = {}
-    by_head: dict[int, list] = {}
     counts = [q.shape[0] for q in Q]
+    depth = cfg.skip_depth
 
     def admit(k: int, d: int):
-        gap = d * path.dlambda
-        cost = _pairwise_cost(Q[k], Q[k + d], gap)
+        cost = _pairwise_cost(Q[k], Q[k + d], d * path.dlambda)
         ok = cost < eps
         if cfg.nonsingular_only:
             ok &= (sign[k][:, None] * sign[k + d][None, :]) > 0
         if d > 1 and ok.any():
-            ok &= ~_window_reachability(edges, by_head, counts, k, k + d)
-        if not ok.any():
-            return
-        weight = np.where(ok, cost + penalties[k + d][None, :], np.inf)
-        metric = np.where(ok, cost, np.inf)
-        edges[(k, d)] = {"weight": weight, "metric": metric}
-        by_head.setdefault(k + d, []).append((k, d))
+            rows = {j: np.zeros((counts[k], counts[j]), dtype=bool) for j in range(k + 1, k + d + 1)}
+            rows[k] = np.eye(counts[k], dtype=bool)
+            ok &= ~reach(edges, depth, rows, k, k + d)[k + d]
+        if ok.any():
+            edges[(k, d)] = {"weight": np.where(ok, cost + penalties[k + d][None, :], np.inf)}
 
     for k in range(K):
         admit(k, 1)
     s_edges = {(0, m): float(penalties[0][m]) for m in range(Q[0].shape[0])}
     f_edges = {(K, m): 0.0 for m in range(Q[K].shape[0])}
 
-    for d in range(2, cfg.skip_depth + 1):
+    for d in range(2, depth + 1):
         for k in range(0, K - d + 1):
             admit(k, d)
         # start/finish skips mirror the interior pass: S reaches layer d-1,
         # F is reached from layer K-d+1, only for vertices not already wired
         j = d - 1
         if 1 <= j <= K - 1:
-            from_s = _reachable_from_start(edges, by_head, s_edges, counts, j)
+            from_s = reach(edges, depth, _terminal_rows(counts, s_edges, 0, j), 0, j)[j][0]
             for m in range(counts[j]):
                 if not from_s[m]:
                     s_edges[(j, m)] = float(penalties[j][m])
             jf = K - j
-            to_f = _reachable_to_finish(edges, f_edges, counts, jf, K)
+            to_f = reach(edges, depth, _terminal_rows(counts, f_edges, jf, K), jf, K,
+                         forward=False)[jf][0]
             for m in range(counts[jf]):
                 if not to_f[m]:
                     f_edges[(jf, m)] = 0.0
 
-    unwrapped = _assign_unwrapped(Q, edges, s_edges)
+    unwrapped = _assign_unwrapped(Q, edges, s_edges, depth)
     if robot is not None and robot.joint_limits is not None:
         if cfg.joint_limit_barrier > 0.0:
             lo, hi = robot.joint_limits[:, 0], robot.joint_limits[:, 1]
@@ -281,63 +276,33 @@ def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | N
                 margin_hi = np.maximum(hi[None, :] - unwrapped[k], _BARRIER_MARGIN)
                 bar = cfg.joint_limit_barrier * path.dlambda * np.sum(
                     1.0 / margin_lo + 1.0 / margin_hi, axis=1)
-                _add_head_penalty(edges, s_edges, k, bar)
+                _add_head_penalty(edges, s_edges, k, bar, depth)
         if cfg.enforce_joint_limits:
             _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, robot.joint_limits)
 
-    return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j, approximate=approx,
-                     orig_index=orig, penalties=penalties, unwrapped=unwrapped,
-                     edges=edges, s_edges=s_edges, f_edges=f_edges, config=cfg)
+    return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j, unwrapped=unwrapped,
+                     edges=edges, s_edges=s_edges, f_edges=f_edges)
 
 
-def _reachable_from_start(edges, by_head, s_edges, counts, k_to: int) -> np.ndarray:
-    reach = {k: np.zeros(counts[k], dtype=bool) for k in range(k_to + 1)}
-    for (k, m) in s_edges:
-        if k <= k_to:
-            reach[k][m] = True
-    for j in range(1, k_to + 1):
-        for (k, d) in by_head.get(j, ()):
-            if reach[k].any():
-                reach[j] |= reach[k] @ np.isfinite(edges[(k, d)]["weight"])
-    return reach[k_to]
+def _add_head_penalty(edges, s_edges, k: int, pen: np.ndarray, depth: int):
+    for key in incoming(edges, k, depth):
+        w = edges[key]["weight"]
+        edges[key]["weight"] = np.where(np.isfinite(w), w + pen[None, :], np.inf)
+    for m in range(pen.shape[0]):
+        if (k, m) in s_edges:
+            s_edges[(k, m)] += float(pen[m])
 
 
-def _reachable_to_finish(edges, f_edges, counts, k_from: int, K: int) -> np.ndarray:
-    reach = {k: np.zeros(counts[k], dtype=bool) for k in range(k_from, K + 1)}
-    for (k, m) in f_edges:
-        if k >= k_from:
-            reach[k][m] = True
-    for j in range(K - 1, k_from - 1, -1):
-        for (k, d), e in edges.items():
-            if k == j and k + d <= K:
-                if reach[k + d].any():
-                    reach[j] |= np.isfinite(e["weight"]) @ reach[k + d]
-    return reach[k_from]
-
-
-def _add_head_penalty(edges, s_edges, k: int, pen: np.ndarray):
-    for (kk, d), e in edges.items():
-        if kk + d == k:
-            e["weight"] = np.where(np.isfinite(e["weight"]), e["weight"] + pen[None, :], np.inf)
-    for (kk, m) in list(s_edges):
-        if kk == k:
-            s_edges[(kk, m)] += float(pen[m])
-
-
-def _assign_unwrapped(Q, edges, s_edges):
+def _assign_unwrapped(Q, edges, s_edges, depth: int):
     """Greedy turn tracking: each vertex gets the unwrapped representative
     nearest its first admitted predecessor (nearest layer first, then lowest
     vertex index); exact +/- pi steps take the positive branch."""
-    n_layers = len(Q)
     unwrapped = [q.copy() for q in Q]
     assigned = [np.zeros(q.shape[0], dtype=bool) for q in Q]
     for (k, m) in s_edges:
         assigned[k][m] = True
-    incoming: dict[int, list] = {}
-    for (k, d) in edges:
-        incoming.setdefault(k + d, []).append((k, d))
-    for j in range(n_layers):
-        for (k, d) in sorted(incoming.get(j, []), key=lambda kd: kd[1]):
+    for j in range(len(Q)):
+        for (k, d) in incoming(edges, j, depth):
             ok = np.isfinite(edges[(k, d)]["weight"])
             for m in range(Q[k].shape[0]):
                 if not assigned[k][m]:
@@ -363,7 +328,6 @@ def _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, limits):
                 if not inside[k + d][l] or not inside[k][m] or \
                         np.max(np.abs(implied - unwrapped[k + d][l])) > 1e-9:
                     e["weight"][m, l] = np.inf
-                    e["metric"][m, l] = np.inf
     for (k, m) in list(s_edges):
         if not inside[k][m]:
             del s_edges[(k, m)]
@@ -411,13 +375,11 @@ class _Search:
 
     def __init__(self, graph: PlanGraph):
         self.g = graph
-        self.incoming: dict[int, list] = {}
-        for (k, d) in sorted(graph.edges):
-            self.incoming.setdefault(k + d, []).append((k, d))
 
     def run(self, sources: dict):
         g = self.g
         K = g.n_layers - 1
+        depth = g.depth
         dist = [np.full(q.shape[0], np.inf) for q in g.Q]
         parent = [[None] * q.shape[0] for q in g.Q]
         self._parent = parent
@@ -427,7 +389,7 @@ class _Search:
                 dist[k][m] = w
                 parent[k][m] = "S"
         for j in range(K + 1):
-            for (k, d) in self.incoming.get(j, []):
+            for (k, d) in incoming(g.edges, j, depth):
                 W = g.edges[(k, d)]["weight"]
                 for m in range(W.shape[0]):
                     dkm = dist[k][m]
@@ -462,7 +424,6 @@ def shortest_joint_path(graph: PlanGraph):
     """
     search = _Search(graph)
     dist, parent = search.run(graph.s_edges)
-    K = graph.n_layers - 1
     best, best_v = np.inf, None
     for (k, m), w in sorted(graph.f_edges.items()):
         if not np.isfinite(dist[k][m]):
@@ -507,21 +468,10 @@ def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
 
 def _first_disconnected_span(graph: PlanGraph):
     """Layers [a, b] where forward reachability from S first dies."""
-    counts = graph.layer_counts
     K = graph.n_layers - 1
-    per_layer = []
-    reach_map = {k: np.zeros(counts[k], dtype=bool) for k in range(K + 1)}
-    for (k, m) in graph.s_edges:
-        reach_map[k][m] = True
-    incoming: dict[int, list] = {}
-    for (k, d) in graph.edges:
-        incoming.setdefault(k + d, []).append((k, d))
-    for j in range(K + 1):
-        for (k, d) in incoming.get(j, []):
-            e = graph.edges[(k, d)]
-            if reach_map[k].any():
-                reach_map[j] |= reach_map[k] @ np.isfinite(e["weight"])
-        per_layer.append(bool(reach_map[j].any()))
+    rows = reach(graph.edges, graph.depth,
+                 _terminal_rows(graph.layer_counts, graph.s_edges, 0, K), 0, K)
+    per_layer = [bool(rows[k].any()) for k in range(K + 1)]
     if all(per_layer):
         return (K, K)
     a = per_layer.index(False)

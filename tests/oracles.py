@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's solver internals: the
 Jacobian oracle uses central differences of forward kinematics, the IK
 oracle scans a dense joint-space grid for error minima and polishes them
-with a plain pseudo-inverse Newton, and the shortest-path oracle explores
-every start-to-finish route by depth-first search.
+with a plain pseudo-inverse Newton, the shortest-path oracle explores
+every start-to-finish route by depth-first search, and the admission oracle
+re-derives the planner's multi-pass edge rule with the same search.
 """
 
 import numpy as np
@@ -107,3 +108,67 @@ def brute_force_shortest(graph) -> float:
     for v, w0 in graph.s_edges.items():
         dfs(v, w0)
     return best[0]
+
+
+def multipass_admission(Q, det_j, dlambda: float, eps: float, skip_depth: int,
+                        nonsingular_only: bool = False):
+    """Edge set, S/F terminals and first disconnected span of the multi-pass
+    rule, each derived from its definition by depth-first search.
+
+    Pass d (1..skip_depth) admits (k, m) -> (k+d, l) when the squared
+    wrap-aware step over the d*dlambda gap stays under eps (and the
+    determinant signs agree under nonsingular_only), and, for d > 1, when no
+    path over edges of the earlier passes already joins the two vertices.
+    S joins every layer-0 vertex and F every layer-K vertex; after pass d,
+    S also joins the layer-(d-1) vertices it cannot reach and F the
+    layer-(K-d+1) vertices that cannot reach it. Returns (edges, s, f, span)
+    with edges a set of (k, d, m, l).
+    """
+    K = len(Q) - 1
+    edges: set = set()
+
+    def successors(v, edge_set):
+        k, m = v
+        return [(k + d, l) for (kk, d, mm, l) in edge_set if (kk, mm) == (k, m)]
+
+    def reachable(sources, edge_set):
+        seen, stack = set(sources), list(sources)
+        while stack:
+            for w in successors(stack.pop(), edge_set):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    def close_enough(k, d, m, l):
+        step = wrap_to_pi(np.asarray(Q[k + d][l], float) - np.asarray(Q[k][m], float))
+        if float(step @ step) / (d * dlambda) >= eps:
+            return False
+        return not nonsingular_only or det_j[k][m] * det_j[k + d][l] > 0
+
+    s = {(0, m) for m in range(len(Q[0]))}
+    f = {(K, m) for m in range(len(Q[K]))}
+    for d in range(1, skip_depth + 1):
+        earlier = set(edges)
+        for k in range(K - d + 1):
+            for m in range(len(Q[k])):
+                joined = reachable([(k, m)], earlier) if d > 1 else set()
+                for l in range(len(Q[k + d])):
+                    if close_enough(k, d, m, l) and (k + d, l) not in joined:
+                        edges.add((k, d, m, l))
+        j = d - 1
+        if d > 1 and j <= K - 1:
+            from_s = reachable(s, edges)
+            s |= {(j, m) for m in range(len(Q[j])) if (j, m) not in from_s}
+            f |= {(K - j, m) for m in range(len(Q[K - j]))
+                  if not reachable([(K - j, m)], edges) & f}
+
+    from_s = reachable(s, edges)
+    alive = [any((k, m) in from_s for m in range(len(Q[k]))) for k in range(K + 1)]
+    if all(alive):
+        return edges, s, f, (K, K)
+    a = alive.index(False)
+    b = a
+    while b + 1 <= K and not alive[b + 1]:
+        b += 1
+    return edges, s, f, (a, b)

@@ -101,6 +101,30 @@ class TestPlan:
         assert code == 2
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command,bad", [("plan", "axis"), ("identify", "axis"),
+                                             ("plan", "dlambda"), ("plan", "sample")])
+    def test_exits_2(self, capsys, tmp_path, const_path_file, command, bad):
+        robot_doc = fileio.robot_to_doc(canonical_3r())
+        path_doc = fileio.load_json(const_path_file)
+        if bad == "axis":
+            robot_doc["axes"][1][0] = float("nan")
+        elif bad == "dlambda":
+            path_doc["dlambda"] = float("nan")
+        else:
+            path_doc["samples"][2]["p"][0] = float("nan")
+        robot, path = tmp_path / "robot.json", tmp_path / "path.json"
+        fileio.save_json(robot_doc, robot)
+        fileio.save_json(path_doc, path)
+        argv = [command, "--robot", str(robot), "--ik-seeds", "6"]
+        if command == "plan":
+            argv += ["--path", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") for line in err.splitlines())
+
+
 class TestOptimize:
     def test_small_helix(self, capsys, tmp_path):
         helix = tmp_path / "helix.json"

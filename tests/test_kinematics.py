@@ -190,3 +190,12 @@ class TestRobotModel:
         with pytest.raises(ValueError):
             RobotModel(axes=[[0, 0, 1.0]], offsets=[[0, 0, 0]], tool_offset=[1, 0, 0],
                        joint_limits=[[1.0, -1.0]])
+
+    @pytest.mark.parametrize("field,value", [
+        ("axes", [[0, 0, np.nan]]), ("offsets", [[0, np.inf, 0]]),
+        ("tool_offset", [np.nan, 0, 0]), ("joint_limits", [[np.nan, 1.0]])])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = dict(axes=[[0, 0, 1.0]], offsets=[[0, 0, 0]], tool_offset=[1, 0, 0])
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            RobotModel(**kwargs)

@@ -16,7 +16,6 @@ from cuspidal_kit.optimizer import (
     NelderMeadOptions,
     ReducedParams,
     StartExhaustionError,
-    Toolpath,
     WorkpiecePose,
     decompose_rz_rxy,
     nelder_mead,
@@ -27,7 +26,7 @@ from cuspidal_kit.optimizer import (
     reduced_to_pose,
     transform_toolpath,
 )
-from cuspidal_kit.planner import PlannerConfig, plan_path
+from cuspidal_kit.planner import PlannerConfig, TaskPath, plan_path
 
 
 def _random_rotation(rng):
@@ -36,7 +35,7 @@ def _random_rotation(rng):
 
 
 def _toolpath(points, dlambda=0.05):
-    return Toolpath([Pose(np.eye(3), np.asarray(p, float)) for p in points], dlambda=dlambda)
+    return TaskPath([Pose(np.eye(3), np.asarray(p, float)) for p in points], dlambda=dlambda)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +61,7 @@ class TestTransformToolpath:
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(20)
-        tp = Toolpath([Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(5)],
+        tp = TaskPath([Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(5)],
                       dlambda=0.1)
         q = rng.normal(size=4)
         wp = WorkpiecePose(q, rng.normal(size=3))
@@ -79,7 +78,7 @@ class TestTransformToolpath:
 
     def test_equivariance_under_composition(self):
         rng = np.random.default_rng(21)
-        tp = Toolpath([Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(4)],
+        tp = TaskPath([Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(4)],
                       dlambda=0.1)
         Ra, Rb = _random_rotation(rng), _random_rotation(rng)
         pa, pb = rng.normal(size=3), rng.normal(size=3)

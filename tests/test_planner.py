@@ -15,6 +15,7 @@ from cuspidal_kit.planner import (
     path_cost,
     plan_path,
     shortest_joint_path,
+    _first_disconnected_span,
 )
 from cuspidal_kit.scenarios import (
     THREE_PARALLEL_WITNESS,
@@ -24,7 +25,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_control_path,
 )
 
-from oracles import brute_force_shortest
+from oracles import brute_force_shortest, multipass_admission
 
 
 def _sol(q, det=1.0, approx=False, residual=0.0):
@@ -275,6 +276,32 @@ class TestShortestPath:
                 assert r2.weight <= r1.weight + 1e-12
 
 
+class TestAdmissionOracle:
+    def test_matches_dfs_oracle_on_random_instances(self):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            K = int(rng.integers(1, 10))
+            layer_sets = [[rng.uniform(-np.pi, np.pi, 3) for _ in range(rng.integers(0, 6))]
+                          for _ in range(K + 1)]
+            dets = [[float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.1, 2.0))
+                     for _ in qs] for qs in layer_sets]
+            approxes = [[bool(rng.random() < 0.15) for _ in qs] for qs in layer_sets]
+            dl = float(rng.uniform(0.05, 0.5))
+            cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
+                                skip_depth=int(rng.integers(1, 5)),
+                                nonsingular_only=bool(rng.random() < 0.5))
+            g = build_plan_graph(_layers(layer_sets, dets, approxes),
+                                 _const_path(K + 1, dlambda=dl), cfg)
+            edges, s, f, span = multipass_admission(
+                layer_sets, dets, dl, g.eps, cfg.skip_depth, cfg.nonsingular_only)
+            admitted = {(k, d, int(m), int(l)) for (k, d), e in g.edges.items()
+                        for m, l in np.argwhere(np.isfinite(e["weight"]))}
+            assert admitted == edges
+            assert set(g.s_edges) == s
+            assert set(g.f_edges) == f
+            assert _first_disconnected_span(g) == span
+
+
 class TestPlanPath:
     def test_constant_pose(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
@@ -371,3 +398,9 @@ class TestTaskPath:
         lam = np.array([0.0, 0.1, 0.2])
         expected = 0.1 ** 2 / 0.1 + 0.2 ** 2 / 0.1
         assert path_cost(qs, lam) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("dlambda,position", [(np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan)])
+    def test_non_finite_rejected(self, dlambda, position):
+        poses = [Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.array([position, 0.0, 0.0]))]
+        with pytest.raises(ValueError):
+            TaskPath(poses, dlambda=dlambda)
