@@ -45,7 +45,6 @@ from .optimizer import (
 )
 from .planner import (
     JointPath,
-    Layer,
     PlanGraph,
     PlanResult,
     PlannerConfig,

@@ -135,18 +135,30 @@ def poses_from_doc(doc: dict) -> tuple[list[Pose], float, str, bool]:
     return poses, float(doc["dlambda"]), doc["frame"], bool(doc.get("closed", False))
 
 
+def _checked_spacing(path: TaskPath) -> TaskPath:
+    """dlambda must match the mean step between sample positions within 2x
+    either way: edge admission and the reported rms scale with it. Paths
+    whose positions never move are exempt, their lambda is not a length."""
+    steps = np.linalg.norm(np.diff([p.position for p in path.poses], axis=0), axis=1)
+    mean = float(np.mean(steps))
+    if mean > 0.0 and not 0.5 <= path.dlambda / mean <= 2.0:
+        raise ValueError(f"dlambda {path.dlambda!r} disagrees with the mean sample "
+                         f"spacing {mean!r} by more than 2x")
+    return path
+
+
 def task_path_from_doc(doc: dict) -> TaskPath:
     poses, dlambda, frame, closed = poses_from_doc(doc)
     if frame != "base":
         raise ValueError("planning expects a base-frame path; got a workpiece toolpath")
-    return TaskPath(poses, dlambda=dlambda, closed=closed)
+    return _checked_spacing(TaskPath(poses, dlambda=dlambda, closed=closed))
 
 
 def toolpath_from_doc(doc: dict) -> TaskPath:
     poses, dlambda, frame, closed = poses_from_doc(doc)
     if frame != "workpiece":
         raise ValueError("optimization expects a workpiece-frame toolpath")
-    return TaskPath(poses, dlambda=dlambda, closed=closed)
+    return _checked_spacing(TaskPath(poses, dlambda=dlambda, closed=closed))
 
 
 # --- helix generator -------------------------------------------------------

@@ -157,14 +157,6 @@ def _solve3_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass
-class _Candidate:
-    q: np.ndarray
-    residual: float
-    seed: int
-    approximate: bool
-
-
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -188,59 +180,53 @@ def _first_of_each_key(sorted_like_keys: np.ndarray) -> np.ndarray:
     return order[uniq]
 
 
-def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample_of, seeds,
-                       cfg: IKConfig, coalesce: bool = True):
+def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKConfig):
     """Levenberg-Marquardt over rows of (target, seed) pairs.
 
-    Tpos/Trot hold the target per row; sample_of tags each row with its
-    target index so rows of different targets never interact. Each row
+    Tpos/Trot hold one target per sample id and every row is tagged with its
+    sample id, so rows of different targets never interact. Each row
     carries its own damping: steps that raise the residual are rejected and
     retried stiffer, which keeps boundary rows from being flung away by a
-    near-singular Jacobian. Returns candidate arrays
+    near-singular Jacobian. All per-row state lives in one record that is
+    compacted once per iteration. Returns candidate arrays
     (q, residual, seed, approximate, sample).
     """
-    n = robot.dof
+    m6 = robot.dof != 3
+    N = Q0.shape[0]
+    # per-row state; Q, e, J and resid are the last accepted iterate
+    rows = {"seed": np.asarray(seed), "sample": np.asarray(sample),
+            "lam": np.full(N, cfg.damping), "best": np.full(N, np.inf),
+            "stall": np.zeros(N, dtype=np.int8), "below": np.zeros(N, dtype=bool)}
     Q = wrap_to_pi(np.asarray(Q0, dtype=float))
-    sample_of = np.asarray(sample_of)
-    seeds = np.asarray(seeds)
-    N = Q.shape[0]
-    lam = np.full(N, cfg.damping)
-    best = np.full(N, np.inf)
-    stall = np.zeros(N, dtype=np.int8)
-    below_prev = np.zeros(N, dtype=bool)
-    prev_Q = prev_e = prev_J = None
-    prev_resid = np.full(N, np.inf)
     done: list[tuple] = []
-    diag = np.arange(3 if n == 3 else 6)
-    m6 = n != 3
+    diag = np.arange(6 if m6 else 3)
 
-    def finalize(sel, resid):
+    def bank(sel):
         if np.any(sel):
-            r = resid[sel]
-            done.append((Q[sel], r, seeds[sel], r > cfg.exact_tol, sample_of[sel]))
+            r = rows["resid"][sel]
+            done.append((rows["Q"][sel], r, rows["seed"][sel], r > cfg.exact_tol,
+                         rows["sample"][sel]))
 
     for it in range(cfg.max_refine_iters):
-        if Q.shape[0] == 0:
-            break
         R, p, J = fk_jacobian_batch(robot, Q)
-        dp = Tpos - p
+        dp = Tpos[rows["sample"]] - p
         if m6:
-            Rrel = Trot @ np.swapaxes(R, 1, 2)
-            w = _rotvec_batch(Rrel)
+            w = _rotvec_batch(Trot[rows["sample"]] @ np.swapaxes(R, 1, 2))
             e = np.concatenate([dp, w], axis=1)
             resid = np.linalg.norm(dp, axis=1) + np.linalg.norm(w, axis=1)
         else:
             e = dp
             resid = np.sqrt(dp[:, 0] ** 2 + dp[:, 1] ** 2 + dp[:, 2] ** 2)
         bad = ~np.isfinite(resid)
-        if prev_Q is not None:
-            worse = (resid > prev_resid) | bad
+        lam = rows["lam"]
+        if it > 0:
+            worse = (resid > rows["resid"]) | bad
             if np.any(worse):
                 # reject the step: revert to the stored state, retry stiffer
-                Q[worse] = prev_Q[worse]
-                e[worse] = prev_e[worse]
-                J[worse] = prev_J[worse]
-                resid[worse] = prev_resid[worse]
+                Q[worse] = rows["Q"][worse]
+                e[worse] = rows["e"][worse]
+                J[worse] = rows["J"][worse]
+                resid[worse] = rows["resid"][worse]
                 bad &= ~worse
             lam = np.where(worse, np.minimum(lam * _LAM_GROW, _LAM_MAX),
                            np.maximum(lam * _LAM_SHRINK, cfg.damping))
@@ -248,84 +234,72 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample_of, seeds,
         # bank a root only after a second sub-tolerance pass: the extra
         # Newton step polishes it to machine accuracy, which downstream
         # cost comparisons rely on
-        converged = below & below_prev
-        stalled = (best - resid) < _STALL_REL_IMPROVEMENT * np.maximum(resid, 1e-12)
-        stall = np.where(stalled, stall + 1, 0).astype(np.int8)
-        np.minimum(best, resid, out=best)
+        converged = below & rows["below"]
+        stalled = (rows["best"] - resid) < _STALL_REL_IMPROVEMENT * np.maximum(resid, 1e-12)
+        stall = np.where(stalled, rows["stall"] + 1, 0).astype(np.int8)
         gave_up = (stall >= _STALL_LIMIT) & ~below & ~bad
+        rows.update(Q=Q, e=e, J=J, resid=resid, lam=lam, below=below, stall=stall,
+                    best=np.minimum(rows["best"], resid))
         if it == cfg.max_refine_iters - 1:
             # out of budget: bank whatever is close enough
-            finalize(~bad & (resid <= cfg.approx_tol), resid)
+            bank(~bad & (resid <= cfg.approx_tol))
             break
-        finalize((converged | gave_up) & (resid <= cfg.approx_tol), resid)
+        bank((converged | gave_up) & (resid <= cfg.approx_tol))
         keep = ~(converged | gave_up | bad)
-        if not np.all(keep):
-            Q, seeds, best, stall, lam = Q[keep], seeds[keep], best[keep], stall[keep], lam[keep]
-            sample_of, e, J, resid = sample_of[keep], e[keep], J[keep], resid[keep]
-            below = below[keep]
-            Tpos = Tpos[keep]
-            if m6:
-                Trot = Trot[keep]
-        if Q.shape[0] == 0:
+        n_keep = np.count_nonzero(keep)
+        if n_keep == 0:
             break
-        if coalesce and it >= _COALESCE_START_ITER and Q.shape[0] > 64:
+        if it >= _COALESCE_START_ITER and n_keep > 64:
             # rows already homing in on a root are exempt: distinct
             # near-fold twin roots can sit closer than the cell size
-            free = np.flatnonzero(resid >= _COALESCE_RESID_GUARD)
+            free = np.flatnonzero(keep & (resid >= _COALESCE_RESID_GUARD))
             if free.size:
-                key = _cell_key(Q[free], sample_of[free], _COALESCE_CELL)
-                rank = np.argsort(seeds[free], kind="stable")
-                kept_free = free[rank[_first_of_each_key(key[rank])]]
-                if kept_free.size < free.size:
-                    first = np.sort(np.concatenate(
-                        [kept_free, np.flatnonzero(resid < _COALESCE_RESID_GUARD)]))
-                    Q, seeds, best, stall, lam = Q[first], seeds[first], best[first], stall[first], lam[first]
-                    sample_of, e, J, resid = sample_of[first], e[first], J[first], resid[first]
-                    below = below[first]
-                    Tpos = Tpos[first]
-                    if m6:
-                        Trot = Trot[first]
-        below_prev = below
-        prev_Q, prev_e, prev_J, prev_resid = Q.copy(), e, J, resid
+                key = _cell_key(Q[free], rows["sample"][free], _COALESCE_CELL)
+                rank = np.argsort(rows["seed"][free], kind="stable")
+                keep[free] = False
+                keep[free[rank[_first_of_each_key(key[rank])]]] = True
+        if not keep.all():
+            rows = {name: v[keep] for name, v in rows.items()}
+        J, lam = rows["J"], rows["lam"]
         JT = np.swapaxes(J, 1, 2)
         A = J @ JT
         A[:, diag, diag] += lam[:, None] * lam[:, None]
         if m6:
-            y = np.linalg.solve(A, e[..., None])[..., 0]
+            y = np.linalg.solve(A, rows["e"][..., None])[..., 0]
         else:
-            y = _solve3_spd(A, e)
-        Q = wrap_to_pi(Q + (JT @ y[..., None])[..., 0])
+            y = _solve3_spd(A, rows["e"])
+        Q = wrap_to_pi(rows["Q"] + (JT @ y[..., None])[..., 0])
     if not done:
-        return (np.empty((0, n)), np.empty(0), np.empty(0, dtype=int),
+        return (np.empty((0, robot.dof)), np.empty(0), np.empty(0, dtype=int),
                 np.empty(0, dtype=bool), np.empty(0, dtype=int))
     return tuple(np.concatenate(parts) for parts in zip(*done))
 
 
-def _dedup_sample(Q, resid, seed, approx, dedup_tol: float) -> list[_Candidate]:
+def _dedup_sample(Q, seed, approx, dedup_tol: float) -> np.ndarray:
     """Wrap-aware dedup for one target; exact beats approximate, then lowest
-    seed index wins. Result ordered exact-first by seed index.
+    seed index wins. Returns the kept row indices, exact-first by seed index.
 
     Approximate candidates are thinned at a coarser radius: stalls along one
     boundary valley all describe the same continuous approximate solution.
     """
-    order = np.lexsort((seed, approx.astype(int)))
-    accepted: list[_Candidate] = []
-    for i in order:
+    kept: list[int] = []
+    for i in np.lexsort((seed, approx.astype(int))):
         radius = _APPROX_DEDUP if approx[i] else dedup_tol
-        if all(np.max(np.abs(wrap_to_pi(Q[i] - a.q))) > radius for a in accepted):
-            accepted.append(_Candidate(Q[i].copy(), float(resid[i]), int(seed[i]), bool(approx[i])))
-    return accepted
+        if all(np.max(np.abs(wrap_to_pi(Q[i] - Q[j]))) > radius for j in kept):
+            kept.append(i)
+    return np.array(kept, dtype=int)
 
 
-def _candidates_to_set(robot, pose, cands, cfg) -> IKSolutionSet:
+def _solutions(robot, Q, resid, approx, cfg) -> list[IKSolution]:
+    """IKSolutions for candidate rows; approximate rows are dropped unless
+    the config includes them."""
     if not cfg.include_approximate:
-        cands = [c for c in cands if not c.approximate]
-    sols = []
-    if cands:
-        dets = det_j_batch(robot, np.stack([c.q for c in cands]))
-        sols = [IKSolution(q=c.q, residual=c.residual, det_j=float(d), approximate=c.approximate)
-                for c, d in zip(cands, dets)]
-    return IKSolutionSet(pose=pose, solutions=sols)
+        Q, resid, approx = Q[~approx], resid[~approx], approx[~approx]
+    if Q.shape[0] == 0:
+        return []
+    dets = det_j_batch(robot, Q)
+    return [IKSolution(q=q, residual=float(r), det_j=float(d), approximate=bool(a))
+            for q, r, d, a in zip(Q, resid, dets, approx)]
 
 
 def _coarse_thin(Q, resid, seed, approx, sample, dedup_tol):
@@ -344,17 +318,11 @@ def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = 
     """Polish a single start; returns an IKSolution or None on no convergence."""
     cfg = cfg or IKConfig()
     q0 = robot._check_q(np.asarray(q0, dtype=float))
-    Tpos = target.position[None, :]
-    Trot = target.rotation[None, :, :]
-    Q, resid, seed, approx, _ = _refine_population(
-        robot, Tpos, Trot, q0[None, :], np.zeros(1, dtype=int), np.zeros(1, dtype=int),
-        cfg, coalesce=False)
-    if Q.shape[0] == 0:
-        return None
-    if approx[0] and not cfg.include_approximate:
-        return None
-    det = float(det_j_batch(robot, Q[:1])[0])
-    return IKSolution(q=Q[0], residual=float(resid[0]), det_j=det, approximate=bool(approx[0]))
+    zero = np.zeros(1, dtype=int)
+    Q, resid, _, approx, _ = _refine_population(
+        robot, target.position[None, :], target.rotation[None, :, :], q0[None, :], zero, zero, cfg)
+    sols = _solutions(robot, Q, resid, approx, cfg)
+    return sols[0] if sols else None
 
 
 def solve_all_ik(robot: RobotModel, target: Pose, cfg: IKConfig | None = None) -> IKSolutionSet:
@@ -386,13 +354,12 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
     chunks = [(lo, min(lo + per_chunk, len(targets)))
               for lo in range(0, len(targets), per_chunk)]
 
+    Tpos = np.stack([t.position for t in targets])
+    Trot = np.stack([t.rotation for t in targets])
+
     def run_chunk(bounds):
         lo, hi = bounds
         k = hi - lo
-        Tpos = np.repeat(np.stack([t.position for t in targets[lo:hi]]), n_seeds, axis=0)
-        Trot = None
-        if robot.dof != 3:
-            Trot = np.repeat(np.stack([t.rotation for t in targets[lo:hi]]), n_seeds, axis=0)
         Q0 = np.tile(grid, (k, 1))
         sample = np.repeat(np.arange(lo, hi), n_seeds)
         seeds = np.tile(np.arange(n_seeds), k)
@@ -411,9 +378,10 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
     sets = []
     for (lo, hi), (Q, resid, seed, approx, sample) in zip(chunks, results):
         for idx in range(lo, hi):
-            sel = sample == idx
-            cands = _dedup_sample(Q[sel], resid[sel], seed[sel], approx[sel], cfg.dedup_tol)
-            sets.append(_candidates_to_set(robot, targets[idx], cands, cfg))
+            sel = np.flatnonzero(sample == idx)
+            sel = sel[_dedup_sample(Q[sel], seed[sel], approx[sel], cfg.dedup_tol)]
+            sets.append(IKSolutionSet(pose=targets[idx],
+                                      solutions=_solutions(robot, Q[sel], resid[sel], approx[sel], cfg)))
     return sets
 
 

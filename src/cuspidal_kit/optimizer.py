@@ -147,29 +147,25 @@ def _unreachable_penalty(task: TaskPath, radii) -> float:
 def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
                         planner_cfg: PlannerConfig | None = None,
                         ik_cfg: IKConfig | None = None,
-                        task_penalty=None, radii=None, threads: int = 1) -> float:
+                        radii=None, threads: int = 1) -> float:
     """Planner weight of a full placement; infeasible placements price at
     the sentinel plus how far the path sticks out of the reachable shell."""
     task = transform_toolpath(wp, tp)
-    if task_penalty is not None:
-        extra = float(task_penalty(task))
-    else:
-        extra = 0.0
     res = plan_path(robot, task, planner_cfg, ik_cfg, threads=threads)
     if res.feasible:
-        return res.path.weight + extra
+        return res.path.weight
     if radii is None:
         radii = workspace_radii(robot)
-    return INFEASIBLE_SENTINEL + _unreachable_penalty(task, radii) + extra
+    return INFEASIBLE_SENTINEL + _unreachable_penalty(task, radii)
 
 
 def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
               planner_cfg: PlannerConfig | None = None,
               ik_cfg: IKConfig | None = None,
-              task_penalty=None, radii=None, threads: int = 1) -> float:
+              radii=None, threads: int = 1) -> float:
     """Planner weight of a reduced placement (total function, never raises)."""
     return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg,
-                               ik_cfg, task_penalty, radii, threads)
+                               ik_cfg, radii, threads)
 
 
 @dataclass
@@ -295,35 +291,30 @@ class OptResult:
     is_best: bool = False
 
 
-def _strict_rms(robot, tp, x, planner_cfg, ik_cfg, threads):
+def _plan_rms(robot, tp, x, planner_cfg, ik_cfg, threads) -> float:
+    """rms of the joint path planned at placement x; NaN when infeasible."""
     res = plan_path(robot, transform_toolpath(reduced_to_pose(x), tp),
                     planner_cfg, ik_cfg, threads=threads)
-    if not res.feasible:
-        return None
-    return res.path.rms
+    return res.path.rms if res.feasible else float("nan")
 
 
 def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
                             seed: int = 0, nm_opts: NelderMeadOptions | None = None,
                             planner_cfg: PlannerConfig | None = None,
                             ik_cfg: IKConfig | None = None,
-                            strict_planner_cfg: PlannerConfig | None = None,
-                            strict_ik_cfg: IKConfig | None = None,
                             bounds=None, max_attempts: int = 100,
-                            task_penalty=None, threads: int = 1) -> list[OptResult]:
+                            threads: int = 1) -> list[OptResult]:
     """Multi-start placement optimization.
 
     Each start draws a feasible random placement and runs Nelder-Mead on the
-    planner cost. The in-loop planner config may trade strictness for speed;
-    initial and final rms are re-priced with the strict configs. Results come
-    back sorted by final cost, best first (marked), deterministic for a
-    fixed seed via independently spawned per-start generators.
+    planner cost; initial and final rms come from planning the start and
+    the best placement again. Results come back sorted by final cost, best
+    first (marked), deterministic for a fixed seed via independently
+    spawned per-start generators.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     nm_opts = nm_opts or NelderMeadOptions()
-    strict_planner_cfg = strict_planner_cfg or planner_cfg
-    strict_ik_cfg = strict_ik_cfg or ik_cfg
     radii = workspace_radii(robot)
     streams = np.random.SeedSequence(seed).spawn(n_starts)
     results = []
@@ -339,17 +330,15 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
 
         def fun(arr):
             return objective(robot, tp, ReducedParams.from_array(arr),
-                             planner_cfg, ik_cfg, task_penalty, radii, threads)
+                             planner_cfg, ik_cfg, radii, threads)
 
         x_best, f_best, history = nelder_mead(fun, x0.as_array(), nm_opts)
         xr = ReducedParams.from_array(x_best)
-        initial_rms = _strict_rms(robot, tp, x0, strict_planner_cfg, strict_ik_cfg, threads)
-        final_rms = _strict_rms(robot, tp, xr, strict_planner_cfg, strict_ik_cfg, threads)
         results.append(OptResult(
             start_index=idx, x=xr, pose=reduced_to_pose(xr), history=history,
             initial_cost=history[0], final_cost=f_best,
-            initial_rms=initial_rms if initial_rms is not None else float("nan"),
-            final_rms=final_rms if final_rms is not None else float("nan"),
+            initial_rms=_plan_rms(robot, tp, x0, planner_cfg, ik_cfg, threads),
+            final_rms=_plan_rms(robot, tp, xr, planner_cfg, ik_cfg, threads),
             feasible=f_best < INFEASIBLE_SENTINEL, n_evals=len(history)))
     if not results:
         raise StartExhaustionError(failures * max_attempts)

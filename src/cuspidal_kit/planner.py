@@ -68,7 +68,6 @@ class PlannerConfig:
     skip_depth: int = 2
     nonsingular_only: bool = False
     manipulability_weight: float = 0.0
-    manipulability_W: np.ndarray | None = None
     joint_limit_barrier: float = 0.0
     enforce_joint_limits: bool = False
 
@@ -82,12 +81,6 @@ class PlannerConfig:
         if self.eps0 is not None:
             return self.eps0
         return dof * _DEFAULT_QDOT_MAX ** 2
-
-
-@dataclass
-class Layer:
-    k: int
-    solutions: IKSolutionSet
 
 
 def edge_cost(q1, q2, dlambda: float) -> float:
@@ -108,10 +101,9 @@ def path_cost(qs, lambdas) -> float:
 
 
 def build_layers(robot: RobotModel, path: TaskPath, ik_cfg: IKConfig | None = None,
-                 threads: int = 1) -> list[Layer]:
+                 threads: int = 1) -> list[IKSolutionSet]:
     """All IK solutions for every sample; approximate ones retained, flagged."""
-    sets = solve_ik_along_path(robot, path.poses, ik_cfg, threads=threads)
-    return [Layer(k, s) for k, s in enumerate(sets)]
+    return solve_ik_along_path(robot, path.poses, ik_cfg, threads=threads)
 
 
 @dataclass
@@ -186,7 +178,7 @@ def _terminal_rows(counts, terminals, lo: int, hi: int) -> dict:
     return rows
 
 
-def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | None = None,
+def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerConfig | None = None,
                      robot: RobotModel | None = None) -> PlanGraph:
     """Weighted DAG over the layers.
 
@@ -202,7 +194,7 @@ def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | N
     K = path.K
     if len(layers) != K + 1:
         raise ValueError("layer count must match path samples")
-    sols = [layer.solutions.solutions for layer in layers]
+    sols = [layer.solutions for layer in layers]
     dof = next((ss[0].q.shape[0] for ss in sols if ss),
                robot.dof if robot is not None else 3)
     eps = path.dlambda * cfg.resolve_eps0(dof)
@@ -215,13 +207,7 @@ def build_plan_graph(layers: list[Layer], path: TaskPath, cfg: PlannerConfig | N
         pen = _APPROX_PENALTY * np.array([s.residual if s.approximate else 0.0
                                           for s in sols[k]])
         if cfg.manipulability_weight > 0.0:
-            if cfg.manipulability_W is None:
-                mu = np.abs(det_j[k])
-            else:
-                if robot is None:
-                    raise ValueError("a weighted manipulability penalty needs the robot model")
-                from .kinematics import manipulability
-                mu = np.array([manipulability(robot, q, cfg.manipulability_W) for q in Q[k]])
+            mu = np.abs(det_j[k])
             pen = pen + cfg.manipulability_weight * path.dlambda / np.maximum(mu, _MU_FLOOR)
         penalties.append(pen)
 

@@ -125,6 +125,26 @@ class TestNonFiniteInput:
         assert any(line.startswith("error:") for line in err.splitlines())
 
 
+class TestDlambdaSpacing:
+    @pytest.mark.parametrize("command,frame,dlambda", [("plan", "base", 5.0),
+                                                       ("plan", "base", 1e-4),
+                                                       ("optimize", "workpiece", 5.0)])
+    def test_mismatch_exits_2(self, capsys, tmp_path, command, frame, dlambda):
+        # 11 samples 0.001 apart: a dlambda off by more than 2x either way
+        # would scale eps and the reported rms by the same factor
+        r3 = canonical_3r()
+        p0 = forward_kinematics(r3, np.array([0.3, -0.7, 1.1])).position
+        poses = [Pose(np.eye(3), p0 + [0.0, 0.0, 0.001 * k]) for k in range(11)]
+        path = tmp_path / "path.json"
+        fileio.save_json(fileio.path_to_doc(poses, dlambda, frame, False), path)
+        flag = "--path" if command == "plan" else "--toolpath"
+        code, out, err = run(capsys, command, "--robot", "3r-canonical", flag, str(path),
+                             "--ik-seeds", "6")
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and "dlambda" in line for line in err.splitlines())
+
+
 class TestOptimize:
     def test_small_helix(self, capsys, tmp_path):
         helix = tmp_path / "helix.json"

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
-from cuspidal_kit import fileio
+from cuspidal_kit import fileio, scenarios
 from cuspidal_kit.kinematics import Pose, RobotModel
 from cuspidal_kit.scenarios import canonical_3r, three_parallel_6r
 
@@ -74,6 +74,15 @@ class TestPathDocs:
                "samples": [{"p": [1, 0, 0]}, {"p": [1.1, 0, 0]}]}
         task = fileio.task_path_from_doc(doc)
         nt.assert_array_equal(task.poses[0].rotation, np.eye(3))
+
+    def test_builtin_paths_pass_spacing_check(self):
+        for make in (scenarios.infeasible_line_path, scenarios.infeasible_line_control_path,
+                     scenarios.cusp_loop_path, scenarios.control_loop_path):
+            path = make()
+            fileio.task_path_from_doc(fileio.path_to_doc(path.poses, path.dlambda, "base",
+                                                         path.closed))
+        for mode in ("fixed", "tangent-following"):
+            fileio.toolpath_from_doc(fileio.generate_helix(samples=8, orientation_mode=mode))
 
 
 class TestHelix:

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
+from cuspidal_kit import ik
 from cuspidal_kit.ik import (
     IKConfig,
     refine_solution,
@@ -29,6 +30,26 @@ def oracle(r3):
 
 def _contains(solutions, q, tol=1e-8):
     return any(np.max(np.abs(wrap_to_pi(s.q - q))) < tol for s in solutions)
+
+
+def _assert_identical(a, b):
+    """Bitwise equality of two IKSolutionSets, solution order included."""
+    assert a.count == b.count
+    for sa, sb in zip(a.solutions, b.solutions):
+        nt.assert_array_equal(sa.q, sb.q)
+        assert (sa.residual, sa.det_j, sa.approximate) == (sb.residual, sb.det_j, sb.approximate)
+
+
+def _random_targets(robot, seed, count):
+    rng = np.random.default_rng(seed)
+    return [forward_kinematics(robot, rng.uniform(-np.pi, np.pi, robot.dof)) for _ in range(count)]
+
+
+def _assert_batch_matches_single(robot, targets, cfg=None):
+    batched = solve_ik_along_path(robot, targets, cfg)
+    for target, bset in zip(targets, batched):
+        assert bset.count > 0
+        _assert_identical(solve_all_ik(robot, target, cfg), bset)
 
 
 def margin_targets(robot, rng, count, det_margin=0.4):
@@ -134,14 +155,16 @@ class TestEnumeration:
             assert sa.residual == sb.residual and sa.det_j == sb.det_j
 
     def test_path_batching_matches_single(self, r3):
-        rng = np.random.default_rng(15)
-        targets = [forward_kinematics(r3, rng.uniform(-np.pi, np.pi, 3)) for _ in range(40)]
-        batched = solve_ik_along_path(r3, targets)
-        for target, bset in zip(targets, batched):
-            single = solve_all_ik(r3, target)
-            assert single.count == bset.count
-            for sa, sb in zip(single.solutions, bset.solutions):
-                nt.assert_array_equal(sa.q, sb.q)
+        _assert_batch_matches_single(r3, _random_targets(r3, 15, 40))
+
+    def test_small_chunks_match_single(self, r3, monkeypatch):
+        # three targets per chunk, the last chunk short: every chunk but the
+        # first holds sample ids that do not start at 0
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 3 * IKConfig().resolve_seeds(3) ** 3)
+        _assert_batch_matches_single(r3, _random_targets(r3, 15, 40))
+
+    def test_path_batching_matches_single_6r(self, r6):
+        _assert_batch_matches_single(r6, _random_targets(r6, 17, 3), IKConfig(seeds_per_joint=5))
 
     def test_threads_identical(self, r3):
         rng = np.random.default_rng(16)

@@ -5,7 +5,6 @@ import pytest
 from cuspidal_kit.ik import IKConfig, IKSolution, IKSolutionSet
 from cuspidal_kit.kinematics import Pose, forward_kinematics, wrap_to_pi
 from cuspidal_kit.planner import (
-    Layer,
     PlannerConfig,
     TaskPath,
     analyze_repeatability,
@@ -42,7 +41,7 @@ def _layers(qsets, dets=None, approxes=None):
             det = dets[k][i] if dets else 1.0
             ap = approxes[k][i] if approxes else False
             sols.append(_sol(q, det, ap))
-        out.append(Layer(k, IKSolutionSet(pose=pose, solutions=sols)))
+        out.append(IKSolutionSet(pose=pose, solutions=sols))
     return out
 
 
@@ -86,10 +85,10 @@ class TestBuildLayers:
         path = TaskPath([pose] * 6, dlambda=0.1)
         layers = build_layers(r3, path)
         assert len(layers) == 6
-        first = layers[0].solutions
+        first = layers[0]
         for layer in layers[1:]:
-            assert layer.solutions.count == first.count
-            for a, b in zip(first.solutions, layer.solutions.solutions):
+            assert layer.count == first.count
+            for a, b in zip(first.solutions, layer.solutions):
                 nt.assert_array_equal(a.q, b.q)
 
     def test_6r_line_counts_vary(self, r6_line_plan):
@@ -102,8 +101,7 @@ class TestBuildLayers:
         poses = [Pose(np.eye(3), np.array([4.0 + 0.2 * k, 0.0, 0.0])) for k in range(6)]
         path = TaskPath(poses, dlambda=0.2)
         layers = build_layers(r3, path)
-        assert any(l.solutions.count == 0 or all(s.approximate for s in l.solutions.solutions)
-                   for l in layers)
+        assert any(l.count == 0 or all(s.approximate for s in l.solutions) for l in layers)
 
 
 class TestBuildGraph:
@@ -180,8 +178,8 @@ class TestBuildGraph:
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
         path = TaskPath([pose] * 4, dlambda=0.1)
         layers = build_layers(r3, path)
-        qs = layers[0].solutions.joint_matrix()
-        assert layers[0].solutions.count == 2
+        qs = layers[0].joint_matrix()
+        assert layers[0].count == 2
         # limits that exclude the second solution's q3
         from cuspidal_kit.kinematics import RobotModel
         limited = RobotModel(axes=r3.axes, offsets=r3.offsets, tool_offset=r3.tool_offset,
