@@ -18,7 +18,6 @@ import numpy as np
 from . import fileio, scenarios
 from .cuspidality import identify_cuspidal
 from .ik import IKConfig, solution_count_map
-from .kinematics import RobotModel
 from .optimizer import (
     NelderMeadOptions,
     StartExhaustionError,
@@ -32,11 +31,16 @@ EXIT_UNDETERMINED = 3
 EXIT_INFEASIBLE = 4
 EXIT_NO_START = 5
 
-_PATH_FIXTURES = {
-    "3r-infeasible-line": scenarios.infeasible_line_path,
-    "3r-infeasible-line-control": scenarios.infeasible_line_control_path,
-    "3r-cusp-loop": scenarios.cusp_loop_path,
-    "3r-control-loop": scenarios.control_loop_path,
+# input kind -> (built-ins by name, what a built-in is called, file parser)
+_INPUTS = {
+    "robot": (scenarios.ROBOTS, "name", fileio.robot_from_doc),
+    "path": ({"3r-infeasible-line": scenarios.infeasible_line_path,
+              "3r-infeasible-line-control": scenarios.infeasible_line_control_path,
+              "3r-cusp-loop": scenarios.cusp_loop_path,
+              "3r-control-loop": scenarios.control_loop_path},
+             "fixture", fileio.task_path_from_doc),
+    "toolpath": ({"3r-helix": lambda: fileio.toolpath_from_doc(fileio.generate_helix())},
+                 "fixture", fileio.toolpath_from_doc),
 }
 
 
@@ -44,37 +48,18 @@ class InputError(Exception):
     pass
 
 
-def _load_robot(source: str) -> RobotModel:
-    if source in scenarios.ROBOTS:
-        return scenarios.get_robot(source)
+def _load(kind: str, source: str):
+    """A built-in robot or path by name, else a JSON file of that kind; every
+    failure to read or parse the file becomes an InputError."""
+    builtins, builtin_word, from_doc = _INPUTS[kind]
+    if source in builtins:
+        return builtins[source]()
     if not os.path.exists(source):
-        raise InputError(f"robot {source!r}: not a built-in name and no such file")
+        raise InputError(f"{kind} {source!r}: not a built-in {builtin_word} and no such file")
     try:
-        return fileio.robot_from_doc(fileio.load_json(source))
+        return from_doc(fileio.load_json(source))
     except (ValueError, KeyError, OSError, TypeError) as e:
-        raise InputError(f"robot file {source!r}: {e}") from e
-
-
-def _load_task_path(source: str):
-    if source in _PATH_FIXTURES:
-        return _PATH_FIXTURES[source]()
-    if not os.path.exists(source):
-        raise InputError(f"path {source!r}: not a built-in fixture and no such file")
-    try:
-        return fileio.task_path_from_doc(fileio.load_json(source))
-    except (ValueError, KeyError, OSError, TypeError) as e:
-        raise InputError(f"path file {source!r}: {e}") from e
-
-
-def _load_toolpath(source: str):
-    if source == "3r-helix":
-        return fileio.toolpath_from_doc(fileio.generate_helix())
-    if not os.path.exists(source):
-        raise InputError(f"toolpath {source!r}: not a built-in fixture and no such file")
-    try:
-        return fileio.toolpath_from_doc(fileio.load_json(source))
-    except (ValueError, KeyError, OSError, TypeError) as e:
-        raise InputError(f"toolpath file {source!r}: {e}") from e
+        raise InputError(f"{kind} file {source!r}: {e}") from e
 
 
 def _threads(args) -> int:
@@ -100,7 +85,7 @@ def _ik_cfg(args) -> IKConfig:
 
 
 def cmd_identify(args) -> int:
-    robot = _load_robot(args.robot)
+    robot = _load("robot", args.robot)
     verdict = identify_cuspidal(robot, rng_seed=args.seed, max_poses=args.max_poses,
                                 samples=args.samples, cfg=_ik_cfg(args))
     doc = {
@@ -137,8 +122,8 @@ def _joint_path_doc(graph, jp) -> dict:
 
 
 def cmd_plan(args) -> int:
-    robot = _load_robot(args.robot)
-    path = _load_task_path(args.path)
+    robot = _load("robot", args.robot)
+    path = _load("path", args.path)
     cfg = PlannerConfig(eps0=args.eps0, skip_depth=args.skip_depth,
                         nonsingular_only=args.nonsingular)
     threads = _threads(args)
@@ -178,8 +163,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    robot = _load_robot(args.robot)
-    tp = _load_toolpath(args.toolpath)
+    robot = _load("robot", args.robot)
+    tp = _load("toolpath", args.toolpath)
     nm = NelderMeadOptions(max_evals=args.max_evals)
     try:
         results = optimize_workpiece_pose(
@@ -218,7 +203,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_map(args) -> int:
-    robot = _load_robot(args.robot)
+    robot = _load("robot", args.robot)
     if robot.dof != 3:
         raise InputError("solution-count maps need a 3-DOF robot")
     counts = solution_count_map(robot, tuple(args.rho_range), tuple(args.z_range),
@@ -310,10 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as e:
+    except (InputError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

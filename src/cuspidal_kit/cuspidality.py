@@ -17,10 +17,10 @@ import numpy as np
 from .ik import IKConfig, solve_all_ik
 from .kinematics import Pose, RobotModel, det_j_batch, forward_kinematics, pose_difference
 
-# |det J| below singularity_tol times the segment's median |det J| counts
-# as a singularity graze; scaling by the median keeps the test meaningful
-# for arms with small link lengths
-DEFAULT_SINGULARITY_TOL = 1e-8
+# |det J| below this times the segment's median |det J| counts as a
+# singularity graze; scaling by the median keeps the test meaningful for
+# arms with small link lengths
+SINGULARITY_TOL = 1e-8
 DEFAULT_POSE_TOL = 1e-6
 
 
@@ -47,7 +47,6 @@ class Verdict:
 
 
 def nonsingular_pair_check(robot: RobotModel, q_a, q_b, samples: int = 200,
-                           singularity_tol: float = DEFAULT_SINGULARITY_TOL,
                            pose_tol: float = DEFAULT_POSE_TOL):
     """Does the straight joint-space segment q_a -> q_b avoid singularities?
 
@@ -86,13 +85,12 @@ def nonsingular_pair_check(robot: RobotModel, q_a, q_b, samples: int = 200,
                 j = int(np.argmin(vals))
                 min_abs = min(min_abs, float(vals[j]))
                 lo, hi = sub[max(j - 1, 0)], sub[min(j + 1, 23)]
-    tol = singularity_tol * float(np.median(np.abs(dets)))
+    tol = SINGULARITY_TOL * float(np.median(np.abs(dets)))
     return (sign_constant and min_abs > tol), min_abs
 
 
 def identify_cuspidal(robot: RobotModel, rng_seed: int = 0, max_poses: int = 100,
-                      samples: int = 200, cfg: IKConfig | None = None,
-                      singularity_tol: float = DEFAULT_SINGULARITY_TOL) -> Verdict:
+                      samples: int = 200, cfg: IKConfig | None = None) -> Verdict:
     """Search random reachable poses for a nonsingular change of solution.
 
     Draws q uniformly over (-pi, pi]^n, takes its forward kinematics as the
@@ -116,7 +114,6 @@ def identify_cuspidal(robot: RobotModel, rng_seed: int = 0, max_poses: int = 100
                 pairs_tested += 1
                 ok, min_abs = nonsingular_pair_check(
                     robot, sols[i].q, sols[j].q, samples=samples,
-                    singularity_tol=singularity_tol,
                     pose_tol=10.0 * cfg.exact_tol)
                 if ok:
                     witness = Witness(pose=pose, q_a=sols[i].q.copy(), q_b=sols[j].q.copy(),
@@ -127,11 +124,9 @@ def identify_cuspidal(robot: RobotModel, rng_seed: int = 0, max_poses: int = 100
 
 
 def validate_witness(robot: RobotModel, witness: Witness, density_multiplier: int = 10,
-                     singularity_tol: float = DEFAULT_SINGULARITY_TOL,
                      pose_tol: float = DEFAULT_POSE_TOL) -> bool:
     """Re-check a witness at higher interpolation density."""
     ok, _ = nonsingular_pair_check(
         robot, witness.q_a, witness.q_b,
-        samples=witness.interp_samples * density_multiplier,
-        singularity_tol=singularity_tol, pose_tol=pose_tol)
+        samples=witness.interp_samples * density_multiplier, pose_tol=pose_tol)
     return ok

@@ -43,6 +43,11 @@ _APPROX_DEDUP = 0.05
 _LAM_GROW = 10.0
 _LAM_SHRINK = 0.3
 _LAM_MAX = 1e8
+# initial and minimum per-row damping
+_DAMPING = 1e-4
+_MAX_REFINE_ITERS = 100
+# exact solutions closer than this (per joint, after wrapping) are one solution
+_DEDUP_TOL = 1e-4
 
 
 @dataclass
@@ -55,19 +60,16 @@ class IKConfig:
     seeds_per_joint: int | None = None
     exact_tol: float = 1e-8
     approx_tol: float = 1e-3
-    dedup_tol: float = 1e-4
-    max_refine_iters: int = 100
-    damping: float = 1e-4
     include_approximate: bool = True
 
     def __post_init__(self):
+        if self.seeds_per_joint is not None and self.seeds_per_joint < 1:
+            raise ValueError("seeds_per_joint must be >= 1")
         if self.exact_tol >= self.approx_tol:
             raise ValueError("exact_tol must be smaller than approx_tol")
-        for name in ("exact_tol", "approx_tol", "dedup_tol", "damping"):
+        for name in ("exact_tol", "approx_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_refine_iters < 1:
-            raise ValueError("max_refine_iters must be >= 1")
 
     def resolve_seeds(self, dof: int) -> int:
         if self.seeds_per_joint is not None:
@@ -195,7 +197,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
     N = Q0.shape[0]
     # per-row state; Q, e, J and resid are the last accepted iterate
     rows = {"seed": np.asarray(seed), "sample": np.asarray(sample),
-            "lam": np.full(N, cfg.damping), "best": np.full(N, np.inf),
+            "lam": np.full(N, _DAMPING), "best": np.full(N, np.inf),
             "stall": np.zeros(N, dtype=np.int8), "below": np.zeros(N, dtype=bool)}
     Q = wrap_to_pi(np.asarray(Q0, dtype=float))
     done: list[tuple] = []
@@ -207,7 +209,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
             done.append((rows["Q"][sel], r, rows["seed"][sel], r > cfg.exact_tol,
                          rows["sample"][sel]))
 
-    for it in range(cfg.max_refine_iters):
+    for it in range(_MAX_REFINE_ITERS):
         R, p, J = fk_jacobian_batch(robot, Q)
         dp = Tpos[rows["sample"]] - p
         if m6:
@@ -229,7 +231,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
                 resid[worse] = rows["resid"][worse]
                 bad &= ~worse
             lam = np.where(worse, np.minimum(lam * _LAM_GROW, _LAM_MAX),
-                           np.maximum(lam * _LAM_SHRINK, cfg.damping))
+                           np.maximum(lam * _LAM_SHRINK, _DAMPING))
         below = resid <= cfg.exact_tol
         # bank a root only after a second sub-tolerance pass: the extra
         # Newton step polishes it to machine accuracy, which downstream
@@ -240,7 +242,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
         gave_up = (stall >= _STALL_LIMIT) & ~below & ~bad
         rows.update(Q=Q, e=e, J=J, resid=resid, lam=lam, below=below, stall=stall,
                     best=np.minimum(rows["best"], resid))
-        if it == cfg.max_refine_iters - 1:
+        if it == _MAX_REFINE_ITERS - 1:
             # out of budget: bank whatever is close enough
             bank(~bad & (resid <= cfg.approx_tol))
             break
@@ -275,7 +277,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
     return tuple(np.concatenate(parts) for parts in zip(*done))
 
 
-def _dedup_sample(Q, seed, approx, dedup_tol: float) -> np.ndarray:
+def _dedup_sample(Q, seed, approx) -> np.ndarray:
     """Wrap-aware dedup for one target; exact beats approximate, then lowest
     seed index wins. Returns the kept row indices, exact-first by seed index.
 
@@ -284,7 +286,7 @@ def _dedup_sample(Q, seed, approx, dedup_tol: float) -> np.ndarray:
     """
     kept: list[int] = []
     for i in np.lexsort((seed, approx.astype(int))):
-        radius = _APPROX_DEDUP if approx[i] else dedup_tol
+        radius = _APPROX_DEDUP if approx[i] else _DEDUP_TOL
         if all(np.max(np.abs(wrap_to_pi(Q[i] - Q[j]))) > radius for j in kept):
             kept.append(i)
     return np.array(kept, dtype=int)
@@ -302,13 +304,13 @@ def _solutions(robot, Q, resid, approx, cfg) -> list[IKSolution]:
             for q, r, d, a in zip(Q, resid, dets, approx)]
 
 
-def _coarse_thin(Q, resid, seed, approx, sample, dedup_tol):
+def _coarse_thin(Q, resid, seed, approx, sample):
     """Pre-collapse candidate floods before the exact pairwise dedup.
 
     Candidates of the same target landing in the same half-dedup cell are
     certainly duplicates; keep the best-ranked (exact first, lowest seed)."""
     rank = np.lexsort((seed, approx.astype(int), sample))
-    key = _cell_key(Q, sample, 2.0 * dedup_tol)
+    key = _cell_key(Q, sample, 2.0 * _DEDUP_TOL)
     keep = rank[_first_of_each_key(key[rank])]
     keep.sort()
     return Q[keep], resid[keep], seed[keep], approx[keep], sample[keep]
@@ -365,7 +367,7 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
         seeds = np.tile(np.arange(n_seeds), k)
         out = _refine_population(robot, Tpos, Trot, Q0, sample, seeds, cfg)
         if out[0].shape[0] > 32:
-            out = _coarse_thin(*out, cfg.dedup_tol)
+            out = _coarse_thin(*out)
         return out
 
     if threads > 1 and len(chunks) > 1:
@@ -379,7 +381,7 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
     for (lo, hi), (Q, resid, seed, approx, sample) in zip(chunks, results):
         for idx in range(lo, hi):
             sel = np.flatnonzero(sample == idx)
-            sel = sel[_dedup_sample(Q[sel], seed[sel], approx[sel], cfg.dedup_tol)]
+            sel = sel[_dedup_sample(Q[sel], seed[sel], approx[sel])]
             sets.append(IKSolutionSet(pose=targets[idx],
                                       solutions=_solutions(robot, Q[sel], resid[sel], approx[sel], cfg)))
     return sets

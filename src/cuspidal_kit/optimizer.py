@@ -30,6 +30,15 @@ from .planner import PlannerConfig, TaskPath, plan_path
 logger = logging.getLogger(__name__)
 
 INFEASIBLE_SENTINEL = 1e9
+# random joint vectors behind the reachable-shell estimate
+_SHELL_SAMPLES = 4096
+_MAX_START_ATTEMPTS = 100
+# Nelder-Mead coefficients (the standard ones) and the initial simplex edge
+_NM_REFLECTION = 1.0
+_NM_EXPANSION = 2.0
+_NM_CONTRACTION = 0.5
+_NM_SHRINK = 0.5
+_NM_INITIAL_STEP = 0.1
 
 
 @dataclass
@@ -126,10 +135,10 @@ def decompose_rz_rxy(R) -> tuple[float, np.ndarray]:
     return float(theta_z), R_xy
 
 
-def workspace_radii(robot: RobotModel, n_samples: int = 4096, seed: int = 0):
+def workspace_radii(robot: RobotModel):
     """Crude reachable-shell estimate: (min, max) tool distance from base."""
-    rng = np.random.default_rng(seed)
-    Q = rng.uniform(-np.pi, np.pi, size=(n_samples, robot.dof))
+    rng = np.random.default_rng(0)
+    Q = rng.uniform(-np.pi, np.pi, size=(_SHELL_SAMPLES, robot.dof))
     _, P = fk_batch(robot, Q)
     r = np.linalg.norm(P, axis=1)
     return float(r.min()), float(r.max())
@@ -170,14 +179,9 @@ def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
 
 @dataclass
 class NelderMeadOptions:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     tol_x: float = 1e-6
     tol_f: float = 1e-9
     max_evals: int = 5000
-    initial_step: float = 0.1
 
 
 def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
@@ -202,7 +206,7 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
     fvals = [ev(x0)]
     for i in range(n):
         x = x0.copy()
-        x[i] += opts.initial_step
+        x[i] += _NM_INITIAL_STEP
         simplex.append(x)
         fvals.append(ev(x))
     simplex = np.stack(simplex)
@@ -218,10 +222,10 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
             break
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
-        xr = centroid + opts.reflection * (centroid - worst)
+        xr = centroid + _NM_REFLECTION * (centroid - worst)
         fr = ev(xr)
         if fr < fvals[0]:
-            xe = centroid + opts.expansion * (xr - centroid)
+            xe = centroid + _NM_EXPANSION * (xr - centroid)
             fe = ev(xe)
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
@@ -230,13 +234,13 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
         elif fr < fvals[-2]:
             simplex[-1], fvals[-1] = xr, fr
         else:
-            xc = centroid + opts.contraction * (worst - centroid)
+            xc = centroid + _NM_CONTRACTION * (worst - centroid)
             fc = ev(xc)
             if fc < fvals[-1]:
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + opts.shrink * (simplex[i] - simplex[0])
+                    simplex[i] = simplex[0] + _NM_SHRINK * (simplex[i] - simplex[0])
                     fvals[i] = ev(simplex[i])
     order = np.argsort(fvals, kind="stable")
     return simplex[order[0]].copy(), float(fvals[order[0]]), history
@@ -249,20 +253,17 @@ class StartExhaustionError(RuntimeError):
 
 
 def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
-                          bounds=None, max_attempts: int = 100,
+                          max_attempts: int = _MAX_START_ATTEMPTS,
                           planner_cfg: PlannerConfig | None = None,
                           ik_cfg: IKConfig | None = None,
                           radii=None, threads: int = 1) -> ReducedParams:
-    """Uniform tilt over the v-disk and translation inside bounds until the
-    planner finds a feasible path. bounds defaults to the reachable-shell box."""
+    """Uniform tilt over the v-disk and translation inside the box around
+    the reachable shell until the planner finds a feasible path."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if radii is None:
         radii = workspace_radii(robot)
-    if bounds is None:
-        r = radii[1]
-        bounds = (np.full(3, -r), np.full(3, r))
-    lo, hi = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
+    lo, hi = np.full(3, -radii[1]), np.full(3, radii[1])
     for _ in range(max_attempts):
         r = np.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * np.pi)
@@ -286,7 +287,6 @@ class OptResult:
     final_cost: float
     initial_rms: float
     final_rms: float
-    feasible: bool
     n_evals: int
     is_best: bool = False
 
@@ -302,7 +302,6 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
                             seed: int = 0, nm_opts: NelderMeadOptions | None = None,
                             planner_cfg: PlannerConfig | None = None,
                             ik_cfg: IKConfig | None = None,
-                            bounds=None, max_attempts: int = 100,
                             threads: int = 1) -> list[OptResult]:
     """Multi-start placement optimization.
 
@@ -322,8 +321,8 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
     for idx, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
         try:
-            x0 = random_feasible_start(robot, tp, rng, bounds, max_attempts,
-                                       planner_cfg, ik_cfg, radii, threads)
+            x0 = random_feasible_start(robot, tp, rng, planner_cfg=planner_cfg,
+                                       ik_cfg=ik_cfg, radii=radii, threads=threads)
         except StartExhaustionError:
             failures += 1
             continue
@@ -339,9 +338,9 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
             initial_cost=history[0], final_cost=f_best,
             initial_rms=_plan_rms(robot, tp, x0, planner_cfg, ik_cfg, threads),
             final_rms=_plan_rms(robot, tp, xr, planner_cfg, ik_cfg, threads),
-            feasible=f_best < INFEASIBLE_SENTINEL, n_evals=len(history)))
+            n_evals=len(history)))
     if not results:
-        raise StartExhaustionError(failures * max_attempts)
+        raise StartExhaustionError(failures * _MAX_START_ATTEMPTS)
     results.sort(key=lambda r: (r.final_cost, r.start_index))
     results[0].is_best = True
     return results

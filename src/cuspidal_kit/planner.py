@@ -69,7 +69,6 @@ class PlannerConfig:
     nonsingular_only: bool = False
     manipulability_weight: float = 0.0
     joint_limit_barrier: float = 0.0
-    enforce_joint_limits: bool = False
 
     def __post_init__(self):
         if self.eps0 is not None and self.eps0 <= 0:
@@ -113,7 +112,6 @@ class PlanGraph:
     eps: float
     Q: list[np.ndarray]                 # (M_k, n) wrapped joint vectors
     det_j: list[np.ndarray]
-    unwrapped: list[np.ndarray]         # per-vertex turn-tracked representative
     edges: dict                         # (k, d) -> dict(weight=(M_k, M_k+d)), inf = absent
     s_edges: dict                       # (k, m) -> weight
     f_edges: dict                       # (k, m) -> weight
@@ -188,7 +186,9 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     connected inside that window (multi-pass rule, which also gates the
     start/finish skip connections). Vertex penalties (manipulability,
     joint-limit barrier, approximate-solution residual) ride on incoming
-    edge weights so a path pays each visited vertex exactly once.
+    edge weights so a path pays each visited vertex exactly once. When the
+    robot declares joint limits, edges and terminals whose vertices leave
+    them under greedy turn tracking are dropped.
     """
     cfg = cfg or PlannerConfig()
     K = path.K
@@ -251,8 +251,8 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
                 if not to_f[m]:
                     f_edges[(jf, m)] = 0.0
 
-    unwrapped = _assign_unwrapped(Q, edges, s_edges, depth)
     if robot is not None and robot.joint_limits is not None:
+        unwrapped = _assign_unwrapped(Q, edges, s_edges, depth)
         if cfg.joint_limit_barrier > 0.0:
             lo, hi = robot.joint_limits[:, 0], robot.joint_limits[:, 1]
             for k in range(K + 1):
@@ -263,10 +263,9 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
                 bar = cfg.joint_limit_barrier * path.dlambda * np.sum(
                     1.0 / margin_lo + 1.0 / margin_hi, axis=1)
                 _add_head_penalty(edges, s_edges, k, bar, depth)
-        if cfg.enforce_joint_limits:
-            _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, robot.joint_limits)
+        _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, robot.joint_limits)
 
-    return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j, unwrapped=unwrapped,
+    return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j,
                      edges=edges, s_edges=s_edges, f_edges=f_edges)
 
 
@@ -395,12 +394,18 @@ class _Search:
 
     def seq(self, v):
         """Vertex index sequence of the current best path to v."""
-        if v == "S":
-            return ()
-        if v not in self._tuples:
+        # walk up to S or a cached vertex, then cache the sequences of the
+        # walked vertices top-down (a loop: paths can be thousands deep)
+        trail = []
+        while v != "S" and v not in self._tuples:
+            trail.append(v)
             k, m = v
-            self._tuples[v] = self.seq(self._parent[k][m]) + ((k, m),)
-        return self._tuples[v]
+            v = self._parent[k][m]
+        tup = () if v == "S" else self._tuples[v]
+        for u in reversed(trail):
+            tup = tup + (u,)
+            self._tuples[u] = tup
+        return tup
 
 
 def shortest_joint_path(graph: PlanGraph):
@@ -432,8 +437,10 @@ def shortest_joint_path(graph: PlanGraph):
 def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
     layer_idx = [k for k, _ in chain]
     vert_idx = [m for _, m in chain]
-    # continuous unwrapped output: accumulate the wrap-minimal steps
-    qs = [graph.unwrapped[chain[0][0]][chain[0][1]].copy()]
+    # continuous unwrapped output: accumulate the wrap-minimal steps from
+    # the first vertex, an S-edge head, whose turn-tracked representative
+    # is its wrapped solution
+    qs = [graph.Q[chain[0][0]][chain[0][1]].copy()]
     cost = 0.0
     for (ka, ma), (kb, mb) in zip(chain[:-1], chain[1:]):
         step = wrap_to_pi(graph.Q[kb][mb] - graph.Q[ka][ma])

@@ -76,13 +76,6 @@ ROBOTS = {
 }
 
 
-def get_robot(name: str) -> RobotModel:
-    try:
-        return ROBOTS[name]()
-    except KeyError:
-        raise KeyError(f"unknown built-in robot {name!r}; have {sorted(ROBOTS)}") from None
-
-
 # ---------------------------------------------------------------------------
 # path fixtures for the canonical 3R arm
 #

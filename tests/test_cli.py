@@ -94,6 +94,40 @@ class TestPlan:
         assert lines[0] == "lambda,q1,q2,q3,det_j"
         assert len(lines) == 6
 
+    def test_long_constant_path(self, capsys, tmp_path):
+        # 1200 identical samples: the two solutions give two equal-cost
+        # chains, and the tie-break compares their full vertex sequences
+        pose = forward_kinematics(canonical_3r(), np.array([0.3, -0.7, 1.1]))
+        path = tmp_path / "long.json"
+        fileio.save_json(fileio.path_to_doc([pose] * 1200, 0.1, "base", False,
+                                            with_orientation=False), path)
+        code, out, _ = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(path),
+                           "--ik-seeds", "4")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["joint_path"]["cost"] == 0.0
+        assert len(doc["joint_path"]["q"]) == 1200
+
+    def test_declared_joint_limits_enforced(self, capsys, tmp_path):
+        # q3 in [-3, 0.5] rules out the solution near q3 = 1.1 along an
+        # 11-sample vertical segment; the other branch stays inside
+        r3 = canonical_3r()
+        robot_doc = fileio.robot_to_doc(r3)
+        robot_doc["joint_limits"] = [[-np.pi, np.pi], [-np.pi, np.pi], [-3.0, 0.5]]
+        p0 = forward_kinematics(r3, np.array([0.3, -0.7, 1.1])).position
+        poses = [Pose(np.eye(3), p0 + [0.0, 0.0, 0.001 * k]) for k in range(11)]
+        robot, path = tmp_path / "robot.json", tmp_path / "path.json"
+        fileio.save_json(robot_doc, robot)
+        fileio.save_json(fileio.path_to_doc(poses, 0.001, "base", False,
+                                            with_orientation=False), path)
+        code, out, _ = run(capsys, "plan", "--robot", str(robot), "--path", str(path),
+                           "--ik-seeds", "8")
+        assert code == 0
+        q = np.array(json.loads(out)["joint_path"]["q"])
+        limits = np.array(robot_doc["joint_limits"])
+        assert q.shape == (11, 3)
+        assert np.all(q >= limits[:, 0]) and np.all(q <= limits[:, 1])
+
     def test_bad_path_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -123,6 +157,21 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert any(line.startswith("error:") for line in err.splitlines())
+
+
+class TestSeedCount:
+    @pytest.mark.parametrize("command", ["plan", "identify", "map"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_non_positive_exits_2(self, capsys, const_path_file, command, seeds):
+        argv = {"plan": ["--path", const_path_file],
+                "identify": ["--max-poses", "1"],
+                "map": ["--rho-range", "0", "1", "--z-range", "0", "1", "--grid", "2", "2"]}
+        code, out, err = run(capsys, command, "--robot", "3r-canonical", "--ik-seeds", seeds,
+                             *argv[command])
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and "seeds_per_joint" in line
+                   for line in err.splitlines())
 
 
 class TestDlambdaSpacing:

@@ -176,6 +176,17 @@ class TestEnumeration:
             for x, y in zip(sa.solutions, sb.solutions):
                 nt.assert_array_equal(x.q, y.q)
 
+    def test_threads_identical_6r(self, r6, monkeypatch):
+        # one pose per chunk, so two threads refine different chunks at once
+        cfg = IKConfig(seeds_per_joint=5)
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 5 ** 6)
+        targets = _random_targets(r6, 17, 3)
+        a = solve_ik_along_path(r6, targets, cfg, threads=1)
+        b = solve_ik_along_path(r6, targets, cfg, threads=2)
+        for sa, sb in zip(a, b):
+            assert sa.count > 0
+            _assert_identical(sa, sb)
+
 
 class TestSolutionCountMap:
     def test_four_region_inside_two_annulus(self, r3):
@@ -226,9 +237,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             IKConfig(exact_tol=1e-2, approx_tol=1e-3)
         with pytest.raises(ValueError):
-            IKConfig(dedup_tol=-1.0)
-        with pytest.raises(ValueError):
-            IKConfig(max_refine_iters=0)
+            IKConfig(exact_tol=-1.0)
+        for seeds in (0, -2):
+            with pytest.raises(ValueError):
+                IKConfig(seeds_per_joint=seeds)
 
     def test_seed_defaults(self):
         cfg = IKConfig()

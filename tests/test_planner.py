@@ -185,8 +185,7 @@ class TestBuildGraph:
         limited = RobotModel(axes=r3.axes, offsets=r3.offsets, tool_offset=r3.tool_offset,
                              joint_limits=[[-np.pi, np.pi], [-np.pi, np.pi], [0.0, 2.0]],
                              name="3r-limited")
-        cfg = PlannerConfig(enforce_joint_limits=True)
-        g = build_plan_graph(layers, path, cfg, robot=limited)
+        g = build_plan_graph(layers, path, robot=limited)
         jp = shortest_joint_path(g)
         assert jp is not None
         assert np.all(jp.q[:, 2] >= 0.0) and np.all(jp.q[:, 2] <= 2.0)
