@@ -7,9 +7,10 @@ deduplicated wrap-aware, exact solutions ahead of approximate ones.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
 task-space path can be refined in a handful of large numpy batches; a
-single-target solve is just a population with one target. Rows are fully
-independent, which keeps the result identical however the population is
-chunked or threaded.
+single-target solve is just a population with one target. Rows of
+different targets never interact and every per-row operation is
+elementwise, which keeps the result identical, bit for bit, however the
+population is batched, chunked or threaded.
 """
 
 from __future__ import annotations
@@ -18,13 +19,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import (
+from .kinematics import (  # noqa: F401  det_j_batch: see below
     Pose,
     RobotModel,
     det_j_batch,
     fk_jacobian_batch,
+    jacobian_dets,
     wrap_to_pi,
 )
+
+# det_j_batch is not called here (a solution's det_j comes from the Jacobian
+# the LM loop already holds) but stays importable from this module, because
+# perfbench/tracing.py wraps ik.det_j_batch as well as ik.fk_jacobian_batch
 
 # iterates of the same target closer than this (per joint, after wrapping)
 # are assumed to share a basin and are merged onto the lowest seed index;
@@ -113,50 +119,69 @@ def seed_grid(dof: int, seeds_per_joint: int) -> np.ndarray:
 
 
 def _rotvec_batch(R: np.ndarray) -> np.ndarray:
-    """Rotation vectors for a batch of rotation matrices."""
-    vee = 0.5 * np.stack(
-        [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]],
-        axis=1,
-    )
-    s = np.linalg.norm(vee, axis=1)
-    c = (np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0
+    """Rotation vectors (3, N) of a joint-major stack of rotations (3, 3, N)."""
+    vee = 0.5 * np.stack([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    s = np.sqrt(vee[0] ** 2 + vee[1] ** 2 + vee[2] ** 2)
+    c = (R[0, 0] + R[1, 1] + R[2, 2] - 1.0) / 2.0
     theta = np.arctan2(s, c)
     small = s <= 1e-7
     factor = np.where(small, 1.0 + theta * theta / 6.0, theta / np.where(small, 1.0, s))
-    out = vee * factor[:, None]
+    out = vee * factor
     # antipodal rows: vee vanishes but theta ~ pi, recover the axis from R + I
     flipped = np.flatnonzero(small & (c < 0.0))
     for i in flipped:
-        A = R[i] + np.eye(3)
+        A = R[:, :, i] + np.eye(3)
         k = int(np.argmax(np.diag(A)))
         axis = A[:, k] / np.linalg.norm(A[:, k])
-        if vee[i] @ axis < 0.0:
+        if vee[:, i] @ axis < 0.0:
             axis = -axis
-        out[i] = axis * theta[i]
+        out[:, i] = axis * theta[i]
     return out
 
 
-def _solve3_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cramer solve for batches of 3x3 systems (cheaper than LAPACK here)."""
-    a, d, g = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
-    e, f, i = A[:, 1, 1], A[:, 1, 2], A[:, 2, 2]
-    b_, c_, h = A[:, 1, 0], A[:, 2, 0], A[:, 2, 1]
-    co00 = e * i - f * h
-    co01 = f * c_ - b_ * i
-    co02 = b_ * h - e * c_
-    det = a * co00 + d * co01 + g * co02
-    co10 = g * h - d * i
-    co11 = a * i - g * c_
-    co12 = d * c_ - a * h
-    co20 = d * f - g * e
-    co21 = g * b_ - a * f
-    co22 = a * e - d * b_
-    x = np.empty_like(b)
-    inv_det = 1.0 / det
-    x[:, 0] = (co00 * b[:, 0] + co10 * b[:, 1] + co20 * b[:, 2]) * inv_det
-    x[:, 1] = (co01 * b[:, 0] + co11 * b[:, 1] + co21 * b[:, 2]) * inv_det
-    x[:, 2] = (co02 * b[:, 0] + co12 * b[:, 1] + co22 * b[:, 2]) * inv_det
-    return x
+def _lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Damped least-squares step J^T (J J^T + lam^2 I)^-1 e, entry by entry.
+
+    J (m, n, N) and e (m, N) are joint-major. The normal-equation entries
+    are sums of elementwise products, so each row gets the same bits in any
+    batch; 3x3 systems are solved by their adjugate, 6x6 ones by LAPACK on
+    a contiguous stack. Returns the (n, N) step.
+    """
+    m, n, N = J.shape
+    A = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            a = J[i, 0] * J[j, 0]
+            for k in range(1, n):
+                a += J[i, k] * J[j, k]
+            if i == j:
+                a += lam * lam
+            A[i][j] = A[j][i] = a
+    if m == 3:
+        a00, a01, a02, a11, a12, a22 = A[0][0], A[0][1], A[0][2], A[1][1], A[1][2], A[2][2]
+        c00 = a11 * a22 - a12 * a12
+        c01 = a12 * a02 - a01 * a22
+        c02 = a01 * a12 - a11 * a02
+        c11 = a00 * a22 - a02 * a02
+        c12 = a01 * a02 - a00 * a12
+        c22 = a00 * a11 - a01 * a01
+        inv_det = 1.0 / (a00 * c00 + a01 * c01 + a02 * c02)
+        y = [(c00 * e[0] + c01 * e[1] + c02 * e[2]) * inv_det,
+             (c01 * e[0] + c11 * e[1] + c12 * e[2]) * inv_det,
+             (c02 * e[0] + c12 * e[1] + c22 * e[2]) * inv_det]
+    else:
+        stack = np.empty((N, m, m))
+        for i in range(m):
+            for j in range(m):
+                stack[:, i, j] = A[i][j]
+        y = np.linalg.solve(stack, np.ascontiguousarray(e.T)[..., None])[..., 0].T
+    dq = np.empty((n, N))
+    for k in range(n):
+        d = J[0, k] * y[0]
+        for i in range(1, m):
+            d += J[i, k] * y[i]
+        dq[k] = d
+    return dq
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
@@ -185,49 +210,62 @@ def _first_of_each_key(sorted_like_keys: np.ndarray) -> np.ndarray:
 def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKConfig):
     """Levenberg-Marquardt over rows of (target, seed) pairs.
 
-    Tpos/Trot hold one target per sample id and every row is tagged with its
-    sample id, so rows of different targets never interact. Each row
-    carries its own damping: steps that raise the residual are rejected and
-    retried stiffer, which keeps boundary rows from being flung away by a
-    near-singular Jacobian. All per-row state lives in one record that is
+    Tpos (3, S) and Trot (3, 3, S) hold one target per sample id, and every
+    row is tagged with its sample id, so rows of different targets never
+    interact: a target's rows evolve the same whatever else is in the
+    population. Each row carries its own damping: steps that raise the
+    residual are rejected and retried stiffer, which keeps boundary rows
+    from being flung away by a near-singular Jacobian. All per-row state
+    lives in one record, joint-major with rows along the last axis, that is
     compacted once per iteration. Returns candidate arrays
-    (q, residual, seed, approximate, sample).
+    (q, residual, seed, approximate, sample, det_j); det_j comes from the
+    Jacobian at exactly that q.
     """
     m6 = robot.dof != 3
     N = Q0.shape[0]
-    # per-row state; Q, e, J and resid are the last accepted iterate
+    # per-row state; Q (n, N), e (m, N), J (m, n, N) and resid are the last
+    # accepted iterate
     rows = {"seed": np.asarray(seed), "sample": np.asarray(sample),
             "lam": np.full(N, _DAMPING), "best": np.full(N, np.inf),
             "stall": np.zeros(N, dtype=np.int8), "below": np.zeros(N, dtype=bool)}
-    Q = wrap_to_pi(np.asarray(Q0, dtype=float))
+    Q = wrap_to_pi(np.ascontiguousarray(np.asarray(Q0, dtype=float).T))
     done: list[tuple] = []
-    diag = np.arange(6 if m6 else 3)
 
     def bank(sel):
         if np.any(sel):
             r = rows["resid"][sel]
-            done.append((rows["Q"][sel], r, rows["seed"][sel], r > cfg.exact_tol,
-                         rows["sample"][sel]))
+            done.append((rows["Q"][:, sel].T, r, rows["seed"][sel], r > cfg.exact_tol,
+                         rows["sample"][sel],
+                         jacobian_dets(rows["J"][..., sel].transpose(2, 0, 1))))
 
     for it in range(_MAX_REFINE_ITERS):
-        R, p, J = fk_jacobian_batch(robot, Q)
-        dp = Tpos[rows["sample"]] - p
+        R, p, J = fk_jacobian_batch(robot, Q.T)
+        # the kernel's buffers, joint-major again
+        p, J = p.T, J.transpose(1, 2, 0)
+        target = rows["sample"]
+        dp = Tpos[:, target] - p
+        resid = np.sqrt(dp[0] ** 2 + dp[1] ** 2 + dp[2] ** 2)
         if m6:
-            w = _rotvec_batch(Trot[rows["sample"]] @ np.swapaxes(R, 1, 2))
-            e = np.concatenate([dp, w], axis=1)
-            resid = np.linalg.norm(dp, axis=1) + np.linalg.norm(w, axis=1)
+            T, R = Trot[:, :, target], R.transpose(1, 2, 0)
+            # orientation error T R^T
+            E = np.empty_like(T)
+            for a in range(3):
+                for b in range(3):
+                    E[a, b] = T[a, 0] * R[b, 0] + T[a, 1] * R[b, 1] + T[a, 2] * R[b, 2]
+            w = _rotvec_batch(E)
+            e = np.concatenate([dp, w])
+            resid += np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
         else:
             e = dp
-            resid = np.sqrt(dp[:, 0] ** 2 + dp[:, 1] ** 2 + dp[:, 2] ** 2)
         bad = ~np.isfinite(resid)
         lam = rows["lam"]
         if it > 0:
             worse = (resid > rows["resid"]) | bad
             if np.any(worse):
                 # reject the step: revert to the stored state, retry stiffer
-                Q[worse] = rows["Q"][worse]
-                e[worse] = rows["e"][worse]
-                J[worse] = rows["J"][worse]
+                Q[:, worse] = rows["Q"][:, worse]
+                e[:, worse] = rows["e"][:, worse]
+                J[..., worse] = rows["J"][..., worse]
                 resid[worse] = rows["resid"][worse]
                 bad &= ~worse
             lam = np.where(worse, np.minimum(lam * _LAM_GROW, _LAM_MAX),
@@ -248,32 +286,25 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
             break
         bank((converged | gave_up) & (resid <= cfg.approx_tol))
         keep = ~(converged | gave_up | bad)
-        n_keep = np.count_nonzero(keep)
-        if n_keep == 0:
+        if not keep.any():
             break
-        if it >= _COALESCE_START_ITER and n_keep > 64:
-            # rows already homing in on a root are exempt: distinct
-            # near-fold twin roots can sit closer than the cell size
-            free = np.flatnonzero(keep & (resid >= _COALESCE_RESID_GUARD))
+        if it >= _COALESCE_START_ITER:
+            # only targets with more than 64 live rows coalesce, each judged
+            # on its own count; rows already homing in on a root are exempt:
+            # distinct near-fold twin roots can sit closer than the cell size
+            live = np.bincount(target[keep], minlength=Tpos.shape[1])[target] > 64
+            free = np.flatnonzero(keep & live & (resid >= _COALESCE_RESID_GUARD))
             if free.size:
-                key = _cell_key(Q[free], rows["sample"][free], _COALESCE_CELL)
+                key = _cell_key(Q[:, free].T, target[free], _COALESCE_CELL)
                 rank = np.argsort(rows["seed"][free], kind="stable")
                 keep[free] = False
                 keep[free[rank[_first_of_each_key(key[rank])]]] = True
         if not keep.all():
-            rows = {name: v[keep] for name, v in rows.items()}
-        J, lam = rows["J"], rows["lam"]
-        JT = np.swapaxes(J, 1, 2)
-        A = J @ JT
-        A[:, diag, diag] += lam[:, None] * lam[:, None]
-        if m6:
-            y = np.linalg.solve(A, rows["e"][..., None])[..., 0]
-        else:
-            y = _solve3_spd(A, rows["e"])
-        Q = wrap_to_pi(rows["Q"] + (JT @ y[..., None])[..., 0])
+            rows = {name: np.compress(keep, v, axis=-1) for name, v in rows.items()}
+        Q = wrap_to_pi(rows["Q"] + _lm_step(rows["J"], rows["e"], rows["lam"]))
     if not done:
         return (np.empty((0, robot.dof)), np.empty(0), np.empty(0, dtype=int),
-                np.empty(0, dtype=bool), np.empty(0, dtype=int))
+                np.empty(0, dtype=bool), np.empty(0, dtype=int), np.empty(0))
     return tuple(np.concatenate(parts) for parts in zip(*done))
 
 
@@ -292,19 +323,15 @@ def _dedup_sample(Q, seed, approx) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def _solutions(robot, Q, resid, approx, cfg) -> list[IKSolution]:
+def _solutions(Q, resid, approx, det_j, cfg) -> list[IKSolution]:
     """IKSolutions for candidate rows; approximate rows are dropped unless
     the config includes them."""
-    if not cfg.include_approximate:
-        Q, resid, approx = Q[~approx], resid[~approx], approx[~approx]
-    if Q.shape[0] == 0:
-        return []
-    dets = det_j_batch(robot, Q)
+    keep = slice(None) if cfg.include_approximate else ~approx
     return [IKSolution(q=q, residual=float(r), det_j=float(d), approximate=bool(a))
-            for q, r, d, a in zip(Q, resid, dets, approx)]
+            for q, r, d, a in zip(Q[keep], resid[keep], det_j[keep], approx[keep])]
 
 
-def _coarse_thin(Q, resid, seed, approx, sample):
+def _coarse_thin(Q, resid, seed, approx, sample, det_j):
     """Pre-collapse candidate floods before the exact pairwise dedup.
 
     Candidates of the same target landing in the same half-dedup cell are
@@ -313,7 +340,7 @@ def _coarse_thin(Q, resid, seed, approx, sample):
     key = _cell_key(Q, sample, 2.0 * _DEDUP_TOL)
     keep = rank[_first_of_each_key(key[rank])]
     keep.sort()
-    return Q[keep], resid[keep], seed[keep], approx[keep], sample[keep]
+    return Q[keep], resid[keep], seed[keep], approx[keep], sample[keep], det_j[keep]
 
 
 def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = None):
@@ -321,9 +348,9 @@ def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = 
     cfg = cfg or IKConfig()
     q0 = robot._check_q(np.asarray(q0, dtype=float))
     zero = np.zeros(1, dtype=int)
-    Q, resid, _, approx, _ = _refine_population(
-        robot, target.position[None, :], target.rotation[None, :, :], q0[None, :], zero, zero, cfg)
-    sols = _solutions(robot, Q, resid, approx, cfg)
+    Q, resid, _, approx, _, det_j = _refine_population(
+        robot, target.position[:, None], target.rotation[:, :, None], q0[None, :], zero, zero, cfg)
+    sols = _solutions(Q, resid, approx, det_j, cfg)
     return sols[0] if sols else None
 
 
@@ -356,8 +383,8 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
     chunks = [(lo, min(lo + per_chunk, len(targets)))
               for lo in range(0, len(targets), per_chunk)]
 
-    Tpos = np.stack([t.position for t in targets])
-    Trot = np.stack([t.rotation for t in targets])
+    Tpos = np.stack([t.position for t in targets], axis=-1)
+    Trot = np.stack([t.rotation for t in targets], axis=-1)
 
     def run_chunk(bounds):
         lo, hi = bounds
@@ -378,12 +405,12 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
         results = [run_chunk(b) for b in chunks]
 
     sets = []
-    for (lo, hi), (Q, resid, seed, approx, sample) in zip(chunks, results):
+    for (lo, hi), (Q, resid, seed, approx, sample, det_j) in zip(chunks, results):
         for idx in range(lo, hi):
             sel = np.flatnonzero(sample == idx)
             sel = sel[_dedup_sample(Q[sel], seed[sel], approx[sel])]
-            sets.append(IKSolutionSet(pose=targets[idx],
-                                      solutions=_solutions(robot, Q[sel], resid[sel], approx[sel], cfg)))
+            sets.append(IKSolutionSet(pose=targets[idx], solutions=_solutions(
+                Q[sel], resid[sel], approx[sel], det_j[sel], cfg)))
     return sets
 
 

@@ -216,48 +216,88 @@ def fk_batch(robot: RobotModel, Q: np.ndarray):
     return R, p
 
 
-def _cross_into(a, b, out):
-    """out = a x b for (N, 3) stacks, avoiding np.cross overhead."""
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+def _dot(a, b):
+    """Sum of a[k] * b[k], left to right, for (N,) arrays and Python floats.
+
+    Float factors of exactly 0 or 1 fold away, so a product of fixed-axis
+    terms costs only the entries that actually vary.
+    """
+    acc = 0.0
+    for x, y in zip(a, b):
+        if x.__class__ is float:
+            x, y = y, x
+        if y.__class__ is float:
+            if y == 0.0 or (x.__class__ is float and x == 0.0):
+                continue
+            t = x if y == 1.0 else x * y
+        else:
+            t = x * y
+        acc = t if acc.__class__ is float and acc == 0.0 else acc + t
+    return acc
+
+
+def _add(a, b):
+    return _dot((a, b), (1.0, 1.0))
+
+
+def _sub(a, b):
+    """a - b, folding a float b of 0."""
+    return a if b.__class__ is float and b == 0.0 else a - b
 
 
 def fk_jacobian_batch(robot: RobotModel, Q: np.ndarray):
-    """FK plus geometric Jacobian for a batch of joint vectors.
+    """FK plus geometric Jacobian for a batch of joint vectors Q (N, dof).
 
-    Returns (R, p, J) with J of shape (N, 3, dof) for 3-DOF arms (position
-    rows only) and (N, 6, dof) otherwise (linear velocity of the tool point
-    stacked over angular velocity, both in the base frame).
+    Returns (R, p, J): R (N, 3, 3), p (N, 3) and J of shape (N, 3, dof)
+    for 3-DOF arms (position rows only) and (N, 6, dof) otherwise (linear
+    velocity of the tool point stacked over angular velocity, both in the
+    base frame).
+
+    The chain is walked joint-major, one (N,) array per matrix entry, so
+    every row is computed by the same elementwise operations whatever batch
+    it sits in. Entries that the fixed axes make exactly 0 or 1 stay Python
+    scalars and drop out of the products. The results are written into
+    contiguous (3, 3, N), (3, N) and (m, dof, N) buffers and returned as
+    transposed views of them.
     """
     Q = np.asarray(Q, dtype=float)
     N, n = Q.shape
-    s, c = np.sin(Q), np.cos(Q)
-    # all per-joint Rodrigues matrices in one shot: (N, n, 3, 3)
-    Rj = (s[:, :, None, None] * robot._K[None]
-          + (1.0 - c[:, :, None, None]) * robot._K2[None])
-    Rj[:, :, 0, 0] += 1.0
-    Rj[:, :, 1, 1] += 1.0
-    Rj[:, :, 2, 2] += 1.0
-    axes_w = np.empty((n, N, 3))
-    origins = np.empty((n, N, 3))
-    axes_w[0] = robot.axes[0]
-    origins[0] = robot.offsets[0]
-    R = Rj[:, 0]
-    for i in range(1, n):
-        origins[i] = origins[i - 1] + R @ robot.offsets[i]
-        axes_w[i] = R @ robot.axes[i]
-        R = R @ Rj[:, i]
-    p = origins[n - 1] + R @ robot.tool_offset
-    m = 3 if n == 3 else 6
-    J = np.empty((N, m, n))
-    lever = np.empty((N, 3))
+    QT = np.ascontiguousarray(Q.T)
+    s, c = np.sin(QT), np.cos(QT)
+    K, K2 = robot._K.tolist(), robot._K2.tolist()
+    R = np.eye(3).tolist()
+    o = robot.offsets[0].tolist()
+    origins, axes_w = [], []
     for i in range(n):
-        np.subtract(p, origins[i], out=lever)
-        _cross_into(axes_w[i], lever, J[:, :3, i])
-        if m == 6:
-            J[:, 3:, i] = axes_w[i]
-    return R, p, J
+        if i > 0:
+            off = robot.offsets[i].tolist()
+            o = [_add(o[a], _dot(R[a], off)) for a in range(3)]
+        h = robot.axes[i].tolist()
+        axes_w.append([_dot(R[a], h) for a in range(3)])
+        origins.append(o)
+        # Rodrigues entries I + sin(q) K + (1 - cos(q)) K^2
+        omc = 1.0 - c[i]
+        Ri = [[_dot((s[i], omc, 1.0), (K[i][a][b], K2[i][a][b], float(a == b)))
+               for b in range(3)] for a in range(3)]
+        R = [[_dot(R[a], [Ri[k][b] for k in range(3)]) for b in range(3)]
+             for a in range(3)]
+    tool = robot.tool_offset.tolist()
+    p = [_add(o[a], _dot(R[a], tool)) for a in range(3)]
+    m = 3 if n == 3 else 6
+    Rb, pb, Jb = np.empty((3, 3, N)), np.empty((3, N)), np.empty((m, n, N))
+    for a in range(3):
+        pb[a] = p[a]
+        for b in range(3):
+            Rb[a, b] = R[a][b]
+    for i in range(n):
+        z = axes_w[i]
+        lever = [_sub(p[a], origins[i][a]) for a in range(3)]
+        for a in range(3):
+            b, d = (a + 1) % 3, (a + 2) % 3
+            Jb[a, i] = _sub(_dot((z[b],), (lever[d],)), _dot((z[d],), (lever[b],)))
+            if m == 6:
+                Jb[3 + a, i] = z[a]
+    return Rb.transpose(2, 0, 1), pb.T, Jb.transpose(2, 0, 1)
 
 
 def _det3_batch(A: np.ndarray) -> np.ndarray:
@@ -267,12 +307,20 @@ def _det3_batch(A: np.ndarray) -> np.ndarray:
             + A[:, 0, 2] * (A[:, 1, 0] * A[:, 2, 1] - A[:, 1, 1] * A[:, 2, 0]))
 
 
-def det_j_batch(robot: RobotModel, Q: np.ndarray) -> np.ndarray:
-    """Jacobian determinants for a batch of joint vectors."""
-    _, _, J = fk_jacobian_batch(robot, Q)
+def jacobian_dets(J: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square Jacobians (N, n, n), any layout.
+
+    Each determinant depends on its own matrix only, so a row gets the same
+    bits in any batch.
+    """
     if J.shape[1] == 3:
         return _det3_batch(J)
     return np.linalg.det(J)
+
+
+def det_j_batch(robot: RobotModel, Q: np.ndarray) -> np.ndarray:
+    """Jacobian determinants for a batch of joint vectors."""
+    return jacobian_dets(fk_jacobian_batch(robot, Q)[2])
 
 
 def forward_kinematics(robot: RobotModel, q) -> Pose:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ik import IKConfig, IKSolutionSet, solve_ik_along_path
-from .kinematics import Pose, RobotModel, pose_difference, wrap_to_pi
+from .kinematics import TWO_PI, Pose, RobotModel, pose_difference, wrap_to_pi
 
 # soft-penalty plumbing: approximate IK solutions cost their residual times
 # this factor, so exact routes win whenever one exists
@@ -115,6 +115,8 @@ class PlanGraph:
     edges: dict                         # (k, d) -> dict(weight=(M_k, M_k+d)), inf = absent
     s_edges: dict                       # (k, m) -> weight
     f_edges: dict                       # (k, m) -> weight
+    # turn-tracked joint vectors when the robot declares joint limits
+    unwrapped: list[np.ndarray] | None = None
 
     @property
     def n_layers(self) -> int:
@@ -251,8 +253,9 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
                 if not to_f[m]:
                     f_edges[(jf, m)] = 0.0
 
+    unwrapped = None
     if robot is not None and robot.joint_limits is not None:
-        unwrapped = _assign_unwrapped(Q, edges, s_edges, depth)
+        unwrapped = _assign_unwrapped(Q, edges, s_edges, depth, robot.joint_limits)
         if cfg.joint_limit_barrier > 0.0:
             lo, hi = robot.joint_limits[:, 0], robot.joint_limits[:, 1]
             for k in range(K + 1):
@@ -266,7 +269,7 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
         _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, robot.joint_limits)
 
     return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j,
-                     edges=edges, s_edges=s_edges, f_edges=f_edges)
+                     edges=edges, s_edges=s_edges, f_edges=f_edges, unwrapped=unwrapped)
 
 
 def _add_head_penalty(edges, s_edges, k: int, pen: np.ndarray, depth: int):
@@ -278,13 +281,25 @@ def _add_head_penalty(edges, s_edges, k: int, pen: np.ndarray, depth: int):
             s_edges[(k, m)] += float(pen[m])
 
 
-def _assign_unwrapped(Q, edges, s_edges, depth: int):
-    """Greedy turn tracking: each vertex gets the unwrapped representative
-    nearest its first admitted predecessor (nearest layer first, then lowest
-    vertex index); exact +/- pi steps take the positive branch."""
+def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Per joint, the 2*pi shift of a wrapped start vertex that lies inside
+    the limits, the one nearest q when several do; q itself where none does."""
+    lo, hi = limits[:, 0], limits[:, 1]
+    turns = np.clip(0.0, np.ceil((lo - q) / TWO_PI), np.floor((hi - q) / TWO_PI))
+    shifted = q + TWO_PI * turns
+    return np.where((turns != 0.0) & (shifted >= lo) & (shifted <= hi), shifted, q)
+
+
+def _assign_unwrapped(Q, edges, s_edges, depth: int, limits: np.ndarray):
+    """Greedy turn tracking: each start vertex takes its representative
+    inside the limits (see _start_representative), every other vertex the
+    unwrapped representative nearest its first admitted predecessor
+    (nearest layer first, then lowest vertex index); exact +/- pi steps take
+    the positive branch."""
     unwrapped = [q.copy() for q in Q]
     assigned = [np.zeros(q.shape[0], dtype=bool) for q in Q]
     for (k, m) in s_edges:
+        unwrapped[k][m] = _start_representative(Q[k][m], limits)
         assigned[k][m] = True
     for j in range(len(Q)):
         for (k, d) in incoming(edges, j, depth):
@@ -300,19 +315,15 @@ def _assign_unwrapped(Q, edges, s_edges, depth: int):
 
 
 def _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, limits):
-    """Remove edges whose head would sit outside the joint limits under the
-    turn-tracked representative, or whose implied unwrap disagrees with it."""
+    """Remove edges whose tail or head would sit outside the joint limits
+    under the turn-tracked representative, or whose implied unwrap of the
+    head disagrees with it; then the terminals outside the limits."""
     lo, hi = limits[:, 0], limits[:, 1]
-    inside = [np.all((u >= lo[None, :]) & (u <= hi[None, :]), axis=1) if u.shape[0] else
-              np.zeros(0, dtype=bool) for u in unwrapped]
+    inside = [np.all((u >= lo) & (u <= hi), axis=1) for u in unwrapped]
     for (k, d), e in edges.items():
-        ok = np.isfinite(e["weight"])
-        for m in range(Q[k].shape[0]):
-            for l in np.flatnonzero(ok[m]):
-                implied = unwrapped[k][m] + wrap_to_pi(Q[k + d][l] - Q[k][m])
-                if not inside[k + d][l] or not inside[k][m] or \
-                        np.max(np.abs(implied - unwrapped[k + d][l])) > 1e-9:
-                    e["weight"][m, l] = np.inf
+        implied = unwrapped[k][:, None, :] + wrap_to_pi(Q[k + d][None, :, :] - Q[k][:, None, :])
+        off = np.max(np.abs(implied - unwrapped[k + d][None, :, :]), axis=2) > 1e-9
+        e["weight"][off | ~inside[k][:, None] | ~inside[k + d][None, :]] = np.inf
     for (k, m) in list(s_edges):
         if not inside[k][m]:
             del s_edges[(k, m)]
@@ -438,9 +449,10 @@ def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
     layer_idx = [k for k, _ in chain]
     vert_idx = [m for _, m in chain]
     # continuous unwrapped output: accumulate the wrap-minimal steps from
-    # the first vertex, an S-edge head, whose turn-tracked representative
-    # is its wrapped solution
-    qs = [graph.Q[chain[0][0]][chain[0][1]].copy()]
+    # the first vertex, an S-edge head, starting from its turn-tracked
+    # representative when the robot declares limits
+    k0, m0 = chain[0]
+    qs = [(graph.Q if graph.unwrapped is None else graph.unwrapped)[k0][m0].copy()]
     cost = 0.0
     for (ka, ma), (kb, mb) in zip(chain[:-1], chain[1:]):
         step = wrap_to_pi(graph.Q[kb][mb] - graph.Q[ka][ma])

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's solver internals: the
 Jacobian oracle uses central differences of forward kinematics, the IK
 oracle scans a dense joint-space grid for error minima and polishes them
 with a plain pseudo-inverse Newton, the shortest-path oracle explores
-every start-to-finish route by depth-first search, and the admission oracle
-re-derives the planner's multi-pass edge rule with the same search.
+every start-to-finish route by depth-first search, the admission oracle
+re-derives the planner's multi-pass edge rule with the same search, and the
+joint-limit oracle judges every admitted edge on its own in a plain loop.
 """
 
 import numpy as np
@@ -172,3 +173,27 @@ def multipass_admission(Q, det_j, dlambda: float, eps: float, skip_depth: int,
     while b + 1 <= K and not alive[b + 1]:
         b += 1
     return edges, s, f, (a, b)
+
+
+def drop_limit_violations_loop(Q, unwrapped, edges, s_edges, f_edges, limits):
+    """Edge-by-edge reference for planner._drop_limit_violations: an edge
+    goes when its tail or head lies outside the limits under the
+    turn-tracked representative, or when the head's implied unwrap differs
+    from its representative by more than 1e-9; terminals go when outside."""
+    lo, hi = limits[:, 0], limits[:, 1]
+    inside = [np.all((u >= lo[None, :]) & (u <= hi[None, :]), axis=1) if u.shape[0] else
+              np.zeros(0, dtype=bool) for u in unwrapped]
+    for (k, d), e in edges.items():
+        ok = np.isfinite(e["weight"])
+        for m in range(Q[k].shape[0]):
+            for l in np.flatnonzero(ok[m]):
+                implied = unwrapped[k][m] + wrap_to_pi(Q[k + d][l] - Q[k][m])
+                if not inside[k + d][l] or not inside[k][m] or \
+                        np.max(np.abs(implied - unwrapped[k + d][l])) > 1e-9:
+                    e["weight"][m, l] = np.inf
+    for (k, m) in list(s_edges):
+        if not inside[k][m]:
+            del s_edges[(k, m)]
+    for (k, m) in list(f_edges):
+        if not inside[k][m]:
+            del f_edges[(k, m)]

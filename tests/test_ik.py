@@ -16,6 +16,7 @@ from cuspidal_kit.kinematics import (
     forward_kinematics,
     wrap_to_pi,
 )
+from cuspidal_kit.scenarios import cusp_loop_path
 
 from oracles import DenseGridIKOracle
 
@@ -162,6 +163,11 @@ class TestEnumeration:
         # first holds sample ids that do not start at 0
         monkeypatch.setattr(ik, "_CHUNK_ROWS", 3 * IKConfig().resolve_seeds(3) ** 3)
         _assert_batch_matches_single(r3, _random_targets(r3, 15, 40))
+
+    def test_path_batching_matches_single_cusp_loop(self, r3):
+        # coalescing is gated on each target's own live-row count, so a
+        # target coalesces in a batch exactly when it would alone
+        _assert_batch_matches_single(r3, cusp_loop_path().poses, IKConfig(seeds_per_joint=6))
 
     def test_path_batching_matches_single_6r(self, r6):
         _assert_batch_matches_single(r6, _random_targets(r6, 17, 3), IKConfig(seeds_per_joint=5))

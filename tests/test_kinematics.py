@@ -2,10 +2,13 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
+from cuspidal_kit.ik import IKConfig, solve_ik_along_path
 from cuspidal_kit.kinematics import (
     Pose,
     RobotModel,
     det_j_batch,
+    fk_batch,
+    fk_jacobian_batch,
     forward_kinematics,
     jacobian,
     jacobian_determinant,
@@ -115,6 +118,45 @@ class TestJacobian:
         for i in range(1, len(d) - 2):
             local = 0.5 * (abs(d[i] - d[i - 1]) + abs(d[i + 2] - d[i + 1]))
             assert abs(d[i + 1] - d[i]) < 10.0 * local + 1e-9 * scale
+
+
+def _random_arm(rng, dof) -> RobotModel:
+    axes = rng.normal(size=(dof, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return RobotModel(axes=axes, offsets=rng.normal(size=(dof, 3)) * 0.4,
+                      tool_offset=rng.normal(size=3) * 0.2, name=f"random-{dof}dof")
+
+
+class TestFkJacobianKernel:
+    @pytest.fixture(params=["3r", "6r", "7dof"])
+    def robot(self, request, r3, r6):
+        return {"3r": r3, "6r": r6, "7dof": _random_arm(np.random.default_rng(7), 7)}[request.param]
+
+    def test_rows_independent_of_batch(self, robot):
+        rng = np.random.default_rng(8)
+        Q = rng.uniform(-np.pi, np.pi, (257, robot.dof))
+        Q[:3] = np.array([0.0, np.pi, -np.pi])[:, None]
+        Q = Q[rng.permutation(Q.shape[0])]
+        R, p, J = fk_jacobian_batch(robot, Q)
+        assert R.shape == (257, 3, 3) and p.shape == (257, 3)
+        assert J.shape == (257, 3 if robot.dof == 3 else 6, robot.dof)
+        for i in range(Q.shape[0]):
+            for batched, alone in zip((R, p, J), fk_jacobian_batch(robot, Q[i:i + 1])):
+                nt.assert_array_equal(batched[i], alone[0])
+        Rf, pf = fk_batch(robot, Q)
+        nt.assert_allclose(R, Rf, rtol=0, atol=1e-12)
+        nt.assert_allclose(p, pf, rtol=0, atol=1e-12)
+
+    def test_ik_det_j_is_the_kernel_det(self, r3, r6):
+        for robot, seeds in ((r3, 6), (r6, 4)):
+            rng = np.random.default_rng(9)
+            targets = [forward_kinematics(robot, rng.uniform(-np.pi, np.pi, robot.dof))
+                       for _ in range(3)]
+            sets = solve_ik_along_path(robot, targets, IKConfig(seeds_per_joint=seeds))
+            sols = [s for ss in sets for s in ss.solutions]
+            assert sols
+            for s in sols:
+                assert s.det_j == det_j_batch(robot, s.q[None, :])[0]
 
 
 class TestManipulability:

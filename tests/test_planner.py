@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
+from cuspidal_kit import planner
 from cuspidal_kit.ik import IKConfig, IKSolution, IKSolutionSet
-from cuspidal_kit.kinematics import Pose, forward_kinematics, wrap_to_pi
+from cuspidal_kit.kinematics import Pose, RobotModel, forward_kinematics, wrap_to_pi
 from cuspidal_kit.planner import (
     PlannerConfig,
     TaskPath,
@@ -15,6 +16,7 @@ from cuspidal_kit.planner import (
     plan_path,
     shortest_joint_path,
     _first_disconnected_span,
+    _start_representative,
 )
 from cuspidal_kit.scenarios import (
     THREE_PARALLEL_WITNESS,
@@ -24,7 +26,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_control_path,
 )
 
-from oracles import brute_force_shortest, multipass_admission
+from oracles import brute_force_shortest, drop_limit_violations_loop, multipass_admission
 
 
 def _sol(q, det=1.0, approx=False, residual=0.0):
@@ -215,6 +217,67 @@ class TestBuildGraph:
         weighted = shortest_joint_path(build_plan_graph(
             layers, path, PlannerConfig(manipulability_weight=1.0)))
         assert weighted.vertex_indices == [1, 1]
+
+
+def _limited(robot, joint_limits):
+    return RobotModel(axes=robot.axes, offsets=robot.offsets, tool_offset=robot.tool_offset,
+                      joint_limits=joint_limits, name="3r-limited")
+
+
+_FREE = [-np.pi, np.pi]
+# joint limits and barrier weight per variant
+_LIMIT_VARIANTS = {
+    "none": (None, 0.0),
+    "q3": ([_FREE, _FREE, [-3.0, 0.5]], 0.0),
+    "wide-barrier": ([[-3.2, 3.2]] * 3, 0.01),
+    "q1": ([[-1.0, 2.5], _FREE, _FREE], 0.0),
+    "multi-turn-barrier": ([[-7.0, 7.0], [-2.0, 1.0], _FREE], 0.05),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_layers(r3):
+    cfg = IKConfig(seeds_per_joint=6)
+    paths = [infeasible_line_path(), infeasible_line_control_path(), cusp_loop_path(),
+             control_loop_path()]
+    return [(path, build_layers(r3, path, cfg)) for path in paths]
+
+
+class TestJointLimits:
+    def test_start_representative(self):
+        limits = np.array([[-1.0, 1.0], [0.0, 2 * np.pi], [-10.0, 10.0], [2.0, 16.0]])
+        q = np.array([2.0, -0.55, 3.0, -3.0])
+        # no shift fits q1, q3 fits unshifted, q4 fits +2, +4 and +6 pi
+        nt.assert_array_equal(_start_representative(q, limits),
+                              [2.0, -0.55 + 2 * np.pi, 3.0, -3.0 + 2 * np.pi])
+
+    @pytest.mark.parametrize("q2_limits", [[0.0, 2 * np.pi], [-2 * np.pi, 0.0]])
+    def test_multi_turn_limits_at_start(self, r3, q2_limits):
+        # every solution's wrapped q2 is negative; [0, 2 pi] admits only its
+        # 2 pi shift, which the start vertex must take
+        pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
+        robot = _limited(r3, [_FREE, q2_limits, _FREE])
+        result = plan_path(robot, TaskPath([pose] * 4, dlambda=0.1),
+                           ik_cfg=IKConfig(seeds_per_joint=8))
+        assert result.feasible
+        lo, hi = robot.joint_limits.T
+        assert np.all((result.path.q >= lo) & (result.path.q <= hi))
+
+    @pytest.mark.parametrize("nonsingular", [False, True])
+    @pytest.mark.parametrize("variant", list(_LIMIT_VARIANTS))
+    def test_drop_matches_edge_loop(self, r3, fixture_layers, variant, nonsingular, monkeypatch):
+        limits, barrier = _LIMIT_VARIANTS[variant]
+        robot = _limited(r3, limits)
+        cfg = PlannerConfig(nonsingular_only=nonsingular, joint_limit_barrier=barrier)
+        for path, layers in fixture_layers:
+            fast = build_plan_graph(layers, path, cfg, robot=robot)
+            with monkeypatch.context() as m:
+                m.setattr(planner, "_drop_limit_violations", drop_limit_violations_loop)
+                ref = build_plan_graph(layers, path, cfg, robot=robot)
+            assert fast.edges.keys() == ref.edges.keys()
+            for key, e in ref.edges.items():
+                nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
+            assert fast.s_edges == ref.s_edges and fast.f_edges == ref.f_edges
 
 
 class TestShortestPath:
