@@ -207,7 +207,8 @@ def cmd_map(args) -> int:
     if robot.dof != 3:
         raise InputError("solution-count maps need a 3-DOF robot")
     counts = solution_count_map(robot, tuple(args.rho_range), tuple(args.z_range),
-                                (args.grid[0], args.grid[1]), _ik_cfg(args))
+                                (args.grid[0], args.grid[1]), _ik_cfg(args),
+                                threads=_threads(args))
     rhos = np.linspace(args.rho_range[0], args.rho_range[1], args.grid[0])
     header = ["z\\rho"] + [fileio.format_sig(r) for r in rhos]
     zs = np.linspace(args.z_range[0], args.z_range[1], args.grid[1])

@@ -334,10 +334,11 @@ def _solutions(Q, resid, approx, det_j, cfg) -> list[IKSolution]:
 def _coarse_thin(Q, resid, seed, approx, sample, det_j):
     """Pre-collapse candidate floods before the exact pairwise dedup.
 
-    Candidates of the same target landing in the same half-dedup cell are
-    certainly duplicates; keep the best-ranked (exact first, lowest seed)."""
+    Candidates of the same target landing in the same dedup-tolerance cell
+    lie less than _DEDUP_TOL apart per joint, so the dedup would merge them
+    anyway; keep the best-ranked (exact first, lowest seed)."""
     rank = np.lexsort((seed, approx.astype(int), sample))
-    key = _cell_key(Q, sample, 2.0 * _DEDUP_TOL)
+    key = _cell_key(Q, sample, _DEDUP_TOL)
     keep = rank[_first_of_each_key(key[rank])]
     keep.sort()
     return Q[keep], resid[keep], seed[keep], approx[keep], sample[keep], det_j[keep]
@@ -392,10 +393,7 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
         Q0 = np.tile(grid, (k, 1))
         sample = np.repeat(np.arange(lo, hi), n_seeds)
         seeds = np.tile(np.arange(n_seeds), k)
-        out = _refine_population(robot, Tpos, Trot, Q0, sample, seeds, cfg)
-        if out[0].shape[0] > 32:
-            out = _coarse_thin(*out)
-        return out
+        return _coarse_thin(*_refine_population(robot, Tpos, Trot, Q0, sample, seeds, cfg))
 
     if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -414,7 +412,8 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
     return sets
 
 
-def solution_count_map(robot: RobotModel, rho_range, z_range, grid, cfg: IKConfig | None = None) -> np.ndarray:
+def solution_count_map(robot: RobotModel, rho_range, z_range, grid, cfg: IKConfig | None = None,
+                       threads: int = 1) -> np.ndarray:
     """Exact-solution counts over the phi = 0 half-plane, 3-DOF arms only.
 
     Returns an integer array of shape (n_rho, n_z); entry [i, j] counts the
@@ -429,6 +428,6 @@ def solution_count_map(robot: RobotModel, rho_range, z_range, grid, cfg: IKConfi
     zs = np.linspace(z_range[0], z_range[1], n_z)
     eye = np.eye(3)
     targets = [Pose(eye, np.array([rho, 0.0, z])) for rho in rhos for z in zs]
-    sets = solve_ik_along_path(robot, targets, cfg)
+    sets = solve_ik_along_path(robot, targets, cfg, threads=threads)
     counts = np.array([s.count for s in sets], dtype=int).reshape(n_rho, n_z)
     return counts

@@ -342,11 +342,12 @@ def jacobian(robot: RobotModel, q) -> np.ndarray:
 
 
 def jacobian_determinant(robot: RobotModel, q) -> float:
-    """det(J) at q; raises for redundant (non-square Jacobian) robots."""
+    """det(J) at q, the same bits as det_j_batch; raises for redundant
+    (non-square Jacobian) robots."""
     J = jacobian(robot, q)
     if J.shape[0] != J.shape[1]:
         raise ValueError(f"Jacobian is {J.shape[0]}x{J.shape[1]}; determinant requires a square Jacobian")
-    return float(np.linalg.det(J))
+    return float(jacobian_dets(J[None])[0])
 
 
 def manipulability(robot: RobotModel, q, W=None) -> float:
@@ -369,6 +370,6 @@ def manipulability(robot: RobotModel, q, W=None) -> float:
         # det(J W J^T) = det(J)^2 det(W); the factored form keeps mu exact
         # at rank-deficient configurations where the Gram determinant drowns
         # in roundoff
-        return float(abs(np.linalg.det(J)) * np.sqrt(np.linalg.det(W)))
+        return float(abs(jacobian_dets(J[None])[0]) * np.sqrt(np.linalg.det(W)))
     g = np.linalg.det(J @ W @ J.T)
     return float(np.sqrt(max(g, 0.0)))

@@ -107,14 +107,19 @@ def build_layers(robot: RobotModel, path: TaskPath, ik_cfg: IKConfig | None = No
 
 @dataclass
 class PlanGraph:
-    """Layered DAG over IK solutions with start/finish pseudo-vertices."""
+    """Layered DAG over IK solutions with start/finish pseudo-vertices.
+
+    Every edge is a weight, inf where absent: interior edges as one
+    (M_k, M_k+d) matrix per admitted (layer, gap) pair, the S and F edges
+    as one (M_k,) vector per layer (S -> (k, m) and (k, m) -> F).
+    """
     dlambda: float
     eps: float
     Q: list[np.ndarray]                 # (M_k, n) wrapped joint vectors
     det_j: list[np.ndarray]
-    edges: dict                         # (k, d) -> dict(weight=(M_k, M_k+d)), inf = absent
-    s_edges: dict                       # (k, m) -> weight
-    f_edges: dict                       # (k, m) -> weight
+    edges: dict                         # (k, d) -> dict(weight=(M_k, M_k+d))
+    s_weight: list[np.ndarray]          # (M_k,) per layer
+    f_weight: list[np.ndarray]          # (M_k,) per layer
     # turn-tracked joint vectors when the robot declares joint limits
     unwrapped: list[np.ndarray] | None = None
 
@@ -128,8 +133,8 @@ class PlanGraph:
 
     @property
     def edge_count(self) -> int:
-        interior = sum(int(np.isfinite(e["weight"]).sum()) for e in self.edges.values())
-        return interior + len(self.s_edges) + len(self.f_edges)
+        weights = [e["weight"] for e in self.edges.values()] + self.s_weight + self.f_weight
+        return sum(int(np.isfinite(w).sum()) for w in weights)
 
     @property
     def depth(self) -> int:
@@ -169,15 +174,6 @@ def reach(edges, depth: int, rows: dict, lo: int, hi: int, forward: bool = True)
     return rows
 
 
-def _terminal_rows(counts, terminals, lo: int, hi: int) -> dict:
-    """One seed row per layer in [lo, hi], marking the given (k, m) terminals."""
-    rows = {k: np.zeros((1, counts[k]), dtype=bool) for k in range(lo, hi + 1)}
-    for (k, m) in terminals:
-        if lo <= k <= hi:
-            rows[k][0, m] = True
-    return rows
-
-
 def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerConfig | None = None,
                      robot: RobotModel | None = None) -> PlanGraph:
     """Weighted DAG over the layers.
@@ -186,11 +182,13 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     eps = dlambda * eps0; pass d admits skip edges over d-1 layers, at metric
     threshold eps on the d*dlambda gap, only between vertices not already
     connected inside that window (multi-pass rule, which also gates the
-    start/finish skip connections). Vertex penalties (manipulability,
-    joint-limit barrier, approximate-solution residual) ride on incoming
-    edge weights so a path pays each visited vertex exactly once. When the
-    robot declares joint limits, edges and terminals whose vertices leave
-    them under greedy turn tracking are dropped.
+    start/finish skip connections): S joins layer 0 and, after pass d, the
+    layer-(d-1) vertices it cannot reach; F likewise layer K and layer K-d+1.
+    Vertex penalties (manipulability, joint-limit barrier, approximate-
+    solution residual) ride on incoming edge and S weights so a path pays
+    each visited vertex exactly once. When the robot declares joint limits,
+    edges and terminals whose vertices leave them under greedy turn
+    tracking are dropped.
     """
     cfg = cfg or PlannerConfig()
     K = path.K
@@ -232,8 +230,8 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
 
     for k in range(K):
         admit(k, 1)
-    s_edges = {(0, m): float(penalties[0][m]) for m in range(Q[0].shape[0])}
-    f_edges = {(K, m): 0.0 for m in range(Q[K].shape[0])}
+    s_weight = [penalties[0]] + [np.full(c, np.inf) for c in counts[1:]]
+    f_weight = [np.full(c, np.inf) for c in counts[:K]] + [np.zeros(counts[K])]
 
     for d in range(2, depth + 1):
         for k in range(0, K - d + 1):
@@ -242,43 +240,21 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
         # F is reached from layer K-d+1, only for vertices not already wired
         j = d - 1
         if 1 <= j <= K - 1:
-            from_s = reach(edges, depth, _terminal_rows(counts, s_edges, 0, j), 0, j)[j][0]
-            for m in range(counts[j]):
-                if not from_s[m]:
-                    s_edges[(j, m)] = float(penalties[j][m])
+            rows = {k: np.isfinite(s_weight[k])[None, :] for k in range(j + 1)}
+            from_s = reach(edges, depth, rows, 0, j)[j][0]
+            s_weight[j] = np.where(from_s, np.inf, penalties[j])
             jf = K - j
-            to_f = reach(edges, depth, _terminal_rows(counts, f_edges, jf, K), jf, K,
-                         forward=False)[jf][0]
-            for m in range(counts[jf]):
-                if not to_f[m]:
-                    f_edges[(jf, m)] = 0.0
+            rows = {k: np.isfinite(f_weight[k])[None, :] for k in range(jf, K + 1)}
+            to_f = reach(edges, depth, rows, jf, K, forward=False)[jf][0]
+            f_weight[jf] = np.where(to_f, np.inf, 0.0)
 
     unwrapped = None
     if robot is not None and robot.joint_limits is not None:
-        unwrapped = _assign_unwrapped(Q, edges, s_edges, depth, robot.joint_limits)
-        if cfg.joint_limit_barrier > 0.0:
-            lo, hi = robot.joint_limits[:, 0], robot.joint_limits[:, 1]
-            for k in range(K + 1):
-                if counts[k] == 0:
-                    continue
-                margin_lo = np.maximum(unwrapped[k] - lo[None, :], _BARRIER_MARGIN)
-                margin_hi = np.maximum(hi[None, :] - unwrapped[k], _BARRIER_MARGIN)
-                bar = cfg.joint_limit_barrier * path.dlambda * np.sum(
-                    1.0 / margin_lo + 1.0 / margin_hi, axis=1)
-                _add_head_penalty(edges, s_edges, k, bar, depth)
-        _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, robot.joint_limits)
+        unwrapped = _enforce_limits(Q, edges, s_weight, f_weight, depth, robot.joint_limits,
+                                    cfg.joint_limit_barrier * path.dlambda)
 
     return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j,
-                     edges=edges, s_edges=s_edges, f_edges=f_edges, unwrapped=unwrapped)
-
-
-def _add_head_penalty(edges, s_edges, k: int, pen: np.ndarray, depth: int):
-    for key in incoming(edges, k, depth):
-        w = edges[key]["weight"]
-        edges[key]["weight"] = np.where(np.isfinite(w), w + pen[None, :], np.inf)
-    for m in range(pen.shape[0]):
-        if (k, m) in s_edges:
-            s_edges[(k, m)] += float(pen[m])
+                     edges=edges, s_weight=s_weight, f_weight=f_weight, unwrapped=unwrapped)
 
 
 def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
@@ -290,46 +266,50 @@ def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
     return np.where((turns != 0.0) & (shifted >= lo) & (shifted <= hi), shifted, q)
 
 
-def _assign_unwrapped(Q, edges, s_edges, depth: int, limits: np.ndarray):
-    """Greedy turn tracking: each start vertex takes its representative
-    inside the limits (see _start_representative), every other vertex the
-    unwrapped representative nearest its first admitted predecessor
-    (nearest layer first, then lowest vertex index); exact +/- pi steps take
-    the positive branch."""
-    unwrapped = [q.copy() for q in Q]
-    assigned = [np.zeros(q.shape[0], dtype=bool) for q in Q]
-    for (k, m) in s_edges:
-        unwrapped[k][m] = _start_representative(Q[k][m], limits)
-        assigned[k][m] = True
-    for j in range(len(Q)):
-        for (k, d) in incoming(edges, j, depth):
-            ok = np.isfinite(edges[(k, d)]["weight"])
-            for m in range(Q[k].shape[0]):
-                if not assigned[k][m]:
-                    continue
-                for l in np.flatnonzero(ok[m]):
-                    if not assigned[j][l]:
-                        unwrapped[j][l] = unwrapped[k][m] + wrap_to_pi(Q[j][l] - Q[k][m])
-                        assigned[j][l] = True
-    return unwrapped
+def _enforce_limits(Q, edges, s_weight, f_weight, depth: int, limits: np.ndarray,
+                    barrier: float) -> list[np.ndarray]:
+    """Turn tracking, joint-limit barrier (weight times dlambda) and limit
+    drops in one head-major pass, in place; returns the tracked vectors.
 
-
-def _drop_limit_violations(Q, unwrapped, edges, s_edges, f_edges, limits):
-    """Remove edges whose tail or head would sit outside the joint limits
-    under the turn-tracked representative, or whose implied unwrap of the
-    head disagrees with it; then the terminals outside the limits."""
+    At layer j, each S-edge head takes its representative inside the limits
+    (see _start_representative), every other vertex the unwrapped value
+    nearest its first admitted predecessor (nearest layer first, then
+    lowest vertex index; exact +/- pi steps take the positive branch). The
+    barrier of j's vertices joins their incoming and S weights. Then edges
+    into j go whose tail or head lies outside the limits or whose implied
+    unwrap of the head disagrees with its value, and so do j's terminals
+    outside the limits. Each step reads only layers up to j.
+    """
     lo, hi = limits[:, 0], limits[:, 1]
-    inside = [np.all((u >= lo) & (u <= hi), axis=1) for u in unwrapped]
-    for (k, d), e in edges.items():
-        implied = unwrapped[k][:, None, :] + wrap_to_pi(Q[k + d][None, :, :] - Q[k][:, None, :])
-        off = np.max(np.abs(implied - unwrapped[k + d][None, :, :]), axis=2) > 1e-9
-        e["weight"][off | ~inside[k][:, None] | ~inside[k + d][None, :]] = np.inf
-    for (k, m) in list(s_edges):
-        if not inside[k][m]:
-            del s_edges[(k, m)]
-    for (k, m) in list(f_edges):
-        if not inside[k][m]:
-            del f_edges[(k, m)]
+    unwrapped = [q.copy() for q in Q]
+    assigned = [np.isfinite(w) for w in s_weight]
+    inside = []
+    for j, u in enumerate(unwrapped):
+        for m in np.flatnonzero(assigned[j]):
+            u[m] = _start_representative(Q[j][m], limits)
+        keys = incoming(edges, j, depth)
+        # each tail's turn-tracked value plus the wrap-minimal step to each head
+        implied = {k: unwrapped[k][:, None, :] + wrap_to_pi(Q[j][None, :, :] - Q[k][:, None, :])
+                   for k, _ in keys}
+        for (k, d) in keys:
+            tracked_tail = np.isfinite(edges[(k, d)]["weight"]) & assigned[k][:, None]
+            for m, l in zip(*np.nonzero(tracked_tail)):
+                if not assigned[j][l]:
+                    u[l] = implied[k][m, l]
+                    assigned[j][l] = True
+        bar = 0.0
+        if barrier > 0.0:
+            bar = barrier * np.sum(1.0 / np.maximum(u - lo, _BARRIER_MARGIN)
+                                   + 1.0 / np.maximum(hi - u, _BARRIER_MARGIN), axis=1)
+        inside.append(np.all((u >= lo) & (u <= hi), axis=1))
+        for (k, d) in keys:
+            W = edges[(k, d)]["weight"]
+            W += bar
+            W[(np.max(np.abs(implied[k] - u), axis=2) > 1e-9)
+              | ~inside[k][:, None] | ~inside[j]] = np.inf
+        s_weight[j] = np.where(inside[j], s_weight[j] + bar, np.inf)
+        f_weight[j][~inside[j]] = np.inf
+    return unwrapped
 
 
 @dataclass
@@ -357,13 +337,16 @@ class JointPath:
 @dataclass
 class PlanResult:
     path: JointPath | None
-    layer_counts: list[int]
     graph: PlanGraph
     infeasible_span: tuple[int, int] | None = None
 
     @property
     def feasible(self) -> bool:
         return self.path is not None
+
+    @property
+    def layer_counts(self) -> list[int]:
+        return self.graph.layer_counts
 
 
 class _Search:
@@ -372,18 +355,15 @@ class _Search:
     def __init__(self, graph: PlanGraph):
         self.g = graph
 
-    def run(self, sources: dict):
+    def run(self, sources: list[np.ndarray]):
+        """Distances and parents from S; sources holds S's edge weights per layer."""
         g = self.g
         K = g.n_layers - 1
         depth = g.depth
-        dist = [np.full(q.shape[0], np.inf) for q in g.Q]
-        parent = [[None] * q.shape[0] for q in g.Q]
+        dist = [w.copy() for w in sources]
+        parent = [["S" if np.isfinite(w) else None for w in ws] for ws in sources]
         self._parent = parent
         self._tuples: dict = {}
-        for (k, m), w in sources.items():
-            if w < dist[k][m]:
-                dist[k][m] = w
-                parent[k][m] = "S"
         for j in range(K + 1):
             for (k, d) in incoming(g.edges, j, depth):
                 W = g.edges[(k, d)]["weight"]
@@ -425,14 +405,13 @@ def shortest_joint_path(graph: PlanGraph):
     Exact-cost ties resolve toward the smallest (layer, vertex) sequence.
     """
     search = _Search(graph)
-    dist, parent = search.run(graph.s_edges)
+    dist, parent = search.run(graph.s_weight)
     best, best_v = np.inf, None
-    for (k, m), w in sorted(graph.f_edges.items()):
-        if not np.isfinite(dist[k][m]):
-            continue
-        cand = dist[k][m] + w
-        if cand < best or (cand == best and search.seq((k, m)) < search.seq(best_v)):
-            best, best_v = cand, (k, m)
+    for k, w in enumerate(graph.f_weight):
+        for m in np.flatnonzero(np.isfinite(w) & np.isfinite(dist[k])).tolist():
+            cand = dist[k][m] + w[m]
+            if cand < best or (cand == best and search.seq((k, m)) < search.seq(best_v)):
+                best, best_v = cand, (k, m)
     if best_v is None:
         return None
     chain = []
@@ -474,8 +453,8 @@ def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
 def _first_disconnected_span(graph: PlanGraph):
     """Layers [a, b] where forward reachability from S first dies."""
     K = graph.n_layers - 1
-    rows = reach(graph.edges, graph.depth,
-                 _terminal_rows(graph.layer_counts, graph.s_edges, 0, K), 0, K)
+    rows = {k: np.isfinite(w)[None, :] for k, w in enumerate(graph.s_weight)}
+    rows = reach(graph.edges, graph.depth, rows, 0, K)
     per_layer = [bool(rows[k].any()) for k in range(K + 1)]
     if all(per_layer):
         return (K, K)
@@ -493,8 +472,7 @@ def plan_path(robot: RobotModel, path: TaskPath, cfg: PlannerConfig | None = Non
     graph = build_plan_graph(layers, path, cfg, robot=robot)
     jp = shortest_joint_path(graph)
     span = None if jp is not None else _first_disconnected_span(graph)
-    return PlanResult(path=jp, layer_counts=graph.layer_counts, graph=graph,
-                      infeasible_span=span)
+    return PlanResult(path=jp, graph=graph, infeasible_span=span)
 
 
 @dataclass
@@ -562,8 +540,10 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
     M = graph.Q[0].shape[0]
     search = _Search(graph)
     costs = np.full((M, M), np.inf)
+    sources = [np.full(c, np.inf) for c in graph.layer_counts]
     for m in range(M):
-        dist, _ = search.run({(0, m): 0.0})
+        sources[0] = np.where(np.arange(M) == m, 0.0, np.inf)
+        dist, _ = search.run(sources)
         for l0 in range(M):
             costs[m, l0] = dist[K][matching[l0]]
     connectivity = np.isfinite(costs)

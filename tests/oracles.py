@@ -6,7 +6,8 @@ oracle scans a dense joint-space grid for error minima and polishes them
 with a plain pseudo-inverse Newton, the shortest-path oracle explores
 every start-to-finish route by depth-first search, the admission oracle
 re-derives the planner's multi-pass edge rule with the same search, and the
-joint-limit oracle judges every admitted edge on its own in a plain loop.
+joint-limit oracle tracks turns vertex by vertex and judges every admitted
+edge on its own in a plain loop.
 """
 
 import numpy as np
@@ -97,17 +98,17 @@ def brute_force_shortest(graph) -> float:
         for m in range(W.shape[0]):
             for l in np.flatnonzero(np.isfinite(W[m])):
                 out_edges.setdefault((k, m), []).append(((k + d, l), W[m, l]))
-    f_set = dict(graph.f_edges)
     best = [np.inf]
 
     def dfs(v, acc):
-        if v in f_set:
-            best[0] = min(best[0], acc + f_set[v])
+        k, m = v
+        best[0] = min(best[0], acc + graph.f_weight[k][m])
         for w, wt in out_edges.get(v, ()):
             dfs(w, acc + wt)
 
-    for v, w0 in graph.s_edges.items():
-        dfs(v, w0)
+    for k, w in enumerate(graph.s_weight):
+        for m in np.flatnonzero(np.isfinite(w)):
+            dfs((k, m), w[m])
     return best[0]
 
 
@@ -175,25 +176,60 @@ def multipass_admission(Q, det_j, dlambda: float, eps: float, skip_depth: int,
     return edges, s, f, (a, b)
 
 
-def drop_limit_violations_loop(Q, unwrapped, edges, s_edges, f_edges, limits):
-    """Edge-by-edge reference for planner._drop_limit_violations: an edge
-    goes when its tail or head lies outside the limits under the
-    turn-tracked representative, or when the head's implied unwrap differs
-    from its representative by more than 1e-9; terminals go when outside."""
+def joint_limit_loop(Q, edges, s_weight, f_weight, depth: int, limits, barrier: float):
+    """Vertex-by-vertex reference for the planner's joint-limit pass, applied
+    in place to the weights of a graph built without limits; returns the
+    turn-tracked joint vectors.
+
+    An S-edge head takes, per joint, the 2*pi shift inside the limits
+    nearest its wrapped value (the value itself when none fits); any other
+    vertex extends its first admitted, already tracked predecessor (nearest
+    layer first, then lowest index) by the wrap-minimal step. Every vertex
+    pays barrier * sum(1/margin_lo + 1/margin_hi) on its incoming and S
+    weights. An edge goes when its tail or head lies outside the limits or
+    the head's implied unwrap differs from its tracked value by more than
+    1e-9; a terminal goes when outside.
+    """
     lo, hi = limits[:, 0], limits[:, 1]
-    inside = [np.all((u >= lo[None, :]) & (u <= hi[None, :]), axis=1) if u.shape[0] else
-              np.zeros(0, dtype=bool) for u in unwrapped]
+    unwrapped = [np.array(q, dtype=float) for q in Q]
+    tracked = [np.zeros(len(q), dtype=bool) for q in Q]
+    for j in range(len(Q)):
+        for l in range(len(Q[j])):
+            if np.isfinite(s_weight[j][l]):
+                for i in range(len(lo)):
+                    fits = [Q[j][l][i] + 2 * np.pi * t for t in sorted(range(-4, 5), key=abs)
+                            if lo[i] <= Q[j][l][i] + 2 * np.pi * t <= hi[i]]
+                    unwrapped[j][l][i] = fits[0] if fits else Q[j][l][i]
+                tracked[j][l] = True
+                continue
+            for d in range(1, min(depth, j) + 1):
+                k = j - d
+                preds = [m for m in range(len(Q[k])) if tracked[k][m] and (k, d) in edges
+                         and np.isfinite(edges[(k, d)]["weight"][m, l])]
+                if preds:
+                    m = preds[0]
+                    unwrapped[j][l] = unwrapped[k][m] + wrap_to_pi(Q[j][l] - Q[k][m])
+                    tracked[j][l] = True
+                    break
+    inside = [[bool(np.all((u >= lo) & (u <= hi))) for u in uj] for uj in unwrapped]
+    for j in range(len(Q)):
+        for l, u in enumerate(unwrapped[j]):
+            if barrier > 0.0:
+                pen = barrier * np.sum(1.0 / np.maximum(u - lo, 1e-6)
+                                       + 1.0 / np.maximum(hi - u, 1e-6))
+                s_weight[j][l] += pen
+                for (k, d), e in edges.items():
+                    if k + d == j:
+                        e["weight"][:, l] += pen
+            if not inside[j][l]:
+                s_weight[j][l] = np.inf
+                f_weight[j][l] = np.inf
     for (k, d), e in edges.items():
-        ok = np.isfinite(e["weight"])
-        for m in range(Q[k].shape[0]):
-            for l in np.flatnonzero(ok[m]):
+        W = e["weight"]
+        for m in range(len(Q[k])):
+            for l in np.flatnonzero(np.isfinite(W[m])):
                 implied = unwrapped[k][m] + wrap_to_pi(Q[k + d][l] - Q[k][m])
                 if not inside[k + d][l] or not inside[k][m] or \
                         np.max(np.abs(implied - unwrapped[k + d][l])) > 1e-9:
-                    e["weight"][m, l] = np.inf
-    for (k, m) in list(s_edges):
-        if not inside[k][m]:
-            del s_edges[(k, m)]
-    for (k, m) in list(f_edges):
-        if not inside[k][m]:
-            del f_edges[(k, m)]
+                    W[m, l] = np.inf
+    return unwrapped

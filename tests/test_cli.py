@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cuspidal_kit import fileio
+from cuspidal_kit import fileio, ik
 from cuspidal_kit.cli import main
 from cuspidal_kit.kinematics import Pose, forward_kinematics
 from cuspidal_kit.scenarios import canonical_3r
@@ -254,6 +254,29 @@ class TestMap:
         rows = out.strip().split("\n")[1:]
         cells = [int(v) for row in rows for v in row.split(",")[1:]]
         assert set(cells) == {0}
+
+    def test_threads_reach_the_ik(self, capsys, monkeypatch):
+        # a small chunk size splits the 48 targets into several chunks, so two
+        # threads really solve side by side; the CSV must not change
+        seen = []
+        solve = ik.solve_ik_along_path
+
+        def spy(*args, threads=1, **kwargs):
+            seen.append(threads)
+            return solve(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(ik, "solve_ik_along_path", spy)
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 6 ** 3 * 5)
+        monkeypatch.delenv("CUSPIDAL_KIT_THREADS", raising=False)
+        argv = ["map", "--robot", "3r-canonical", "--rho-range", "0", "5",
+                "--z-range", "-3", "3", "--grid", "8", "6", "--ik-seeds", "6"]
+        outs = []
+        for threads in ("1", "2"):
+            code, out, _ = run(capsys, *argv, "--threads", threads)
+            assert code == 0
+            outs.append(out)
+        assert seen == [1, 2]
+        assert outs[0] == outs[1]
 
     def test_rejects_6r(self, capsys):
         code, _, err = run(capsys, "map", "--robot", "3parallel-cuspidal",

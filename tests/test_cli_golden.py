@@ -3,11 +3,14 @@
 Each snapshot under tests/golden/ holds the argv, the exit code and the stdout
 of one run: `plan` on the built-in path fixtures (3r-canonical, --ik-seeds 6,
 default or --nonsingular), `identify` on the 6R arm (its LM path),
-`optimize` on a 30-sample helix (its re-pricing) and a small `map` grid.
+`optimize` on a 30-sample helix (its re-pricing), a small `map` grid, and
+`plan` on the cusp loop with three sets of declared joint limits (edge
+drops, a multi-turn start shift, an infeasible multi-turn pair).
 JSON structure (keys, counts, flags, layer lists, cycles) must match
 exactly and floats to 1e-9 relative; non-JSON stdout (the `map` CSV) must
-match as text. Regenerate the snapshots, only at a commit whose output is
-the reference, with `PYTHONPATH=src python tests/test_cli_golden.py`.
+match as text. Regenerate snapshots, only at a commit whose output is the
+reference, with `PYTHONPATH=src python tests/test_cli_golden.py [NAME ...]`:
+the named ones, or all of them when no name is given.
 """
 
 import contextlib
@@ -22,12 +25,23 @@ import pytest
 
 from cuspidal_kit import fileio
 from cuspidal_kit.cli import main
+from cuspidal_kit.kinematics import RobotModel
+from cuspidal_kit.scenarios import canonical_3r
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = ["3r-infeasible-line", "3r-infeasible-line-control", "3r-cusp-loop",
             "3r-control-loop"]
 CASES = [(f, mode) for f in FIXTURES for mode in ("default", "nonsingular")]
-# "{helix}" stands for a 30-sample helix toolpath file written at run time
+_FREE = [-math.pi, math.pi]
+# joint limits of the 3r-canonical variants behind the "{robot:NAME}" files
+LIMITS = {
+    "q3": [_FREE, _FREE, [-3.0, 0.5]],
+    "q2-multi-turn": [_FREE, [0.0, 2 * math.pi], _FREE],
+    "q1-q2-multi-turn": [[-7.0, 7.0], [-2.0, 1.0], _FREE],
+}
+# "{helix}" stands for a 30-sample helix toolpath file and "{robot:NAME}"
+# for a 3r-canonical robot file with joint limits LIMITS[NAME], both written
+# at run time
 COMMANDS = {
     "identify_3parallel-cuspidal": ["identify", "--robot", "3parallel-cuspidal",
                                     "--max-poses", "1", "--ik-seeds", "5"],
@@ -44,14 +58,27 @@ def _plan_argv(fixture: str, mode: str) -> list[str]:
 
 
 COMMANDS.update({f"plan_{f}_{m}": _plan_argv(f, m) for f, m in CASES})
+COMMANDS.update({f"plan_3r-cusp-loop_limits-{name}": [
+    "plan", "--robot", f"{{robot:{name}}}", "--path", "3r-cusp-loop", "--ik-seeds", "6"]
+    for name in LIMITS})
+
+
+def _write_input(placeholder: str, workdir) -> str:
+    if placeholder == "{helix}":
+        doc = fileio.generate_helix(samples=30)
+    else:
+        name = placeholder[len("{robot:"):-1]
+        base = canonical_3r()
+        doc = fileio.robot_to_doc(RobotModel(
+            axes=base.axes, offsets=base.offsets, tool_offset=base.tool_offset,
+            joint_limits=LIMITS[name], name=f"3r-canonical-{name}"))
+    target = Path(workdir) / f"{placeholder.strip('{}').replace(':', '-')}.json"
+    fileio.save_json(doc, target)
+    return str(target)
 
 
 def _run(name: str, workdir) -> dict:
-    argv = COMMANDS[name]
-    if "{helix}" in argv:
-        helix = Path(workdir) / "helix.json"
-        fileio.save_json(fileio.generate_helix(samples=30), helix)
-        argv = [str(helix) if a == "{helix}" else a for a in argv]
+    argv = [_write_input(a, workdir) if a.startswith("{") else a for a in COMMANDS[name]]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -97,15 +124,24 @@ def test_plan_matches_snapshot(tmp_path, fixture, mode):
     _check(f"plan_{fixture}_{mode}", tmp_path)
 
 
+@pytest.mark.parametrize("name", [n for n in COMMANDS if n.startswith("plan_3r-cusp-loop_limits-")])
+def test_plan_with_joint_limits_matches_snapshot(tmp_path, name):
+    _check(name, tmp_path)
+
+
 @pytest.mark.parametrize("name", [n for n in COMMANDS if not n.startswith("plan_")])
 def test_command_matches_snapshot(tmp_path, name):
     _check(name, tmp_path)
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(COMMANDS)
+    unknown = [n for n in names if n not in COMMANDS]
+    if unknown:
+        sys.exit(f"unknown snapshot names {unknown}; known: {sorted(COMMANDS)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for name in COMMANDS:
+        for name in names:
             snap = _run(name, workdir)
             _snapshot(name).write_text(json.dumps(snap, indent=1, sort_keys=True) + "\n")
             print(f"{_snapshot(name).name}: exit {snap['exit']}", file=sys.stderr)

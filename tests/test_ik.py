@@ -146,6 +146,18 @@ class TestEnumeration:
                 for j in range(i + 1, len(sols)):
                     assert np.max(np.abs(wrap_to_pi(sols[i].q - sols[j].q))) > 1e-4
 
+    def test_coarse_thin_keeps_what_the_dedup_keeps(self):
+        # two exact rows of one target 1.5e-4 apart in q1 are two solutions
+        # to the dedup, so the thinning ahead of it must keep both; rows
+        # 0.2e-4 apart share a cell and collapse to the lower seed
+        Q = np.array([[0.6e-4, 0.5, -1.0], [-0.9e-4, 0.5, -1.0],
+                      [0.5, 0.2e-4, 1.0], [0.5, 0.4e-4, 1.0]])
+        seed = np.array([0, 1, 2, 3])
+        approx = np.zeros(4, dtype=bool)
+        nt.assert_array_equal(ik._dedup_sample(Q, seed, approx), [0, 1, 2])
+        thinned = ik._coarse_thin(Q, np.zeros(4), seed, approx, np.zeros(4, dtype=int), np.ones(4))
+        nt.assert_array_equal(thinned[0], Q[:3])
+
     def test_determinism(self, r3):
         pose = forward_kinematics(r3, np.array([0.8, -0.4, 2.0]))
         a = solve_all_ik(r3, pose)

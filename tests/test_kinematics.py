@@ -119,6 +119,17 @@ class TestJacobian:
             local = 0.5 * (abs(d[i] - d[i - 1]) + abs(d[i + 2] - d[i + 1]))
             assert abs(d[i + 1] - d[i]) < 10.0 * local + 1e-9 * scale
 
+    @pytest.mark.parametrize("arm", ["3r", "6r"])
+    def test_scalar_determinants_match_batch(self, r3, r6, arm):
+        # one determinant rule: the scalar functions agree bit for bit with
+        # det_j_batch, which the IK and the cuspidality checks use
+        robot = {"3r": r3, "6r": r6}[arm]
+        rng = np.random.default_rng(11)
+        for q in rng.uniform(-np.pi, np.pi, (200, robot.dof)):
+            want = det_j_batch(robot, q[None])[0]
+            assert jacobian_determinant(robot, q) == want
+            assert manipulability(robot, q) == abs(want)
+
 
 def _random_arm(rng, dof) -> RobotModel:
     axes = rng.normal(size=(dof, 3))

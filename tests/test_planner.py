@@ -2,7 +2,6 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
-from cuspidal_kit import planner
 from cuspidal_kit.ik import IKConfig, IKSolution, IKSolutionSet
 from cuspidal_kit.kinematics import Pose, RobotModel, forward_kinematics, wrap_to_pi
 from cuspidal_kit.planner import (
@@ -26,7 +25,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_control_path,
 )
 
-from oracles import brute_force_shortest, drop_limit_violations_loop, multipass_admission
+from oracles import brute_force_shortest, joint_limit_loop, multipass_admission
 
 
 def _sol(q, det=1.0, approx=False, residual=0.0):
@@ -168,9 +167,7 @@ class TestBuildGraph:
         res = r6_line_plan
         assert res.feasible
         g = res.graph
-        reached = {k: np.zeros(c, dtype=bool) for k, c in enumerate(g.layer_counts)}
-        for (k, m) in g.s_edges:
-            reached[k][m] = True
+        reached = {k: np.isfinite(w) for k, w in enumerate(g.s_weight)}
         for (k, dd) in sorted(g.edges):
             ok = np.isfinite(g.edges[(k, dd)]["weight"])
             reached[k + dd] |= reached[k] @ ok
@@ -232,6 +229,7 @@ _LIMIT_VARIANTS = {
     "wide-barrier": ([[-3.2, 3.2]] * 3, 0.01),
     "q1": ([[-1.0, 2.5], _FREE, _FREE], 0.0),
     "multi-turn-barrier": ([[-7.0, 7.0], [-2.0, 1.0], _FREE], 0.05),
+    "q2-multi-turn": ([_FREE, [0.0, 2 * np.pi], _FREE], 0.0),
 }
 
 
@@ -265,19 +263,59 @@ class TestJointLimits:
 
     @pytest.mark.parametrize("nonsingular", [False, True])
     @pytest.mark.parametrize("variant", list(_LIMIT_VARIANTS))
-    def test_drop_matches_edge_loop(self, r3, fixture_layers, variant, nonsingular, monkeypatch):
+    def test_drop_matches_edge_loop(self, r3, fixture_layers, variant, nonsingular):
+        # the planner's one-pass turn tracking, barrier and drops against the
+        # vertex-by-vertex loop applied to the same graph built without limits
         limits, barrier = _LIMIT_VARIANTS[variant]
         robot = _limited(r3, limits)
         cfg = PlannerConfig(nonsingular_only=nonsingular, joint_limit_barrier=barrier)
         for path, layers in fixture_layers:
             fast = build_plan_graph(layers, path, cfg, robot=robot)
-            with monkeypatch.context() as m:
-                m.setattr(planner, "_drop_limit_violations", drop_limit_violations_loop)
-                ref = build_plan_graph(layers, path, cfg, robot=robot)
+            ref = build_plan_graph(layers, path, cfg)
+            if limits is None:
+                assert fast.unwrapped is None
+            else:
+                unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight,
+                                             cfg.skip_depth, robot.joint_limits,
+                                             barrier * path.dlambda)
+                for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
+                    nt.assert_array_equal(u_fast, u_ref)
             assert fast.edges.keys() == ref.edges.keys()
             for key, e in ref.edges.items():
                 nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
-            assert fast.s_edges == ref.s_edges and fast.f_edges == ref.f_edges
+            for w_fast, w_ref in zip(fast.s_weight + fast.f_weight, ref.s_weight + ref.f_weight,
+                                     strict=True):
+                nt.assert_array_equal(w_fast, w_ref)
+
+
+    def test_limits_match_loop_on_random_graphs(self, r3):
+        # skip edges at depths up to 4 give heads several tracked
+        # predecessors, so the nearest-layer-first rule decides their turn
+        rng = np.random.default_rng(47)
+        for _ in range(150):
+            K = int(rng.integers(1, 10))
+            layer_sets = [[rng.uniform(-np.pi, np.pi, 3) for _ in range(rng.integers(0, 6))]
+                          for _ in range(K + 1)]
+            approxes = [[bool(rng.random() < 0.15) for _ in qs] for qs in layer_sets]
+            dl = float(rng.uniform(0.05, 0.5))
+            lo = rng.uniform(-7.0, 0.0, 3)
+            robot = _limited(r3, np.stack([lo, lo + rng.uniform(1.0, 12.0, 3)], axis=1))
+            cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
+                                skip_depth=int(rng.integers(1, 5)),
+                                joint_limit_barrier=float(rng.choice([0.0, 0.02])))
+            layers, path = _layers(layer_sets, approxes=approxes), _const_path(K + 1, dlambda=dl)
+            fast = build_plan_graph(layers, path, cfg, robot=robot)
+            ref = build_plan_graph(layers, path, cfg)
+            unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight,
+                                         cfg.skip_depth, robot.joint_limits,
+                                         cfg.joint_limit_barrier * dl)
+            for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
+                nt.assert_array_equal(u_fast, u_ref)
+            for key, e in ref.edges.items():
+                nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
+            for w_fast, w_ref in zip(fast.s_weight + fast.f_weight, ref.s_weight + ref.f_weight,
+                                     strict=True):
+                nt.assert_array_equal(w_fast, w_ref)
 
 
 class TestShortestPath:
@@ -336,6 +374,10 @@ class TestShortestPath:
                 assert r2.weight <= r1.weight + 1e-12
 
 
+def _terminals(weights) -> set:
+    return {(k, int(m)) for k, w in enumerate(weights) for m in np.flatnonzero(np.isfinite(w))}
+
+
 class TestAdmissionOracle:
     def test_matches_dfs_oracle_on_random_instances(self):
         rng = np.random.default_rng(45)
@@ -357,8 +399,8 @@ class TestAdmissionOracle:
             admitted = {(k, d, int(m), int(l)) for (k, d), e in g.edges.items()
                         for m, l in np.argwhere(np.isfinite(e["weight"]))}
             assert admitted == edges
-            assert set(g.s_edges) == s
-            assert set(g.f_edges) == f
+            assert _terminals(g.s_weight) == s
+            assert _terminals(g.f_weight) == f
             assert _first_disconnected_span(g) == span
 
 
