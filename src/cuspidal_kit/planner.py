@@ -361,7 +361,7 @@ class _Search:
         K = g.n_layers - 1
         depth = g.depth
         dist = [w.copy() for w in sources]
-        parent = [["S" if np.isfinite(w) else None for w in ws] for ws in sources]
+        parent = [["S" if w < np.inf else None for w in ws.tolist()] for ws in sources]
         self._parent = parent
         self._tuples: dict = {}
         for j in range(K + 1):
@@ -408,8 +408,10 @@ def shortest_joint_path(graph: PlanGraph):
     dist, parent = search.run(graph.s_weight)
     best, best_v = np.inf, None
     for k, w in enumerate(graph.f_weight):
-        for m in np.flatnonzero(np.isfinite(w) & np.isfinite(dist[k])).tolist():
-            cand = dist[k][m] + w[m]
+        for m, wm in enumerate(w.tolist()):
+            if wm == np.inf or dist[k][m] == np.inf:
+                continue
+            cand = dist[k][m] + wm
             if cand < best or (cand == best and search.seq((k, m)) < search.seq(best_v)):
                 best, best_v = cand, (k, m)
     if best_v is None:

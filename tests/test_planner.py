@@ -241,6 +241,26 @@ def fixture_layers(r3):
     return [(path, build_layers(r3, path, cfg)) for path in paths]
 
 
+def _assert_limits_match_loop(layers, path, cfg, robot):
+    """The planner's one-pass turn tracking, barrier and drops equal, bit for
+    bit, the vertex-by-vertex loop applied to the graph built without limits."""
+    fast = build_plan_graph(layers, path, cfg, robot=robot)
+    ref = build_plan_graph(layers, path, cfg)
+    if robot.joint_limits is None:
+        assert fast.unwrapped is None
+    else:
+        unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight, cfg.skip_depth,
+                                     robot.joint_limits, cfg.joint_limit_barrier * path.dlambda)
+        for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
+            nt.assert_array_equal(u_fast, u_ref)
+    assert fast.edges.keys() == ref.edges.keys()
+    for key, e in ref.edges.items():
+        nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
+    for w_fast, w_ref in zip(fast.s_weight + fast.f_weight, ref.s_weight + ref.f_weight,
+                             strict=True):
+        nt.assert_array_equal(w_fast, w_ref)
+
+
 class TestJointLimits:
     def test_start_representative(self):
         limits = np.array([[-1.0, 1.0], [0.0, 2 * np.pi], [-10.0, 10.0], [2.0, 16.0]])
@@ -264,29 +284,11 @@ class TestJointLimits:
     @pytest.mark.parametrize("nonsingular", [False, True])
     @pytest.mark.parametrize("variant", list(_LIMIT_VARIANTS))
     def test_drop_matches_edge_loop(self, r3, fixture_layers, variant, nonsingular):
-        # the planner's one-pass turn tracking, barrier and drops against the
-        # vertex-by-vertex loop applied to the same graph built without limits
         limits, barrier = _LIMIT_VARIANTS[variant]
         robot = _limited(r3, limits)
         cfg = PlannerConfig(nonsingular_only=nonsingular, joint_limit_barrier=barrier)
         for path, layers in fixture_layers:
-            fast = build_plan_graph(layers, path, cfg, robot=robot)
-            ref = build_plan_graph(layers, path, cfg)
-            if limits is None:
-                assert fast.unwrapped is None
-            else:
-                unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight,
-                                             cfg.skip_depth, robot.joint_limits,
-                                             barrier * path.dlambda)
-                for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
-                    nt.assert_array_equal(u_fast, u_ref)
-            assert fast.edges.keys() == ref.edges.keys()
-            for key, e in ref.edges.items():
-                nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
-            for w_fast, w_ref in zip(fast.s_weight + fast.f_weight, ref.s_weight + ref.f_weight,
-                                     strict=True):
-                nt.assert_array_equal(w_fast, w_ref)
-
+            _assert_limits_match_loop(layers, path, cfg, robot)
 
     def test_limits_match_loop_on_random_graphs(self, r3):
         # skip edges at depths up to 4 give heads several tracked
@@ -303,19 +305,8 @@ class TestJointLimits:
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
                                 skip_depth=int(rng.integers(1, 5)),
                                 joint_limit_barrier=float(rng.choice([0.0, 0.02])))
-            layers, path = _layers(layer_sets, approxes=approxes), _const_path(K + 1, dlambda=dl)
-            fast = build_plan_graph(layers, path, cfg, robot=robot)
-            ref = build_plan_graph(layers, path, cfg)
-            unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight,
-                                         cfg.skip_depth, robot.joint_limits,
-                                         cfg.joint_limit_barrier * dl)
-            for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
-                nt.assert_array_equal(u_fast, u_ref)
-            for key, e in ref.edges.items():
-                nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
-            for w_fast, w_ref in zip(fast.s_weight + fast.f_weight, ref.s_weight + ref.f_weight,
-                                     strict=True):
-                nt.assert_array_equal(w_fast, w_ref)
+            _assert_limits_match_loop(_layers(layer_sets, approxes=approxes),
+                                      _const_path(K + 1, dlambda=dl), cfg, robot)
 
 
 class TestShortestPath:
