@@ -109,10 +109,9 @@ def build_layers(robot: RobotModel, path: TaskPath, ik_cfg: IKConfig | None = No
 class PlanGraph:
     """Layered DAG over IK solutions with start/finish pseudo-vertices.
 
-    Every edge is a weight, inf where absent: interior edges as one
-    (M_k, M_k+d) matrix per admitted (layer, gap) pair, the S and F edges
-    as one (M_k,) vector per layer (S -> (k, m) and (k, m) -> F).
-    """
+    Every edge is a weight, inf where absent: one (M_k, M_k+d) matrix per
+    admitted (layer, gap) pair, and per layer one (M_k,) vector for the
+    edges S -> (k, m) and one for (k, m) -> F."""
     dlambda: float
     eps: float
     Q: list[np.ndarray]                 # (M_k, n) wrapped joint vectors
@@ -303,10 +302,9 @@ def _enforce_limits(Q, edges, s_weight, f_weight, depth: int, limits: np.ndarray
                                    + 1.0 / np.maximum(hi - u, _BARRIER_MARGIN), axis=1)
         inside.append(np.all((u >= lo) & (u <= hi), axis=1))
         for (k, d) in keys:
-            W = edges[(k, d)]["weight"]
-            W += bar
-            W[(np.max(np.abs(implied[k] - u), axis=2) > 1e-9)
-              | ~inside[k][:, None] | ~inside[j]] = np.inf
+            off = np.max(np.abs(implied[k] - u), axis=2) > 1e-9
+            edges[(k, d)]["weight"] += bar
+            edges[(k, d)]["weight"][off | ~inside[k][:, None] | ~inside[j]] = np.inf
         s_weight[j] = np.where(inside[j], s_weight[j] + bar, np.inf)
         f_weight[j][~inside[j]] = np.inf
     return unwrapped
