@@ -37,7 +37,8 @@ def to_jsonable(obj):
 
 
 def dump_json(doc, fp=None) -> str:
-    text = json.dumps(to_jsonable(doc), sort_keys=True, indent=2)
+    """Strict JSON text of doc; NaN or infinity raises ValueError."""
+    text = json.dumps(to_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
     if fp is not None:
         fp.write(text + "\n")
     return text
@@ -174,6 +175,10 @@ def generate_helix(radius: float = 0.3, pitch: float = 0.2, turns: float = 2.0,
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if not np.all(np.isfinite([radius, pitch, turns])):
+        raise ValueError("radius, pitch and turns must be finite")
+    if turns < 0:
+        raise ValueError("turns must be >= 0")
     if orientation_mode not in ("fixed", "tangent-following"):
         raise ValueError("orientation_mode must be 'fixed' or 'tangent-following'")
     if orientation_mode == "tangent-following" and radius <= 0.0:

@@ -424,6 +424,10 @@ def solution_count_map(robot: RobotModel, rho_range, z_range, grid, cfg: IKConfi
         raise ValueError("solution count maps are defined for 3-DOF robots only")
     cfg = replace(cfg or IKConfig(), include_approximate=False)
     n_rho, n_z = grid
+    if not np.all(np.isfinite([*rho_range, *z_range])):
+        raise ValueError("rho and z ranges must be finite")
+    if min(n_rho, n_z) < 1:
+        raise ValueError("grid sizes must be >= 1")
     rhos = np.linspace(rho_range[0], rho_range[1], n_rho)
     zs = np.linspace(z_range[0], z_range[1], n_z)
     eye = np.eye(3)

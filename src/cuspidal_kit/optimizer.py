@@ -183,12 +183,17 @@ class NelderMeadOptions:
     tol_f: float = 1e-9
     max_evals: int = 5000
 
+    def __post_init__(self):
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be >= 1")
+
 
 def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
     """Plain simplex descent; returns (x_best, f_best, best-so-far history).
 
     History gets one entry per function evaluation, so it is non-increasing
-    by construction. Terminates on simplex diameter, f-spread, or budget.
+    by construction. Terminates on simplex diameter, f-spread, or budget;
+    the initial simplex costs n + 1 evaluations whatever the budget.
     """
     opts = opts or NelderMeadOptions()
     x0 = np.asarray(x0, dtype=float)

@@ -71,8 +71,11 @@ class PlannerConfig:
     joint_limit_barrier: float = 0.0
 
     def __post_init__(self):
-        if self.eps0 is not None and self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if self.eps0 is not None and not (np.isfinite(self.eps0) and self.eps0 > 0):
+            raise ValueError("eps0 must be finite and positive")
+        for name in ("manipulability_weight", "joint_limit_barrier"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.skip_depth < 1:
             raise ValueError("skip_depth must be >= 1")
 
@@ -156,20 +159,36 @@ def incoming(edges, j: int, depth: int) -> list[tuple[int, int]]:
 
 
 def reach(edges, depth: int, rows: dict, lo: int, hi: int, forward: bool = True) -> dict:
-    """Boolean reachability along admitted edges inside layers [lo, hi].
+    """Min-plus relaxation along admitted edges inside layers [lo, hi].
 
-    rows maps every layer k in [lo, hi] to an (R, M_k) array of seed rows
-    and is filled in place and returned: forward, row r at layer j ends up
-    marking the vertices that row r's seeds reach; backward, the vertices
-    from which row r's seeds are reached.
+    rows maps every layer k in [lo, hi] to an (M_k,) or (R, M_k) float
+    array of seed weights, inf where not reached, and is relaxed in place
+    and returned: forward, row r at layer j ends up holding the least weight
+    of a route from row r's seeds to each vertex, summed in route order;
+    backward, the least weight from each vertex to row r's seeds. np.isfinite
+    of a row is its reachability. With one row per start solution, one call
+    relaxes every start of a repeatability report at once.
     """
     heads = range(lo + 1, hi + 1) if forward else range(hi, lo, -1)
     for j in heads:
         for (k, d) in incoming(edges, j, min(depth, j - lo)):
-            src, dst = (k, j) if forward else (j, k)
-            if rows[src].any():
-                ok = np.isfinite(edges[(k, d)]["weight"])
-                rows[dst] |= rows[src] @ (ok if forward else ok.T)
+            W = edges[(k, d)]["weight"]
+            if forward:
+                np.minimum(rows[j], (rows[k][..., :, None] + W).min(axis=-2), out=rows[j])
+            else:
+                np.minimum(rows[k], (W + rows[j][..., None, :]).min(axis=-1), out=rows[k])
+    return rows
+
+
+def _copies(weights, layers) -> dict:
+    """Copies of per-layer weight vectors, for reach to relax."""
+    return {k: weights[k].copy() for k in layers}
+
+
+def _vertex_rows(counts, lo: int, hi: int) -> dict:
+    """Rows for reach over [lo, hi], one per layer-lo vertex, seeded there."""
+    rows = {j: np.full((counts[lo], counts[j]), np.inf) for j in range(lo + 1, hi + 1)}
+    rows[lo] = np.where(np.eye(counts[lo], dtype=bool), 0.0, np.inf)
     return rows
 
 
@@ -221,9 +240,7 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
         if cfg.nonsingular_only:
             ok &= (sign[k][:, None] * sign[k + d][None, :]) > 0
         if d > 1 and ok.any():
-            rows = {j: np.zeros((counts[k], counts[j]), dtype=bool) for j in range(k + 1, k + d + 1)}
-            rows[k] = np.eye(counts[k], dtype=bool)
-            ok &= ~reach(edges, depth, rows, k, k + d)[k + d]
+            ok &= ~np.isfinite(reach(edges, depth, _vertex_rows(counts, k, k + d), k, k + d)[k + d])
         if ok.any():
             edges[(k, d)] = {"weight": np.where(ok, cost + penalties[k + d][None, :], np.inf)}
 
@@ -239,13 +256,12 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
         # F is reached from layer K-d+1, only for vertices not already wired
         j = d - 1
         if 1 <= j <= K - 1:
-            rows = {k: np.isfinite(s_weight[k])[None, :] for k in range(j + 1)}
-            from_s = reach(edges, depth, rows, 0, j)[j][0]
-            s_weight[j] = np.where(from_s, np.inf, penalties[j])
+            from_s = reach(edges, depth, _copies(s_weight, range(j + 1)), 0, j)[j]
+            s_weight[j] = np.where(np.isfinite(from_s), np.inf, penalties[j])
             jf = K - j
-            rows = {k: np.isfinite(f_weight[k])[None, :] for k in range(jf, K + 1)}
-            to_f = reach(edges, depth, rows, jf, K, forward=False)[jf][0]
-            f_weight[jf] = np.where(to_f, np.inf, 0.0)
+            to_f = reach(edges, depth, _copies(f_weight, range(jf, K + 1)), jf, K,
+                         forward=False)[jf]
+            f_weight[jf] = np.where(np.isfinite(to_f), np.inf, 0.0)
 
     unwrapped = None
     if robot is not None and robot.joint_limits is not None:
@@ -347,80 +363,39 @@ class PlanResult:
         return self.graph.layer_counts
 
 
-class _Search:
-    """Single-source DAG relaxation with lexicographic tie-breaking."""
-
-    def __init__(self, graph: PlanGraph):
-        self.g = graph
-
-    def run(self, sources: list[np.ndarray]):
-        """Distances and parents from S; sources holds S's edge weights per layer."""
-        g = self.g
-        K = g.n_layers - 1
-        depth = g.depth
-        dist = [w.copy() for w in sources]
-        parent = [["S" if w < np.inf else None for w in ws.tolist()] for ws in sources]
-        self._parent = parent
-        self._tuples: dict = {}
-        for j in range(K + 1):
-            for (k, d) in incoming(g.edges, j, depth):
-                W = g.edges[(k, d)]["weight"]
-                for m in range(W.shape[0]):
-                    dkm = dist[k][m]
-                    if not np.isfinite(dkm):
-                        continue
-                    for l in np.flatnonzero(np.isfinite(W[m])):
-                        cand = dkm + W[m, l]
-                        if cand < dist[j][l] or (
-                                cand == dist[j][l]
-                                and self.seq((k, m)) + ((j, l),) < self.seq((j, l))):
-                            dist[j][l] = cand
-                            parent[j][l] = (k, m)
-                            # later layers are untouched, so only this
-                            # vertex's cached sequence can be stale
-                            self._tuples.pop((j, l), None)
-        return dist, parent
-
-    def seq(self, v):
-        """Vertex index sequence of the current best path to v."""
-        # walk up to S or a cached vertex, then cache the sequences of the
-        # walked vertices top-down (a loop: paths can be thousands deep)
-        trail = []
-        while v != "S" and v not in self._tuples:
-            trail.append(v)
-            k, m = v
-            v = self._parent[k][m]
-        tup = () if v == "S" else self._tuples[v]
-        for u in reversed(trail):
-            tup = tup + (u,)
-            self._tuples[u] = tup
-        return tup
-
-
 def shortest_joint_path(graph: PlanGraph):
     """Minimum-weight S-to-F path, or None when F is unreachable.
 
-    Exact-cost ties resolve toward the smallest (layer, vertex) sequence.
+    One forward relaxation from S gives every vertex its distance. Exact-
+    cost ties resolve toward the lexicographically smallest (layer, vertex)
+    sequence: an edge is tight when its tail's distance plus its weight
+    equals its head's distance exactly, live vertices reach an optimal F
+    edge over tight edges, and the path starts at the smallest live vertex
+    whose S edge is tight, then takes the smallest live tight successor
+    (nearest layer first, then lowest index) until its F edge is optimal.
     """
-    search = _Search(graph)
-    dist, parent = search.run(graph.s_weight)
-    best, best_v = np.inf, None
-    for k, w in enumerate(graph.f_weight):
-        for m, wm in enumerate(w.tolist()):
-            if wm == np.inf or dist[k][m] == np.inf:
-                continue
-            cand = dist[k][m] + wm
-            if cand < best or (cand == best and search.seq((k, m)) < search.seq(best_v)):
-                best, best_v = cand, (k, m)
-    if best_v is None:
+    K = graph.n_layers - 1
+    depth = graph.depth
+    dist = reach(graph.edges, depth, _copies(graph.s_weight, range(K + 1)), 0, K)
+    best = min(np.min(dist[k] + f, initial=np.inf) for k, f in enumerate(graph.f_weight))
+    if best == np.inf:
         return None
-    chain = []
-    v = best_v
-    while v != "S":
-        chain.append(v)
+    tight = {}
+    for (k, d), e in graph.edges.items():
+        W = e["weight"]
+        tight[(k, d)] = {"weight": np.where(dist[k][:, None] + W == dist[k + d], W, np.inf)}
+    at_f = [dist[k] + f == best for k, f in enumerate(graph.f_weight)]
+    live = reach(tight, depth, {k: np.where(a, 0.0, np.inf) for k, a in enumerate(at_f)}, 0, K,
+                 forward=False)
+    live = [np.isfinite(live[k]) for k in range(K + 1)]
+    v = next((k, int(m)) for k in range(K + 1)
+             for m in np.flatnonzero(live[k] & (graph.s_weight[k] == dist[k])))
+    chain = [v]
+    while not at_f[v[0]][v[1]]:
         k, m = v
-        v = parent[k][m]
-    chain.reverse()
+        v = next((k + d, int(l)) for d in range(1, min(depth, K - k) + 1) if (k, d) in tight
+                 for l in np.flatnonzero(np.isfinite(tight[(k, d)]["weight"][m]) & live[k + d]))
+        chain.append(v)
     return _extract_path(graph, chain, float(best))
 
 
@@ -453,14 +428,10 @@ def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
 def _first_disconnected_span(graph: PlanGraph):
     """Layers [a, b] where forward reachability from S first dies."""
     K = graph.n_layers - 1
-    rows = {k: np.isfinite(w)[None, :] for k, w in enumerate(graph.s_weight)}
-    rows = reach(graph.edges, graph.depth, rows, 0, K)
-    per_layer = [bool(rows[k].any()) for k in range(K + 1)]
-    if all(per_layer):
-        return (K, K)
-    a = per_layer.index(False)
-    b = a
-    while b + 1 <= K and not per_layer[b + 1]:
+    rows = reach(graph.edges, graph.depth, _copies(graph.s_weight, range(K + 1)), 0, K)
+    dead = [not np.isfinite(rows[k]).any() for k in range(K + 1)] + [False]
+    a = b = dead.index(True) if True in dead else K
+    while dead[b + 1]:
         b += 1
     return (a, b)
 
@@ -538,14 +509,8 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
     K = graph.n_layers - 1
     matching = _match_end_layers(graph.Q[0], graph.Q[K])
     M = graph.Q[0].shape[0]
-    search = _Search(graph)
-    costs = np.full((M, M), np.inf)
-    sources = [np.full(c, np.inf) for c in graph.layer_counts]
-    for m in range(M):
-        sources[0] = np.where(np.arange(M) == m, 0.0, np.inf)
-        dist, _ = search.run(sources)
-        for l0 in range(M):
-            costs[m, l0] = dist[K][matching[l0]]
+    costs = reach(graph.edges, graph.depth, _vertex_rows(graph.layer_counts, 0, K), 0, K)[K]
+    costs = costs[:, matching]
     connectivity = np.isfinite(costs)
     regular = [m for m in range(M) if connectivity[m, m]]
     cycles = _simple_cycles(connectivity & ~np.eye(M, dtype=bool))

@@ -91,7 +91,6 @@ ROBOTS = {
 INFEASIBLE_LINE = (np.array([1.603, 0.049, -0.063]),
                    np.array([2.674, 1.231, 0.633]))
 INFEASIBLE_LINE_CONTROL_OFFSET = np.array([0.0, 0.0, -0.6])
-CUSP_POINT_RHO_Z = (1.376, 0.498)
 CUSP_LOOP = {"center": (1.376, 0.498), "radius": 0.10}
 CONTROL_LOOP = {"center": (3.6, -1.0), "radius": 0.15}
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's solver internals: the
 Jacobian oracle uses central differences of forward kinematics, the IK
 oracle scans a dense joint-space grid for error minima and polishes them
 with a plain pseudo-inverse Newton, the shortest-path oracle explores
-every start-to-finish route by depth-first search, the admission oracle
+every start-to-finish route by depth-first search and keeps the
+lexicographically smallest optimal one, the admission oracle
 re-derives the planner's multi-pass edge rule with the same search, and the
 joint-limit oracle tracks turns vertex by vertex and judges every admitted
 edge on its own in a plain loop.
@@ -90,26 +91,38 @@ class DenseGridIKOracle:
         return sols
 
 
-def brute_force_shortest(graph) -> float:
-    """Optimal S-to-F weight by exhaustive DFS over admitted edges."""
+def brute_force_shortest(graph, s_weight=None, f_weight=None):
+    """Optimal S-to-F weight and the lexicographically smallest optimal
+    (layer, vertex) sequence, by exhaustive DFS over admitted edges; (inf,
+    None) when F is unreachable.
+
+    s_weight and f_weight, one (M_k,) weight vector per layer with inf where
+    absent, replace the graph's start and finish edges when given. Every
+    route's weight is summed from its start in route order; a route ties the
+    best when that sum is exactly equal.
+    """
+    s_weight = graph.s_weight if s_weight is None else s_weight
+    f_weight = graph.f_weight if f_weight is None else f_weight
     out_edges: dict = {}
     for (k, d), e in graph.edges.items():
         W = e["weight"]
         for m in range(W.shape[0]):
             for l in np.flatnonzero(np.isfinite(W[m])):
-                out_edges.setdefault((k, m), []).append(((k + d, l), W[m, l]))
-    best = [np.inf]
+                out_edges.setdefault((k, m), []).append(((k + d, int(l)), W[m, l]))
+    best = [np.inf, None]
 
-    def dfs(v, acc):
+    def dfs(v, acc, route):
         k, m = v
-        best[0] = min(best[0], acc + graph.f_weight[k][m])
+        total = acc + f_weight[k][m]
+        if total < best[0] or (total == best[0] < np.inf and route < best[1]):
+            best[:] = [total, route]
         for w, wt in out_edges.get(v, ()):
-            dfs(w, acc + wt)
+            dfs(w, acc + wt, route + (w,))
 
-    for k, w in enumerate(graph.s_weight):
+    for k, w in enumerate(s_weight):
         for m in np.flatnonzero(np.isfinite(w)):
-            dfs((k, m), w[m])
-    return best[0]
+            dfs((k, int(m)), w[m], ((k, int(m)),))
+    return best[0], best[1]
 
 
 def multipass_admission(Q, det_j, dlambda: float, eps: float, skip_depth: int,

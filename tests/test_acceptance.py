@@ -176,11 +176,12 @@ def test_criterion_5_planner_oracle_equivalence():
                                 nonsingular_only=bool(rng.random() < 0.5))
             g = build_plan_graph(layers, path, cfg)
             jp = shortest_joint_path(g)
-            expected = brute_force_shortest(g)
+            expected, route = brute_force_shortest(g)
             if jp is None:
                 assert np.isinf(expected)
             else:
                 assert jp.weight == expected
+                assert list(zip(jp.layer_indices, jp.vertex_indices)) == list(route)
 
 
 def test_criterion_6_infeasible_line_detection():

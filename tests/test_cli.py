@@ -147,13 +147,49 @@ class TestNonFiniteInput:
             path_doc["dlambda"] = float("nan")
         else:
             path_doc["samples"][2]["p"][0] = float("nan")
+        # plain json writes the NaN that the strict fileio writer refuses
         robot, path = tmp_path / "robot.json", tmp_path / "path.json"
-        fileio.save_json(robot_doc, robot)
-        fileio.save_json(path_doc, path)
+        robot.write_text(json.dumps(robot_doc))
+        path.write_text(json.dumps(path_doc))
         argv = [command, "--robot", str(robot), "--ik-seeds", "6"]
         if command == "plan":
             argv += ["--path", str(path)]
         code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") for line in err.splitlines())
+
+
+class TestNonFiniteOptions:
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--robot", "3r-canonical", "--path", "3r-infeasible-line", "--ik-seeds", "4",
+         "--eps0", "inf"],
+        ["plan", "--robot", "3r-canonical", "--path", "3r-infeasible-line-control",
+         "--ik-seeds", "4", "--eps0", "nan"],
+        ["map", "--robot", "3r-canonical", "--rho-range", "nan", "1", "--z-range", "0", "1",
+         "--grid", "2", "2"],
+        ["map", "--robot", "3r-canonical", "--rho-range", "0", "1", "--z-range", "0", "inf",
+         "--grid", "2", "2"],
+        ["map", "--robot", "3r-canonical", "--rho-range", "0", "1", "--z-range", "0", "1",
+         "--grid", "0", "2"],
+        ["helix", "--turns", "-1", "--samples", "5"],
+        ["helix", "--radius", "nan", "--samples", "5"],
+        ["helix", "--pitch", "inf", "--samples", "5"],
+        ["optimize", "--robot", "3r-canonical", "--toolpath", "3r-helix", "--max-evals", "0"],
+        ["optimize", "--robot", "3r-canonical", "--toolpath", "3r-helix", "--max-evals", "-5"],
+    ])
+    def test_bad_numbers_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") for line in err.splitlines())
+
+    def test_non_finite_output_exits_2(self, capsys, monkeypatch):
+        # stdout is strict JSON: a NaN that slips through fails loudly
+        helix = fileio.generate_helix(samples=5)
+        helix["dlambda"] = float("nan")
+        monkeypatch.setattr(fileio, "generate_helix", lambda **kwargs: helix)
+        code, out, err = run(capsys, "helix", "--samples", "5")
         assert code == 2
         assert out == ""
         assert any(line.startswith("error:") for line in err.splitlines())

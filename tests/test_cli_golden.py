@@ -77,13 +77,17 @@ def _write_input(placeholder: str, workdir) -> str:
     return str(target)
 
 
+def _reject_constant(name: str):
+    raise AssertionError(f"stdout is not strict JSON: it holds {name}")
+
+
 def _run(name: str, workdir) -> dict:
     argv = [_write_input(a, workdir) if a.startswith("{") else a for a in COMMANDS[name]]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     try:
-        stdout = json.loads(buf.getvalue())
+        stdout = json.loads(buf.getvalue(), parse_constant=_reject_constant)
     except json.JSONDecodeError:
         stdout = buf.getvalue()
     return {"argv": COMMANDS[name], "exit": code, "stdout": stdout}

@@ -119,6 +119,12 @@ class TestHelix:
         from cuspidal_kit.kinematics import is_rotation
         assert all(is_rotation(p.rotation, tol=1e-9) for p in tp.poses)
 
+    @pytest.mark.parametrize("kwargs", [{"radius": np.nan}, {"pitch": np.inf},
+                                        {"turns": -np.inf}, {"turns": -1.0}])
+    def test_bad_numbers_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            fileio.generate_helix(samples=5, **kwargs)
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             fileio.generate_helix(samples=1)
@@ -133,6 +139,11 @@ class TestCsv:
         lines = path.read_text().strip().split("\n")[1:]
         for txt, v in zip(lines, values):
             assert float(txt) == v
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_json_dump_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            fileio.dump_json({"a": [1.0, np.float64(value)]})
 
     def test_json_dump_deterministic(self):
         doc = {"b": np.float64(1.0 / 3.0), "a": np.arange(3), "c": {"y": True, "x": None}}

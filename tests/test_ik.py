@@ -229,6 +229,14 @@ class TestSolutionCountMap:
         with pytest.raises(ValueError):
             solution_count_map(r6, (0.0, 1.0), (0.0, 1.0), (2, 2))
 
+    @pytest.mark.parametrize("rho_range,z_range,grid", [((np.nan, 1.0), (0.0, 1.0), (2, 2)),
+                                                        ((0.0, 1.0), (-np.inf, 1.0), (2, 2)),
+                                                        ((0.0, 1.0), (0.0, 1.0), (0, 2)),
+                                                        ((0.0, 1.0), (0.0, 1.0), (2, -1))])
+    def test_bad_window_rejected(self, r3, rho_range, z_range, grid):
+        with pytest.raises(ValueError):
+            solution_count_map(r3, rho_range, z_range, grid)
+
     def test_counts_change_only_across_singular_locus(self, r3):
         # adjacent equal-count cells pair up solution-wise with matching
         # det signs: no singular crossing between them

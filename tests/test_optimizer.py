@@ -154,6 +154,15 @@ class TestNelderMead:
         nt.assert_allclose(x, [1.0, 1.0], atol=1e-4)
         assert len(hist) <= 2000
 
+    @pytest.mark.parametrize("max_evals", [0, -5])
+    def test_budget_below_one_rejected(self, max_evals):
+        with pytest.raises(ValueError):
+            NelderMeadOptions(max_evals=max_evals)
+
+    def test_initial_simplex_ignores_budget(self):
+        _, _, hist = nelder_mead(lambda x: float(x @ x), np.ones(5), NelderMeadOptions(max_evals=1))
+        assert len(hist) == 6
+
     def test_history_non_increasing_on_plateau(self):
         def f(x):
             v = float(np.sum(x ** 2))

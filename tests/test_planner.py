@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
+from cuspidal_kit import planner
 from cuspidal_kit.ik import IKConfig, IKSolution, IKSolutionSet
 from cuspidal_kit.kinematics import Pose, RobotModel, forward_kinematics, wrap_to_pi
 from cuspidal_kit.planner import (
+    PlanGraph,
     PlannerConfig,
     TaskPath,
     analyze_repeatability,
@@ -61,6 +63,17 @@ def r6_line_plan(r6):
     poses = [Pose(base.rotation, base.position + d * k / K) for k in range(K + 1)]
     path = TaskPath(poses, dlambda=float(np.linalg.norm(d)) / K)
     return plan_path(r6, path)
+
+
+class TestPlannerConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"eps0": np.inf}, {"eps0": np.nan}, {"eps0": 0.0}, {"eps0": -1.0},
+        {"manipulability_weight": np.nan}, {"manipulability_weight": np.inf},
+        {"manipulability_weight": -0.1}, {"joint_limit_barrier": np.nan},
+        {"joint_limit_barrier": np.inf}, {"joint_limit_barrier": -0.1}, {"skip_depth": 0}])
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PlannerConfig(**kwargs)
 
 
 class TestEdgeCost:
@@ -309,6 +322,46 @@ class TestJointLimits:
                                       _const_path(K + 1, dlambda=dl), cfg, robot)
 
 
+def _tie_heavy_graph(rng, closed=False) -> PlanGraph:
+    """A random plan graph with weights in {0, 1, 2}: empty layers, skip
+    edges up to three layers long, S/F edges at inner layers. closed makes
+    the last layer a permutation of a nonempty first one."""
+    K = int(rng.integers(1, 9))
+    counts = [int(rng.integers(0, 5)) for _ in range(K + 1)]
+    Q = [rng.uniform(-np.pi, np.pi, (c, 3)) for c in counts]
+    if closed:
+        counts[0] = counts[K] = max(counts[0], 1)
+        Q[0] = rng.uniform(-np.pi, np.pi, (counts[0], 3))
+        Q[K] = Q[0][rng.permutation(counts[0])]
+
+    def weights(shape, p):
+        return np.where(rng.random(shape) < p, rng.integers(0, 3, shape).astype(float), np.inf)
+
+    edges = {}
+    for k in range(K):
+        for d in range(1, min(3, K - k) + 1):
+            W = weights((counts[k], counts[k + d]), 0.7 if d == 1 else 0.3)
+            if np.isfinite(W).any():
+                edges[(k, d)] = {"weight": W}
+    return PlanGraph(dlambda=0.1, eps=1.0, Q=Q, det_j=[np.ones(c) for c in counts],
+                     edges=edges,
+                     s_weight=[weights(c, 0.8 if k == 0 else 0.15) for k, c in enumerate(counts)],
+                     f_weight=[weights(c, 0.8 if k == K else 0.15) for k, c in enumerate(counts)])
+
+
+def _assert_matches_oracle(g: PlanGraph):
+    """The planner's path has the optimal weight and is the lexicographically
+    smallest optimal (layer, vertex) sequence, with Python int indices."""
+    weight, route = brute_force_shortest(g)
+    jp = shortest_joint_path(g)
+    if route is None:
+        assert jp is None and np.isinf(weight)
+        return
+    assert jp.weight == weight
+    assert list(zip(jp.layer_indices, jp.vertex_indices)) == list(route)
+    assert all(type(i) is int for i in jp.layer_indices + jp.vertex_indices)
+
+
 class TestShortestPath:
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -326,12 +379,14 @@ class TestShortestPath:
                                 skip_depth=int(rng.integers(1, 4)),
                                 nonsingular_only=bool(rng.random() < 0.5))
             g = build_plan_graph(layers, path, cfg)
-            jp = shortest_joint_path(g)
-            expected = brute_force_shortest(g)
-            if jp is None:
-                assert np.isinf(expected)
-            else:
-                assert jp.weight == expected
+            _assert_matches_oracle(g)
+
+    def test_tie_rule_on_tie_heavy_graphs(self):
+        # weights in {0, 1, 2} add up exactly, so many graphs have several
+        # optimal routes and only the tie rule picks the returned one
+        rng = np.random.default_rng(48)
+        for _ in range(500):
+            _assert_matches_oracle(_tie_heavy_graph(rng))
 
     def test_wrap_translation_invariance(self):
         rng = np.random.default_rng(43)
@@ -468,6 +523,27 @@ class TestRepeatability:
                                     IKConfig(seeds_per_joint=10))
         assert rep.connectivity.shape == (2, 2)
         assert rep.regular_solutions == [0, 1]
+
+    def test_costs_match_oracle_from_each_start(self, monkeypatch):
+        # every start solution's distances to the last layer, against the
+        # exhaustive search started from that solution alone
+        rng = np.random.default_rng(49)
+        monkeypatch.setattr(planner, "build_layers", lambda *args, **kwargs: None)
+        for _ in range(150):
+            g = _tie_heavy_graph(rng, closed=True)
+            monkeypatch.setattr(planner, "build_plan_graph", lambda *args, **kwargs: g)
+            rep = analyze_repeatability(None, _const_path(g.n_layers, closed=True))
+            counts = g.layer_counts
+            K = len(counts) - 1
+
+            def one_hot(k, m):
+                return [np.where(np.arange(c) == m, 0.0, np.inf) if i == k
+                        else np.full(c, np.inf) for i, c in enumerate(counts)]
+
+            expected = [[brute_force_shortest(g, one_hot(0, m), one_hot(K, l))[0]
+                         for l in rep.end_matching] for m in range(counts[0])]
+            nt.assert_array_equal(rep.costs, expected)
+            nt.assert_array_equal(rep.connectivity, np.isfinite(expected))
 
     def test_requires_closed_path(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
