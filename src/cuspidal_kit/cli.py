@@ -64,12 +64,15 @@ def _load(kind: str, source: str):
 
 def _threads(args) -> int:
     env = os.environ.get("CUSPIDAL_KIT_THREADS")
+    threads, source = args.threads, "--threads"
     if env is not None:
         try:
-            return max(1, int(env))
+            threads, source = int(env), "CUSPIDAL_KIT_THREADS"
         except ValueError:
             raise InputError(f"CUSPIDAL_KIT_THREADS={env!r} is not an integer")
-    return max(1, args.threads)
+    if threads < 1:
+        raise InputError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _emit(doc, out_path):

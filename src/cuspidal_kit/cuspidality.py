@@ -100,6 +100,8 @@ def identify_cuspidal(robot: RobotModel, rng_seed: int = 0, max_poses: int = 100
     """
     if max_poses < 1:
         raise ValueError("max_poses must be >= 1")
+    if samples < 2:
+        raise ValueError("need at least 2 interpolation samples")
     cfg = cfg or IKConfig()
     rng = np.random.default_rng(rng_seed)
     pairs_tested = 0

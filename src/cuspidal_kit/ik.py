@@ -2,8 +2,10 @@
 
 Every pose is attacked from a regular grid of joint-space seeds; each seed
 runs damped least squares until it converges, stalls at a boundary local
-minimum (a continuous approximate solution), or gives up. Survivors are
-deduplicated wrap-aware, exact solutions ahead of approximate ones.
+minimum (a continuous approximate solution), or gives up. One wrap-aware
+dedup rule (_dedup) turns the survivors into solutions: exact before
+approximate, then by seed, each is kept unless it lies within its own
+radius of one already kept.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
 task-space path can be refined in a handful of large numpy batches; a
@@ -104,11 +106,6 @@ class IKSolutionSet:
     @property
     def count(self) -> int:
         return len(self.solutions)
-
-    def joint_matrix(self) -> np.ndarray:
-        if not self.solutions:
-            return np.empty((0, 0))
-        return np.stack([s.q for s in self.solutions])
 
 
 def seed_grid(dof: int, seeds_per_joint: int) -> np.ndarray:
@@ -308,19 +305,32 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
     return tuple(np.concatenate(parts) for parts in zip(*done))
 
 
-def _dedup_sample(Q, seed, approx) -> np.ndarray:
-    """Wrap-aware dedup for one target; exact beats approximate, then lowest
-    seed index wins. Returns the kept row indices, exact-first by seed index.
+def _dedup(Q, seed, approx, sample) -> np.ndarray:
+    """Wrap-aware dedup of candidate rows; returns the kept row indices
+    ordered by target, then exact before approximate, then by seed.
 
-    Approximate candidates are thinned at a coarser radius: stalls along one
-    boundary valley all describe the same continuous approximate solution.
+    The rule: in that rank order, a row is kept unless its max-abs joint
+    distance to an earlier kept row of its target is within its own radius,
+    _DEDUP_TOL for exact rows and the coarser _APPROX_DEDUP for approximate
+    ones (stalls along one boundary valley describe the same continuous
+    approximate solution). Each round keeps every target's best remaining
+    row and drops that target's rows within radius of it.
     """
-    kept: list[int] = []
-    for i in np.lexsort((seed, approx.astype(int))):
-        radius = _APPROX_DEDUP if approx[i] else _DEDUP_TOL
-        if all(np.max(np.abs(wrap_to_pi(Q[i] - Q[j]))) > radius for j in kept):
-            kept.append(i)
-    return np.array(kept, dtype=int)
+    order = np.lexsort((seed, approx, sample))
+    Q, sample = Q[order], sample[order]
+    radius = np.where(approx[order], _APPROX_DEDUP, _DEDUP_TOL)
+    kept = np.zeros(order.size, dtype=bool)
+    alive = np.arange(order.size)
+    while alive.size:
+        s = sample[alive]
+        head = np.ones(alive.size, dtype=bool)
+        head[1:] = s[1:] != s[:-1]
+        kept[alive[head]] = True
+        # the row each alive row is judged against: its target's head
+        own = alive[np.flatnonzero(head)[np.cumsum(head) - 1]]
+        gap = np.max(np.abs(wrap_to_pi(Q[alive] - Q[own])), axis=1)
+        alive = alive[gap > radius[alive]]
+    return order[kept]
 
 
 def _solutions(Q, resid, approx, det_j, cfg) -> list[IKSolution]:
@@ -329,19 +339,6 @@ def _solutions(Q, resid, approx, det_j, cfg) -> list[IKSolution]:
     keep = slice(None) if cfg.include_approximate else ~approx
     return [IKSolution(q=q, residual=float(r), det_j=float(d), approximate=bool(a))
             for q, r, d, a in zip(Q[keep], resid[keep], det_j[keep], approx[keep])]
-
-
-def _coarse_thin(Q, resid, seed, approx, sample, det_j):
-    """Pre-collapse candidate floods before the exact pairwise dedup.
-
-    Candidates of the same target landing in the same dedup-tolerance cell
-    lie less than _DEDUP_TOL apart per joint, so the dedup would merge them
-    anyway; keep the best-ranked (exact first, lowest seed)."""
-    rank = np.lexsort((seed, approx.astype(int), sample))
-    key = _cell_key(Q, sample, _DEDUP_TOL)
-    keep = rank[_first_of_each_key(key[rank])]
-    keep.sort()
-    return Q[keep], resid[keep], seed[keep], approx[keep], sample[keep], det_j[keep]
 
 
 def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = None):
@@ -393,7 +390,10 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
         Q0 = np.tile(grid, (k, 1))
         sample = np.repeat(np.arange(lo, hi), n_seeds)
         seeds = np.tile(np.arange(n_seeds), k)
-        return _coarse_thin(*_refine_population(robot, Tpos, Trot, Q0, sample, seeds, cfg))
+        Q, resid, seed, approx, sample, det_j = _refine_population(
+            robot, Tpos, Trot, Q0, sample, seeds, cfg)
+        keep = _dedup(Q, seed, approx, sample)
+        return Q[keep], resid[keep], approx[keep], sample[keep], det_j[keep]
 
     if threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -403,12 +403,11 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
         results = [run_chunk(b) for b in chunks]
 
     sets = []
-    for (lo, hi), (Q, resid, seed, approx, sample, det_j) in zip(chunks, results):
-        for idx in range(lo, hi):
-            sel = np.flatnonzero(sample == idx)
-            sel = sel[_dedup_sample(Q[sel], seed[sel], approx[sel])]
+    for (lo, hi), (Q, resid, approx, sample, det_j) in zip(chunks, results):
+        cut = np.searchsorted(sample, np.arange(lo, hi + 1))
+        for idx, a, b in zip(range(lo, hi), cut[:-1], cut[1:]):
             sets.append(IKSolutionSet(pose=targets[idx], solutions=_solutions(
-                Q[sel], resid[sel], approx[sel], det_j[sel], cfg)))
+                Q[a:b], resid[a:b], approx[a:b], det_j[a:b], cfg)))
     return sets
 
 

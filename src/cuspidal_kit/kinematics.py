@@ -66,9 +66,15 @@ def is_rotation(R, tol: float = ORTHONORMAL_TOL) -> bool:
 
 
 def rotation_angle(R) -> float:
-    """Geodesic angle of a rotation matrix, in [0, pi]."""
-    c = (np.trace(R) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    """Geodesic angle of a rotation matrix, in [0, pi].
+
+    atan2 of the sine (half the norm of the skew part) and the cosine stays
+    accurate near 0, where arccos of the trace alone has a noise floor of
+    about 1e-8 rad.
+    """
+    R = np.asarray(R, dtype=float)
+    s = 0.5 * np.linalg.norm([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return float(np.arctan2(s, (np.trace(R) - 1.0) / 2.0))
 
 
 def geodesic_distance(Ra, Rb) -> float:

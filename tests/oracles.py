@@ -5,7 +5,8 @@ Jacobian oracle uses central differences of forward kinematics, the IK
 oracle scans a dense joint-space grid for error minima and polishes them
 with a plain pseudo-inverse Newton, the shortest-path oracle explores
 every start-to-finish route by depth-first search and keeps the
-lexicographically smallest optimal one, the admission oracle
+lexicographically smallest optimal one, the IK dedup oracle applies the
+greedy radius rule one target and one row at a time, the admission oracle
 re-derives the planner's multi-pass edge rule with the same search, and the
 joint-limit oracle tracks turns vertex by vertex and judges every admitted
 edge on its own in a plain loop.
@@ -89,6 +90,23 @@ class DenseGridIKOracle:
             if all(np.max(np.abs(wrap_to_pi(q - s))) > dedup_tol for s in sols):
                 sols.append(q)
         return sols
+
+
+def greedy_dedup(Q, seed, approx, sample, exact_radius: float, approx_radius: float):
+    """Kept row indices of the IK dedup rule, targets in increasing sample
+    order. Per target, rows go in (exact first, seed) order; a row is kept
+    unless its max-abs wrapped joint distance to a row already kept for
+    that target is within its own radius."""
+    kept: list[int] = []
+    for t in np.unique(sample):
+        rows = np.flatnonzero(sample == t)
+        mine: list[int] = []
+        for i in rows[np.lexsort((seed[rows], approx[rows].astype(int)))]:
+            radius = approx_radius if approx[i] else exact_radius
+            if all(np.max(np.abs(wrap_to_pi(Q[i] - Q[j]))) > radius for j in mine):
+                mine.append(i)
+        kept.extend(mine)
+    return np.array(kept, dtype=int)
 
 
 def brute_force_shortest(graph, s_weight=None, f_weight=None):

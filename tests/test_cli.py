@@ -6,7 +6,7 @@ import pytest
 from cuspidal_kit import fileio, ik
 from cuspidal_kit.cli import main
 from cuspidal_kit.kinematics import Pose, forward_kinematics
-from cuspidal_kit.scenarios import canonical_3r
+from cuspidal_kit.scenarios import canonical_3r, control_loop_path
 
 
 def run(capsys, *argv):
@@ -56,6 +56,15 @@ class TestIdentify:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_too_few_samples_exits_2(self, capsys, samples):
+        # checked up front, not only once a pose yields a same-sign pair
+        code, out, err = run(capsys, "identify", "--robot", "3r-canonical", "--max-poses", "1",
+                             "--samples", samples, "--ik-seeds", "6")
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and "samples" in line for line in err.splitlines())
 
 
 class TestPlan:
@@ -127,6 +136,20 @@ class TestPlan:
         limits = np.array(robot_doc["joint_limits"])
         assert q.shape == (11, 3)
         assert np.all(q >= limits[:, 0]) and np.all(q <= limits[:, 1])
+
+    def test_closed_path_with_orientations(self, capsys, tmp_path):
+        # every sample carries the same orientation, so the endpoints are
+        # identical; the closed-path check must read a zero gap
+        path = control_loop_path(41)
+        doc = fileio.path_to_doc(path.poses, path.dlambda, "base", True)
+        for entry in doc["samples"]:
+            entry["q_wxyz"] = [0.4456, 0.4684, 0.8762, 0.2565]
+        f = tmp_path / "loop.json"
+        fileio.save_json(doc, f)
+        code, out, _ = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(f),
+                           "--ik-seeds", "6")
+        assert code == 0
+        assert json.loads(out)["closed"] is True
 
     def test_bad_path_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -342,3 +365,20 @@ class TestThreadsEnv:
         code, _, err = run(capsys, "plan", "--robot", "3r-canonical",
                            "--path", const_path_file, "--ik-seeds", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("command,threads,env", [("plan", "0", None), ("plan", "-4", None),
+                                                     ("map", "0", None), ("plan", "1", "0"),
+                                                     ("map", "1", "-1")])
+    def test_below_one_exits_2(self, capsys, const_path_file, monkeypatch, command, threads, env):
+        if env is None:
+            monkeypatch.delenv("CUSPIDAL_KIT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("CUSPIDAL_KIT_THREADS", env)
+        argv = {"plan": ["--path", const_path_file],
+                "map": ["--rho-range", "0", "1", "--z-range", "0", "1", "--grid", "2", "2"]}
+        code, out, err = run(capsys, command, "--robot", "3r-canonical", "--ik-seeds", "6",
+                             "--threads", threads, *argv[command])
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and "THREADS" in line.upper()
+                   for line in err.splitlines())

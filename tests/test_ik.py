@@ -18,7 +18,7 @@ from cuspidal_kit.kinematics import (
 )
 from cuspidal_kit.scenarios import cusp_loop_path
 
-from oracles import DenseGridIKOracle
+from oracles import DenseGridIKOracle, greedy_dedup
 
 # outermost reach of the canonical arm, used to build boundary targets
 _R3_MAX_REACH_Q = np.array([1.242451, 0.0, 0.321751])
@@ -64,6 +64,33 @@ def margin_targets(robot, rng, count, det_margin=0.4):
         if ss.count and all(abs(s.det_j) > det_margin for s in ss.solutions):
             targets.append((pose, ss))
     return targets
+
+
+def _random_flood(rng, dof):
+    """Candidate rows of a few targets for the dedup: chains stepping near
+    the exact and the approximate radius, some across the +-pi wrap, exact
+    and approximate rows mixed, some target ids left empty, rows shuffled."""
+    Q, seed, approx, sample = [], [], [], []
+    for target in range(int(rng.integers(1, 6))):
+        if rng.random() < 0.2:
+            continue
+        rows = []
+        for _ in range(int(rng.integers(1, 4))):
+            q = rng.uniform(-np.pi, np.pi, dof)
+            if rng.random() < 0.3:
+                q[rng.integers(dof)] = np.pi - rng.uniform(0.0, 0.1)
+            step = rng.choice([ik._DEDUP_TOL, ik._APPROX_DEDUP]) * rng.uniform(0.9, 1.1, dof)
+            step *= rng.random(dof) < 0.5
+            for _ in range(int(rng.integers(1, 8))):
+                rows.append(wrap_to_pi(q))
+                q = q + step * rng.choice([-1.0, 1.0], dof) * rng.uniform(0.5, 1.1)
+        Q += rows
+        seed += list(rng.permutation(3 * len(rows))[:len(rows)])
+        approx += list(rng.random(len(rows)) < 0.4)
+        sample += [target] * len(rows)
+    perm = rng.permutation(len(Q))
+    return (np.array(Q).reshape(-1, dof)[perm], np.array(seed, dtype=int)[perm],
+            np.array(approx, dtype=bool)[perm], np.array(sample, dtype=int)[perm])
 
 
 class TestRoundTrip:
@@ -146,17 +173,27 @@ class TestEnumeration:
                 for j in range(i + 1, len(sols)):
                     assert np.max(np.abs(wrap_to_pi(sols[i].q - sols[j].q))) > 1e-4
 
-    def test_coarse_thin_keeps_what_the_dedup_keeps(self):
-        # two exact rows of one target 1.5e-4 apart in q1 are two solutions
-        # to the dedup, so the thinning ahead of it must keep both; rows
-        # 0.2e-4 apart share a cell and collapse to the lower seed
-        Q = np.array([[0.6e-4, 0.5, -1.0], [-0.9e-4, 0.5, -1.0],
-                      [0.5, 0.2e-4, 1.0], [0.5, 0.4e-4, 1.0]])
-        seed = np.array([0, 1, 2, 3])
-        approx = np.zeros(4, dtype=bool)
-        nt.assert_array_equal(ik._dedup_sample(Q, seed, approx), [0, 1, 2])
-        thinned = ik._coarse_thin(Q, np.zeros(4), seed, approx, np.zeros(4, dtype=int), np.ones(4))
-        nt.assert_array_equal(thinned[0], Q[:3])
+    @pytest.mark.parametrize("Q,expected", [
+        # exact rows 1.5e-4 apart in q1 are two solutions; rows 0.2e-4 apart
+        # are one, kept at the lower seed
+        ([[0.6e-4, 0.5, -1.0], [-0.9e-4, 0.5, -1.0], [0.5, 0.2e-4, 1.0], [0.5, 0.4e-4, 1.0]],
+         [0, 1, 2]),
+        # a chain: row 1 lies within 1e-4 of row 0 and goes, row 2 lies
+        # 1.04e-4 from row 0 and stays, though it is 0.08e-4 from row 1
+        ([[0.0, 0.5, -1.0], [0.96e-4, 0.5, -1.0], [1.04e-4, 0.5, -1.0]], [0, 2]),
+    ], ids=["pairs", "chain"])
+    def test_dedup_cases(self, Q, expected):
+        n = len(Q)
+        kept = ik._dedup(np.array(Q), np.arange(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=int))
+        nt.assert_array_equal(kept, expected)
+
+    def test_dedup_matches_greedy_oracle(self):
+        rng = np.random.default_rng(18)
+        for _ in range(1000):
+            Q, seed, approx, sample = _random_flood(rng, int(rng.choice([3, 6])))
+            nt.assert_array_equal(
+                ik._dedup(Q, seed, approx, sample),
+                greedy_dedup(Q, seed, approx, sample, ik._DEDUP_TOL, ik._APPROX_DEDUP))
 
     def test_determinism(self, r3):
         pose = forward_kinematics(r3, np.array([0.8, -0.4, 2.0]))

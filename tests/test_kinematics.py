@@ -10,9 +10,13 @@ from cuspidal_kit.kinematics import (
     fk_batch,
     fk_jacobian_batch,
     forward_kinematics,
+    geodesic_distance,
     jacobian,
     jacobian_determinant,
     manipulability,
+    quat_to_rotation,
+    rot_about_axis,
+    rotation_angle,
     to_cylindrical,
     wrap_to_pi,
 )
@@ -222,6 +226,22 @@ class TestWrapToPi:
         w = wrap_to_pi(x)
         interior = np.abs(w) < np.pi - 1e-9
         nt.assert_allclose(wrap_to_pi(-x)[interior], -w[interior], atol=1e-12)
+
+
+class TestRotationAngle:
+    def test_self_distance_is_zero(self):
+        # arccos of the trace alone reads up to ~6e-8 rad here
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            R = quat_to_rotation(rng.normal(size=4))
+            assert geodesic_distance(R, R) == 0.0
+
+    def test_known_angles(self):
+        rng = np.random.default_rng(8)
+        for angle in [1e-12, 1e-9, 1e-6, 1e-3, 0.5, 2.0, 3.0, np.pi]:
+            axis = rng.normal(size=3)
+            R = rot_about_axis(axis / np.linalg.norm(axis), angle)
+            assert rotation_angle(R) == pytest.approx(angle, rel=1e-9, abs=1e-15)
 
 
 class TestCylindrical:

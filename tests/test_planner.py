@@ -190,7 +190,6 @@ class TestBuildGraph:
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
         path = TaskPath([pose] * 4, dlambda=0.1)
         layers = build_layers(r3, path)
-        qs = layers[0].joint_matrix()
         assert layers[0].count == 2
         # limits that exclude the second solution's q3
         from cuspidal_kit.kinematics import RobotModel
