@@ -75,16 +75,16 @@ def _threads(args) -> int:
     return threads
 
 
+def _ik_cfg(args) -> IKConfig:
+    return IKConfig(seeds_per_joint=args.ik_seeds, threads=_threads(args))
+
+
 def _emit(doc, out_path):
     text = fileio.dump_json(doc)
     print(text)
     if out_path:
         with open(out_path, "w") as fp:
             fp.write(text + "\n")
-
-
-def _ik_cfg(args) -> IKConfig:
-    return IKConfig(seeds_per_joint=args.ik_seeds)
 
 
 def cmd_identify(args) -> int:
@@ -129,8 +129,8 @@ def cmd_plan(args) -> int:
     path = _load("path", args.path)
     cfg = PlannerConfig(eps0=args.eps0, skip_depth=args.skip_depth,
                         nonsingular_only=args.nonsingular)
-    threads = _threads(args)
-    result = plan_path(robot, path, cfg, _ik_cfg(args), threads=threads)
+    ik_cfg = _ik_cfg(args)
+    result = plan_path(robot, path, cfg, ik_cfg)
     doc = {
         "robot": robot.name,
         "samples": len(path.poses),
@@ -148,7 +148,7 @@ def cmd_plan(args) -> int:
               f"{result.infeasible_span}; per-layer solution counts "
               f"{sorted(set(result.layer_counts))}", file=sys.stderr)
     if path.closed:
-        rep = analyze_repeatability(robot, path, cfg, _ik_cfg(args), threads=threads)
+        rep = analyze_repeatability(robot, path, cfg, ik_cfg)
         doc["repeatability"] = {
             "connectivity": rep.connectivity,
             "costs": [[(c if np.isfinite(c) else None) for c in row] for row in rep.costs],
@@ -173,7 +173,7 @@ def cmd_optimize(args) -> int:
         results = optimize_workpiece_pose(
             robot, tp, n_starts=args.starts, seed=args.seed, nm_opts=nm,
             planner_cfg=PlannerConfig(eps0=args.eps0, skip_depth=args.skip_depth),
-            ik_cfg=_ik_cfg(args), threads=_threads(args))
+            ik_cfg=_ik_cfg(args))
     except StartExhaustionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_START
@@ -210,8 +210,7 @@ def cmd_map(args) -> int:
     if robot.dof != 3:
         raise InputError("solution-count maps need a 3-DOF robot")
     counts = solution_count_map(robot, tuple(args.rho_range), tuple(args.z_range),
-                                (args.grid[0], args.grid[1]), _ik_cfg(args),
-                                threads=_threads(args))
+                                (args.grid[0], args.grid[1]), _ik_cfg(args))
     rhos = np.linspace(args.rho_range[0], args.rho_range[1], args.grid[0])
     header = ["z\\rho"] + [fileio.format_sig(r) for r in rhos]
     zs = np.linspace(args.z_range[0], args.z_range[1], args.grid[1])
@@ -240,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
+        # the commands that run the IK; helix only writes a path file
         sp.add_argument("--ik-seeds", type=int, default=None,
                         help="seed grid density per joint (default 24 for 3R, 8 for 6R)")
         sp.add_argument("--threads", type=int, default=1)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--turns", type=float, default=2.0)
     sp.add_argument("--samples", type=int, default=500)
     sp.add_argument("--orientation", choices=["fixed", "tangent-following"], default="fixed")
-    common(sp)
+    sp.add_argument("--out", default=None, help="also write the JSON result here")
     sp.set_defaults(func=cmd_helix)
 
     return p

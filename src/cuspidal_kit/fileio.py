@@ -125,6 +125,9 @@ def poses_from_doc(doc: dict) -> tuple[list[Pose], float, str, bool]:
         raise ValueError("frame must be 'base' or 'workpiece'")
     if len(doc["samples"]) < 2:
         raise ValueError("path needs at least 2 samples")
+    closed = doc.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ValueError(f"closed must be true or false, got {closed!r}")
     poses = []
     for entry in doc["samples"]:
         p = np.asarray(entry["p"], dtype=float)
@@ -133,7 +136,7 @@ def poses_from_doc(doc: dict) -> tuple[list[Pose], float, str, bool]:
         else:
             R = np.eye(3)
         poses.append(Pose(R, p))
-    return poses, float(doc["dlambda"]), doc["frame"], bool(doc.get("closed", False))
+    return poses, float(doc["dlambda"]), doc["frame"], closed
 
 
 def _checked_spacing(path: TaskPath) -> TaskPath:

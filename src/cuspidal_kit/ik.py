@@ -17,7 +17,7 @@ population is batched, chunked or threaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +60,22 @@ _DEDUP_TOL = 1e-4
 
 @dataclass
 class IKConfig:
-    """Knobs for the multi-start solver.
+    """Every setting of the multi-start solver.
 
     seeds_per_joint defaults to 24 for 3-DOF arms and 8 for 6-DOF arms when
-    left as None.
+    left as None. threads is how many chunks of a path are refined at once;
+    it never changes a result.
     """
     seeds_per_joint: int | None = None
     exact_tol: float = 1e-8
     approx_tol: float = 1e-3
-    include_approximate: bool = True
+    threads: int = 1
 
     def __post_init__(self):
         if self.seeds_per_joint is not None and self.seeds_per_joint < 1:
             raise ValueError("seeds_per_joint must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.exact_tol >= self.approx_tol:
             raise ValueError("exact_tol must be smaller than approx_tol")
         for name in ("exact_tol", "approx_tol"):
@@ -100,7 +103,6 @@ class IKSolution:
 
 @dataclass
 class IKSolutionSet:
-    pose: Pose
     solutions: list[IKSolution]
 
     @property
@@ -333,12 +335,10 @@ def _dedup(Q, seed, approx, sample) -> np.ndarray:
     return order[kept]
 
 
-def _solutions(Q, resid, approx, det_j, cfg) -> list[IKSolution]:
-    """IKSolutions for candidate rows; approximate rows are dropped unless
-    the config includes them."""
-    keep = slice(None) if cfg.include_approximate else ~approx
+def _solutions(Q, resid, approx, det_j) -> list[IKSolution]:
+    """IKSolutions for candidate rows."""
     return [IKSolution(q=q, residual=float(r), det_j=float(d), approximate=bool(a))
-            for q, r, d, a in zip(Q[keep], resid[keep], det_j[keep], approx[keep])]
+            for q, r, d, a in zip(Q, resid, det_j, approx)]
 
 
 def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = None):
@@ -348,7 +348,7 @@ def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = 
     zero = np.zeros(1, dtype=int)
     Q, resid, _, approx, _, det_j = _refine_population(
         robot, target.position[:, None], target.rotation[:, :, None], q0[None, :], zero, zero, cfg)
-    sols = _solutions(Q, resid, approx, det_j, cfg)
+    sols = _solutions(Q, resid, approx, det_j)
     return sols[0] if sols else None
 
 
@@ -362,12 +362,14 @@ def solve_all_ik(robot: RobotModel, target: Pose, cfg: IKConfig | None = None) -
     return solve_ik_along_path(robot, [target], cfg)[0]
 
 
-def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
-                        threads: int = 1) -> list[IKSolutionSet]:
+def solve_ik_along_path(robot: RobotModel, targets,
+                        cfg: IKConfig | None = None) -> list[IKSolutionSet]:
     """solve_all_ik for every pose in targets, batched into one population.
 
     Rows of different targets never interact, so each returned set is
-    identical to a standalone solve_all_ik call on that pose.
+    identical to a standalone solve_all_ik call on that pose, however many
+    chunks of targets are refined at once. Approximate solutions are kept
+    and flagged; callers that want exact ones only filter on .approximate.
     """
     cfg = cfg or IKConfig()
     if robot.dof not in (3, 6):
@@ -395,9 +397,9 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
         keep = _dedup(Q, seed, approx, sample)
         return Q[keep], resid[keep], approx[keep], sample[keep], det_j[keep]
 
-    if threads > 1 and len(chunks) > 1:
+    if cfg.threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(run_chunk, chunks))
     else:
         results = [run_chunk(b) for b in chunks]
@@ -405,23 +407,21 @@ def solve_ik_along_path(robot: RobotModel, targets, cfg: IKConfig | None = None,
     sets = []
     for (lo, hi), (Q, resid, approx, sample, det_j) in zip(chunks, results):
         cut = np.searchsorted(sample, np.arange(lo, hi + 1))
-        for idx, a, b in zip(range(lo, hi), cut[:-1], cut[1:]):
-            sets.append(IKSolutionSet(pose=targets[idx], solutions=_solutions(
-                Q[a:b], resid[a:b], approx[a:b], det_j[a:b], cfg)))
+        for a, b in zip(cut[:-1], cut[1:]):
+            sets.append(IKSolutionSet(_solutions(Q[a:b], resid[a:b], approx[a:b], det_j[a:b])))
     return sets
 
 
-def solution_count_map(robot: RobotModel, rho_range, z_range, grid, cfg: IKConfig | None = None,
-                       threads: int = 1) -> np.ndarray:
+def solution_count_map(robot: RobotModel, rho_range, z_range, grid,
+                       cfg: IKConfig | None = None) -> np.ndarray:
     """Exact-solution counts over the phi = 0 half-plane, 3-DOF arms only.
 
     Returns an integer array of shape (n_rho, n_z); entry [i, j] counts the
-    isolated exact IK solutions of target position (rho_i, 0, z_j).
-    Unreachable cells are 0.
+    isolated exact IK solutions of target position (rho_i, 0, z_j);
+    approximate solutions are not counted. Unreachable cells are 0.
     """
     if robot.dof != 3:
         raise ValueError("solution count maps are defined for 3-DOF robots only")
-    cfg = replace(cfg or IKConfig(), include_approximate=False)
     n_rho, n_z = grid
     if not np.all(np.isfinite([*rho_range, *z_range])):
         raise ValueError("rho and z ranges must be finite")
@@ -431,6 +431,6 @@ def solution_count_map(robot: RobotModel, rho_range, z_range, grid, cfg: IKConfi
     zs = np.linspace(z_range[0], z_range[1], n_z)
     eye = np.eye(3)
     targets = [Pose(eye, np.array([rho, 0.0, z])) for rho in rhos for z in zs]
-    sets = solve_ik_along_path(robot, targets, cfg, threads=threads)
-    counts = np.array([s.count for s in sets], dtype=int).reshape(n_rho, n_z)
-    return counts
+    sets = solve_ik_along_path(robot, targets, cfg)
+    counts = [sum(not x.approximate for x in s.solutions) for s in sets]
+    return np.array(counts, dtype=int).reshape(n_rho, n_z)

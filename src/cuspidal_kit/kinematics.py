@@ -84,7 +84,10 @@ def geodesic_distance(Ra, Rb) -> float:
 
 def quat_to_rotation(q_wxyz) -> np.ndarray:
     """Unit-quaternion (w, x, y, z) to rotation matrix; normalizes first."""
-    w, x, y, z = np.asarray(q_wxyz, dtype=float) / np.linalg.norm(q_wxyz)
+    q_wxyz = np.asarray(q_wxyz, dtype=float)
+    if q_wxyz.shape != (4,):
+        raise ValueError(f"quaternion q_wxyz must have 4 entries, got shape {q_wxyz.shape}")
+    w, x, y, z = q_wxyz / np.linalg.norm(q_wxyz)
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
@@ -135,6 +138,10 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        if self.position.shape != (3,):
+            raise ValueError(f"position p must have 3 entries, got shape {self.position.shape}")
+        if self.rotation.shape != (3, 3):
+            raise ValueError(f"rotation must be 3x3, got shape {self.rotation.shape}")
 
     @staticmethod
     def identity() -> "Pose":

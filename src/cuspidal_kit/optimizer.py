@@ -156,11 +156,11 @@ def _unreachable_penalty(task: TaskPath, radii) -> float:
 def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
                         planner_cfg: PlannerConfig | None = None,
                         ik_cfg: IKConfig | None = None,
-                        radii=None, threads: int = 1) -> float:
+                        radii=None) -> float:
     """Planner weight of a full placement; infeasible placements price at
     the sentinel plus how far the path sticks out of the reachable shell."""
     task = transform_toolpath(wp, tp)
-    res = plan_path(robot, task, planner_cfg, ik_cfg, threads=threads)
+    res = plan_path(robot, task, planner_cfg, ik_cfg)
     if res.feasible:
         return res.path.weight
     if radii is None:
@@ -171,10 +171,9 @@ def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
 def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
               planner_cfg: PlannerConfig | None = None,
               ik_cfg: IKConfig | None = None,
-              radii=None, threads: int = 1) -> float:
+              radii=None) -> float:
     """Planner weight of a reduced placement (total function, never raises)."""
-    return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg,
-                               ik_cfg, radii, threads)
+    return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg, ik_cfg, radii)
 
 
 @dataclass
@@ -261,7 +260,7 @@ def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
                           max_attempts: int = _MAX_START_ATTEMPTS,
                           planner_cfg: PlannerConfig | None = None,
                           ik_cfg: IKConfig | None = None,
-                          radii=None, threads: int = 1) -> ReducedParams:
+                          radii=None) -> ReducedParams:
     """Uniform tilt over the v-disk and translation inside the box around
     the reachable shell until the planner finds a feasible path."""
     if max_attempts < 1:
@@ -275,7 +274,7 @@ def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
         v = np.array([r * np.cos(ang), r * np.sin(ang)])
         p = rng.uniform(lo, hi)
         x = ReducedParams(v, p)
-        val = objective(robot, tp, x, planner_cfg, ik_cfg, radii=radii, threads=threads)
+        val = objective(robot, tp, x, planner_cfg, ik_cfg, radii=radii)
         if val < INFEASIBLE_SENTINEL:
             return x
     raise StartExhaustionError(max_attempts)
@@ -296,18 +295,16 @@ class OptResult:
     is_best: bool = False
 
 
-def _plan_rms(robot, tp, x, planner_cfg, ik_cfg, threads) -> float:
+def _plan_rms(robot, tp, x, planner_cfg, ik_cfg) -> float:
     """rms of the joint path planned at placement x; NaN when infeasible."""
-    res = plan_path(robot, transform_toolpath(reduced_to_pose(x), tp),
-                    planner_cfg, ik_cfg, threads=threads)
+    res = plan_path(robot, transform_toolpath(reduced_to_pose(x), tp), planner_cfg, ik_cfg)
     return res.path.rms if res.feasible else float("nan")
 
 
 def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
                             seed: int = 0, nm_opts: NelderMeadOptions | None = None,
                             planner_cfg: PlannerConfig | None = None,
-                            ik_cfg: IKConfig | None = None,
-                            threads: int = 1) -> list[OptResult]:
+                            ik_cfg: IKConfig | None = None) -> list[OptResult]:
     """Multi-start placement optimization.
 
     Each start draws a feasible random placement and runs Nelder-Mead on the
@@ -327,22 +324,22 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
         rng = np.random.default_rng(ss)
         try:
             x0 = random_feasible_start(robot, tp, rng, planner_cfg=planner_cfg,
-                                       ik_cfg=ik_cfg, radii=radii, threads=threads)
+                                       ik_cfg=ik_cfg, radii=radii)
         except StartExhaustionError:
             failures += 1
             continue
 
         def fun(arr):
             return objective(robot, tp, ReducedParams.from_array(arr),
-                             planner_cfg, ik_cfg, radii, threads)
+                             planner_cfg, ik_cfg, radii)
 
         x_best, f_best, history = nelder_mead(fun, x0.as_array(), nm_opts)
         xr = ReducedParams.from_array(x_best)
         results.append(OptResult(
             start_index=idx, x=xr, pose=reduced_to_pose(xr), history=history,
             initial_cost=history[0], final_cost=f_best,
-            initial_rms=_plan_rms(robot, tp, x0, planner_cfg, ik_cfg, threads),
-            final_rms=_plan_rms(robot, tp, xr, planner_cfg, ik_cfg, threads),
+            initial_rms=_plan_rms(robot, tp, x0, planner_cfg, ik_cfg),
+            final_rms=_plan_rms(robot, tp, xr, planner_cfg, ik_cfg),
             n_evals=len(history)))
     if not results:
         raise StartExhaustionError(failures * _MAX_START_ATTEMPTS)

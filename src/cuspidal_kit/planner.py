@@ -102,10 +102,10 @@ def path_cost(qs, lambdas) -> float:
     return float(np.sum(np.sum(steps * steps, axis=1) / gaps))
 
 
-def build_layers(robot: RobotModel, path: TaskPath, ik_cfg: IKConfig | None = None,
-                 threads: int = 1) -> list[IKSolutionSet]:
+def build_layers(robot: RobotModel, path: TaskPath,
+                 ik_cfg: IKConfig | None = None) -> list[IKSolutionSet]:
     """All IK solutions for every sample; approximate ones retained, flagged."""
-    return solve_ik_along_path(robot, path.poses, ik_cfg, threads=threads)
+    return solve_ik_along_path(robot, path.poses, ik_cfg)
 
 
 @dataclass
@@ -437,9 +437,9 @@ def _first_disconnected_span(graph: PlanGraph):
 
 
 def plan_path(robot: RobotModel, path: TaskPath, cfg: PlannerConfig | None = None,
-              ik_cfg: IKConfig | None = None, threads: int = 1) -> PlanResult:
+              ik_cfg: IKConfig | None = None) -> PlanResult:
     """IK layers, graph, and shortest path in one call."""
-    layers = build_layers(robot, path, ik_cfg, threads=threads)
+    layers = build_layers(robot, path, ik_cfg)
     graph = build_plan_graph(layers, path, cfg, robot=robot)
     jp = shortest_joint_path(graph)
     span = None if jp is not None else _first_disconnected_span(graph)
@@ -494,8 +494,7 @@ def _simple_cycles(adj: np.ndarray, cap: int = 10_000) -> list[list[int]]:
 
 def analyze_repeatability(robot: RobotModel, path: TaskPath,
                           cfg: PlannerConfig | None = None,
-                          ik_cfg: IKConfig | None = None,
-                          threads: int = 1) -> RepeatabilityReport:
+                          ik_cfg: IKConfig | None = None) -> RepeatabilityReport:
     """Start-to-end connectivity of a closed path's IK solutions.
 
     Fixed points of the connectivity map are regular solutions; longer
@@ -504,7 +503,7 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
     """
     if not path.closed:
         raise ValueError("repeatability analysis requires a closed path")
-    layers = build_layers(robot, path, ik_cfg, threads=threads)
+    layers = build_layers(robot, path, ik_cfg)
     graph = build_plan_graph(layers, path, cfg, robot=robot)
     K = graph.n_layers - 1
     matching = _match_end_layers(graph.Q[0], graph.Q[K])

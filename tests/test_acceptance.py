@@ -10,6 +10,7 @@ to sit inside the optimization loop.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -235,10 +236,11 @@ def test_criterion_9_optimizer_properties():
                    budget=300.0):
         r3 = canonical_3r()
         tp = fileio.toolpath_from_doc(fileio.generate_helix())
+        ik_cfg = replace(FAST_PLAN_IK, threads=2)
         results = optimize_workpiece_pose(
             r3, tp, n_starts=2, seed=0,
             nm_opts=NelderMeadOptions(max_evals=40),
-            planner_cfg=PlannerConfig(), ik_cfg=FAST_PLAN_IK, threads=2)
+            planner_cfg=PlannerConfig(), ik_cfg=ik_cfg)
         assert len(results) == 2
         for r in results:
             hist = np.asarray(r.history)
@@ -248,16 +250,16 @@ def test_criterion_9_optimizer_properties():
 
         # (c) objective invariances at a feasible placement
         wp = results[0].pose
-        base = objective_from_pose(r3, tp, wp, ik_cfg=FAST_PLAN_IK, threads=2)
+        base = objective_from_pose(r3, tp, wp, ik_cfg=ik_cfg)
         assert base < INFEASIBLE_SENTINEL
         for lam in (0.5, 2.0, 1.31):
             scaled = WorkpiecePose(lam * wp.quat, wp.p.copy())
-            val = objective_from_pose(r3, tp, scaled, ik_cfg=FAST_PLAN_IK, threads=2)
+            val = objective_from_pose(r3, tp, scaled, ik_cfg=ik_cfg)
             assert abs(val - base) <= 1e-12
         for alpha in (0.9, -2.2):
             Rz = rot_z(alpha)
             rotated = WorkpiecePose(rotation_to_quat(Rz @ wp.rotation), Rz @ wp.p)
-            val = objective_from_pose(r3, tp, rotated, ik_cfg=FAST_PLAN_IK, threads=2)
+            val = objective_from_pose(r3, tp, rotated, ik_cfg=ik_cfg)
             assert abs(val - base) < 1e-9
 
         # (d) z/xy decomposition round-trips

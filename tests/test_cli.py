@@ -10,7 +10,10 @@ from cuspidal_kit.scenarios import canonical_3r, control_loop_path
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse rejects unknown flags by exiting
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -152,10 +155,22 @@ class TestPlan:
         assert json.loads(out)["closed"] is True
 
     def test_bad_path_file(self, capsys, tmp_path):
+        # each file is refused before any IK runs, by the field that is wrong
+        const = {"frame": "base", "dlambda": 0.1, "samples": [{"p": [3.0, 0.0, -0.5]}] * 3}
+        cases = [({}, "frame"),
+                 ({**const, "closed": "false"}, "closed"),
+                 ({**const, "samples": [{"p": [3.0, 0.0]}] * 3}, "position p"),
+                 ({**const, "samples": [{"p": [3.0, 0.0, -0.5, 1.0]}] * 3}, "position p"),
+                 ({**const, "samples": [{"p": [3.0, 0.0, -0.5], "q_wxyz": [1.0, 0.0, 0.0]}] * 3},
+                  "q_wxyz")]
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        code, _, err = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(bad))
-        assert code == 2
+        for doc, field in cases:
+            bad.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(bad),
+                                 "--ik-seeds", "4")
+            assert code == 2
+            assert out == ""
+            assert any(line.startswith("error:") and field in line for line in err.splitlines())
 
 
 class TestNonFiniteInput:
@@ -320,9 +335,9 @@ class TestMap:
         seen = []
         solve = ik.solve_ik_along_path
 
-        def spy(*args, threads=1, **kwargs):
-            seen.append(threads)
-            return solve(*args, threads=threads, **kwargs)
+        def spy(robot, targets, cfg):
+            seen.append(cfg.threads)
+            return solve(robot, targets, cfg)
 
         monkeypatch.setattr(ik, "solve_ik_along_path", spy)
         monkeypatch.setattr(ik, "_CHUNK_ROWS", 6 ** 3 * 5)
@@ -368,17 +383,27 @@ class TestThreadsEnv:
 
     @pytest.mark.parametrize("command,threads,env", [("plan", "0", None), ("plan", "-4", None),
                                                      ("map", "0", None), ("plan", "1", "0"),
-                                                     ("map", "1", "-1")])
+                                                     ("map", "1", "-1"), ("identify", "0", None),
+                                                     ("identify", "1", "abc"),
+                                                     ("optimize", "0", None),
+                                                     ("helix", "2", None)])
     def test_below_one_exits_2(self, capsys, const_path_file, monkeypatch, command, threads, env):
+        # helix runs no IK, so it has no --threads flag to accept
         if env is None:
             monkeypatch.delenv("CUSPIDAL_KIT_THREADS", raising=False)
         else:
             monkeypatch.setenv("CUSPIDAL_KIT_THREADS", env)
-        argv = {"plan": ["--path", const_path_file],
-                "map": ["--rho-range", "0", "1", "--z-range", "0", "1", "--grid", "2", "2"]}
-        code, out, err = run(capsys, command, "--robot", "3r-canonical", "--ik-seeds", "6",
-                             "--threads", threads, *argv[command])
+        ik_flags = ["--robot", "3r-canonical", "--ik-seeds", "6"]
+        argv = {"plan": [*ik_flags, "--path", const_path_file],
+                "map": [*ik_flags, "--rho-range", "0", "1", "--z-range", "0", "1",
+                        "--grid", "2", "2"],
+                "identify": [*ik_flags, "--max-poses", "1"],
+                "optimize": [*ik_flags, "--toolpath", "3r-helix", "--max-evals", "1"],
+                "helix": ["--samples", "5"]}
+        code, out, err = run(capsys, command, *argv[command], "--threads", threads)
         assert code == 2
         assert out == ""
-        assert any(line.startswith("error:") and "THREADS" in line.upper()
+        # argparse prefixes its own errors with the program name
+        prefix = "cuspidal-kit: error:" if command == "helix" else "error:"
+        assert any(line.startswith(prefix) and "THREADS" in line.upper()
                    for line in err.splitlines())

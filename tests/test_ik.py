@@ -224,8 +224,8 @@ class TestEnumeration:
     def test_threads_identical(self, r3):
         rng = np.random.default_rng(16)
         targets = [forward_kinematics(r3, rng.uniform(-np.pi, np.pi, 3)) for _ in range(30)]
-        a = solve_ik_along_path(r3, targets, threads=1)
-        b = solve_ik_along_path(r3, targets, threads=2)
+        a = solve_ik_along_path(r3, targets, IKConfig(threads=1))
+        b = solve_ik_along_path(r3, targets, IKConfig(threads=2))
         for sa, sb in zip(a, b):
             assert sa.count == sb.count
             for x, y in zip(sa.solutions, sb.solutions):
@@ -233,11 +233,10 @@ class TestEnumeration:
 
     def test_threads_identical_6r(self, r6, monkeypatch):
         # one pose per chunk, so two threads refine different chunks at once
-        cfg = IKConfig(seeds_per_joint=5)
         monkeypatch.setattr(ik, "_CHUNK_ROWS", 5 ** 6)
         targets = _random_targets(r6, 17, 3)
-        a = solve_ik_along_path(r6, targets, cfg, threads=1)
-        b = solve_ik_along_path(r6, targets, cfg, threads=2)
+        a = solve_ik_along_path(r6, targets, IKConfig(seeds_per_joint=5, threads=1))
+        b = solve_ik_along_path(r6, targets, IKConfig(seeds_per_joint=5, threads=2))
         for sa, sb in zip(a, b):
             assert sa.count > 0
             _assert_identical(sa, sb)
@@ -280,19 +279,19 @@ class TestSolutionCountMap:
         cfg = IKConfig(seeds_per_joint=10)
         rhos = np.linspace(1.3, 2.2, 10)
         z = 0.1
-        sets = [solve_all_ik(r3, Pose(np.eye(3), np.array([rho, 0.0, z])),
-                             IKConfig(seeds_per_joint=10, include_approximate=False))
+        sets = [[s for s in solve_all_ik(r3, Pose(np.eye(3), np.array([rho, 0.0, z])),
+                                         cfg).solutions if not s.approximate]
                 for rho in rhos]
         for a, b in zip(sets[:-1], sets[1:]):
-            if a.count != b.count:
+            if len(a) != len(b):
                 continue
             used = set()
-            for sa in a.solutions:
-                dists = [np.max(np.abs(wrap_to_pi(sa.q - sb.q))) for sb in b.solutions]
+            for sa in a:
+                dists = [np.max(np.abs(wrap_to_pi(sa.q - sb.q))) for sb in b]
                 j = int(np.argmin(dists))
                 assert j not in used
                 used.add(j)
-                assert np.sign(sa.det_j) == np.sign(b.solutions[j].det_j)
+                assert np.sign(sa.det_j) == np.sign(b[j].det_j)
 
 
 class TestConfig:
@@ -304,6 +303,9 @@ class TestConfig:
         for seeds in (0, -2):
             with pytest.raises(ValueError):
                 IKConfig(seeds_per_joint=seeds)
+        for threads in (0, -1):
+            with pytest.raises(ValueError):
+                IKConfig(threads=threads)
 
     def test_seed_defaults(self):
         cfg = IKConfig()
@@ -314,7 +316,10 @@ class TestConfig:
     def test_exclude_approximate(self, r3):
         p_star = fk_batch(r3, _R3_MAX_REACH_Q[None, :])[1][0]
         target = Pose(np.eye(3), p_star * (1.0 + 0.0005 / np.linalg.norm(p_star)))
-        with_approx = solve_all_ik(r3, target)
-        without = solve_all_ik(r3, target, IKConfig(include_approximate=False))
-        assert with_approx.count >= 1
-        assert without.count == 0
+        # just beyond reach only boundary local minima remain; the map counts
+        # exact solutions, so its cell at this target's (rho, z) reads 0
+        sols = solve_all_ik(r3, target).solutions
+        assert len(sols) >= 1
+        assert all(s.approximate for s in sols)
+        rho, z = np.hypot(*target.position[:2]), target.position[2]
+        assert solution_count_map(r3, (rho, rho), (z, z), (1, 1))[0, 0] == 0

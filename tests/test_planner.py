@@ -36,7 +36,6 @@ def _sol(q, det=1.0, approx=False, residual=0.0):
 
 
 def _layers(qsets, dets=None, approxes=None):
-    pose = Pose(np.eye(3), np.zeros(3))
     out = []
     for k, qs in enumerate(qsets):
         sols = []
@@ -44,7 +43,7 @@ def _layers(qsets, dets=None, approxes=None):
             det = dets[k][i] if dets else 1.0
             ap = approxes[k][i] if approxes else False
             sols.append(_sol(q, det, ap))
-        out.append(IKSolutionSet(pose=pose, solutions=sols))
+        out.append(IKSolutionSet(sols))
     return out
 
 
