@@ -53,7 +53,6 @@ from .planner import (
     analyze_repeatability,
     build_layers,
     build_plan_graph,
-    edge_cost,
     path_cost,
     plan_path,
     shortest_joint_path,

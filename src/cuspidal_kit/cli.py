@@ -2,9 +2,10 @@
 
 Subcommands: identify (cuspidality verdict), plan (joint path for a
 base-frame path), optimize (workpiece placement), map (solution-count
-grid), helix (toolpath generator). Results go to stdout as JSON; files via
---out; diagnostics to stderr. Exit codes: 0 ok, 2 input error,
-3 undetermined, 4 infeasible, 5 no feasible start.
+grid), helix (toolpath generator). Results go to stdout, as JSON or as
+CSV for map, and also to the --out file when given; diagnostics to stderr.
+Exit codes: 0 ok, 2 input error, 3 undetermined, 4 infeasible, 5 no
+feasible start.
 """
 
 from __future__ import annotations
@@ -79,8 +80,7 @@ def _ik_cfg(args) -> IKConfig:
     return IKConfig(seeds_per_joint=args.ik_seeds, threads=_threads(args))
 
 
-def _emit(doc, out_path):
-    text = fileio.dump_json(doc)
+def _emit(text: str, out_path):
     print(text)
     if out_path:
         with open(out_path, "w") as fp:
@@ -107,7 +107,7 @@ def cmd_identify(args) -> int:
             "min_abs_det_j": w.min_abs_det_j,
             "interp_samples": w.interp_samples,
         }
-    _emit(doc, args.out)
+    _emit(fileio.dump_json(doc), args.out)
     return EXIT_OK if verdict.proven else EXIT_UNDETERMINED
 
 
@@ -155,7 +155,7 @@ def cmd_plan(args) -> int:
             "regular_solutions": rep.regular_solutions,
             "cycles": rep.cycles,
         }
-    _emit(doc, args.out)
+    _emit(fileio.dump_json(doc), args.out)
     if args.csv and result.feasible:
         jp = result.path
         header = ["lambda"] + [f"q{i+1}" for i in range(robot.dof)] + ["det_j"]
@@ -197,7 +197,7 @@ def cmd_optimize(args) -> int:
             for r in results
         ],
     }
-    _emit(doc, args.out)
+    _emit(fileio.dump_json(doc), args.out)
     if args.csv:
         best = results[0]
         fileio.write_csv(args.csv, ["evaluation", "best_cost"],
@@ -207,8 +207,6 @@ def cmd_optimize(args) -> int:
 
 def cmd_map(args) -> int:
     robot = _load("robot", args.robot)
-    if robot.dof != 3:
-        raise InputError("solution-count maps need a 3-DOF robot")
     counts = solution_count_map(robot, tuple(args.rho_range), tuple(args.z_range),
                                 (args.grid[0], args.grid[1]), _ik_cfg(args))
     rhos = np.linspace(args.rho_range[0], args.rho_range[1], args.grid[0])
@@ -216,12 +214,7 @@ def cmd_map(args) -> int:
     zs = np.linspace(args.z_range[0], args.z_range[1], args.grid[1])
     rows = [[fileio.format_sig(z)] + [int(c) for c in counts[:, j]]
             for j, z in enumerate(zs)]
-    if args.out:
-        fileio.write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+    _emit("\n".join(",".join(str(v) for v in row) for row in [header] + rows), args.out)
     return EXIT_OK
 
 
@@ -229,7 +222,7 @@ def cmd_helix(args) -> int:
     doc = fileio.generate_helix(radius=args.radius, pitch=args.pitch,
                                 turns=args.turns, samples=args.samples,
                                 orientation_mode=args.orientation)
-    _emit(doc, args.out)
+    _emit(fileio.dump_json(doc), args.out)
     return EXIT_OK
 
 
@@ -243,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ik-seeds", type=int, default=None,
                         help="seed grid density per joint (default 24 for 3R, 8 for 6R)")
         sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--out", default=None, help="also write the JSON result here")
+        sp.add_argument("--out", default=None, help="also write the result here")
 
     sp = sub.add_parser("identify", help="decide whether a robot is cuspidal")
     sp.add_argument("--robot", required=True)

@@ -87,7 +87,10 @@ def quat_to_rotation(q_wxyz) -> np.ndarray:
     q_wxyz = np.asarray(q_wxyz, dtype=float)
     if q_wxyz.shape != (4,):
         raise ValueError(f"quaternion q_wxyz must have 4 entries, got shape {q_wxyz.shape}")
-    w, x, y, z = q_wxyz / np.linalg.norm(q_wxyz)
+    norm = np.linalg.norm(q_wxyz)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"quaternion q_wxyz must have a finite nonzero norm, got {q_wxyz.tolist()}")
+    w, x, y, z = q_wxyz / norm
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],

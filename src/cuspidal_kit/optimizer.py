@@ -2,8 +2,8 @@
 
 The toolpath lives in a workpiece frame; a rigid transform places it in the
 robot base frame and the graph planner prices the placement. Rotating any
-placement about the robot's first joint axis changes nothing (when that
-axis is vertical and unconstrained), so the pose is reduced to five
+placement about the robot's first joint axis changes nothing when that
+axis is the base z axis (and unconstrained), so the pose is reduced to five
 parameters: a tilt whose rotation axis lies in the xy plane, encoded by the
 quaternion vector components (v_x, v_y), plus a pre-rotation translation.
 Nelder-Mead descends on the planner cost from random feasible starts.
@@ -11,6 +11,7 @@ Nelder-Mead descends on the planner cost from random feasible starts.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -33,6 +34,8 @@ INFEASIBLE_SENTINEL = 1e9
 # random joint vectors behind the reachable-shell estimate
 _SHELL_SAMPLES = 4096
 _MAX_START_ATTEMPTS = 100
+# how far joint 1 may sit off the base z axis for the reduced placement
+_BASE_AXIS_TOL = 1e-12
 # Nelder-Mead coefficients (the standard ones) and the initial simplex edge
 _NM_REFLECTION = 1.0
 _NM_EXPANSION = 2.0
@@ -135,8 +138,10 @@ def decompose_rz_rxy(R) -> tuple[float, np.ndarray]:
     return float(theta_z), R_xy
 
 
+@functools.cache
 def workspace_radii(robot: RobotModel):
-    """Crude reachable-shell estimate: (min, max) tool distance from base."""
+    """Crude reachable-shell estimate: (min, max) tool distance from base,
+    computed once per robot object."""
     rng = np.random.default_rng(0)
     Q = rng.uniform(-np.pi, np.pi, size=(_SHELL_SAMPLES, robot.dof))
     _, P = fk_batch(robot, Q)
@@ -144,8 +149,8 @@ def workspace_radii(robot: RobotModel):
     return float(r.min()), float(r.max())
 
 
-def _unreachable_penalty(task: TaskPath, radii) -> float:
-    r_min, r_max = radii
+def _unreachable_penalty(robot: RobotModel, task: TaskPath) -> float:
+    r_min, r_max = workspace_radii(robot)
     dist = 0.0
     for pose in task.poses:
         r = float(np.linalg.norm(pose.position))
@@ -155,25 +160,21 @@ def _unreachable_penalty(task: TaskPath, radii) -> float:
 
 def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
                         planner_cfg: PlannerConfig | None = None,
-                        ik_cfg: IKConfig | None = None,
-                        radii=None) -> float:
+                        ik_cfg: IKConfig | None = None) -> float:
     """Planner weight of a full placement; infeasible placements price at
     the sentinel plus how far the path sticks out of the reachable shell."""
     task = transform_toolpath(wp, tp)
     res = plan_path(robot, task, planner_cfg, ik_cfg)
     if res.feasible:
         return res.path.weight
-    if radii is None:
-        radii = workspace_radii(robot)
-    return INFEASIBLE_SENTINEL + _unreachable_penalty(task, radii)
+    return INFEASIBLE_SENTINEL + _unreachable_penalty(robot, task)
 
 
 def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
               planner_cfg: PlannerConfig | None = None,
-              ik_cfg: IKConfig | None = None,
-              radii=None) -> float:
+              ik_cfg: IKConfig | None = None) -> float:
     """Planner weight of a reduced placement (total function, never raises)."""
-    return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg, ik_cfg, radii)
+    return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg, ik_cfg)
 
 
 @dataclass
@@ -259,22 +260,20 @@ class StartExhaustionError(RuntimeError):
 def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
                           max_attempts: int = _MAX_START_ATTEMPTS,
                           planner_cfg: PlannerConfig | None = None,
-                          ik_cfg: IKConfig | None = None,
-                          radii=None) -> ReducedParams:
+                          ik_cfg: IKConfig | None = None) -> ReducedParams:
     """Uniform tilt over the v-disk and translation inside the box around
     the reachable shell until the planner finds a feasible path."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if radii is None:
-        radii = workspace_radii(robot)
-    lo, hi = np.full(3, -radii[1]), np.full(3, radii[1])
+    r_max = workspace_radii(robot)[1]
+    lo, hi = np.full(3, -r_max), np.full(3, r_max)
     for _ in range(max_attempts):
         r = np.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * np.pi)
         v = np.array([r * np.cos(ang), r * np.sin(ang)])
         p = rng.uniform(lo, hi)
         x = ReducedParams(v, p)
-        val = objective(robot, tp, x, planner_cfg, ik_cfg, radii=radii)
+        val = objective(robot, tp, x, planner_cfg, ik_cfg)
         if val < INFEASIBLE_SENTINEL:
             return x
     raise StartExhaustionError(max_attempts)
@@ -311,12 +310,20 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
     planner cost; initial and final rms come from planning the start and
     the best placement again. Results come back sorted by final cost, best
     first (marked), deterministic for a fixed seed via independently
-    spawned per-start generators.
+    spawned per-start generators. An arm whose joint 1 does not turn about
+    the base z axis is refused: the reduced placement would lose a degree
+    of freedom that matters.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    axis, offset = robot.axes[0], robot.offsets[0]
+    if (np.max(np.abs(np.abs(axis) - (0.0, 0.0, 1.0))) > _BASE_AXIS_TOL
+            or np.max(np.abs(offset[:2])) > _BASE_AXIS_TOL):
+        raise ValueError(
+            f"the five-parameter placement needs the first joint axis on the base z axis "
+            f"(axes[0] = +-(0, 0, 1), offsets[0] with zero x and y); got axes[0] = "
+            f"{axis.tolist()}, offsets[0] = {offset.tolist()}")
     nm_opts = nm_opts or NelderMeadOptions()
-    radii = workspace_radii(robot)
     streams = np.random.SeedSequence(seed).spawn(n_starts)
     results = []
     failures = 0
@@ -324,14 +331,13 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
         rng = np.random.default_rng(ss)
         try:
             x0 = random_feasible_start(robot, tp, rng, planner_cfg=planner_cfg,
-                                       ik_cfg=ik_cfg, radii=radii)
+                                       ik_cfg=ik_cfg)
         except StartExhaustionError:
             failures += 1
             continue
 
         def fun(arr):
-            return objective(robot, tp, ReducedParams.from_array(arr),
-                             planner_cfg, ik_cfg, radii)
+            return objective(robot, tp, ReducedParams.from_array(arr), planner_cfg, ik_cfg)
 
         x_best, f_best, history = nelder_mead(fun, x0.as_array(), nm_opts)
         xr = ReducedParams.from_array(x_best)

@@ -85,21 +85,21 @@ class PlannerConfig:
         return dof * _DEFAULT_QDOT_MAX ** 2
 
 
-def edge_cost(q1, q2, dlambda: float) -> float:
-    """Squared wrap-aware joint step per unit lambda."""
-    if dlambda <= 0:
-        raise ValueError("dlambda must be positive")
-    d = wrap_to_pi(np.asarray(q2, dtype=float) - np.asarray(q1, dtype=float))
-    return float(d @ d) / dlambda
+def _step_cost(qa, qb, gap):
+    """Squared wrap-aware joint step from qa to qb per unit lambda, over the
+    last axis; the one price of joint motion behind edge weights and
+    path_cost."""
+    d = wrap_to_pi(qb - qa)
+    return np.einsum("...j,...j->...", d, d) / gap
 
 
 def path_cost(qs, lambdas) -> float:
     """Movement metric of a discrete joint path sampled at the given lambdas."""
     qs = np.asarray(qs, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    steps = wrap_to_pi(np.diff(qs, axis=0))
-    gaps = np.diff(lambdas)
-    return float(np.sum(np.sum(steps * steps, axis=1) / gaps))
+    gaps = np.diff(np.asarray(lambdas, dtype=float))
+    if np.any(gaps <= 0):
+        raise ValueError("lambdas must be strictly increasing")
+    return float(np.sum(_step_cost(qs[:-1], qs[1:], gaps)))
 
 
 def build_layers(robot: RobotModel, path: TaskPath,
@@ -142,14 +142,6 @@ class PlanGraph:
     def depth(self) -> int:
         """Longest admitted edge, in layers."""
         return max((d for _, d in self.edges), default=1)
-
-
-def _pairwise_cost(Qa: np.ndarray, Qb: np.ndarray, gap_lambda: float) -> np.ndarray:
-    """Matrix of wrap-aware squared joint steps per unit lambda, (Ma, Mb)."""
-    if Qa.shape[0] == 0 or Qb.shape[0] == 0:
-        return np.full((Qa.shape[0], Qb.shape[0]), np.inf)
-    d = wrap_to_pi(Qb[None, :, :] - Qa[:, None, :])
-    return np.einsum("abj,abj->ab", d, d) / gap_lambda
 
 
 def incoming(edges, j: int, depth: int) -> list[tuple[int, int]]:
@@ -235,7 +227,7 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     depth = cfg.skip_depth
 
     def admit(k: int, d: int):
-        cost = _pairwise_cost(Q[k], Q[k + d], d * path.dlambda)
+        cost = _step_cost(Q[k][:, None], Q[k + d][None], d * path.dlambda)
         ok = cost < eps
         if cfg.nonsingular_only:
             ok &= (sign[k][:, None] * sign[k + d][None, :]) > 0
@@ -330,9 +322,9 @@ def _enforce_limits(Q, edges, s_weight, f_weight, depth: int, limits: np.ndarray
 class JointPath:
     """Shortest continuous joint path through the graph.
 
-    cost is the pure movement metric; weight additionally carries the soft
-    penalties the search minimized. Entries sit at the layers the path
-    visits (skip edges leave gaps).
+    cost is path_cost(q, lambdas), the pure movement metric; weight
+    additionally carries the soft penalties the search minimized. Entries
+    sit at the layers the path visits (skip edges leave gaps).
     """
     lambdas: np.ndarray
     layer_indices: list[int]
@@ -407,18 +399,17 @@ def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
     # representative when the robot declares limits
     k0, m0 = chain[0]
     qs = [(graph.Q if graph.unwrapped is None else graph.unwrapped)[k0][m0].copy()]
-    cost = 0.0
     for (ka, ma), (kb, mb) in zip(chain[:-1], chain[1:]):
-        step = wrap_to_pi(graph.Q[kb][mb] - graph.Q[ka][ma])
-        qs.append(qs[-1] + step)
-        cost += float(step @ step) / ((kb - ka) * graph.dlambda)
+        qs.append(qs[-1] + wrap_to_pi(graph.Q[kb][mb] - graph.Q[ka][ma]))
+    q = np.stack(qs)
+    lambdas = np.array(layer_idx, dtype=float) * graph.dlambda
     K = graph.n_layers - 1
     return JointPath(
-        lambdas=np.array(layer_idx, dtype=float) * graph.dlambda,
+        lambdas=lambdas,
         layer_indices=layer_idx,
         vertex_indices=vert_idx,
-        q=np.stack(qs),
-        cost=cost,
+        q=q,
+        cost=path_cost(q, lambdas),
         weight=weight,
         dlambda=graph.dlambda,
         total_length=K * graph.dlambda,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -163,14 +164,20 @@ class TestPlan:
                  ({**const, "samples": [{"p": [3.0, 0.0, -0.5, 1.0]}] * 3}, "position p"),
                  ({**const, "samples": [{"p": [3.0, 0.0, -0.5], "q_wxyz": [1.0, 0.0, 0.0]}] * 3},
                   "q_wxyz")]
+        cases += [({**const, "samples": [{"p": [3.0, 0.0, -0.5], "q_wxyz": q}] * 3}, "q_wxyz")
+                  for q in ([0.0, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0])]
         bad = tmp_path / "bad.json"
         for doc, field in cases:
             bad.write_text(json.dumps(doc))
-            code, out, err = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(bad),
-                                 "--ik-seeds", "4")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, "plan", "--robot", "3r-canonical",
+                                     "--path", str(bad), "--ik-seeds", "4")
             assert code == 2
             assert out == ""
             assert any(line.startswith("error:") and field in line for line in err.splitlines())
+            assert "RuntimeWarning" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestNonFiniteInput:
@@ -292,6 +299,21 @@ class TestOptimize:
         assert code == 5
         assert "error" in err
 
+    def test_first_joint_off_base_z_exits_2(self, capsys, tmp_path):
+        # the five-parameter placement drops rotation about the base z axis,
+        # which is lossless only when joint 1 turns about it
+        robot_doc = fileio.robot_to_doc(canonical_3r())
+        robot_doc["axes"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        robot, helix = tmp_path / "robot.json", tmp_path / "helix.json"
+        fileio.save_json(robot_doc, robot)
+        fileio.save_json(fileio.generate_helix(samples=12), helix)
+        code, out, err = run(capsys, "optimize", "--robot", str(robot), "--toolpath", str(helix),
+                             "--starts", "1", "--max-evals", "6", "--ik-seeds", "3")
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and "first joint axis" in line
+                   for line in err.splitlines())
+
     def test_deterministic(self, capsys, tmp_path):
         helix = tmp_path / "helix.json"
         fileio.save_json(fileio.generate_helix(samples=30), helix)
@@ -305,12 +327,14 @@ class TestOptimize:
 class TestMap:
     def test_small_grid_has_all_regions(self, capsys, tmp_path):
         out_csv = tmp_path / "map.csv"
-        code, _, _ = run(capsys, "map", "--robot", "3r-canonical",
-                         "--rho-range", "0", "5", "--z-range", "-3", "3",
-                         "--grid", "12", "12", "--ik-seeds", "8",
-                         "--out", str(out_csv))
+        code, out, _ = run(capsys, "map", "--robot", "3r-canonical",
+                           "--rho-range", "0", "5", "--z-range", "-3", "3",
+                           "--grid", "12", "12", "--ik-seeds", "8",
+                           "--out", str(out_csv))
         assert code == 0
-        rows = out_csv.read_text().strip().split("\n")[1:]
+        text = out_csv.read_text()
+        assert out == text
+        rows = text.strip().split("\n")[1:]
         cells = [int(v) for row in rows for v in row.split(",")[1:]]
         assert {0, 2, 4} <= set(cells)
 

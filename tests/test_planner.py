@@ -12,7 +12,6 @@ from cuspidal_kit.planner import (
     analyze_repeatability,
     build_layers,
     build_plan_graph,
-    edge_cost,
     path_cost,
     plan_path,
     shortest_joint_path,
@@ -76,19 +75,21 @@ class TestPlannerConfig:
 
 
 class TestEdgeCost:
+    # one step of path_cost is the price of one graph edge
     def test_zero_for_same_point(self):
-        assert edge_cost([1, 2, 3], [1, 2, 3], 0.5) == 0.0
+        assert path_cost([[1, 2, 3], [1, 2, 3]], [0.0, 0.5]) == 0.0
 
     def test_direct_formula(self):
-        assert edge_cost([0, 0, 0], [0.1, 0, 0], 0.01) == pytest.approx(1.0)
+        assert path_cost([[0, 0, 0], [0.1, 0, 0]], [0.0, 0.01]) == pytest.approx(1.0)
 
     def test_wrap_shortcut(self):
-        c = edge_cost([0.1, 0, 0], [0.1 + 2 * np.pi - 0.2, 0, 0], 0.1)
+        c = path_cost([[0.1, 0, 0], [0.1 + 2 * np.pi - 0.2, 0, 0]], [0.0, 0.1])
         assert c == pytest.approx(0.04 / 0.1)
 
     def test_nonpositive_dlambda(self):
-        with pytest.raises(ValueError):
-            edge_cost([0], [0], 0.0)
+        for lambdas in ([0.0, 0.0], [0.5, 0.1], [0.0, 0.1, 0.1]):
+            with pytest.raises(ValueError):
+                path_cost([[0]] * len(lambdas), lambdas)
 
 
 class TestBuildLayers:
@@ -466,6 +467,14 @@ class TestPlanPath:
             for i in range(len(jp.layer_indices) - 1))
         assert jp.cost == pytest.approx(recomputed, abs=1e-12)
         assert jp.rms == pytest.approx(np.sqrt(jp.cost / jp.total_length))
+
+    @pytest.mark.parametrize("fixture", [infeasible_line_control_path, cusp_loop_path,
+                                         control_loop_path])
+    def test_cost_is_path_cost(self, r3, fixture):
+        # the reported cost is the public metric of the reported joint path
+        res = plan_path(r3, fixture(), ik_cfg=IKConfig(seeds_per_joint=6))
+        assert res.feasible
+        assert res.path.cost == path_cost(res.path.q, res.path.lambdas)
 
     def test_infeasible_fixture(self, r3):
         res = plan_path(r3, infeasible_line_path(81), ik_cfg=IKConfig(seeds_per_joint=10))
