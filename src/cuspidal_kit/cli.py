@@ -210,11 +210,9 @@ def cmd_map(args) -> int:
     counts = solution_count_map(robot, tuple(args.rho_range), tuple(args.z_range),
                                 (args.grid[0], args.grid[1]), _ik_cfg(args))
     rhos = np.linspace(args.rho_range[0], args.rho_range[1], args.grid[0])
-    header = ["z\\rho"] + [fileio.format_sig(r) for r in rhos]
     zs = np.linspace(args.z_range[0], args.z_range[1], args.grid[1])
-    rows = [[fileio.format_sig(z)] + [int(c) for c in counts[:, j]]
-            for j, z in enumerate(zs)]
-    _emit("\n".join(",".join(str(v) for v in row) for row in [header] + rows), args.out)
+    rows = [[z, *counts[:, j]] for j, z in enumerate(zs)]
+    _emit(fileio.csv_text(["z\\rho", *rhos], rows), args.out)
     return EXIT_OK
 
 

@@ -58,12 +58,15 @@ def format_sig(x) -> str:
     return f"{float(x):.17g}"
 
 
+def csv_text(header, rows) -> str:
+    """CSV lines of header and rows; floats by format_sig, the rest by str."""
+    return "\n".join(",".join(format_sig(v) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) for row in [header, *rows])
+
+
 def write_csv(path: str, header: list[str], rows):
     with open(path, "w") as fp:
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(format_sig(v) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
+        fp.write(csv_text(header, rows) + "\n")
 
 
 # --- robot documents -------------------------------------------------------

@@ -34,9 +34,10 @@ from .kinematics import (  # noqa: F401  det_j_batch: see below
 # the LM loop already holds) but stays importable from this module, because
 # perfbench/tracing.py wraps ik.det_j_batch as well as ik.fk_jacobian_batch
 
-# iterates of the same target closer than this (per joint, after wrapping)
-# are assumed to share a basin and are merged onto the lowest seed index;
-# completeness under this shortcut is covered by the brute-force grid oracle
+# iterates of the same target in the same cell of this size (per joint, after
+# wrapping) are assumed to share a basin and are merged onto the lowest seed
+# index; completeness under this shortcut is covered by the brute-force grid
+# oracle
 _COALESCE_CELL = 0.3
 _COALESCE_START_ITER = 2
 # rows this close to a root (meters+radians of residual) are exempt from
@@ -183,27 +184,15 @@ def _lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return dq
 
 
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _cell_key(Q, sample_of, cell: float) -> np.ndarray:
-    """Mixed hash key per row from (sample id, quantized joint cell)."""
-    cells = np.round(Q * (1.0 / cell)).astype(np.int64).astype(np.uint64)
-    key = sample_of.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        for j in range(Q.shape[1]):
-            key = key * _MIX + cells[:, j]
+    """Exact int64 key per row of (sample id, joint cells), Q in (-pi, pi]:
+    each cell index plus half is one digit of base 2 * half + 1."""
+    half = int(np.ceil(np.pi / cell))
+    cells = np.round(Q * (1.0 / cell)).astype(np.int64) + half
+    key = sample_of.astype(np.int64)
+    for j in range(Q.shape[1]):
+        key = key * (2 * half + 1) + cells[:, j]
     return key
-
-
-def _first_of_each_key(sorted_like_keys: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct key, preserving the
-    given order (input must be in the desired priority order)."""
-    order = np.argsort(sorted_like_keys, kind="stable")
-    uniq = np.ones(order.shape[0], dtype=bool)
-    k = sorted_like_keys[order]
-    uniq[1:] = k[1:] != k[:-1]
-    return order[uniq]
 
 
 def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKConfig):
@@ -212,11 +201,13 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
     Tpos (3, S) and Trot (3, 3, S) hold one target per sample id, and every
     row is tagged with its sample id, so rows of different targets never
     interact: a target's rows evolve the same whatever else is in the
-    population. Each row carries its own damping: steps that raise the
-    residual are rejected and retried stiffer, which keeps boundary rows
-    from being flung away by a near-singular Jacobian. All per-row state
-    lives in one record, joint-major with rows along the last axis, that is
-    compacted once per iteration. Returns candidate arrays
+    population. Rows must arrive in (sample, seed) order; compaction keeps
+    that order, so coalescing merges a cell onto its first row. Each row
+    carries its own damping: steps that raise the residual are rejected and
+    retried stiffer, which keeps boundary rows from being flung away by a
+    near-singular Jacobian. All per-row state lives in one record,
+    joint-major with rows along the last axis, that is compacted once per
+    iteration. Returns candidate arrays
     (q, residual, seed, approximate, sample, det_j); det_j comes from the
     Jacobian at exactly that q.
     """
@@ -294,10 +285,10 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
             live = np.bincount(target[keep], minlength=Tpos.shape[1])[target] > 64
             free = np.flatnonzero(keep & live & (resid >= _COALESCE_RESID_GUARD))
             if free.size:
+                # the first row of a cell is its lowest seed (see docstring)
                 key = _cell_key(Q[:, free].T, target[free], _COALESCE_CELL)
-                rank = np.argsort(rows["seed"][free], kind="stable")
                 keep[free] = False
-                keep[free[rank[_first_of_each_key(key[rank])]]] = True
+                keep[free[np.unique(key, return_index=True)[1]]] = True
         if not keep.all():
             rows = {name: np.compress(keep, v, axis=-1) for name, v in rows.items()}
         Q = wrap_to_pi(rows["Q"] + _lm_step(rows["J"], rows["e"], rows["lam"]))

@@ -310,9 +310,10 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
     planner cost; initial and final rms come from planning the start and
     the best placement again. Results come back sorted by final cost, best
     first (marked), deterministic for a fixed seed via independently
-    spawned per-start generators. An arm whose joint 1 does not turn about
-    the base z axis is refused: the reduced placement would lose a degree
-    of freedom that matters.
+    spawned per-start generators. An arm whose joint 1 does not turn freely
+    about the base z axis (off that axis, or with a finite limit) is
+    refused: the reduced placement would lose a degree of freedom that
+    matters.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -323,6 +324,10 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
             f"the five-parameter placement needs the first joint axis on the base z axis "
             f"(axes[0] = +-(0, 0, 1), offsets[0] with zero x and y); got axes[0] = "
             f"{axis.tolist()}, offsets[0] = {offset.tolist()}")
+    if robot.joint_limits is not None and np.any(np.isfinite(robot.joint_limits[0])):
+        raise ValueError(
+            f"the five-parameter placement needs joint 1 to turn freely about the base z "
+            f"axis; got joint 1 limits {robot.joint_limits[0].tolist()}")
     nm_opts = nm_opts or NelderMeadOptions()
     streams = np.random.SeedSequence(seed).spawn(n_starts)
     results = []

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import RobotModel
+from .kinematics import Pose, RobotModel
+from .planner import TaskPath
 
 _EX, _EY, _EZ = np.eye(3)
 
@@ -96,8 +97,6 @@ CONTROL_LOOP = {"center": (3.6, -1.0), "radius": 0.15}
 
 
 def _segment_path(a, b, samples: int):
-    from .kinematics import Pose
-    from .planner import TaskPath
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     K = samples - 1
     pts = [a + (b - a) * k / K for k in range(samples)]
@@ -118,8 +117,6 @@ def infeasible_line_control_path(samples: int = 101):
 
 
 def _circle_path(center, radius: float, samples: int):
-    from .kinematics import Pose
-    from .planner import TaskPath
     K = samples - 1
     ts = np.linspace(0.0, 2.0 * np.pi, samples)
     pts = [np.array([center[0] + radius * np.cos(t), 0.0, center[1] + radius * np.sin(t)])

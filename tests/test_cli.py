@@ -301,18 +301,23 @@ class TestOptimize:
 
     def test_first_joint_off_base_z_exits_2(self, capsys, tmp_path):
         # the five-parameter placement drops rotation about the base z axis,
-        # which is lossless only when joint 1 turns about it
-        robot_doc = fileio.robot_to_doc(canonical_3r())
-        robot_doc["axes"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        robot, helix = tmp_path / "robot.json", tmp_path / "helix.json"
-        fileio.save_json(robot_doc, robot)
+        # which is lossless only when joint 1 turns freely about it
+        off_axis = fileio.robot_to_doc(canonical_3r())
+        off_axis["axes"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        limited = fileio.robot_to_doc(canonical_3r())
+        limited["joint_limits"] = [[-0.5, 0.5], [-4.0, 4.0], [-4.0, 4.0]]
+        helix = tmp_path / "helix.json"
         fileio.save_json(fileio.generate_helix(samples=12), helix)
-        code, out, err = run(capsys, "optimize", "--robot", str(robot), "--toolpath", str(helix),
-                             "--starts", "1", "--max-evals", "6", "--ik-seeds", "3")
-        assert code == 2
-        assert out == ""
-        assert any(line.startswith("error:") and "first joint axis" in line
-                   for line in err.splitlines())
+        for robot_doc, message in ((off_axis, "first joint axis"), (limited, "joint 1 limits")):
+            robot = tmp_path / "robot.json"
+            fileio.save_json(robot_doc, robot)
+            code, out, err = run(capsys, "optimize", "--robot", str(robot), "--toolpath",
+                                 str(helix), "--starts", "1", "--max-evals", "6",
+                                 "--ik-seeds", "3")
+            assert code == 2
+            assert out == ""
+            assert any(line.startswith("error:") and message in line
+                       for line in err.splitlines())
 
     def test_deterministic(self, capsys, tmp_path):
         helix = tmp_path / "helix.json"

@@ -242,6 +242,29 @@ class TestEnumeration:
             _assert_identical(sa, sb)
 
 
+class TestCoalescing:
+    _Q = np.array([2.0, -1.0, 1.5])
+
+    def test_identical_rows_merge_onto_lowest_seed(self, r3):
+        # 100 rows of one target from one start share every cell, so only the
+        # first, seed 7, survives coalescing; without it all 100 are banked
+        pose = forward_kinematics(r3, self._Q)
+        n = 100
+        _, _, seed, _, _, _ = ik._refine_population(
+            r3, pose.position[:, None], pose.rotation[:, :, None], np.zeros((n, 3)),
+            np.zeros(n, dtype=int), np.arange(7, 7 + n), IKConfig())
+        assert seed.tolist() == [7]
+
+    def test_copies_of_one_target_never_merge(self, r3):
+        # two targets whose rows share every cell still coalesce apart
+        pose = forward_kinematics(r3, self._Q)
+        cfg = IKConfig(seeds_per_joint=6)
+        single = solve_all_ik(r3, pose, cfg)
+        assert single.count > 0
+        for s in solve_ik_along_path(r3, [pose, pose], cfg):
+            _assert_identical(single, s)
+
+
 class TestSolutionCountMap:
     def test_four_region_inside_two_annulus(self, r3):
         cfg = IKConfig(seeds_per_joint=10)

@@ -6,6 +6,7 @@ from cuspidal_kit import fileio
 from cuspidal_kit.ik import IKConfig
 from cuspidal_kit.kinematics import (
     Pose,
+    RobotModel,
     forward_kinematics,
     quat_to_rotation,
     rot_z,
@@ -250,6 +251,17 @@ class TestOptimize:
             assert r.final_rms < r.initial_rms
         # two basins: distinct optimized placements
         assert np.linalg.norm(results[0].pose.p - results[1].pose.p) > 0.05
+
+    def test_unbounded_first_joint_still_optimizes(self, r3):
+        # only a finite joint-1 limit breaks the z-rotation null space; strict
+        # JSON cannot write an infinite bound, so this arm exists only in code
+        limited = RobotModel(r3.axes, r3.offsets, r3.tool_offset,
+                             joint_limits=[[-np.inf, np.inf], [-np.pi, np.pi], [-3.0, 0.5]])
+        tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=30))
+        results = optimize_workpiece_pose(limited, tp, n_starts=1, seed=0,
+                                          nm_opts=NelderMeadOptions(max_evals=6),
+                                          ik_cfg=IKConfig(seeds_per_joint=8))
+        assert len(results) == 1 and results[0].final_cost < INFEASIBLE_SENTINEL
 
     def test_deterministic_for_fixed_seed(self, r3):
         tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=60))
