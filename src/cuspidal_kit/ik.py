@@ -1,11 +1,19 @@
-"""Enumeration of all isolated IK solutions by multi-start refinement.
+"""Enumeration of all isolated IK solutions from candidate starts.
 
-Every pose is attacked from a regular grid of joint-space seeds; each seed
-runs damped least squares until it converges, stalls at a boundary local
-minimum (a continuous approximate solution), or gives up. One wrap-aware
-dedup rule (_dedup) turns the survivors into solutions: exact before
-approximate, then by seed, each is kept unless it lies within its own
-radius of one already kept.
+Each start runs damped least squares until it converges, stalls at a
+boundary local minimum (a continuous approximate solution), or gives up.
+One wrap-aware dedup rule (_dedup) turns the survivors into solutions:
+exact before approximate, then by seed, each is kept unless it lies within
+its own radius of one already kept.
+
+Where the starts come from depends on the arm. A 3-DOF arm whose position
+equations reduce to one equation in theta3 (_reduce_3r: a quartic in
+tan(theta3 / 2), or one linear branch) gets at most four algebraic starts
+per target, one per root, and LM only polishes them; a complex pair of
+roots gives one start that becomes an approximate solution or is dropped.
+6-DOF arms, and 3-DOF arms that match no branch, fall back to a multi-start
+flood from a regular joint-space seed grid; seeds_per_joint (the CLI's
+--ik-seeds) sets that grid and nothing else.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
 task-space path can be refined in a handful of large numpy batches; a
@@ -17,6 +25,7 @@ population is batched, chunked or threaded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +70,14 @@ _DEDUP_TOL = 1e-4
 
 @dataclass
 class IKConfig:
-    """Every setting of the multi-start solver.
+    """Every setting of the IK solver.
 
-    seeds_per_joint defaults to 24 for 3-DOF arms and 8 for 6-DOF arms when
-    left as None. threads is how many chunks of a path are refined at once;
-    it never changes a result.
+    seeds_per_joint sets the seed grid of the multi-start fallback only:
+    6-DOF arms and 3-DOF arms that match no closed-form branch. It defaults
+    to 24 for 3-DOF arms and 8 for 6-DOF arms when left as None. A root
+    banks as exact at residual <= exact_tol and as approximate at
+    <= approx_tol. threads is how many chunks of a path are refined at
+    once; it never changes a result.
     """
     seeds_per_joint: int | None = None
     exact_tol: float = 1e-8
@@ -77,11 +89,14 @@ class IKConfig:
             raise ValueError("seeds_per_joint must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        for name in ("exact_tol", "approx_tol"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.exact_tol >= self.approx_tol:
             raise ValueError("exact_tol must be smaller than approx_tol")
-        for name in ("exact_tol", "approx_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     def resolve_seeds(self, dof: int) -> int:
         if self.seeds_per_joint is not None:
@@ -116,6 +131,199 @@ def seed_grid(dof: int, seeds_per_joint: int) -> np.ndarray:
     centers = -np.pi + (np.arange(seeds_per_joint) + 0.5) * (2.0 * np.pi / seeds_per_joint)
     grids = np.meshgrid(*([centers] * dof), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+@dataclass(frozen=True)
+class _Reduced3R:
+    """Robot constants of the closed-form 3R position IK.
+
+    With x = p - o1 and u(theta3) = p23 + R3 p3T, the invariants |x|^2 and
+    h1.x of joint 1 are linear in R2 u = (h2.u) h2 + w, w normal to h2:
+    M w = e, where M holds p12 and h1 in the basis (b1, b2) of h2's normal
+    plane and e = (|x|^2 / 2, h1.x) + E v, v = (1, cos theta3, sin theta3).
+    Rotating about h2 keeps |w|^2 = |u_perp|^2 = v U v. With M invertible,
+    w = minv e turns that into a quartic in tan(theta3 / 2); with M of rank
+    one, the left null vector null gives null.e = 0, linear in v, so at most
+    two theta3, and with M = sigma l m^T, w lies on the line
+    m.w = l.e / sigma along d normal to m, which meets the circle
+    |w| = |u_perp| at most twice.
+    """
+    h1: np.ndarray
+    h2: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+    p12: np.ndarray
+    g: np.ndarray       # h2.u over v
+    ub: np.ndarray      # (2, 3): u.b1 and u.b2 over v
+    E: np.ndarray       # (2, 3)
+    U: np.ndarray       # (3, 3)
+    minv: np.ndarray | None = None    # quartic branch: M^-1
+    null: np.ndarray | None = None    # linear branch: left null vector of M
+    line: np.ndarray | None = None    # linear branch: l / sigma, m, d
+
+
+# a det M this small relative to its rows' norms, or a theta3 coefficient
+# this small relative to the squared arm length, counts as zero
+_BRANCH_TOL = 1e-9
+# a quartic whose end coefficients both fall below this share of its largest
+# has roots at t = 0 and t = inf; the companion needs a nonzero lead
+_LEAD_FLOOR = 1e-14
+
+
+@functools.cache
+def _reduce_3r(robot: RobotModel) -> _Reduced3R | None:
+    """The closed-form reduction of a 3-DOF arm, built once per robot object.
+
+    None, so that the multi-start LM runs, for other arms and for arms
+    whose reduced equation does not depend on theta3 for a generic target
+    (theta3 then has no isolated values) or whose M vanishes.
+    """
+    if robot.dof != 3:
+        return None
+    h1, h2, h3 = robot.axes
+    p12, p23, tool = robot.offsets[1], robot.offsets[2], robot.tool_offset
+    # u = v . (u[0], u[1], u[2]); u[1] and u[2] are orthogonal, equally long
+    u = np.stack([p23 + (h3 @ tool) * h3, tool - (h3 @ tool) * h3, np.cross(h3, tool)])
+    k = int(np.argmin(np.abs(h2)))
+    b1 = np.eye(3)[k] - h2[k] * h2
+    b1 /= np.linalg.norm(b1)
+    b2 = np.cross(h2, b1)
+    g = u @ h2
+    sq = u @ u[0]   # on the unit circle |u|^2 = sq[0] + |u[1]|^2 + 2 (sq[1] c + sq[2] s)
+    E = -np.outer([p12 @ h2, h1 @ h2], g)
+    E[0] -= [(p12 @ p12 + sq[0] + u[1] @ u[1]) / 2.0, sq[1], sq[2]]
+    E[1, 0] -= h1 @ p12
+    U = -np.outer(g, g)
+    U[0] += [sq[0] + u[1] @ u[1], sq[1], sq[2]]
+    U[1:, 0] += sq[1:]
+    M = np.array([[p12 @ b1, p12 @ b2], [h1 @ b1, h1 @ b2]])
+    floor = _BRANCH_TOL * max(1.0, np.linalg.norm(p12) + np.linalg.norm(p23)
+                              + np.linalg.norm(tool)) ** 2
+    const = dict(h1=h1, h2=h2, b1=b1, b2=b2, p12=p12, g=g,
+                 ub=np.stack([u @ b1, u @ b2]), E=E, U=U)
+    norms = np.linalg.norm(M, axis=1)
+    if abs(np.linalg.det(M)) > _BRANCH_TOL * norms[0] * norms[1]:
+        minv = np.linalg.inv(M)
+        B = minv @ E[:, 1:]
+        # theta3 terms of the reduced equation for a free minv e
+        terms = np.concatenate([B.ravel(), [U[0, 1], U[0, 2], U[1, 1] - U[2, 2], U[1, 2]]])
+        return _Reduced3R(minv=minv, **const) if np.abs(terms).max() > floor else None
+    left, sv, right = np.linalg.svd(M)
+    null = left[:, 1]
+    if sv[0] <= _BRANCH_TOL or np.abs(null @ E[:, 1:]).max() <= floor:
+        return None
+    return _Reduced3R(null=null, line=np.stack([left[:, 0] / sv[0], right[0], right[1]]),
+                      **const)
+
+
+def _quartic_theta3(red: _Reduced3R, e1, e2):
+    """theta3 (k, 4) of the quartic's roots for targets with e = (e1, e2)
+    at v = (1, 0, 0), and which of them to keep: every real root and one of
+    each complex pair, whose real part in t = tan(theta3 / 2) is a start.
+
+    When |t^4 coefficient| < |t^0 coefficient| the quartic is solved in 1/t,
+    so a root at theta3 = pi, where the t^4 coefficient vanishes, is r = 0.
+    """
+    (m00, m01), (m10, m11) = red.minv
+    a1, a2 = m00 * e1 + m01 * e2, m10 * e1 + m11 * e2
+    B = red.minv @ red.E[:, 1:]
+    U = red.U
+    # |w|^2 - |u_perp|^2 = v Q v; only the row and column of 1 vary
+    q00 = a1 * a1 + a2 * a2 - U[0, 0]
+    q01 = a1 * B[0, 0] + a2 * B[1, 0] - U[0, 1]
+    q02 = a1 * B[0, 1] + a2 * B[1, 1] - U[0, 2]
+    q11, q12, q22 = (B.T @ B - U[1:, 1:])[[0, 0, 1], [0, 1, 1]]
+    # times (1 + t^2)^2, with cos = (1 - t^2) / (1 + t^2), sin = 2t / (1 + t^2)
+    poly = np.stack([q00 - 2.0 * q01 + q11, 4.0 * (q02 - q12),
+                     2.0 * (q00 - q11) + 4.0 * q22, 4.0 * (q02 + q12),
+                     q00 + 2.0 * q01 + q11], axis=-1)
+    flip = np.abs(poly[:, 4]) > np.abs(poly[:, 0])
+    poly = np.where(flip[:, None], poly[:, ::-1], poly)
+    floor = _LEAD_FLOOR * np.abs(poly).max(axis=1)
+    lead = np.where(np.abs(poly[:, 0]) >= floor, poly[:, 0], floor)
+    companion = np.zeros((poly.shape[0], 4, 4))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        companion[:, 0] = -poly[:, 1:] / lead[:, None]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    # no isolated roots for a quartic that vanishes (every theta3 solves it)
+    # or a non-finite target; LAPACK would refuse those rows
+    finite = np.isfinite(companion[:, 0]).all(axis=1)
+    companion[~finite, 0] = 0.0
+    roots = np.linalg.eigvals(companion)
+    # Re t of a root r of the flipped quartic is Re r / |r|^2; r = 0 is pi
+    den = np.where(flip[:, None], roots.real ** 2 + roots.imag ** 2, 1.0)
+    theta3 = np.where(den == 0.0, np.pi, 2.0 * np.arctan2(roots.real, den))
+    return theta3, (roots.imag >= 0.0) & finite[:, None]
+
+
+def _algebraic_starts(red: _Reduced3R, x):
+    """Closed-form candidates of k position targets x = p - o1 (3, k).
+
+    Returns joint vectors (k, 4, 3) and which to keep (k, 4). Every
+    operation is elementwise over targets or, for the roots, one LAPACK
+    call per target's own companion matrix, so a target's candidates do not
+    depend on the batch.
+    """
+    h1 = red.h1
+    e1 = 0.5 * (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) + red.E[0, 0]
+    z1 = h1[0] * x[0] + h1[1] * x[1] + h1[2] * x[2]
+    e2 = z1 + red.E[1, 0]
+    E = red.E
+    if red.minv is not None:
+        theta3, keep = _quartic_theta3(red, e1, e2)
+    else:
+        # null.e = 0 is rho cos(theta3 - phi) = -alpha; unreachable targets
+        # take the nearest theta3, as a complex pair takes its real part
+        beta, gamma = red.null @ E[:, 1:]
+        alpha = red.null[0] * e1 + red.null[1] * e2
+        psi = np.arccos(np.clip(-alpha / np.hypot(beta, gamma), -1.0, 1.0))
+        theta3 = np.arctan2(gamma, beta) + psi[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
+        keep = np.ones(theta3.shape, dtype=bool)
+    c, s = np.cos(theta3), np.sin(theta3)
+    ub1 = red.ub[0, 0] + red.ub[0, 1] * c + red.ub[0, 2] * s
+    ub2 = red.ub[1, 0] + red.ub[1, 1] * c + red.ub[1, 2] * s
+    ea = e1[:, None] + E[0, 1] * c + E[0, 2] * s
+    eb = e2[:, None] + E[1, 1] * c + E[1, 2] * s
+    if red.minv is not None:
+        (m00, m01), (m10, m11) = red.minv
+        w1, w2 = m00 * ea + m01 * eb, m10 * ea + m11 * eb
+    else:
+        # the line m.w = l.e / sigma meets the circle |w| = |u_perp|; a miss
+        # takes the line's nearest point
+        l_sig, m, d = red.line
+        mu = l_sig[0] * ea + l_sig[1] * eb
+        lam = np.sqrt(np.maximum(ub1 * ub1 + ub2 * ub2 - mu * mu, 0.0))
+        lam = lam * np.array([-1.0, 1.0, -1.0, 1.0])
+        w1, w2 = mu * m[0] + lam * d[0], mu * m[1] + lam * d[1]
+    # theta2 = SP1(h2, u_perp, w) in the (b1, b2) plane
+    theta2 = np.arctan2(ub1 * w2 - ub2 * w1, ub1 * w1 + ub2 * w2)
+    c2, s2 = np.cos(theta2), np.sin(theta2)
+    r1, r2 = c2 * ub1 - s2 * ub2, s2 * ub1 + c2 * ub2
+    gu = red.g[0] + red.g[1] * c + red.g[2] * s
+    # theta1 = SP1(h1, v, x) with v = p12 + R2 u
+    v = [red.p12[i] + gu * red.h2[i] + r1 * red.b1[i] + r2 * red.b2[i] for i in range(3)]
+    xs = [x[i][:, None] for i in range(3)]
+    across = (h1[0] * (v[1] * xs[2] - v[2] * xs[1]) + h1[1] * (v[2] * xs[0] - v[0] * xs[2])
+              + h1[2] * (v[0] * xs[1] - v[1] * xs[0]))
+    h1v = h1[0] * v[0] + h1[1] * v[1] + h1[2] * v[2]
+    along = v[0] * xs[0] + v[1] * xs[1] + v[2] * xs[2] - h1v * z1[:, None]
+    theta1 = np.arctan2(across, along)
+    return wrap_to_pi(np.stack([theta1, theta2, theta3], axis=-1)), keep
+
+
+def _closed_form_rows(red: _Reduced3R, x, lo: int):
+    """Start rows (Q0, sample, seed) for targets lo, lo + 1, ... at x = p - o1,
+    in (sample, seed) order. A target's seeds rank its candidates by
+    ascending wrapped theta3, then theta2, so the order of its solutions
+    follows from the algebra alone."""
+    Q, keep = _algebraic_starts(red, x)
+    k = Q.shape[0]
+    order = np.lexsort((Q[..., 1], np.where(keep, Q[..., 2], np.inf)))
+    Q = np.take_along_axis(Q, order[..., None], axis=1).reshape(-1, 3)
+    keep = np.take_along_axis(keep, order, axis=1).ravel()
+    sample = np.repeat(np.arange(lo, lo + k), 4)
+    seed = np.tile(np.arange(4), k)
+    return Q[keep], sample[keep], seed[keep]
 
 
 def _rotvec_batch(R: np.ndarray) -> np.ndarray:
@@ -346,8 +554,9 @@ def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = 
 def solve_all_ik(robot: RobotModel, target: Pose, cfg: IKConfig | None = None) -> IKSolutionSet:
     """All isolated IK solutions of a pose (6R) or position (3R).
 
-    Deterministic for a fixed config: solutions are ordered by the first
-    seed that reached them, exact solutions ahead of approximate ones. An
+    Deterministic for a fixed config: exact solutions come ahead of
+    approximate ones, each in the order of the start that reached them
+    (ascending theta3 of the algebraic root, or the seed-grid index). An
     empty set is a valid result for unreachable targets.
     """
     return solve_ik_along_path(robot, [target], cfg)[0]
@@ -368,21 +577,29 @@ def solve_ik_along_path(robot: RobotModel, targets,
     targets = list(targets)
     if not targets:
         return []
-    grid = seed_grid(robot.dof, cfg.resolve_seeds(robot.dof))
-    n_seeds = grid.shape[0]
+    Tpos = np.stack([t.position for t in targets], axis=-1)
+    Trot = np.stack([t.rotation for t in targets], axis=-1)
+    red = _reduce_3r(robot)
+    if red is not None:
+        n_seeds = 4
+
+        def starts(lo, hi):
+            return _closed_form_rows(red, Tpos[:, lo:hi] - robot.offsets[0][:, None], lo)
+    else:
+        grid = seed_grid(robot.dof, cfg.resolve_seeds(robot.dof))
+        n_seeds = grid.shape[0]
+
+        def starts(lo, hi):
+            k = hi - lo
+            return (np.tile(grid, (k, 1)), np.repeat(np.arange(lo, hi), n_seeds),
+                    np.tile(np.arange(n_seeds), k))
+
     per_chunk = max(1, _CHUNK_ROWS // n_seeds)
     chunks = [(lo, min(lo + per_chunk, len(targets)))
               for lo in range(0, len(targets), per_chunk)]
 
-    Tpos = np.stack([t.position for t in targets], axis=-1)
-    Trot = np.stack([t.rotation for t in targets], axis=-1)
-
     def run_chunk(bounds):
-        lo, hi = bounds
-        k = hi - lo
-        Q0 = np.tile(grid, (k, 1))
-        sample = np.repeat(np.arange(lo, hi), n_seeds)
-        seeds = np.tile(np.arange(n_seeds), k)
+        Q0, sample, seeds = starts(*bounds)
         Q, resid, seed, approx, sample, det_j = _refine_population(
             robot, Tpos, Trot, Q0, sample, seeds, cfg)
         keep = _dedup(Q, seed, approx, sample)

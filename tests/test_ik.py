@@ -12,11 +12,18 @@ from cuspidal_kit.ik import (
 )
 from cuspidal_kit.kinematics import (
     Pose,
+    RobotModel,
     fk_batch,
     forward_kinematics,
+    jacobian_determinant,
     wrap_to_pi,
 )
-from cuspidal_kit.scenarios import cusp_loop_path
+from cuspidal_kit.scenarios import (
+    control_loop_path,
+    cusp_loop_path,
+    infeasible_line_control_path,
+    infeasible_line_path,
+)
 
 from oracles import DenseGridIKOracle, greedy_dedup
 
@@ -329,6 +336,12 @@ class TestConfig:
         for threads in (0, -1):
             with pytest.raises(ValueError):
                 IKConfig(threads=threads)
+        # a NaN tolerance slips past every comparison and an infinite one
+        # banks any stall as a solution
+        for tols in ({"exact_tol": np.nan}, {"approx_tol": np.nan}, {"approx_tol": np.inf},
+                     {"exact_tol": -np.inf}, {"exact_tol": np.nan, "approx_tol": np.nan}):
+            with pytest.raises(ValueError):
+                IKConfig(**tols)
 
     def test_seed_defaults(self):
         cfg = IKConfig()
@@ -346,3 +359,143 @@ class TestConfig:
         assert all(s.approximate for s in sols)
         rho, z = np.hypot(*target.position[:2]), target.position[2]
         assert solution_count_map(r3, (rho, rho), (z, z), (1, 1))[0, 0] == 0
+
+
+def random_3r(rng) -> RobotModel:
+    axes = rng.normal(size=(3, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return RobotModel(axes=axes, offsets=rng.normal(size=(3, 3)),
+                      tool_offset=rng.normal(size=3), name="random-3r")
+
+
+def _gap(a, b) -> float:
+    return float(np.max(np.abs(wrap_to_pi(a - b))))
+
+
+def _split(ss):
+    return ([s.q for s in ss.solutions if not s.approximate],
+            [s.q for s in ss.solutions if s.approximate])
+
+
+def _assert_same_sets(got, want):
+    """Per target: equal exact and approximate counts, every exact root
+    within 1e-9 of one of the other set, every approximate solution within
+    the approximate dedup radius."""
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        (ea, xa), (eb, xb) = _split(a), _split(b)
+        assert (len(ea), len(xa)) == (len(eb), len(xb)), k
+        for mine, theirs in ((ea, eb), (eb, ea)):
+            for q in mine:
+                assert min(_gap(q, p) for p in theirs) <= 1e-9, k
+        for mine, theirs in ((xa, xb), (xb, xa)):
+            for q in mine:
+                assert min(_gap(q, p) for p in theirs) <= ik._APPROX_DEDUP, k
+
+
+@pytest.fixture
+def multi_start(monkeypatch):
+    """solve_ik_along_path with the closed form switched off: the LM seed
+    flood at a given density."""
+    def solve(robot, targets, seeds):
+        with monkeypatch.context() as m:
+            m.setattr(ik, "_reduce_3r", lambda robot: None)
+            return solve_ik_along_path(robot, targets, IKConfig(seeds_per_joint=seeds))
+    return solve
+
+
+class TestClosedForm3R:
+    def test_branches(self, r3, elbow, r6):
+        assert ik._reduce_3r(r3).minv is not None
+        assert ik._reduce_3r(elbow).null is not None
+        assert ik._reduce_3r(r6) is None
+        # joint 3 cannot move the tool point: theta3 has no isolated values
+        still = RobotModel(axes=np.eye(3), offsets=np.eye(3), tool_offset=[0.0, 0.0, 0.7])
+        assert ik._reduce_3r(still) is None
+
+    def test_random_arms_match_multi_start(self, multi_start):
+        # near a fold the seed flood banks iterates that stop short of the
+        # root: a residual under 1e-8 is reached about 1e-4 rad from a
+        # double root, and at |det J| = 1.6e-3 its root was 8e-8 off where
+        # the closed form's was exact; so where some |det J| < 1e-2 the sets
+        # are only compared by coverage
+        rng = np.random.default_rng(41)
+        near_fold = 0
+        for _ in range(100):
+            robot = random_3r(rng)
+            target = _random_targets(robot, int(rng.integers(1 << 30)), 1)
+            got, want = solve_ik_along_path(robot, target), multi_start(robot, target, 24)
+            dets = [abs(s.det_j) for ss in (got[0], want[0]) for s in ss.solutions]
+            if min(dets) >= 1e-2:
+                _assert_same_sets(got, want)
+                continue
+            near_fold += 1
+            qa, qb = [s.q for s in got[0].solutions], [s.q for s in want[0].solutions]
+            for mine, theirs in ((qa, qb), (qb, qa)):
+                for q in mine:
+                    assert min(_gap(q, p) for p in theirs) <= 1e-3
+        assert near_fold <= 5
+
+    def test_elbow_matches_multi_start(self, elbow, multi_start):
+        targets = _random_targets(elbow, 42, 50)
+        got = solve_ik_along_path(elbow, targets)
+        _assert_same_sets(got, multi_start(elbow, targets, 24))
+        assert all(ss.count > 0 for ss in got)
+
+    @pytest.mark.parametrize("seeds", [6, 24])
+    def test_fixtures_match_multi_start(self, r3, multi_start, seeds):
+        for path in (infeasible_line_path(), infeasible_line_control_path(),
+                     infeasible_line_control_path(500), cusp_loop_path(), control_loop_path()):
+            _assert_same_sets(solve_ik_along_path(r3, path.poses),
+                              multi_start(r3, path.poses, seeds))
+
+    def test_root_at_theta3_pi(self, r3):
+        # the t^4 coefficient of the quartic in tan(theta3 / 2) vanishes
+        for q in ([0.3, -0.7, np.pi], [0.0, 0.0, np.pi]):
+            q = np.array(q)
+            ss = solve_all_ik(r3, forward_kinematics(r3, q))
+            assert _contains(ss.solutions, q, tol=1e-12)
+
+    def test_fold_double_root_is_one_solution(self, r3):
+        # bisect det J = 0 along theta3: the quartic has a double root there
+        def det(t):
+            return jacobian_determinant(r3, np.array([0.2, 0.5, t]))
+        lo, hi = 0.2, 0.4
+        assert det(lo) * det(hi) < 0.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if det(mid) * det(lo) > 0.0 else (lo, mid)
+        q = np.array([0.2, 0.5, 0.5 * (lo + hi)])
+        sols = solve_all_ik(r3, forward_kinematics(r3, q)).solutions
+        near = [s for s in sols if _gap(s.q, q) < 1e-2]
+        assert len(near) == 1 and not near[0].approximate
+        assert _gap(near[0].q, q) < 1e-6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_target_has_no_solutions(self, r3, elbow):
+        # |x|^2 overflows or is NaN: no roots, and no LAPACK error for the
+        # other targets of the batch
+        targets = [Pose(np.eye(3), p) for p in ([1e200, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                                [np.nan, 0.0, 0.0], [1.0, 0.0, 1.5])]
+        for robot in (r3, elbow):
+            sets = solve_ik_along_path(robot, targets)
+            assert [ss.count for ss in sets[:3]] == [0, 0, 0] and sets[3].count > 0
+
+    def test_shuffled_batch_matches_single(self, r3, monkeypatch):
+        rng = np.random.default_rng(43)
+        p_star = fk_batch(r3, _R3_MAX_REACH_Q[None, :])[1][0]
+        beyond = [Pose(np.eye(3), p_star * (1.0 + d / np.linalg.norm(p_star)))
+                  for d in (5e-4, 1e-3, 1.0)]
+        targets = (cusp_loop_path().poses + infeasible_line_path(50).poses[:50]
+                   + _random_targets(r3, 44, 3) + beyond)
+        assert len(targets) == 257
+        targets = [targets[i] for i in rng.permutation(len(targets))]
+        single = [solve_all_ik(r3, t) for t in targets]
+        assert any(ss.count == 0 for ss in single)
+        assert any(s.approximate for ss in single for s in ss.solutions)
+        for a, b in zip(single, solve_ik_along_path(r3, targets)):
+            _assert_identical(a, b)
+        # seven targets per chunk, refined two chunks at a time
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 7 * 4)
+        for a, b in zip(single, solve_ik_along_path(r3, targets, IKConfig(threads=2))):
+            _assert_identical(a, b)
