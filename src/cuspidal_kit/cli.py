@@ -232,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         # the commands that run the IK; helix only writes a path file
         sp.add_argument("--ik-seeds", type=int, default=None,
-                        help="seed grid density per joint of the multi-start IK, used by "
-                             "6R arms and by 3R arms with no closed form "
-                             "(default 24 for 3R, 8 for 6R)")
+                        help="seed grid density per joint of the 6R IK (default 8); "
+                             "3R arms are solved in closed form and ignore it")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="also write the result here")
 

@@ -6,13 +6,14 @@ One wrap-aware dedup rule (_dedup) turns the survivors into solutions:
 exact before approximate, then by seed, each is kept unless it lies within
 its own radius of one already kept.
 
-Where the starts come from depends on the arm. A 3-DOF arm whose position
-equations reduce to one equation in theta3 (_reduce_3r: a quartic in
-tan(theta3 / 2), or one linear branch) gets at most four algebraic starts
-per target, one per root, and LM only polishes them; a complex pair of
-roots gives one start that becomes an approximate solution or is dropped.
-6-DOF arms, and 3-DOF arms that match no branch, fall back to a multi-start
-flood from a regular joint-space seed grid; seeds_per_joint (the CLI's
+Where the starts come from depends on the arm's dof alone. A 3-DOF arm's
+position equations reduce to one equation in theta3 (_reduce_3r: a quartic
+in tan(theta3 / 2), or one linear branch), which gives at most four
+algebraic starts per target, one per root, and LM only polishes them; a
+complex pair of roots gives one start that becomes an approximate solution
+or is dropped. A 3-DOF arm that does not reduce has det J = 0 for every
+joint vector and no isolated solutions, so it is refused. 6-DOF arms start
+from a regular joint-space seed grid; seeds_per_joint (the CLI's
 --ik-seeds) sets that grid and nothing else.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
@@ -45,8 +46,8 @@ from .kinematics import (  # noqa: F401  det_j_batch: see below
 
 # iterates of the same target in the same cell of this size (per joint, after
 # wrapping) are assumed to share a basin and are merged onto the lowest seed
-# index; completeness under this shortcut is covered by the brute-force grid
-# oracle
+# index; completeness under this shortcut is covered by
+# tests/test_ik.py::TestCoalescing::test_coalescing_keeps_every_exact_root_6r
 _COALESCE_CELL = 0.3
 _COALESCE_START_ITER = 2
 # rows this close to a root (meters+radians of residual) are exempt from
@@ -72,9 +73,8 @@ _DEDUP_TOL = 1e-4
 class IKConfig:
     """Every setting of the IK solver.
 
-    seeds_per_joint sets the seed grid of the multi-start fallback only:
-    6-DOF arms and 3-DOF arms that match no closed-form branch. It defaults
-    to 24 for 3-DOF arms and 8 for 6-DOF arms when left as None. A root
+    seeds_per_joint sets the seed grid of 6-DOF arms only, 8 per joint
+    when left as None; 3-DOF arms are solved in closed form. A root
     banks as exact at residual <= exact_tol and as approximate at
     <= approx_tol. threads is how many chunks of a path are refined at
     once; it never changes a result.
@@ -99,9 +99,7 @@ class IKConfig:
             raise ValueError("exact_tol must be smaller than approx_tol")
 
     def resolve_seeds(self, dof: int) -> int:
-        if self.seeds_per_joint is not None:
-            return self.seeds_per_joint
-        return 24 if dof == 3 else 8
+        return 8 if self.seeds_per_joint is None else self.seeds_per_joint
 
 
 @dataclass
@@ -171,15 +169,13 @@ _LEAD_FLOOR = 1e-14
 
 
 @functools.cache
-def _reduce_3r(robot: RobotModel) -> _Reduced3R | None:
+def _reduce_3r(robot: RobotModel) -> _Reduced3R:
     """The closed-form reduction of a 3-DOF arm, built once per robot object.
 
-    None, so that the multi-start LM runs, for other arms and for arms
-    whose reduced equation does not depend on theta3 for a generic target
-    (theta3 then has no isolated values) or whose M vanishes.
+    Raises ValueError for an arm whose reduced equation does not depend on
+    theta3 for a generic target or whose M vanishes: its det J vanishes for
+    every joint vector, so no target has isolated solutions.
     """
-    if robot.dof != 3:
-        return None
     h1, h2, h3 = robot.axes
     p12, p23, tool = robot.offsets[1], robot.offsets[2], robot.tool_offset
     # u = v . (u[0], u[1], u[2]); u[1] and u[2] are orthogonal, equally long
@@ -207,13 +203,16 @@ def _reduce_3r(robot: RobotModel) -> _Reduced3R | None:
         B = minv @ E[:, 1:]
         # theta3 terms of the reduced equation for a free minv e
         terms = np.concatenate([B.ravel(), [U[0, 1], U[0, 2], U[1, 1] - U[2, 2], U[1, 2]]])
-        return _Reduced3R(minv=minv, **const) if np.abs(terms).max() > floor else None
-    left, sv, right = np.linalg.svd(M)
-    null = left[:, 1]
-    if sv[0] <= _BRANCH_TOL or np.abs(null @ E[:, 1:]).max() <= floor:
-        return None
-    return _Reduced3R(null=null, line=np.stack([left[:, 0] / sv[0], right[0], right[1]]),
-                      **const)
+        if np.abs(terms).max() > floor:
+            return _Reduced3R(minv=minv, **const)
+    else:
+        left, sv, right = np.linalg.svd(M)
+        null = left[:, 1]
+        if sv[0] > _BRANCH_TOL and np.abs(null @ E[:, 1:]).max() > floor:
+            return _Reduced3R(null=null, line=np.stack([left[:, 0] / sv[0], right[0], right[1]]),
+                              **const)
+    raise ValueError(f"robot {robot.name!r} has no isolated IK solutions: "
+                     f"det J vanishes for every joint vector")
 
 
 def _quartic_theta3(red: _Reduced3R, e1, e2):
@@ -351,9 +350,9 @@ def _lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Damped least-squares step J^T (J J^T + lam^2 I)^-1 e, entry by entry.
 
     J (m, n, N) and e (m, N) are joint-major. The normal-equation entries
-    are sums of elementwise products, so each row gets the same bits in any
-    batch; 3x3 systems are solved by their adjugate, 6x6 ones by LAPACK on
-    a contiguous stack. Returns the (n, N) step.
+    are sums of elementwise products and LAPACK solves each system of the
+    contiguous stack on its own, so each row gets the same bits in any
+    batch. Returns the (n, N) step.
     """
     m, n, N = J.shape
     A = [[None] * m for _ in range(m)]
@@ -365,24 +364,11 @@ def _lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
             if i == j:
                 a += lam * lam
             A[i][j] = A[j][i] = a
-    if m == 3:
-        a00, a01, a02, a11, a12, a22 = A[0][0], A[0][1], A[0][2], A[1][1], A[1][2], A[2][2]
-        c00 = a11 * a22 - a12 * a12
-        c01 = a12 * a02 - a01 * a22
-        c02 = a01 * a12 - a11 * a02
-        c11 = a00 * a22 - a02 * a02
-        c12 = a01 * a02 - a00 * a12
-        c22 = a00 * a11 - a01 * a01
-        inv_det = 1.0 / (a00 * c00 + a01 * c01 + a02 * c02)
-        y = [(c00 * e[0] + c01 * e[1] + c02 * e[2]) * inv_det,
-             (c01 * e[0] + c11 * e[1] + c12 * e[2]) * inv_det,
-             (c02 * e[0] + c12 * e[1] + c22 * e[2]) * inv_det]
-    else:
-        stack = np.empty((N, m, m))
-        for i in range(m):
-            for j in range(m):
-                stack[:, i, j] = A[i][j]
-        y = np.linalg.solve(stack, np.ascontiguousarray(e.T)[..., None])[..., 0].T
+    stack = np.empty((N, m, m))
+    for i in range(m):
+        for j in range(m):
+            stack[:, i, j] = A[i][j]
+    y = np.linalg.solve(stack, np.ascontiguousarray(e.T)[..., None])[..., 0].T
     dq = np.empty((n, N))
     for k in range(n):
         d = J[0, k] * y[0]
@@ -570,6 +556,7 @@ def solve_ik_along_path(robot: RobotModel, targets,
     identical to a standalone solve_all_ik call on that pose, however many
     chunks of targets are refined at once. Approximate solutions are kept
     and flagged; callers that want exact ones only filter on .approximate.
+    Raises ValueError for a 3-DOF arm with no isolated solutions.
     """
     cfg = cfg or IKConfig()
     if robot.dof not in (3, 6):
@@ -579,8 +566,8 @@ def solve_ik_along_path(robot: RobotModel, targets,
         return []
     Tpos = np.stack([t.position for t in targets], axis=-1)
     Trot = np.stack([t.rotation for t in targets], axis=-1)
-    red = _reduce_3r(robot)
-    if red is not None:
+    if robot.dof == 3:
+        red = _reduce_3r(robot)
         n_seeds = 4
 
         def starts(lo, hi):

@@ -173,7 +173,8 @@ def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
 def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
               planner_cfg: PlannerConfig | None = None,
               ik_cfg: IKConfig | None = None) -> float:
-    """Planner weight of a reduced placement (total function, never raises)."""
+    """Planner weight of a reduced placement; raises ValueError only for an
+    arm the IK refuses (a 3R arm with no isolated solutions)."""
     return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg, ik_cfg)
 
 

@@ -9,11 +9,14 @@ lexicographically smallest optimal one, the IK dedup oracle applies the
 greedy radius rule one target and one row at a time, the admission oracle
 re-derives the planner's multi-pass edge rule with the same search, and the
 joint-limit oracle tracks turns vertex by vertex and judges every admitted
-edge on its own in a plain loop.
+edge on its own in a plain loop. The one exception is the seed flood: the
+library's own LM from a regular seed grid, the multi-start reference that
+the closed-form 3R IK is checked against.
 """
 
 import numpy as np
 
+from cuspidal_kit import ik
 from cuspidal_kit.kinematics import RobotModel, fk_batch, forward_kinematics, wrap_to_pi
 
 
@@ -90,6 +93,30 @@ class DenseGridIKOracle:
             if all(np.max(np.abs(wrap_to_pi(q - s))) > dedup_tol for s in sols):
                 sols.append(q)
         return sols
+
+
+def seed_flood(robot: RobotModel, targets, seeds: int):
+    """All-solutions IK of each target by LM from every node of a regular
+    grid of `seeds` per joint, deduplicated by the library's rule; one
+    IKSolutionSet per target, exact before approximate, each by seed."""
+    grid = ik.seed_grid(robot.dof, seeds)
+    n = grid.shape[0]
+    Tpos = np.stack([t.position for t in targets], axis=-1)
+    Trot = np.stack([t.rotation for t in targets], axis=-1)
+    per_chunk = max(1, 150_000 // n)
+    sets = []
+    for lo in range(0, len(targets), per_chunk):
+        k = min(per_chunk, len(targets) - lo)
+        Q, resid, seed, approx, sample, det_j = ik._refine_population(
+            robot, Tpos, Trot, np.tile(grid, (k, 1)), np.repeat(np.arange(lo, lo + k), n),
+            np.tile(np.arange(n), k), ik.IKConfig())
+        keep = ik._dedup(Q, seed, approx, sample)
+        for t in range(lo, lo + k):
+            sets.append(ik.IKSolutionSet([
+                ik.IKSolution(q=Q[i], residual=float(resid[i]), det_j=float(det_j[i]),
+                              approximate=bool(approx[i]))
+                for i in keep[sample[keep] == t]]))
+    return sets
 
 
 def greedy_dedup(Q, seed, approx, sample, exact_radius: float, approx_radius: float):

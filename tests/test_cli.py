@@ -9,6 +9,8 @@ from cuspidal_kit.cli import main
 from cuspidal_kit.kinematics import Pose, forward_kinematics
 from cuspidal_kit.scenarios import canonical_3r, control_loop_path
 
+from conftest import count_calls, degenerate_3r_arms
+
 
 def run(capsys, *argv):
     try:
@@ -329,6 +331,28 @@ class TestOptimize:
         assert out1 == out2
 
 
+class TestDegenerateArm:
+    @pytest.mark.parametrize("command", ["identify", "plan", "map", "optimize"])
+    @pytest.mark.parametrize("arm", degenerate_3r_arms(), ids=lambda arm: arm.name)
+    def test_exits_2(self, capsys, tmp_path, command, arm):
+        # det J vanishes everywhere: no target has isolated IK solutions
+        robot = tmp_path / "robot.json"
+        fileio.save_json(fileio.robot_to_doc(arm), robot)
+        argv = {"identify": ["--max-poses", "1"],
+                "plan": ["--path", "3r-infeasible-line"],
+                "map": ["--rho-range", "0", "1", "--z-range", "0", "1", "--grid", "2", "2"],
+                "optimize": ["--toolpath", "3r-helix", "--starts", "1", "--max-evals", "1"]}
+        code, out, err = run(capsys, command, "--robot", str(robot), *argv[command])
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors
+        # optimize refuses an arm whose joint 1 is off the base z axis
+        # before it runs any IK
+        if command != "optimize" or arm.axes[0][2] == 1.0:
+            assert "no isolated IK solutions" in errors[0]
+
+
 class TestMap:
     def test_small_grid_has_all_regions(self, capsys, tmp_path):
         out_csv = tmp_path / "map.csv"
@@ -359,8 +383,9 @@ class TestMap:
         assert set(cells) == {0}
 
     def test_threads_reach_the_ik(self, capsys, monkeypatch):
-        # a small chunk size splits the 48 targets into several chunks, so two
-        # threads really solve side by side; the CSV must not change
+        # five targets of four closed-form rows per chunk split the 48
+        # targets into ten chunks, so two threads really solve side by side;
+        # the CSV must not change
         seen = []
         solve = ik.solve_ik_along_path
 
@@ -369,7 +394,8 @@ class TestMap:
             return solve(robot, targets, cfg)
 
         monkeypatch.setattr(ik, "solve_ik_along_path", spy)
-        monkeypatch.setattr(ik, "_CHUNK_ROWS", 6 ** 3 * 5)
+        chunks = count_calls(monkeypatch, ik, "_refine_population")
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 5 * 4)
         monkeypatch.delenv("CUSPIDAL_KIT_THREADS", raising=False)
         argv = ["map", "--robot", "3r-canonical", "--rho-range", "0", "5",
                 "--z-range", "-3", "3", "--grid", "8", "6", "--ik-seeds", "6"]
@@ -379,6 +405,7 @@ class TestMap:
             assert code == 0
             outs.append(out)
         assert seen == [1, 2]
+        assert len(chunks) == 2 * 10
         assert outs[0] == outs[1]
 
     def test_rejects_6r(self, capsys):

@@ -12,7 +12,7 @@ from cuspidal_kit.ik import (
 )
 from cuspidal_kit.kinematics import (
     Pose,
-    RobotModel,
+    det_j_batch,
     fk_batch,
     forward_kinematics,
     jacobian_determinant,
@@ -25,7 +25,8 @@ from cuspidal_kit.scenarios import (
     infeasible_line_path,
 )
 
-from oracles import DenseGridIKOracle, greedy_dedup
+from conftest import count_calls, degenerate_3r_arms, random_3r
+from oracles import DenseGridIKOracle, greedy_dedup, seed_flood
 
 # outermost reach of the canonical arm, used to build boundary targets
 _R3_MAX_REACH_Q = np.array([1.242451, 0.0, 0.321751])
@@ -53,11 +54,21 @@ def _random_targets(robot, seed, count):
     return [forward_kinematics(robot, rng.uniform(-np.pi, np.pi, robot.dof)) for _ in range(count)]
 
 
-def _assert_batch_matches_single(robot, targets, cfg=None):
-    batched = solve_ik_along_path(robot, targets, cfg)
+def _solve_counting_chunks(robot, targets, cfg=None):
+    """solve_ik_along_path, and how many chunks it refined: one
+    _refine_population call each."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = count_calls(m, ik, "_refine_population")
+        return solve_ik_along_path(robot, targets, cfg), len(calls)
+
+
+def _assert_batch_matches_single(robot, targets, cfg=None) -> int:
+    """Returns how many chunks the batched solve refined."""
+    batched, chunks = _solve_counting_chunks(robot, targets, cfg)
     for target, bset in zip(targets, batched):
         assert bset.count > 0
         _assert_identical(solve_all_ik(robot, target, cfg), bset)
+    return chunks
 
 
 def margin_targets(robot, rng, count, det_margin=0.4):
@@ -215,28 +226,31 @@ class TestEnumeration:
         _assert_batch_matches_single(r3, _random_targets(r3, 15, 40))
 
     def test_small_chunks_match_single(self, r3, monkeypatch):
-        # three targets per chunk, the last chunk short: every chunk but the
-        # first holds sample ids that do not start at 0
-        monkeypatch.setattr(ik, "_CHUNK_ROWS", 3 * IKConfig().resolve_seeds(3) ** 3)
-        _assert_batch_matches_single(r3, _random_targets(r3, 15, 40))
+        # three targets of four closed-form rows per chunk, the last chunk
+        # short: every chunk but the first holds sample ids that do not
+        # start at 0
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 3 * 4)
+        assert _assert_batch_matches_single(r3, _random_targets(r3, 15, 40)) == 14
 
     def test_path_batching_matches_single_cusp_loop(self, r3):
-        # coalescing is gated on each target's own live-row count, so a
-        # target coalesces in a batch exactly when it would alone
-        _assert_batch_matches_single(r3, cusp_loop_path().poses, IKConfig(seeds_per_joint=6))
+        # at most four closed-form rows per target never reach the live-row
+        # count that starts coalescing; batches that coalesce are covered in
+        # TestCoalescing
+        _assert_batch_matches_single(r3, cusp_loop_path().poses)
 
     def test_path_batching_matches_single_6r(self, r6):
         _assert_batch_matches_single(r6, _random_targets(r6, 17, 3), IKConfig(seeds_per_joint=5))
 
-    def test_threads_identical(self, r3):
+    def test_threads_identical(self, r3, monkeypatch):
+        # three targets per chunk, so two threads refine different chunks at once
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 3 * 4)
         rng = np.random.default_rng(16)
         targets = [forward_kinematics(r3, rng.uniform(-np.pi, np.pi, 3)) for _ in range(30)]
-        a = solve_ik_along_path(r3, targets, IKConfig(threads=1))
-        b = solve_ik_along_path(r3, targets, IKConfig(threads=2))
+        a, _ = _solve_counting_chunks(r3, targets, IKConfig(threads=1))
+        b, chunks = _solve_counting_chunks(r3, targets, IKConfig(threads=2))
+        assert chunks == 10
         for sa, sb in zip(a, b):
-            assert sa.count == sb.count
-            for x, y in zip(sa.solutions, sb.solutions):
-                nt.assert_array_equal(x.q, y.q)
+            _assert_identical(sa, sb)
 
     def test_threads_identical_6r(self, r6, monkeypatch):
         # one pose per chunk, so two threads refine different chunks at once
@@ -262,14 +276,31 @@ class TestCoalescing:
             np.zeros(n, dtype=int), np.arange(7, 7 + n), IKConfig())
         assert seed.tolist() == [7]
 
-    def test_copies_of_one_target_never_merge(self, r3):
+    def test_copies_of_one_target_never_merge(self, r6, monkeypatch):
         # two targets whose rows share every cell still coalesce apart
-        pose = forward_kinematics(r3, self._Q)
-        cfg = IKConfig(seeds_per_joint=6)
-        single = solve_all_ik(r3, pose, cfg)
-        assert single.count > 0
-        for s in solve_ik_along_path(r3, [pose, pose], cfg):
+        keys = count_calls(monkeypatch, ik, "_cell_key")
+        pose = _random_targets(r6, 17, 1)[0]
+        cfg = IKConfig(seeds_per_joint=5)
+        single = solve_all_ik(r6, pose, cfg)
+        assert single.count > 0 and keys
+        for s in solve_ik_along_path(r6, [pose, pose], cfg):
             _assert_identical(single, s)
+
+    def test_coalescing_keeps_every_exact_root_6r(self, r6, monkeypatch):
+        # merging a cell onto its lowest seed must not lose a root: the exact
+        # sets equal those of the flood with coalescing switched off
+        rng = np.random.default_rng(5)
+        targets = [forward_kinematics(r6, rng.uniform(-np.pi, np.pi, 6)) for _ in range(3)]
+        cfg = IKConfig(seeds_per_joint=5)
+        merged = solve_ik_along_path(r6, targets, cfg)
+        monkeypatch.setattr(ik, "_COALESCE_START_ITER", ik._MAX_REFINE_ITERS)
+        unmerged = solve_ik_along_path(r6, targets, cfg)
+        for a, b in zip(merged, unmerged):
+            ea, eb = _split(a)[0], _split(b)[0]
+            assert len(ea) == len(eb) > 0
+            for mine, theirs in ((ea, eb), (eb, ea)):
+                for q in mine:
+                    assert min(_gap(q, p) for p in theirs) <= 1e-9
 
 
 class TestSolutionCountMap:
@@ -344,10 +375,9 @@ class TestConfig:
                 IKConfig(**tols)
 
     def test_seed_defaults(self):
-        cfg = IKConfig()
-        assert cfg.resolve_seeds(3) == 24
-        assert cfg.resolve_seeds(6) == 8
-        assert IKConfig(seeds_per_joint=5).resolve_seeds(3) == 5
+        # the seed grid is a 6R setting; 3R arms are solved in closed form
+        assert IKConfig().resolve_seeds(6) == 8
+        assert IKConfig(seeds_per_joint=5).resolve_seeds(6) == 5
 
     def test_exclude_approximate(self, r3):
         p_star = fk_batch(r3, _R3_MAX_REACH_Q[None, :])[1][0]
@@ -359,13 +389,6 @@ class TestConfig:
         assert all(s.approximate for s in sols)
         rho, z = np.hypot(*target.position[:2]), target.position[2]
         assert solution_count_map(r3, (rho, rho), (z, z), (1, 1))[0, 0] == 0
-
-
-def random_3r(rng) -> RobotModel:
-    axes = rng.normal(size=(3, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    return RobotModel(axes=axes, offsets=rng.normal(size=(3, 3)),
-                      tool_offset=rng.normal(size=3), name="random-3r")
 
 
 def _gap(a, b) -> float:
@@ -393,27 +416,26 @@ def _assert_same_sets(got, want):
                 assert min(_gap(q, p) for p in theirs) <= ik._APPROX_DEDUP, k
 
 
-@pytest.fixture
-def multi_start(monkeypatch):
-    """solve_ik_along_path with the closed form switched off: the LM seed
-    flood at a given density."""
-    def solve(robot, targets, seeds):
-        with monkeypatch.context() as m:
-            m.setattr(ik, "_reduce_3r", lambda robot: None)
-            return solve_ik_along_path(robot, targets, IKConfig(seeds_per_joint=seeds))
-    return solve
-
-
 class TestClosedForm3R:
-    def test_branches(self, r3, elbow, r6):
+    def test_branches(self, r3, elbow):
         assert ik._reduce_3r(r3).minv is not None
         assert ik._reduce_3r(elbow).null is not None
-        assert ik._reduce_3r(r6) is None
-        # joint 3 cannot move the tool point: theta3 has no isolated values
-        still = RobotModel(axes=np.eye(3), offsets=np.eye(3), tool_offset=[0.0, 0.0, 0.7])
-        assert ik._reduce_3r(still) is None
+        rng = np.random.default_rng(40)
+        for robot in degenerate_3r_arms():
+            # no isolated solutions anywhere: det J vanishes on every q
+            dets = det_j_batch(robot, rng.uniform(-np.pi, np.pi, (1000, 3)))
+            assert np.abs(dets).max() <= 1e-15
+            with pytest.raises(ValueError, match="no isolated IK solutions"):
+                ik._reduce_3r(robot)
+            with pytest.raises(ValueError, match="no isolated IK solutions"):
+                solve_all_ik(robot, forward_kinematics(robot, np.zeros(3)))
 
-    def test_random_arms_match_multi_start(self, multi_start):
+    def test_random_arms_reduce(self):
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            ik._reduce_3r(random_3r(rng))
+
+    def test_random_arms_match_multi_start(self):
         # near a fold the seed flood banks iterates that stop short of the
         # root: a residual under 1e-8 is reached about 1e-4 rad from a
         # double root, and at |det J| = 1.6e-3 its root was 8e-8 off where
@@ -424,7 +446,7 @@ class TestClosedForm3R:
         for _ in range(100):
             robot = random_3r(rng)
             target = _random_targets(robot, int(rng.integers(1 << 30)), 1)
-            got, want = solve_ik_along_path(robot, target), multi_start(robot, target, 24)
+            got, want = solve_ik_along_path(robot, target), seed_flood(robot, target, 24)
             dets = [abs(s.det_j) for ss in (got[0], want[0]) for s in ss.solutions]
             if min(dets) >= 1e-2:
                 _assert_same_sets(got, want)
@@ -436,18 +458,18 @@ class TestClosedForm3R:
                     assert min(_gap(q, p) for p in theirs) <= 1e-3
         assert near_fold <= 5
 
-    def test_elbow_matches_multi_start(self, elbow, multi_start):
+    def test_elbow_matches_multi_start(self, elbow):
         targets = _random_targets(elbow, 42, 50)
         got = solve_ik_along_path(elbow, targets)
-        _assert_same_sets(got, multi_start(elbow, targets, 24))
+        _assert_same_sets(got, seed_flood(elbow, targets, 24))
         assert all(ss.count > 0 for ss in got)
 
     @pytest.mark.parametrize("seeds", [6, 24])
-    def test_fixtures_match_multi_start(self, r3, multi_start, seeds):
+    def test_fixtures_match_multi_start(self, r3, seeds):
         for path in (infeasible_line_path(), infeasible_line_control_path(),
                      infeasible_line_control_path(500), cusp_loop_path(), control_loop_path()):
             _assert_same_sets(solve_ik_along_path(r3, path.poses),
-                              multi_start(r3, path.poses, seeds))
+                              seed_flood(r3, path.poses, seeds))
 
     def test_root_at_theta3_pi(self, r3):
         # the t^4 coefficient of the quartic in tan(theta3 / 2) vanishes
