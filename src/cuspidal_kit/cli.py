@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         # the commands that run the IK; helix only writes a path file
         sp.add_argument("--ik-seeds", type=int, default=None,
                         help="seed grid density per joint of the 6R IK (default 8); "
-                             "3R arms are solved in closed form and ignore it")
+                             "3R arms and 6R arms with joints 2-4 parallel are "
+                             "solved in closed form and ignore it")
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="also write the result here")
 

@@ -6,15 +6,19 @@ One wrap-aware dedup rule (_dedup) turns the survivors into solutions:
 exact before approximate, then by seed, each is kept unless it lies within
 its own radius of one already kept.
 
-Where the starts come from depends on the arm's dof alone. A 3-DOF arm's
-position equations reduce to one equation in theta3 (_reduce_3r: a quartic
-in tan(theta3 / 2), or one linear branch), which gives at most four
-algebraic starts per target, one per root, and LM only polishes them; a
-complex pair of roots gives one start that becomes an approximate solution
-or is dropped. A 3-DOF arm that does not reduce has det J = 0 for every
-joint vector and no isolated solutions, so it is refused. 6-DOF arms start
-from a regular joint-space seed grid; seeds_per_joint (the CLI's
---ik-seeds) sets that grid and nothing else.
+Where the starts come from depends on the arm. A 3-DOF arm's position
+equations reduce to one equation in theta3 (_reduce_3r: a quartic in
+tan(theta3 / 2), or one linear branch), which gives at most four algebraic
+starts per target, one per root, and LM only polishes them; a complex pair
+of roots gives one start that becomes an approximate solution or is
+dropped. A 6-DOF arm with h2 = h3 = h4 reduces to a quartic in
+tan(q1 / 2) and subproblems (_reduce_6r), which gives at most eight starts
+per target, two per root, polished the same way but for at most
+_POLISH_ITERS_6R LM iterations. A 3-DOF arm that does not
+reduce, or a 6-DOF arm with two consecutive coaxial joints, has det J = 0
+for every joint vector and no isolated solutions, so it is refused. Other
+6-DOF arms start from a regular joint-space seed grid; seeds_per_joint (the
+CLI's --ik-seeds) sets that grid and nothing else.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
 task-space path can be refined in a handful of large numpy batches; a
@@ -46,8 +50,10 @@ from .kinematics import (  # noqa: F401  det_j_batch: see below
 
 # iterates of the same target in the same cell of this size (per joint, after
 # wrapping) are assumed to share a basin and are merged onto the lowest seed
-# index; completeness under this shortcut is covered by
+# index; only seed grids (6-DOF arms without the closed form) have enough rows
+# per target to coalesce, and completeness under this shortcut is covered by
 # tests/test_ik.py::TestCoalescing::test_coalescing_keeps_every_exact_root_6r
+# on such an arm
 _COALESCE_CELL = 0.3
 _COALESCE_START_ITER = 2
 # rows this close to a root (meters+radians of residual) are exempt from
@@ -65,6 +71,11 @@ _LAM_MAX = 1e8
 # initial and minimum per-row damping
 _DAMPING = 1e-4
 _MAX_REFINE_ITERS = 100
+# LM budget of the 6R closed form's starts: a root's start banks by the
+# second iteration; starts that are not roots and still move after this
+# many are searching, which found no root the algebra had not given on
+# 4000 poses
+_POLISH_ITERS_6R = 6
 # exact solutions closer than this (per joint, after wrapping) are one solution
 _DEDUP_TOL = 1e-4
 
@@ -73,8 +84,9 @@ _DEDUP_TOL = 1e-4
 class IKConfig:
     """Every setting of the IK solver.
 
-    seeds_per_joint sets the seed grid of 6-DOF arms only, 8 per joint
-    when left as None; 3-DOF arms are solved in closed form. A root
+    seeds_per_joint sets the seed grid of 6-DOF arms without h2 = h3 = h4
+    only, 8 per joint when left as None; 3-DOF arms and 6-DOF arms with
+    that structure are solved in closed form and ignore it. A root
     banks as exact at residual <= exact_tol and as approximate at
     <= approx_tol. threads is how many chunks of a path are refined at
     once; it never changes a result.
@@ -217,12 +229,7 @@ def _reduce_3r(robot: RobotModel) -> _Reduced3R:
 
 def _quartic_theta3(red: _Reduced3R, e1, e2):
     """theta3 (k, 4) of the quartic's roots for targets with e = (e1, e2)
-    at v = (1, 0, 0), and which of them to keep: every real root and one of
-    each complex pair, whose real part in t = tan(theta3 / 2) is a start.
-
-    When |t^4 coefficient| < |t^0 coefficient| the quartic is solved in 1/t,
-    so a root at theta3 = pi, where the t^4 coefficient vanishes, is r = 0.
-    """
+    at v = (1, 0, 0), and which of them to keep (see _quartic_roots)."""
     (m00, m01), (m10, m11) = red.minv
     a1, a2 = m00 * e1 + m01 * e2, m10 * e1 + m11 * e2
     B = red.minv @ red.E[:, 1:]
@@ -232,6 +239,18 @@ def _quartic_theta3(red: _Reduced3R, e1, e2):
     q01 = a1 * B[0, 0] + a2 * B[1, 0] - U[0, 1]
     q02 = a1 * B[0, 1] + a2 * B[1, 1] - U[0, 2]
     q11, q12, q22 = (B.T @ B - U[1:, 1:])[[0, 0, 1], [0, 1, 1]]
+    return _quartic_roots(q00, q01, q02, q11, q12, q22)
+
+
+def _quartic_roots(q00, q01, q02, q11, q12, q22):
+    """Angles (k, 4) that solve v Q v = 0, v = (1, cos, sin), for k
+    symmetric Q given by their upper entries, and which of them to keep:
+    every real root and one of each complex pair, whose real part in
+    t = tan(angle / 2) is a start.
+
+    When |t^4 coefficient| < |t^0 coefficient| the quartic is solved in 1/t,
+    so a root at angle pi, where the t^4 coefficient vanishes, is r = 0.
+    """
     # times (1 + t^2)^2, with cos = (1 - t^2) / (1 + t^2), sin = 2t / (1 + t^2)
     poly = np.stack([q00 - 2.0 * q01 + q11, 4.0 * (q02 - q12),
                      2.0 * (q00 - q11) + 4.0 * q22, 4.0 * (q02 + q12),
@@ -244,15 +263,39 @@ def _quartic_theta3(red: _Reduced3R, e1, e2):
     with np.errstate(divide="ignore", invalid="ignore"):
         companion[:, 0] = -poly[:, 1:] / lead[:, None]
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    # no isolated roots for a quartic that vanishes (every theta3 solves it)
+    # no isolated roots for a quartic that vanishes (every angle solves it)
     # or a non-finite target; LAPACK would refuse those rows
     finite = np.isfinite(companion[:, 0]).all(axis=1)
     companion[~finite, 0] = 0.0
     roots = np.linalg.eigvals(companion)
     # Re t of a root r of the flipped quartic is Re r / |r|^2; r = 0 is pi
     den = np.where(flip[:, None], roots.real ** 2 + roots.imag ** 2, 1.0)
-    theta3 = np.where(den == 0.0, np.pi, 2.0 * np.arctan2(roots.real, den))
-    return theta3, (roots.imag >= 0.0) & finite[:, None]
+    angle = np.where(den == 0.0, np.pi, 2.0 * np.arctan2(roots.real, den))
+    return angle, (roots.imag >= 0.0) & finite[:, None]
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(u, v):
+    return np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _rotate(h, c, s, v):
+    """Rotation about a fixed unit axis h (3,) by the angle with cosine c and
+    sine s, applied to vectors v (3, ...), entry by entry."""
+    h = h.reshape((3,) + (1,) * (np.ndim(v) - 1))
+    along = _dot3(h, v) * h
+    return along + c * (v - along) + s * _cross3(h, v)
+
+
+def _sp1(h, u, v):
+    """Paden-Kahan subproblem 1: the angle about h (3,) that turns u (3, ...)
+    onto v (3, ...) as nearly as it can."""
+    h = h.reshape((3,) + (1,) * (np.ndim(u) - 1))
+    return np.arctan2(_dot3(h, _cross3(u, v)), _dot3(u, v) - _dot3(h, u) * _dot3(h, v))
 
 
 def _algebraic_starts(red: _Reduced3R, x):
@@ -263,10 +306,8 @@ def _algebraic_starts(red: _Reduced3R, x):
     call per target's own companion matrix, so a target's candidates do not
     depend on the batch.
     """
-    h1 = red.h1
-    e1 = 0.5 * (x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) + red.E[0, 0]
-    z1 = h1[0] * x[0] + h1[1] * x[1] + h1[2] * x[2]
-    e2 = z1 + red.E[1, 0]
+    e1 = 0.5 * _dot3(x, x) + red.E[0, 0]
+    e2 = _dot3(red.h1, x) + red.E[1, 0]
     E = red.E
     if red.minv is not None:
         theta3, keep = _quartic_theta3(red, e1, e2)
@@ -301,28 +342,116 @@ def _algebraic_starts(red: _Reduced3R, x):
     gu = red.g[0] + red.g[1] * c + red.g[2] * s
     # theta1 = SP1(h1, v, x) with v = p12 + R2 u
     v = [red.p12[i] + gu * red.h2[i] + r1 * red.b1[i] + r2 * red.b2[i] for i in range(3)]
-    xs = [x[i][:, None] for i in range(3)]
-    across = (h1[0] * (v[1] * xs[2] - v[2] * xs[1]) + h1[1] * (v[2] * xs[0] - v[0] * xs[2])
-              + h1[2] * (v[0] * xs[1] - v[1] * xs[0]))
-    h1v = h1[0] * v[0] + h1[1] * v[1] + h1[2] * v[2]
-    along = v[0] * xs[0] + v[1] * xs[1] + v[2] * xs[2] - h1v * z1[:, None]
-    theta1 = np.arctan2(across, along)
+    theta1 = _sp1(red.h1, v, x[:, :, None])
     return wrap_to_pi(np.stack([theta1, theta2, theta3], axis=-1)), keep
 
 
-def _closed_form_rows(red: _Reduced3R, x, lo: int):
-    """Start rows (Q0, sample, seed) for targets lo, lo + 1, ... at x = p - o1,
-    in (sample, seed) order. A target's seeds rank its candidates by
-    ascending wrapped theta3, then theta2, so the order of its solutions
-    follows from the algebra alone."""
-    Q, keep = _algebraic_starts(red, x)
-    k = Q.shape[0]
-    order = np.lexsort((Q[..., 1], np.where(keep, Q[..., 2], np.inf)))
-    Q = np.take_along_axis(Q, order[..., None], axis=1).reshape(-1, 3)
+def _start_rows(Q, keep, lo: int, major: int, minor: int):
+    """Start rows (Q0, sample, seed) of closed-form candidates Q (k, n, dof)
+    of targets lo, lo + 1, ..., in (sample, seed) order. A target's seeds
+    rank its kept candidates by ascending wrapped joint `major`, then joint
+    `minor`, so the order of its solutions follows from the algebra alone."""
+    k, n, dof = Q.shape
+    order = np.lexsort((Q[..., minor], np.where(keep, Q[..., major], np.inf)))
+    Q = np.take_along_axis(Q, order[..., None], axis=1).reshape(-1, dof)
     keep = np.take_along_axis(keep, order, axis=1).ravel()
-    sample = np.repeat(np.arange(lo, lo + k), 4)
-    seed = np.tile(np.arange(4), k)
+    sample = np.repeat(np.arange(lo, lo + k), n)
+    seed = np.tile(np.arange(n), k)
     return Q[keep], sample[keep], seed[keep]
+
+
+# joint axes this close (per entry) are parallel, and joint axes and offsets
+# this close to parallel are coaxial
+_PARALLEL_TOL = 1e-12
+
+
+@functools.cache
+def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
+    """The closed-form constant of a 6-DOF arm with h2 = h3 = h4 = a, built
+    once per robot object: A^-1 for the 2x2 system A (cos q5, sin q5) = f.
+
+    Joints 2 to 4 turn about one axis, which a.R1^T keeps fixed, so with
+    w0 = p - R p6T - o1 both a.R1^T w0 - a.(p12 + p23 + p34 + p45) = a.R5 p56
+    and a.R1^T R h6 = a.R5 h6 are linear in (1, cos q1, sin q1) on the left
+    and in (1, cos q5, sin q5) on the right. Returns None, and the arm keeps
+    the seed grid, when the axes differ or A is singular (as for h6 = h5).
+    Raises ValueError for an arm with two consecutive coaxial joints: their
+    Jacobian columns agree up to sign, so det J vanishes everywhere.
+    """
+    h, p = robot.axes, robot.offsets
+    for i in range(robot.dof - 1):
+        if (np.linalg.norm(np.cross(h[i + 1], h[i])) <= _PARALLEL_TOL
+                and np.linalg.norm(np.cross(p[i + 1], h[i]))
+                <= _PARALLEL_TOL * max(1.0, np.linalg.norm(p[i + 1]))):
+            raise ValueError(f"robot {robot.name!r} has no isolated IK solutions: joints "
+                             f"{i + 1} and {i + 2} are coaxial, so det J vanishes everywhere")
+    a, h5, h6, p56 = h[1], h[4], h[5], p[5]
+    if np.abs(h[2:4] - a).max() > _PARALLEL_TOL:
+        return None
+    A = np.array([[a @ p56 - (h5 @ p56) * (a @ h5), a @ np.cross(h5, p56)],
+                  [a @ h6 - (h5 @ h6) * (a @ h5), a @ np.cross(h5, h6)]])
+    norms = np.linalg.norm(A, axis=1)
+    if abs(np.linalg.det(A)) <= _BRANCH_TOL * norms[0] * norms[1]:
+        return None
+    return np.linalg.inv(A)
+
+
+def _algebraic_starts_6r(robot: RobotModel, ainv, Tpos, Trot):
+    """Closed-form candidates of k poses (Tpos (3, k), Trot (3, 3, k)) of an
+    arm that _reduce_6r reduces, after IK-Geo: q1 from the quartic of
+    cos^2 q5 + sin^2 q5 = 1, q5 from the 2x2 system, theta = q2 + q3 + q4
+    by SP1 about a, q6 by SP1 about h6, q3 by SP3 (two values; a miss takes
+    the nearest), q2 by SP1 and q4 = theta - q2 - q3.
+
+    Returns joint vectors (k, 8, 6) and which to keep (k, 8). As in
+    _algebraic_starts, a target's candidates do not depend on the batch.
+    """
+    h1, a, _, _, h5, h6 = robot.axes
+    o1, p12, p23, p34, p45, p56 = robot.offsets
+    ah5 = a @ h5
+    # a unit vector normal to h6
+    b6 = np.cross(h6, np.eye(3)[int(np.argmin(np.abs(h6)))])
+    b6 /= np.linalg.norm(b6)
+
+    def turn(v):
+        return Trot[:, 0] * v[0] + Trot[:, 1] * v[1] + Trot[:, 2] * v[2]
+
+    w0 = Tpos - turn(robot.tool_offset) - o1[:, None]
+    Rh6, Rb6 = turn(h6), turn(b6)
+    # both equations' left sides less their constants over v = (1, cos q1,
+    # sin q1), E v; then (cos q5, sin q5) = A^-1 E v = G v
+    E = []
+    for x, const in ((w0, a @ (p12 + p23 + p34 + p45) + (h5 @ p56) * ah5),
+                     (Rh6, (h5 @ h6) * ah5)):
+        x0 = (a @ h1) * _dot3(h1, x)
+        E.append((x0 - const, _dot3(a, x) - x0, -_dot3(np.cross(a, h1), x)))
+    (g0, g1, g2), (k0, k1, k2) = [[ainv[r, 0] * E[0][j] + ainv[r, 1] * E[1][j]
+                                   for j in range(3)] for r in range(2)]
+    q1, keep = _quartic_roots(g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1, g0 * g2 + k0 * k2,
+                              g1 * g1 + k1 * k1, g1 * g2 + k1 * k2, g2 * g2 + k2 * k2)
+    c1, s1 = np.cos(q1), np.sin(q1)
+    g0, g1, g2, k0, k1, k2 = (v[:, None] for v in (g0, g1, g2, k0, k1, k2))
+    q5 = np.arctan2(k0 + k1 * c1 + k2 * s1, g0 + g1 * c1 + g2 * s1)
+    c5, s5 = np.cos(q5), np.sin(q5)
+    x1, y1, b1 = (_rotate(h1, c1, -s1, v[:, :, None]) for v in (w0, Rh6, Rb6))
+    theta = _sp1(a, _rotate(h5, c5, s5, h6[:, None, None]), y1)
+    ct, st = np.cos(theta), np.sin(theta)
+    # R6 b6 = (R234 R5)^T R1^T R b6
+    q6 = _sp1(h6, b6[:, None, None], _rotate(h5, c5, -s5, _rotate(a, ct, -st, b1)))
+    # z = R2 (p23 + R3 p34), in the plane normal to a: SP3 for q3
+    z = x1 - p12[:, None, None] - _rotate(a, ct, st, p45[:, None, None]
+                                          + _rotate(h5, c5, s5, p56[:, None, None]))
+    zp = z - _dot3(a, z) * a[:, None, None]
+    u23, u34 = p23 - (a @ p23) * a, p34 - (a @ p34) * a
+    alpha, beta = u23 @ u34, u23 @ np.cross(a, u34)
+    gamma = 0.5 * (_dot3(zp, zp) - u23 @ u23 - u34 @ u34)
+    psi = np.arccos(np.clip(gamma / np.hypot(alpha, beta), -1.0, 1.0))
+    q3 = np.arctan2(beta, alpha) + psi[..., None] * np.array([-1.0, 1.0])
+    q2 = _sp1(a, p23[:, None, None, None] + _rotate(a, np.cos(q3), np.sin(q3),
+                                                    p34[:, None, None, None]), z[..., None])
+    q1, theta, q5, q6 = (v[..., None] for v in (q1, theta, q5, q6))
+    Q = np.stack(np.broadcast_arrays(q1, q2, q3, theta - q2 - q3, q5, q6), axis=-1)
+    return wrap_to_pi(Q.reshape(-1, 8, 6)), np.repeat(keep, 2, axis=1)
 
 
 def _rotvec_batch(R: np.ndarray) -> np.ndarray:
@@ -389,7 +518,8 @@ def _cell_key(Q, sample_of, cell: float) -> np.ndarray:
     return key
 
 
-def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKConfig):
+def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKConfig,
+                       max_iters: int = _MAX_REFINE_ITERS):
     """Levenberg-Marquardt over rows of (target, seed) pairs.
 
     Tpos (3, S) and Trot (3, 3, S) hold one target per sample id, and every
@@ -401,7 +531,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
     retried stiffer, which keeps boundary rows from being flung away by a
     near-singular Jacobian. All per-row state lives in one record,
     joint-major with rows along the last axis, that is compacted once per
-    iteration. Returns candidate arrays
+    iteration. At most max_iters LM iterations run. Returns candidate arrays
     (q, residual, seed, approximate, sample, det_j); det_j comes from the
     Jacobian at exactly that q.
     """
@@ -422,7 +552,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
                          rows["sample"][sel],
                          jacobian_dets(rows["J"][..., sel].transpose(2, 0, 1))))
 
-    for it in range(_MAX_REFINE_ITERS):
+    for it in range(max_iters):
         R, p, J = fk_jacobian_batch(robot, Q.T)
         # the kernel's buffers, joint-major again
         p, J = p.T, J.transpose(1, 2, 0)
@@ -464,7 +594,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
         gave_up = (stall >= _STALL_LIMIT) & ~below & ~bad
         rows.update(Q=Q, e=e, J=J, resid=resid, lam=lam, below=below, stall=stall,
                     best=np.minimum(rows["best"], resid))
-        if it == _MAX_REFINE_ITERS - 1:
+        if it == max_iters - 1:
             # out of budget: bank whatever is close enough
             bank(~bad & (resid <= cfg.approx_tol))
             break
@@ -542,7 +672,8 @@ def solve_all_ik(robot: RobotModel, target: Pose, cfg: IKConfig | None = None) -
 
     Deterministic for a fixed config: exact solutions come ahead of
     approximate ones, each in the order of the start that reached them
-    (ascending theta3 of the algebraic root, or the seed-grid index). An
+    (ascending theta3 of the 3R root, ascending q1 then q3 of the 6R root,
+    or the seed-grid index). An
     empty set is a valid result for unreachable targets.
     """
     return solve_ik_along_path(robot, [target], cfg)[0]
@@ -556,7 +687,7 @@ def solve_ik_along_path(robot: RobotModel, targets,
     identical to a standalone solve_all_ik call on that pose, however many
     chunks of targets are refined at once. Approximate solutions are kept
     and flagged; callers that want exact ones only filter on .approximate.
-    Raises ValueError for a 3-DOF arm with no isolated solutions.
+    Raises ValueError for an arm with no isolated solutions.
     """
     cfg = cfg or IKConfig()
     if robot.dof not in (3, 6):
@@ -566,12 +697,20 @@ def solve_ik_along_path(robot: RobotModel, targets,
         return []
     Tpos = np.stack([t.position for t in targets], axis=-1)
     Trot = np.stack([t.rotation for t in targets], axis=-1)
+    iters = _MAX_REFINE_ITERS
     if robot.dof == 3:
         red = _reduce_3r(robot)
         n_seeds = 4
 
         def starts(lo, hi):
-            return _closed_form_rows(red, Tpos[:, lo:hi] - robot.offsets[0][:, None], lo)
+            x = Tpos[:, lo:hi] - robot.offsets[0][:, None]
+            return _start_rows(*_algebraic_starts(red, x), lo, 2, 1)
+    elif (ainv := _reduce_6r(robot)) is not None:
+        n_seeds, iters = 8, _POLISH_ITERS_6R
+
+        def starts(lo, hi):
+            return _start_rows(*_algebraic_starts_6r(robot, ainv, Tpos[:, lo:hi],
+                                                     Trot[:, :, lo:hi]), lo, 0, 2)
     else:
         grid = seed_grid(robot.dof, cfg.resolve_seeds(robot.dof))
         n_seeds = grid.shape[0]
@@ -588,7 +727,7 @@ def solve_ik_along_path(robot: RobotModel, targets,
     def run_chunk(bounds):
         Q0, sample, seeds = starts(*bounds)
         Q, resid, seed, approx, sample, det_j = _refine_population(
-            robot, Tpos, Trot, Q0, sample, seeds, cfg)
+            robot, Tpos, Trot, Q0, sample, seeds, cfg, iters)
         keep = _dedup(Q, seed, approx, sample)
         return Q[keep], resid[keep], approx[keep], sample[keep], det_j[keep]
 

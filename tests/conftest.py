@@ -62,3 +62,13 @@ def degenerate_3r_arms() -> list[RobotModel]:
     on_axis = RobotModel(axes=arm.axes, offsets=arm.offsets, tool_offset=0.7 * arm.axes[2],
                          name="tool-on-axis-3")
     return [still, coaxial, on_axis]
+
+
+def coaxial_6r() -> RobotModel:
+    """A random 6R arm whose joint 2 is coaxial with joint 1, so that they
+    turn as one and det J vanishes for every joint vector."""
+    arm = random_6r(np.random.default_rng(2))
+    axes, offsets = arm.axes.copy(), arm.offsets.copy()
+    axes[1], offsets[1] = axes[0], 0.5 * axes[0]
+    return RobotModel(axes=axes, offsets=offsets, tool_offset=arm.tool_offset,
+                      name="coaxial-6r-1-2")

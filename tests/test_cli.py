@@ -9,7 +9,7 @@ from cuspidal_kit.cli import main
 from cuspidal_kit.kinematics import Pose, forward_kinematics
 from cuspidal_kit.scenarios import canonical_3r, control_loop_path
 
-from conftest import count_calls, degenerate_3r_arms
+from conftest import coaxial_6r, count_calls, degenerate_3r_arms
 
 
 def run(capsys, *argv):
@@ -351,6 +351,19 @@ class TestDegenerateArm:
         # before it runs any IK
         if command != "optimize" or arm.axes[0][2] == 1.0:
             assert "no isolated IK solutions" in errors[0]
+
+
+    def test_coaxial_6r_exits_2(self, capsys, tmp_path):
+        # joints 1 and 2 turn as one; the seed grid used to return non-isolated
+        # points as exact solutions and exit 3 undetermined
+        robot = tmp_path / "robot.json"
+        fileio.save_json(fileio.robot_to_doc(coaxial_6r()), robot)
+        code, out, err = run(capsys, "identify", "--robot", str(robot), "--max-poses", "2",
+                             "--ik-seeds", "4")
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors and "no isolated IK solutions" in errors[0]
 
 
 class TestMap:

@@ -2,7 +2,7 @@
 
 Each snapshot under tests/golden/ holds the argv, the exit code and the stdout
 of one run: `plan` on the built-in path fixtures (3r-canonical, --ik-seeds 6,
-default or --nonsingular), `identify` on the 6R arm (its LM path),
+default or --nonsingular), `identify` on the 6R arm (its closed-form IK),
 `optimize` on a 30-sample helix (its re-pricing), a small `map` grid, and
 `plan` on the cusp loop with three sets of declared joint limits (edge
 drops, a multi-turn start shift, an infeasible multi-turn pair).

@@ -12,6 +12,7 @@ from cuspidal_kit.ik import (
 )
 from cuspidal_kit.kinematics import (
     Pose,
+    RobotModel,
     det_j_batch,
     fk_batch,
     forward_kinematics,
@@ -25,7 +26,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_path,
 )
 
-from conftest import count_calls, degenerate_3r_arms, random_3r
+from conftest import coaxial_6r, count_calls, degenerate_3r_arms, random_3r, random_6r
 from oracles import DenseGridIKOracle, greedy_dedup, seed_flood
 
 # outermost reach of the canonical arm, used to build boundary targets
@@ -35,6 +36,16 @@ _R3_MAX_REACH_Q = np.array([1.242451, 0.0, 0.321751])
 @pytest.fixture(scope="module")
 def oracle(r3):
     return DenseGridIKOracle(r3, n_grid=180)
+
+
+@pytest.fixture(scope="module")
+def flood_6r():
+    # a 6R arm without the closed form's structure: it starts from the seed
+    # grid, so the batching, threading and coalescing tests of that grid run
+    # on it
+    robot = random_6r(np.random.default_rng(6))
+    assert ik._reduce_6r(robot) is None
+    return robot
 
 
 def _contains(solutions, q, tol=1e-8):
@@ -238,8 +249,11 @@ class TestEnumeration:
         # TestCoalescing
         _assert_batch_matches_single(r3, cusp_loop_path().poses)
 
-    def test_path_batching_matches_single_6r(self, r6):
-        _assert_batch_matches_single(r6, _random_targets(r6, 17, 3), IKConfig(seeds_per_joint=5))
+    def test_path_batching_matches_single_6r(self, flood_6r, monkeypatch):
+        keys = count_calls(monkeypatch, ik, "_cell_key")
+        _assert_batch_matches_single(flood_6r, _random_targets(flood_6r, 17, 3),
+                                     IKConfig(seeds_per_joint=5))
+        assert keys
 
     def test_threads_identical(self, r3, monkeypatch):
         # three targets per chunk, so two threads refine different chunks at once
@@ -252,12 +266,14 @@ class TestEnumeration:
         for sa, sb in zip(a, b):
             _assert_identical(sa, sb)
 
-    def test_threads_identical_6r(self, r6, monkeypatch):
+    def test_threads_identical_6r(self, flood_6r, monkeypatch):
         # one pose per chunk, so two threads refine different chunks at once
         monkeypatch.setattr(ik, "_CHUNK_ROWS", 5 ** 6)
-        targets = _random_targets(r6, 17, 3)
-        a = solve_ik_along_path(r6, targets, IKConfig(seeds_per_joint=5, threads=1))
-        b = solve_ik_along_path(r6, targets, IKConfig(seeds_per_joint=5, threads=2))
+        targets = _random_targets(flood_6r, 17, 3)
+        a = solve_ik_along_path(flood_6r, targets, IKConfig(seeds_per_joint=5, threads=1))
+        b, chunks = _solve_counting_chunks(flood_6r, targets,
+                                           IKConfig(seeds_per_joint=5, threads=2))
+        assert chunks == 3
         for sa, sb in zip(a, b):
             assert sa.count > 0
             _assert_identical(sa, sb)
@@ -276,25 +292,27 @@ class TestCoalescing:
             np.zeros(n, dtype=int), np.arange(7, 7 + n), IKConfig())
         assert seed.tolist() == [7]
 
-    def test_copies_of_one_target_never_merge(self, r6, monkeypatch):
+    def test_copies_of_one_target_never_merge(self, flood_6r, monkeypatch):
         # two targets whose rows share every cell still coalesce apart
         keys = count_calls(monkeypatch, ik, "_cell_key")
-        pose = _random_targets(r6, 17, 1)[0]
+        pose = _random_targets(flood_6r, 17, 1)[0]
         cfg = IKConfig(seeds_per_joint=5)
-        single = solve_all_ik(r6, pose, cfg)
+        single = solve_all_ik(flood_6r, pose, cfg)
         assert single.count > 0 and keys
-        for s in solve_ik_along_path(r6, [pose, pose], cfg):
+        for s in solve_ik_along_path(flood_6r, [pose, pose], cfg):
             _assert_identical(single, s)
 
-    def test_coalescing_keeps_every_exact_root_6r(self, r6, monkeypatch):
+    def test_coalescing_keeps_every_exact_root_6r(self, flood_6r, monkeypatch):
         # merging a cell onto its lowest seed must not lose a root: the exact
         # sets equal those of the flood with coalescing switched off
-        rng = np.random.default_rng(5)
-        targets = [forward_kinematics(r6, rng.uniform(-np.pi, np.pi, 6)) for _ in range(3)]
+        targets = _random_targets(flood_6r, 5, 3)
         cfg = IKConfig(seeds_per_joint=5)
-        merged = solve_ik_along_path(r6, targets, cfg)
+        with pytest.MonkeyPatch.context() as m:
+            keys = count_calls(m, ik, "_cell_key")
+            merged = solve_ik_along_path(flood_6r, targets, cfg)
+        assert keys
         monkeypatch.setattr(ik, "_COALESCE_START_ITER", ik._MAX_REFINE_ITERS)
-        unmerged = solve_ik_along_path(r6, targets, cfg)
+        unmerged = solve_ik_along_path(flood_6r, targets, cfg)
         for a, b in zip(merged, unmerged):
             ea, eb = _split(a)[0], _split(b)[0]
             assert len(ea) == len(eb) > 0
@@ -520,4 +538,145 @@ class TestClosedForm3R:
         # seven targets per chunk, refined two chunks at a time
         monkeypatch.setattr(ik, "_CHUNK_ROWS", 7 * 4)
         for a, b in zip(single, solve_ik_along_path(r3, targets, IKConfig(threads=2))):
+            _assert_identical(a, b)
+
+
+def random_parallel_6r(rng):
+    """A random 6R arm with h2 = h3 = h4, the closed form's class."""
+    arm = random_6r(rng)
+    axes = arm.axes.copy()
+    axes[2] = axes[3] = axes[1]
+    return RobotModel(axes=axes, offsets=arm.offsets, tool_offset=arm.tool_offset,
+                      name="random-parallel-6r")
+
+
+def _assert_same_exact(got, want, near_fold=1e-2):
+    """Per target: equal exact counts, every exact root within 1e-9 of one of
+    the other set, or within 1e-6 where some solution of either set has
+    |det J| < near_fold: there LM's roots stop short of the algebra's. Returns
+    how many targets were near a fold."""
+    folds = 0
+    for k, (a, b) in enumerate(zip(got, want)):
+        ea, eb = _split(a)[0], _split(b)[0]
+        assert len(ea) == len(eb), k
+        near = min(abs(s.det_j) for ss in (a, b) for s in ss.solutions) < near_fold
+        folds += near
+        for mine, theirs in ((ea, eb), (eb, ea)):
+            for q in mine:
+                assert min(_gap(q, p) for p in theirs) <= (1e-6 if near else 1e-9), k
+    return folds
+
+
+class TestClosedForm6R:
+    def test_branches(self, r6, flood_6r):
+        assert ik._reduce_6r(r6) is not None
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            assert ik._reduce_6r(random_parallel_6r(rng)) is not None
+        # h6 = h5 leaves the 2x2 system in (cos q5, sin q5) singular
+        axes = r6.axes.copy()
+        axes[5] = axes[4]
+        same_wrist = RobotModel(axes=axes, offsets=r6.offsets, tool_offset=r6.tool_offset)
+        for robot in (flood_6r, same_wrist):
+            assert ik._reduce_6r(robot) is None
+
+    def test_coaxial_joints_refused(self):
+        robot = coaxial_6r()
+        dets = det_j_batch(robot, np.random.default_rng(40).uniform(-np.pi, np.pi, (1000, 6)))
+        assert np.abs(dets).max() <= 1e-15
+        with pytest.raises(ValueError, match="no isolated IK solutions"):
+            ik._reduce_6r(robot)
+        with pytest.raises(ValueError, match="no isolated IK solutions"):
+            solve_all_ik(robot, forward_kinematics(robot, np.zeros(6)), IKConfig(seeds_per_joint=4))
+
+    def test_matches_multi_start(self, r6):
+        # the exact sets equal the flood's at 5 seeds. The flood also banks
+        # LM stalls 0.05 to 0.13 rad beside a near-singular exact root
+        # (residual 1e-4 to 1e-3) as approximate solutions; polished from the
+        # closed form's start next to them, LM converges to that root
+        targets = _random_targets(r6, 5, 40)
+        got, want = solve_ik_along_path(r6, targets), seed_flood(r6, targets, 5)
+        assert _assert_same_exact(got, want) <= 6
+        for k, (a, b) in enumerate(zip(got, want)):
+            (ea, xa), (eb, xb) = _split(a), _split(b)
+            for q in xa:
+                assert min(_gap(q, p) for p in xb) <= ik._APPROX_DEDUP, k
+            for q in xb:
+                assert min(_gap(q, p) for p in xa + ea) <= 0.15, k
+        # pose 5 (|det J| 4.7e-4): LM's roots stop 6.4e-8 short of the algebra's
+        assert 1e-8 < max(min(_gap(q, p) for p in _split(want[5])[0])
+                          for q in _split(got[5])[0]) < 1e-6
+
+    def test_random_arms_match_multi_start(self):
+        rng = np.random.default_rng(46)
+        for _ in range(4):
+            robot = random_parallel_6r(rng)
+            targets = _random_targets(robot, int(rng.integers(1 << 30)), 4)
+            got, want = solve_ik_along_path(robot, targets), seed_flood(robot, targets, 5)
+            _assert_same_exact(got, want)
+            assert all(ss.count > 0 for ss in got)
+
+    def test_root_count_split(self, r6):
+        sets = solve_ik_along_path(r6, _random_targets(r6, 5, 200))
+        counts = np.bincount([len(_split(ss)[0]) for ss in sets], minlength=9)
+        assert counts.tolist() == [0, 0, 81, 0, 88, 0, 23, 0, 8]
+
+    def test_near_fold_poses_have_no_approximate_flood(self, r6):
+        # at 5 seeds the seed grid returned 179 and 38 approximate solutions
+        # here, whose order and last digits followed last-bit differences of
+        # the LM arithmetic
+        for seed, index in ((5, 91), (23, 3)):
+            ss = solve_all_ik(r6, _random_targets(r6, seed, index + 1)[index],
+                              IKConfig(seeds_per_joint=5))
+            assert [len(part) for part in _split(ss)] == [6, 0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_target_has_no_solutions(self, r6):
+        good = forward_kinematics(r6, np.array([-2.4, -0.9, 1.1, -0.8, 2.3, -1.3]))
+        targets = [Pose(good.rotation, p) for p in ([1e200, 0.0, 0.0], [np.inf, 0.0, 0.0],
+                                                    [np.nan, 0.0, 0.0])]
+        sets = solve_ik_along_path(r6, targets + [good])
+        assert [ss.count for ss in sets[:3]] == [0, 0, 0] and sets[3].count > 0
+
+    def test_starts_that_are_not_roots_get_only_a_polish(self, r6, monkeypatch):
+        # the first pose identify draws from seed 313399065: at the full LM
+        # budget its complex-pair and SP3-miss starts wander for 40
+        # iterations and reach no root the algebra did not give
+        pose = forward_kinematics(r6, np.random.default_rng(313399065).uniform(-np.pi, np.pi, 6))
+        calls = count_calls(monkeypatch, ik, "fk_jacobian_batch")
+        polished = solve_all_ik(r6, pose)
+        assert len(calls) == ik._POLISH_ITERS_6R
+        monkeypatch.setattr(ik, "_POLISH_ITERS_6R", ik._MAX_REFINE_ITERS)
+        calls.clear()
+        full = solve_all_ik(r6, pose)
+        assert len(calls) == 40
+        assert len(_split(polished)[0]) == 2
+        _assert_same_exact([polished], [full])
+
+    def test_ignores_seed_count(self, r6):
+        target = _random_targets(r6, 5, 1)
+        for seeds in (2, 5):
+            _assert_identical(solve_all_ik(r6, target[0], IKConfig(seeds_per_joint=seeds)),
+                              solve_all_ik(r6, target[0]))
+
+    def test_shuffled_batch_matches_single(self, r6, monkeypatch):
+        rng = np.random.default_rng(48)
+        base = forward_kinematics(r6, np.array([-2.4, -0.9, 1.1, -0.8, 2.3, -1.3]))
+        # the reach along this ray ends at a scale of 1.28248; past it only
+        # approximate solutions remain
+        beyond = [Pose(base.rotation, base.position * scale) for scale in (1.2828, 3.0)]
+        targets = (_random_targets(r6, 5, 40) + _random_targets(r6, 23, 5)
+                   + [Pose(base.rotation, base.position + [0.0, 0.03 * k, -0.02 * k])
+                      for k in range(11)] + beyond)
+        targets = [targets[i] for i in rng.permutation(len(targets))]
+        single = [solve_all_ik(r6, t) for t in targets]
+        assert any(ss.count == 0 for ss in single)
+        assert any(s.approximate for ss in single for s in ss.solutions)
+        for a, b in zip(single, solve_ik_along_path(r6, targets)):
+            _assert_identical(a, b)
+        # seven targets per chunk, refined two chunks at a time
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 7 * 8)
+        batched, chunks = _solve_counting_chunks(r6, targets, IKConfig(threads=2))
+        assert chunks == 9
+        for a, b in zip(single, batched):
             _assert_identical(a, b)
