@@ -9,15 +9,14 @@ its own radius of one already kept.
 Where the starts come from depends on the arm. A 3-DOF arm's position
 equations reduce to one equation in theta3 (_reduce_3r: a quartic in
 tan(theta3 / 2), or one linear branch), which gives at most four algebraic
-starts per target, one per root, and LM only polishes them; a complex pair
-of roots gives one start that becomes an approximate solution or is
-dropped. A 6-DOF arm with h2 = h3 = h4 reduces to a quartic in
-tan(q1 / 2) and subproblems (_reduce_6r), which gives at most eight starts
-per target, two per root, polished the same way but for at most
-_POLISH_ITERS_6R LM iterations. A 3-DOF arm that does not
-reduce, or a 6-DOF arm with two consecutive coaxial joints, has det J = 0
-for every joint vector and no isolated solutions, so it is refused. Other
-6-DOF arms start from a regular joint-space seed grid; seeds_per_joint (the
+starts per target, one per root; a complex pair of roots gives one start
+that becomes an approximate solution or is dropped. A 6-DOF arm with
+h2 = h3 = h4 reduces to a quartic in tan(q1 / 2) and subproblems
+(_reduce_6r), which gives at most eight starts per target, two per root.
+LM only polishes the starts of both closed forms, for at most
+_POLISH_ITERS iterations. A 3-DOF arm that does not a 6-DOF arm with two consecutive coaxial joints, has det J = 0 for every
+joint vector and no isolated solutions, so it is refused. Other 6-DOF
+arms start from a regular joint-space seed grid; seeds_per_joint (the
 CLI's --ik-seeds) sets that grid and nothing else.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
@@ -30,7 +29,6 @@ population is batched, chunked or threaded.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +39,7 @@ from .kinematics import (  # noqa: F401  det_j_batch: see below
     det_j_batch,
     fk_jacobian_batch,
     jacobian_dets,
+    per_robot,
     wrap_to_pi,
 )
 
@@ -70,12 +69,13 @@ _LAM_SHRINK = 0.3
 _LAM_MAX = 1e8
 # initial and minimum per-row damping
 _DAMPING = 1e-4
+# LM budget of the 6R seed grid and of refine_solution's single start
 _MAX_REFINE_ITERS = 100
-# LM budget of the 6R closed form's starts: a root's start banks by the
-# second iteration; starts that are not roots and still move after this
-# many are searching, which found no root the algebra had not given on
-# 4000 poses
-_POLISH_ITERS_6R = 6
+# LM budget of the closed forms' starts: a root's start banks by the second
+# iteration; starts that are not roots and still move after this many are
+# searching, which found no root the algebra had not given on 4000 6R poses
+# and 3000 random 3R targets
+_POLISH_ITERS = 6
 # exact solutions closer than this (per joint, after wrapping) are one solution
 _DEDUP_TOL = 1e-4
 
@@ -180,7 +180,7 @@ _BRANCH_TOL = 1e-9
 _LEAD_FLOOR = 1e-14
 
 
-@functools.cache
+@per_robot
 def _reduce_3r(robot: RobotModel) -> _Reduced3R:
     """The closed-form reduction of a 3-DOF arm, built once per robot object.
 
@@ -365,7 +365,7 @@ def _start_rows(Q, keep, lo: int, major: int, minor: int):
 _PARALLEL_TOL = 1e-12
 
 
-@functools.cache
+@per_robot
 def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
     """The closed-form constant of a 6-DOF arm with h2 = h3 = h4 = a, built
     once per robot object: A^-1 for the 2x2 system A (cos q5, sin q5) = f.
@@ -697,7 +697,7 @@ def solve_ik_along_path(robot: RobotModel, targets,
         return []
     Tpos = np.stack([t.position for t in targets], axis=-1)
     Trot = np.stack([t.rotation for t in targets], axis=-1)
-    iters = _MAX_REFINE_ITERS
+    iters = _POLISH_ITERS
     if robot.dof == 3:
         red = _reduce_3r(robot)
         n_seeds = 4
@@ -706,14 +706,14 @@ def solve_ik_along_path(robot: RobotModel, targets,
             x = Tpos[:, lo:hi] - robot.offsets[0][:, None]
             return _start_rows(*_algebraic_starts(red, x), lo, 2, 1)
     elif (ainv := _reduce_6r(robot)) is not None:
-        n_seeds, iters = 8, _POLISH_ITERS_6R
+        n_seeds = 8
 
         def starts(lo, hi):
             return _start_rows(*_algebraic_starts_6r(robot, ainv, Tpos[:, lo:hi],
                                                      Trot[:, :, lo:hi]), lo, 0, 2)
     else:
         grid = seed_grid(robot.dof, cfg.resolve_seeds(robot.dof))
-        n_seeds = grid.shape[0]
+        n_seeds, iters = grid.shape[0], _MAX_REFINE_ITERS
 
         def starts(lo, hi):
             k = hi - lo

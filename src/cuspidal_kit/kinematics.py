@@ -5,11 +5,13 @@ i-1), inter-frame offsets p_{i-1,i}, and a tool offset p_{nT}. Forward
 kinematics walks the chain: translate by the offset, rotate about the joint
 axis, repeat, then apply the tool offset. Everything here is a pure function
 of its inputs; batched variants (leading N axis) carry the heavy load for
-the IK engine.
+the IK engine. A robot's arrays are read-only, so per_robot values stay valid.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,9 +171,9 @@ class RobotModel:
     """
 
     def __init__(self, axes, offsets, tool_offset, joint_limits=None, name: str = ""):
-        self.axes = np.atleast_2d(np.asarray(axes, dtype=float))
-        self.offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-        self.tool_offset = np.asarray(tool_offset, dtype=float)
+        self.axes = np.atleast_2d(np.array(axes, dtype=float))
+        self.offsets = np.atleast_2d(np.array(offsets, dtype=float))
+        self.tool_offset = np.array(tool_offset, dtype=float)
         self.name = name
         if self.axes.shape != self.offsets.shape or self.axes.shape[1] != 3:
             raise ValueError("axes and offsets must both be (dof, 3)")
@@ -184,17 +186,21 @@ class RobotModel:
         if np.any(np.abs(norms - 1.0) > UNIT_AXIS_TOL):
             raise ValueError("joint axes must be unit vectors")
         if joint_limits is not None:
-            joint_limits = np.asarray(joint_limits, dtype=float)
+            joint_limits = np.array(joint_limits, dtype=float)
             if joint_limits.shape != (self.dof, 2):
                 raise ValueError("joint_limits must be (dof, 2)")
             if np.isnan(joint_limits).any():
                 raise ValueError("joint_limits must not be NaN")
             if np.any(joint_limits[:, 0] >= joint_limits[:, 1]):
                 raise ValueError("each joint limit must satisfy lo < hi")
+            joint_limits.setflags(write=False)
         self.joint_limits = joint_limits
         # fixed per-axis Rodrigues terms, reused by the batched kernels
         self._K = np.stack([skew(h) for h in self.axes])
         self._K2 = np.stack([K @ K for K in self._K])
+        for v in (self.axes, self.offsets, self.tool_offset, self._K, self._K2):
+            v.setflags(write=False)
+        self._derived = {}   # by builder function, see per_robot
 
     @property
     def dof(self) -> int:
@@ -208,6 +214,17 @@ class RobotModel:
         if q.shape != (self.dof,):
             raise ValueError(f"expected joint vector of length {self.dof}, got shape {q.shape}")
         return q
+
+
+def per_robot(build):
+    """Decorator: build(robot) runs once per robot and its value is kept on
+    the robot, so it goes with it. A build that raises keeps nothing."""
+    @functools.wraps(build)
+    def derived(robot: RobotModel):
+        if build not in robot._derived:
+            robot._derived[build] = build(robot)
+        return robot._derived[build]
+    return derived
 
 
 def fk_batch(robot: RobotModel, Q: np.ndarray):
@@ -233,7 +250,7 @@ def fk_batch(robot: RobotModel, Q: np.ndarray):
 
 
 def _dot(a, b):
-    """Sum of a[k] * b[k], left to right, for (N,) arrays and Python floats.
+    """Sum of a[k] * b[k], left to right, for chain entries and Python floats.
 
     Float factors of exactly 0 or 1 fold away, so a product of fixed-axis
     terms costs only the entries that actually vary.
@@ -261,25 +278,30 @@ def _sub(a, b):
     return a if b.__class__ is float and b == 0.0 else a - b
 
 
-def fk_jacobian_batch(robot: RobotModel, Q: np.ndarray):
-    """FK plus geometric Jacobian for a batch of joint vectors Q (N, dof).
+def _emitter(op, reflected: bool):
+    def emit(self, other):
+        self.tape.append((op, other, self) if reflected else (op, self, other))
+        return _Entry(self.tape, len(self.tape) - 1)
+    return emit
 
-    Returns (R, p, J): R (N, 3, 3), p (N, 3) and J of shape (N, 3, dof)
-    for 3-DOF arms (position rows only) and (N, 6, dof) otherwise (linear
-    velocity of the tool point stacked over angular velocity, both in the
-    base frame).
 
-    The chain is walked joint-major, one (N,) array per matrix entry, so
-    every row is computed by the same elementwise operations whatever batch
-    it sits in. Entries that the fixed axes make exactly 0 or 1 stay Python
-    scalars and drop out of the products. The results are written into
-    contiguous (3, 3, N), (3, N) and (m, dof, N) buffers and returned as
-    transposed views of them.
-    """
-    Q = np.asarray(Q, dtype=float)
-    N, n = Q.shape
-    QT = np.ascontiguousarray(Q.T)
-    s, c = np.sin(QT), np.cos(QT)
+class _Entry:
+    """A varying entry of the chain walk: register reg, computed by the
+    (op, a, b) at tape[reg] (None for an input), which arithmetic appends."""
+    __slots__ = ("tape", "reg")
+
+    def __init__(self, tape, reg):
+        self.tape, self.reg = tape, reg
+
+    __mul__, __rmul__ = _emitter(operator.mul, False), _emitter(operator.mul, True)
+    __add__, __radd__ = _emitter(operator.add, False), _emitter(operator.add, True)
+    __sub__, __rsub__ = _emitter(operator.sub, False), _emitter(operator.sub, True)
+
+
+def _chain_walk(robot: RobotModel, s, c):
+    """The kernel's outputs (buffer, row, entry) from entries s[i], c[i] of
+    sin and cos q_i, joint-major; buffers 0, 1, 2 are R, p, J flattened."""
+    n = robot.dof
     K, K2 = robot._K.tolist(), robot._K2.tolist()
     R = np.eye(3).tolist()
     o = robot.offsets[0].tolist()
@@ -299,20 +321,78 @@ def fk_jacobian_batch(robot: RobotModel, Q: np.ndarray):
              for a in range(3)]
     tool = robot.tool_offset.tolist()
     p = [_add(o[a], _dot(R[a], tool)) for a in range(3)]
-    m = 3 if n == 3 else 6
-    Rb, pb, Jb = np.empty((3, 3, N)), np.empty((3, N)), np.empty((m, n, N))
-    for a in range(3):
-        pb[a] = p[a]
-        for b in range(3):
-            Rb[a, b] = R[a][b]
+    out = [(0, k, R[k // 3][k % 3]) for k in range(9)] + [(1, a, p[a]) for a in range(3)]
     for i in range(n):
         z = axes_w[i]
         lever = [_sub(p[a], origins[i][a]) for a in range(3)]
         for a in range(3):
             b, d = (a + 1) % 3, (a + 2) % 3
-            Jb[a, i] = _sub(_dot((z[b],), (lever[d],)), _dot((z[d],), (lever[b],)))
-            if m == 6:
-                Jb[3 + a, i] = z[a]
+            out.append((2, a * n + i, _sub(_dot((z[b],), (lever[d],)), _dot((z[d],), (lever[b],)))))
+            if n != 3:
+                out.append((2, (3 + a) * n + i, z[a]))
+    return out
+
+
+@per_robot
+def _kernel_tape(robot: RobotModel):
+    """_chain_walk traced once on symbolic entries and compiled to (code,
+    writes, init): register d = op(register a, register b) for each
+    (op, a, b, d) of code, (buffer, row, register) of each output, and the
+    register file a call starts from: float constants, and sin q_i, cos q_i
+    to go to registers 2i, 2i + 1. The register of a value past its last
+    use is reused, which frees that (N,) array."""
+    n = robot.dof
+    tape = [None] * (2 * n)
+    inputs = [_Entry(tape, r) for r in range(2 * n)]
+    outputs = _chain_walk(robot, inputs[0::2], inputs[1::2])
+    # the instruction that reads register r last; an output's is len(tape)
+    last = {v.reg: len(tape) for _, _, v in outputs if v.__class__ is _Entry}
+    for r in range(len(tape) - 1, 2 * n - 1, -1):
+        for x in tape[r][1:]:
+            if x.__class__ is _Entry:
+                last.setdefault(x.reg, r)
+    init, slot, free, code = [None] * (2 * n), {r: r for r in range(2 * n)}, [], []
+
+    def operand(x):
+        if x.__class__ is _Entry:
+            return slot[x.reg]
+        init.append(x)
+        return len(init) - 1
+
+    for r in range(2 * n, len(tape)):
+        op, a, b = tape[r]
+        free += {slot[x.reg] for x in (a, b) if x.__class__ is _Entry and last[x.reg] == r}
+        slot[r] = free.pop() if free else operand(None)   # else a new register
+        code.append((op, operand(a), operand(b), slot[r]))
+    return code, [(buf, row, operand(v)) for buf, row, v in outputs], init
+
+
+def fk_jacobian_batch(robot: RobotModel, Q: np.ndarray):
+    """FK plus geometric Jacobian for a batch of joint vectors Q (N, dof).
+
+    Returns (R, p, J): R (N, 3, 3), p (N, 3) and J of shape (N, 3, dof)
+    for 3-DOF arms (position rows only) and (N, 6, dof) otherwise (linear
+    velocity of the tool point stacked over angular velocity, both in the
+    base frame).
+
+    A call replays the robot's tape (_kernel_tape), one (N,) array per
+    matrix entry, on the sines and cosines of Q, so every row is computed
+    by the same elementwise operations whatever batch it sits in, into
+    contiguous (3, 3, N), (3, N) and (m, dof, N) buffers; it returns
+    transposed views of them.
+    """
+    code, writes, init = _kernel_tape(robot)
+    QT = np.ascontiguousarray(np.asarray(Q, dtype=float).T)
+    n, N = QT.shape
+    reg = list(init)
+    reg[0:2 * n:2], reg[1:2 * n:2] = np.sin(QT), np.cos(QT)
+    for op, a, b, d in code:
+        reg[d] = op(reg[a], reg[b])
+    m = 3 if n == 3 else 6
+    Rb, pb, Jb = np.empty((3, 3, N)), np.empty((3, N)), np.empty((m, n, N))
+    flat = (Rb.reshape(9, N), pb, Jb.reshape(m * n, N))
+    for buf, row, k in writes:
+        flat[buf][row] = reg[k]
     return Rb.transpose(2, 0, 1), pb.T, Jb.transpose(2, 0, 1)
 
 

@@ -11,7 +11,6 @@ Nelder-Mead descends on the planner cost from random feasible starts.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .kinematics import (
     Pose,
     RobotModel,
     fk_batch,
+    per_robot,
     quat_to_rotation,
     rot_z,
     rotation_to_quat,
@@ -138,7 +138,7 @@ def decompose_rz_rxy(R) -> tuple[float, np.ndarray]:
     return float(theta_z), R_xy
 
 
-@functools.cache
+@per_robot
 def workspace_radii(robot: RobotModel):
     """Crude reachable-shell estimate: (min, max) tool distance from base,
     computed once per robot object."""

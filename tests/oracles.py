@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here deliberately avoids the library's solver internals: the
-Jacobian oracle uses central differences of forward kinematics, the IK
+Jacobian oracle uses central differences of forward kinematics, the kernel
+oracle walks the chain with its 0/1 folding on every call (the kernel
+replays a tape recorded once per robot and must match it bit for bit), the IK
 oracle scans a dense joint-space grid for error minima and polishes them
 with a plain pseudo-inverse Newton, the shortest-path oracle explores
 every start-to-finish route by depth-first search and keeps the
@@ -36,6 +38,69 @@ def finite_difference_jacobian(robot: RobotModel, q, h: float = 1e-6) -> np.ndar
             dR = (Pp.rotation - Pm.rotation) / (2.0 * h) @ R0.T
             J[3:, i] = [dR[2, 1], dR[0, 2], dR[1, 0]]
     return J
+
+
+def _fold_dot(a, b):
+    """Sum of a[k] * b[k], left to right, folding float factors of 0 and 1."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        if x.__class__ is float:
+            x, y = y, x
+        if y.__class__ is float:
+            if y == 0.0 or (x.__class__ is float and x == 0.0):
+                continue
+            t = x if y == 1.0 else x * y
+        else:
+            t = x * y
+        acc = t if acc.__class__ is float and acc == 0.0 else acc + t
+    return acc
+
+
+def _fold_sub(a, b):
+    return a if b.__class__ is float and b == 0.0 else a - b
+
+
+def walked_fk_jacobian(robot: RobotModel, Q):
+    """(R, p, J) of fk_jacobian_batch by walking the chain on every call:
+    one (N,) array per matrix entry, entries that the fixed axes make
+    exactly 0 or 1 kept as Python floats and folded out of the products."""
+    Q = np.asarray(Q, dtype=float)
+    N, n = Q.shape
+    QT = np.ascontiguousarray(Q.T)
+    s, c = np.sin(QT), np.cos(QT)
+    K, K2 = robot._K.tolist(), robot._K2.tolist()
+    R = np.eye(3).tolist()
+    o = robot.offsets[0].tolist()
+    origins, axes_w = [], []
+    for i in range(n):
+        if i > 0:
+            off = robot.offsets[i].tolist()
+            o = [_fold_dot((o[a], _fold_dot(R[a], off)), (1.0, 1.0)) for a in range(3)]
+        h = robot.axes[i].tolist()
+        axes_w.append([_fold_dot(R[a], h) for a in range(3)])
+        origins.append(o)
+        omc = 1.0 - c[i]
+        Ri = [[_fold_dot((s[i], omc, 1.0), (K[i][a][b], K2[i][a][b], float(a == b)))
+               for b in range(3)] for a in range(3)]
+        R = [[_fold_dot(R[a], [Ri[k][b] for k in range(3)]) for b in range(3)]
+             for a in range(3)]
+    tool = robot.tool_offset.tolist()
+    p = [_fold_dot((o[a], _fold_dot(R[a], tool)), (1.0, 1.0)) for a in range(3)]
+    m = 3 if n == 3 else 6
+    Rb, pb, Jb = np.empty((3, 3, N)), np.empty((3, N)), np.empty((m, n, N))
+    for a in range(3):
+        pb[a] = p[a]
+        for b in range(3):
+            Rb[a, b] = R[a][b]
+    for i in range(n):
+        z = axes_w[i]
+        lever = [_fold_sub(p[a], origins[i][a]) for a in range(3)]
+        for a in range(3):
+            b, d = (a + 1) % 3, (a + 2) % 3
+            Jb[a, i] = _fold_sub(_fold_dot((z[b],), (lever[d],)), _fold_dot((z[d],), (lever[b],)))
+            if m == 6:
+                Jb[3 + a, i] = z[a]
+    return Rb.transpose(2, 0, 1), pb.T, Jb.transpose(2, 0, 1)
 
 
 class DenseGridIKOracle:

@@ -4,7 +4,9 @@ perfbench/tracing.py replaces module attributes (its BOUNDARIES) by timing
 wrappers and reads counts off their arguments and results:
 IKSolutionSet.solutions, PlanGraph.edges[(k, d)]["weight"], layer_counts
 and edge_count. A rename there breaks the benchmark without failing any
-other test here, so this runs the tracer on three tiny CLI calls.
+other test here, so this runs the tracer on three tiny CLI calls. The IK
+must also reach the kernel through ik.fk_jacobian_batch, the name the
+tracer wraps, or the kernel rows read 0.
 """
 
 import sys
@@ -48,3 +50,4 @@ def test_traced_commands_fill_every_layer_metric(tmp_path, capsys):
     assert set(metrics) == expected
     assert metrics["planner.vertices"] > 0
     assert metrics["ik.exact_solutions"] > 0
+    assert metrics["kinematics.fkjac_rows"] > 0

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as nt
 import pytest
@@ -20,10 +23,12 @@ from cuspidal_kit.kinematics import (
     wrap_to_pi,
 )
 from cuspidal_kit.scenarios import (
+    canonical_3r,
     control_loop_path,
     cusp_loop_path,
     infeasible_line_control_path,
     infeasible_line_path,
+    three_parallel_6r,
 )
 
 from conftest import coaxial_6r, count_calls, degenerate_3r_arms, random_3r, random_6r
@@ -511,6 +516,36 @@ class TestClosedForm3R:
         assert len(near) == 1 and not near[0].approximate
         assert _gap(near[0].q, q) < 1e-6
 
+    def test_near_fold_twins_are_one_solution(self, r3):
+        # the quartic's real roots sit at theta3 = 0.3084 and 0.3083249,
+        # 7.5e-5 apart, so dedup keeps one; a complex-pair start polished
+        # for the full 100-iteration budget banked a second "exact" point at
+        # theta3 = 0.308444 (residual 2.7e-9, det J of the other sign)
+        q = np.array([0.2, 0.5, 0.3084])
+        target = forward_kinematics(r3, q)
+        Q, keep = ik._algebraic_starts(ik._reduce_3r(r3), (target.position - r3.offsets[0])[:, None])
+        roots = sorted(t for t in Q[0, keep[0], 2] if abs(t - 0.3084) < 1e-3)
+        nt.assert_allclose(roots, [0.3083249, 0.3084], atol=1e-7)
+        near = [s for s in solve_all_ik(r3, target).solutions if _gap(s.q, q) < 1e-2]
+        assert len(near) == 1 and not near[0].approximate
+        assert near[0].residual < 1e-14 and _gap(near[0].q, q) < 1e-4
+
+    def test_starts_that_are_not_roots_get_only_a_polish(self, r3, monkeypatch):
+        # at the full LM budget the complex-pair starts of these paths wander
+        # for 20 and 32 iterations and reach no root the algebra did not give
+        paths = (infeasible_line_path(), cusp_loop_path())
+        calls = count_calls(monkeypatch, ik, "fk_jacobian_batch")
+        polished = []
+        for path in paths:
+            calls.clear()
+            polished.append(solve_ik_along_path(r3, path.poses))
+            assert len(calls) == ik._POLISH_ITERS
+        monkeypatch.setattr(ik, "_POLISH_ITERS", ik._MAX_REFINE_ITERS)
+        for path, sets, full_calls in zip(paths, polished, (20, 32)):
+            calls.clear()
+            _assert_same_sets(sets, solve_ik_along_path(r3, path.poses))
+            assert len(calls) == full_calls
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_target_has_no_solutions(self, r3, elbow):
         # |x|^2 overflows or is NaN: no roots, and no LAPACK error for the
@@ -645,8 +680,8 @@ class TestClosedForm6R:
         pose = forward_kinematics(r6, np.random.default_rng(313399065).uniform(-np.pi, np.pi, 6))
         calls = count_calls(monkeypatch, ik, "fk_jacobian_batch")
         polished = solve_all_ik(r6, pose)
-        assert len(calls) == ik._POLISH_ITERS_6R
-        monkeypatch.setattr(ik, "_POLISH_ITERS_6R", ik._MAX_REFINE_ITERS)
+        assert len(calls) == ik._POLISH_ITERS
+        monkeypatch.setattr(ik, "_POLISH_ITERS", ik._MAX_REFINE_ITERS)
         calls.clear()
         full = solve_all_ik(r6, pose)
         assert len(calls) == 40
@@ -680,3 +715,15 @@ class TestClosedForm6R:
         assert chunks == 9
         for a, b in zip(single, batched):
             _assert_identical(a, b)
+
+
+@pytest.mark.parametrize("make", [canonical_3r, three_parallel_6r])
+def test_solved_robot_is_freed(make):
+    # what the IK derives from a robot is kept on the robot, not in a
+    # module-level cache that would keep every robot alive
+    robot = make()
+    solve_all_ik(robot, forward_kinematics(robot, np.full(robot.dof, 0.3)))
+    freed = weakref.ref(robot)
+    del robot
+    gc.collect()
+    assert freed() is None

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
+from cuspidal_kit import kinematics
 from cuspidal_kit.ik import IKConfig, solve_ik_along_path
 from cuspidal_kit.kinematics import (
     Pose,
@@ -20,10 +21,15 @@ from cuspidal_kit.kinematics import (
     to_cylindrical,
     wrap_to_pi,
 )
-from cuspidal_kit.scenarios import THREE_PARALLEL_WITNESS
+from cuspidal_kit.scenarios import (
+    THREE_PARALLEL_WITNESS,
+    canonical_3r,
+    elbow_3r,
+    three_parallel_6r,
+)
 
-from oracles import finite_difference_jacobian
-from conftest import random_6r
+from oracles import finite_difference_jacobian, walked_fk_jacobian
+from conftest import count_calls, random_3r, random_6r
 
 
 def _singular_config(robot):
@@ -174,6 +180,32 @@ class TestFkJacobianKernel:
                 assert s.det_j == det_j_batch(robot, s.q[None, :])[0]
 
 
+class TestKernelTape:
+    @pytest.mark.parametrize("make", [
+        canonical_3r, elbow_3r, three_parallel_6r,
+        lambda: random_6r(np.random.default_rng(11)),
+        lambda: random_3r(np.random.default_rng(12)),
+        lambda: random_3r(np.random.default_rng(13))])
+    def test_replay_matches_walked_chain_bitwise(self, make):
+        robot = make()
+        rng = np.random.default_rng(10)
+        for N in (1, 7, 2000):
+            Q = rng.uniform(-4.0, 4.0, (N, robot.dof))
+            Q[0] = 0.0
+            for got, want in zip(fk_jacobian_batch(robot, Q), walked_fk_jacobian(robot, Q)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_tape_is_built_once_per_robot(self, monkeypatch):
+        walks = count_calls(monkeypatch, kinematics, "_chain_walk")
+        robot = canonical_3r()
+        for N in (1, 3, 1):
+            fk_jacobian_batch(robot, np.zeros((N, 3)))
+        det_j_batch(robot, np.ones((2, 3)))
+        assert len(walks) == 1
+        fk_jacobian_batch(canonical_3r(), np.zeros((1, 3)))
+        assert len(walks) == 2
+
+
 class TestManipulability:
     def test_identity_weight_equals_abs_det(self, r3):
         q = np.array([0.4, -0.9, 1.3])
@@ -272,3 +304,20 @@ class TestRobotModel:
         kwargs[field] = value
         with pytest.raises(ValueError):
             RobotModel(**kwargs)
+
+    def test_arrays_are_read_only_copies(self):
+        axes, offsets = np.eye(3), np.ones((3, 3))
+        tool, limits = np.array([0.5, 0.0, 0.2]), np.tile([-2.0, 2.0], (3, 1))
+        robot = RobotModel(axes, offsets, tool, joint_limits=limits)
+        Q = np.random.default_rng(14).uniform(-np.pi, np.pi, (5, 3))
+        before = fk_jacobian_batch(robot, Q)
+        for name in ("axes", "offsets", "tool_offset", "joint_limits", "_K", "_K2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(robot, name)[0] = 0.0
+        axes[0], offsets[1], tool[2], limits[0] = [0.0, 1.0, 0.0], 3.0, 9.0, [-1.0, 1.0]
+        nt.assert_array_equal(robot.axes, np.eye(3))
+        nt.assert_array_equal(robot.offsets, np.ones((3, 3)))
+        nt.assert_array_equal(robot.tool_offset, [0.5, 0.0, 0.2])
+        nt.assert_array_equal(robot.joint_limits, np.tile([-2.0, 2.0], (3, 1)))
+        for got, want in zip(fk_jacobian_batch(robot, Q), before):
+            nt.assert_array_equal(got, want)

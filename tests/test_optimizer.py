@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as nt
 import pytest
@@ -28,6 +31,7 @@ from cuspidal_kit.optimizer import (
     transform_toolpath,
 )
 from cuspidal_kit.planner import PlannerConfig, TaskPath, plan_path
+from cuspidal_kit.scenarios import canonical_3r
 
 
 def _random_rotation(rng):
@@ -273,3 +277,14 @@ class TestOptimize:
         assert a.final_cost == b.final_cost
         nt.assert_array_equal(a.x.as_array(), b.x.as_array())
         assert a.history == b.history
+
+    def test_optimized_robot_is_freed(self):
+        robot = canonical_3r()
+        tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=12))
+        results = optimize_workpiece_pose(robot, tp, n_starts=1, seed=0,
+                                          nm_opts=NelderMeadOptions(max_evals=4))
+        assert results[0].final_cost < INFEASIBLE_SENTINEL
+        freed = weakref.ref(robot)
+        del robot
+        gc.collect()
+        assert freed() is None
