@@ -127,8 +127,7 @@ def _joint_path_doc(graph, jp) -> dict:
 def cmd_plan(args) -> int:
     robot = _load("robot", args.robot)
     path = _load("path", args.path)
-    cfg = PlannerConfig(eps0=args.eps0, skip_depth=args.skip_depth,
-                        nonsingular_only=args.nonsingular)
+    cfg = PlannerConfig(eps0=args.eps0, nonsingular_only=args.nonsingular)
     ik_cfg = _ik_cfg(args)
     result = plan_path(robot, path, cfg, ik_cfg)
     doc = {
@@ -172,7 +171,7 @@ def cmd_optimize(args) -> int:
     try:
         results = optimize_workpiece_pose(
             robot, tp, n_starts=args.starts, seed=args.seed, nm_opts=nm,
-            planner_cfg=PlannerConfig(eps0=args.eps0, skip_depth=args.skip_depth),
+            planner_cfg=PlannerConfig(eps0=args.eps0),
             ik_cfg=_ik_cfg(args))
     except StartExhaustionError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--robot", required=True)
     sp.add_argument("--path", required=True)
     sp.add_argument("--eps0", type=float, default=None)
-    sp.add_argument("--skip-depth", type=int, default=2)
     sp.add_argument("--nonsingular", action="store_true")
     sp.add_argument("--csv", default=None, help="write the joint path as CSV here")
     common(sp)
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--starts", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--eps0", type=float, default=None)
-    sp.add_argument("--skip-depth", type=int, default=2)
     sp.add_argument("--max-evals", type=int, default=5000)
     sp.add_argument("--csv", default=None, help="write the best start's history as CSV here")
     common(sp)

@@ -14,8 +14,9 @@ that becomes an approximate solution or is dropped. A 6-DOF arm with
 h2 = h3 = h4 reduces to a quartic in tan(q1 / 2) and subproblems
 (_reduce_6r), which gives at most eight starts per target, two per root.
 LM only polishes the starts of both closed forms, for at most
-_POLISH_ITERS iterations. A 3-DOF arm that does not a 6-DOF arm with two consecutive coaxial joints, has det J = 0 for every
-joint vector and no isolated solutions, so it is refused. Other 6-DOF
+_POLISH_ITERS iterations. A 3-DOF arm that does not reduce, or a 6-DOF
+arm with two consecutive coaxial joints, has det J = 0 for every joint
+vector and no isolated solutions, so it is refused. Other 6-DOF
 arms start from a regular joint-space seed grid; seeds_per_joint (the
 CLI's --ik-seeds) sets that grid and nothing else.
 

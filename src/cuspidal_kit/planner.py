@@ -1,11 +1,11 @@
 """Joint path planning over complete IK solution sets.
 
 A discretized task-space path becomes a layered weighted DAG: one vertex
-per IK solution per sample, plus start/finish pseudo-vertices. Edges join
-solutions of consecutive samples when the squared wrap-aware joint step
-divided by the sample spacing stays under a velocity-derived threshold;
-extra passes add skip edges over layers whose solutions went missing. The
-optimal joint path is the shortest S-to-F path.
+per IK solution per sample, plus start/finish pseudo-vertices joined to the
+first and last sample. Edges join solutions of consecutive samples only,
+when the squared wrap-aware joint step divided by the sample spacing stays
+under a velocity-derived threshold. The optimal joint path is the shortest
+S-to-F path, so it visits every sample.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class PlannerConfig:
     solutions, too large bridges distinct branches.
     """
     eps0: float | None = None
-    skip_depth: int = 2
     nonsingular_only: bool = False
     manipulability_weight: float = 0.0
     joint_limit_barrier: float = 0.0
@@ -76,8 +75,6 @@ class PlannerConfig:
         for name in ("manipulability_weight", "joint_limit_barrier"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.skip_depth < 1:
-            raise ValueError("skip_depth must be >= 1")
 
     def resolve_eps0(self, dof: int) -> float:
         if self.eps0 is not None:
@@ -112,16 +109,16 @@ def build_layers(robot: RobotModel, path: TaskPath,
 class PlanGraph:
     """Layered DAG over IK solutions with start/finish pseudo-vertices.
 
-    Every edge is a weight, inf where absent: one (M_k, M_k+d) matrix per
-    admitted (layer, gap) pair, and per layer one (M_k,) vector for the
-    edges S -> (k, m) and one for (k, m) -> F."""
+    Every edge is a weight, inf where absent: one (M_k, M_k+1) matrix per
+    pair of consecutive layers with an admitted edge, one (M_0,) vector for
+    the edges S -> (0, m) and one (M_K,) vector for (K, m) -> F."""
     dlambda: float
     eps: float
     Q: list[np.ndarray]                 # (M_k, n) wrapped joint vectors
     det_j: list[np.ndarray]
-    edges: dict                         # (k, d) -> dict(weight=(M_k, M_k+d))
-    s_weight: list[np.ndarray]          # (M_k,) per layer
-    f_weight: list[np.ndarray]          # (M_k,) per layer
+    edges: dict                         # (k, 1) -> dict(weight=(M_k, M_k+1))
+    s_weight: np.ndarray                # (M_0,)
+    f_weight: np.ndarray                # (M_K,)
     # turn-tracked joint vectors when the robot declares joint limits
     unwrapped: list[np.ndarray] | None = None
 
@@ -135,52 +132,39 @@ class PlanGraph:
 
     @property
     def edge_count(self) -> int:
-        weights = [e["weight"] for e in self.edges.values()] + self.s_weight + self.f_weight
+        weights = [e["weight"] for e in self.edges.values()] + [self.s_weight, self.f_weight]
         return sum(int(np.isfinite(w).sum()) for w in weights)
 
-    @property
-    def depth(self) -> int:
-        """Longest admitted edge, in layers."""
-        return max((d for _, d in self.edges), default=1)
 
+def reach(edges, rows: list, forward: bool = True) -> list:
+    """Min-plus relaxation along admitted edges over every layer.
 
-def incoming(edges, j: int, depth: int) -> list[tuple[int, int]]:
-    """Keys (k, d) of the admitted edges into layer j no longer than depth,
-    nearest layer first."""
-    return [(j - d, d) for d in range(1, min(depth, j) + 1) if (j - d, d) in edges]
-
-
-def reach(edges, depth: int, rows: dict, lo: int, hi: int, forward: bool = True) -> dict:
-    """Min-plus relaxation along admitted edges inside layers [lo, hi].
-
-    rows maps every layer k in [lo, hi] to an (M_k,) or (R, M_k) float
-    array of seed weights, inf where not reached, and is relaxed in place
-    and returned: forward, row r at layer j ends up holding the least weight
-    of a route from row r's seeds to each vertex, summed in route order;
-    backward, the least weight from each vertex to row r's seeds. np.isfinite
-    of a row is its reachability. With one row per start solution, one call
-    relaxes every start of a repeatability report at once.
+    rows holds for every layer k an (M_k,) or (R, M_k) float array of seed
+    weights, inf where not reached, and is relaxed in place and returned:
+    forward, row r at layer j ends up holding the least weight of a route
+    from row r's seeds to each vertex, summed in route order; backward, the
+    least weight from each vertex to row r's seeds. np.isfinite of a row is
+    its reachability. With one row per start solution, one call relaxes
+    every start of a repeatability report at once.
     """
-    heads = range(lo + 1, hi + 1) if forward else range(hi, lo, -1)
+    heads = range(1, len(rows)) if forward else range(len(rows) - 1, 0, -1)
     for j in heads:
-        for (k, d) in incoming(edges, j, min(depth, j - lo)):
-            W = edges[(k, d)]["weight"]
-            if forward:
-                np.minimum(rows[j], (rows[k][..., :, None] + W).min(axis=-2), out=rows[j])
-            else:
-                np.minimum(rows[k], (W + rows[j][..., None, :]).min(axis=-1), out=rows[k])
+        if (j - 1, 1) not in edges:
+            continue
+        W = edges[(j - 1, 1)]["weight"]
+        if forward:
+            np.minimum(rows[j], (rows[j - 1][..., :, None] + W).min(axis=-2), out=rows[j])
+        else:
+            np.minimum(rows[j - 1], (W + rows[j][..., None, :]).min(axis=-1), out=rows[j - 1])
     return rows
 
 
-def _copies(weights, layers) -> dict:
-    """Copies of per-layer weight vectors, for reach to relax."""
-    return {k: weights[k].copy() for k in layers}
-
-
-def _vertex_rows(counts, lo: int, hi: int) -> dict:
-    """Rows for reach over [lo, hi], one per layer-lo vertex, seeded there."""
-    rows = {j: np.full((counts[lo], counts[j]), np.inf) for j in range(lo + 1, hi + 1)}
-    rows[lo] = np.where(np.eye(counts[lo], dtype=bool), 0.0, np.inf)
+def _seeded(counts, k: int, seed) -> list:
+    """Rows for reach, inf everywhere but layer k, which holds a copy of
+    seed, (M_k,) or (R, M_k)."""
+    seed = np.array(seed, dtype=float)
+    rows = [np.full(seed.shape[:-1] + (c,), np.inf) for c in counts]
+    rows[k] = seed
     return rows
 
 
@@ -188,17 +172,14 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
                      robot: RobotModel | None = None) -> PlanGraph:
     """Weighted DAG over the layers.
 
-    Pass 1 admits edges between consecutive layers whose metric stays below
-    eps = dlambda * eps0; pass d admits skip edges over d-1 layers, at metric
-    threshold eps on the d*dlambda gap, only between vertices not already
-    connected inside that window (multi-pass rule, which also gates the
-    start/finish skip connections): S joins layer 0 and, after pass d, the
-    layer-(d-1) vertices it cannot reach; F likewise layer K and layer K-d+1.
-    Vertex penalties (manipulability, joint-limit barrier, approximate-
-    solution residual) ride on incoming edge and S weights so a path pays
-    each visited vertex exactly once. When the robot declares joint limits,
-    edges and terminals whose vertices leave them under greedy turn
-    tracking are dropped.
+    Edges join consecutive layers whose metric stays below
+    eps = dlambda * eps0 (and, under nonsingular_only, whose determinant
+    signs agree); S joins every layer-0 vertex and every layer-K vertex
+    joins F. Vertex penalties (manipulability, joint-limit barrier,
+    approximate-solution residual) ride on incoming edge and S weights so a
+    path pays each visited vertex exactly once. When the robot declares
+    joint limits, edges and terminals whose vertices leave them under
+    greedy turn tracking are dropped.
     """
     cfg = cfg or PlannerConfig()
     K = path.K
@@ -223,41 +204,19 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
 
     sign = [np.sign(d) for d in det_j]
     edges: dict = {}
-    counts = [q.shape[0] for q in Q]
-    depth = cfg.skip_depth
-
-    def admit(k: int, d: int):
-        cost = _step_cost(Q[k][:, None], Q[k + d][None], d * path.dlambda)
+    for k in range(K):
+        cost = _step_cost(Q[k][:, None], Q[k + 1][None], path.dlambda)
         ok = cost < eps
         if cfg.nonsingular_only:
-            ok &= (sign[k][:, None] * sign[k + d][None, :]) > 0
-        if d > 1 and ok.any():
-            ok &= ~np.isfinite(reach(edges, depth, _vertex_rows(counts, k, k + d), k, k + d)[k + d])
+            ok &= (sign[k][:, None] * sign[k + 1][None, :]) > 0
         if ok.any():
-            edges[(k, d)] = {"weight": np.where(ok, cost + penalties[k + d][None, :], np.inf)}
-
-    for k in range(K):
-        admit(k, 1)
-    s_weight = [penalties[0]] + [np.full(c, np.inf) for c in counts[1:]]
-    f_weight = [np.full(c, np.inf) for c in counts[:K]] + [np.zeros(counts[K])]
-
-    for d in range(2, depth + 1):
-        for k in range(0, K - d + 1):
-            admit(k, d)
-        # start/finish skips mirror the interior pass: S reaches layer d-1,
-        # F is reached from layer K-d+1, only for vertices not already wired
-        j = d - 1
-        if 1 <= j <= K - 1:
-            from_s = reach(edges, depth, _copies(s_weight, range(j + 1)), 0, j)[j]
-            s_weight[j] = np.where(np.isfinite(from_s), np.inf, penalties[j])
-            jf = K - j
-            to_f = reach(edges, depth, _copies(f_weight, range(jf, K + 1)), jf, K,
-                         forward=False)[jf]
-            f_weight[jf] = np.where(np.isfinite(to_f), np.inf, 0.0)
+            edges[(k, 1)] = {"weight": np.where(ok, cost + penalties[k + 1][None, :], np.inf)}
+    s_weight = penalties[0]
+    f_weight = np.zeros(Q[K].shape[0])
 
     unwrapped = None
     if robot is not None and robot.joint_limits is not None:
-        unwrapped = _enforce_limits(Q, edges, s_weight, f_weight, depth, robot.joint_limits,
+        unwrapped = _enforce_limits(Q, edges, s_weight, f_weight, robot.joint_limits,
                                     cfg.joint_limit_barrier * path.dlambda)
 
     return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j,
@@ -273,48 +232,50 @@ def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
     return np.where((turns != 0.0) & (shifted >= lo) & (shifted <= hi), shifted, q)
 
 
-def _enforce_limits(Q, edges, s_weight, f_weight, depth: int, limits: np.ndarray,
+def _enforce_limits(Q, edges, s_weight, f_weight, limits: np.ndarray,
                     barrier: float) -> list[np.ndarray]:
     """Turn tracking, joint-limit barrier (weight times dlambda) and limit
-    drops in one head-major pass, in place; returns the tracked vectors.
+    drops in one layer-by-layer pass, in place; returns the tracked vectors.
 
-    At layer j, each S-edge head takes its representative inside the limits
-    (see _start_representative), every other vertex the unwrapped value
-    nearest its first admitted predecessor (nearest layer first, then
-    lowest vertex index; exact +/- pi steps take the positive branch). The
-    barrier of j's vertices joins their incoming and S weights. Then edges
-    into j go whose tail or head lies outside the limits or whose implied
-    unwrap of the head disagrees with its value, and so do j's terminals
-    outside the limits. Each step reads only layers up to j.
+    Each layer-0 vertex, an S-edge head, takes its representative inside
+    the limits (see _start_representative). A vertex of layer j > 0 takes
+    the unwrapped value nearest its lowest-index tracked predecessor (exact
+    +/- pi steps take the positive branch), or keeps its wrapped value when
+    it has none. The barrier of j's vertices joins their incoming weights,
+    and at layer 0 their S weights. Then edges into j go whose tail or head
+    lies outside the limits or whose implied unwrap of the head disagrees
+    with its value, and so do terminals outside the limits. Each step reads
+    only layers j-1 and j.
     """
     lo, hi = limits[:, 0], limits[:, 1]
-    unwrapped = [q.copy() for q in Q]
-    assigned = [np.isfinite(w) for w in s_weight]
+    unwrapped = [_start_representative(Q[0], limits)] + [q.copy() for q in Q[1:]]
+    tracked = np.ones(Q[0].shape[0], dtype=bool)
     inside = []
     for j, u in enumerate(unwrapped):
-        for m in np.flatnonzero(assigned[j]):
-            u[m] = _start_representative(Q[j][m], limits)
-        keys = incoming(edges, j, depth)
-        # each tail's turn-tracked value plus the wrap-minimal step to each head
-        implied = {k: unwrapped[k][:, None, :] + wrap_to_pi(Q[j][None, :, :] - Q[k][:, None, :])
-                   for k, _ in keys}
-        for (k, d) in keys:
-            tracked_tail = np.isfinite(edges[(k, d)]["weight"]) & assigned[k][:, None]
-            for m, l in zip(*np.nonzero(tracked_tail)):
-                if not assigned[j][l]:
-                    u[l] = implied[k][m, l]
-                    assigned[j][l] = True
+        e = edges.get((j - 1, 1))
+        if e is not None:
+            # each tail's turn-tracked value plus the wrap-minimal step to each head
+            implied = unwrapped[j - 1][:, None, :] + wrap_to_pi(Q[j][None, :, :]
+                                                                 - Q[j - 1][:, None, :])
+            from_tracked = np.isfinite(e["weight"]) & tracked[:, None]
+            tracked = from_tracked.any(axis=0)
+            heads = np.flatnonzero(tracked)
+            u[heads] = implied[from_tracked.argmax(axis=0)[heads], heads]
+        elif j > 0:
+            tracked = np.zeros(Q[j].shape[0], dtype=bool)
         bar = 0.0
         if barrier > 0.0:
             bar = barrier * np.sum(1.0 / np.maximum(u - lo, _BARRIER_MARGIN)
                                    + 1.0 / np.maximum(hi - u, _BARRIER_MARGIN), axis=1)
         inside.append(np.all((u >= lo) & (u <= hi), axis=1))
-        for (k, d) in keys:
-            off = np.max(np.abs(implied[k] - u), axis=2) > 1e-9
-            edges[(k, d)]["weight"] += bar
-            edges[(k, d)]["weight"][off | ~inside[k][:, None] | ~inside[j]] = np.inf
-        s_weight[j] = np.where(inside[j], s_weight[j] + bar, np.inf)
-        f_weight[j][~inside[j]] = np.inf
+        if j == 0:
+            s_weight += bar
+            s_weight[~inside[0]] = np.inf
+        if e is not None:
+            off = np.max(np.abs(implied - u), axis=2) > 1e-9
+            e["weight"] += bar
+            e["weight"][off | ~inside[j - 1][:, None] | ~inside[j]] = np.inf
+    f_weight[~inside[-1]] = np.inf
     return unwrapped
 
 
@@ -323,8 +284,8 @@ class JointPath:
     """Shortest continuous joint path through the graph.
 
     cost is path_cost(q, lambdas), the pure movement metric; weight
-    additionally carries the soft penalties the search minimized. Entries
-    sit at the layers the path visits (skip edges leave gaps).
+    additionally carries the soft penalties the search minimized. Entry k
+    sits at layer k: a path visits every layer.
     """
     lambdas: np.ndarray
     layer_indices: list[int]
@@ -359,55 +320,46 @@ def shortest_joint_path(graph: PlanGraph):
     """Minimum-weight S-to-F path, or None when F is unreachable.
 
     One forward relaxation from S gives every vertex its distance. Exact-
-    cost ties resolve toward the lexicographically smallest (layer, vertex)
+    cost ties resolve toward the lexicographically smallest vertex
     sequence: an edge is tight when its tail's distance plus its weight
     equals its head's distance exactly, live vertices reach an optimal F
-    edge over tight edges, and the path starts at the smallest live vertex
-    whose S edge is tight, then takes the smallest live tight successor
-    (nearest layer first, then lowest index) until its F edge is optimal.
+    edge over tight edges, and the path starts at the smallest live layer-0
+    vertex, then takes the smallest live tight successor in each layer.
     """
-    K = graph.n_layers - 1
-    depth = graph.depth
-    dist = reach(graph.edges, depth, _copies(graph.s_weight, range(K + 1)), 0, K)
-    best = min(np.min(dist[k] + f, initial=np.inf) for k, f in enumerate(graph.f_weight))
+    counts = graph.layer_counts
+    K = len(counts) - 1
+    dist = reach(graph.edges, _seeded(counts, 0, graph.s_weight))
+    best = np.min(dist[K] + graph.f_weight, initial=np.inf)
     if best == np.inf:
         return None
     tight = {}
     for (k, d), e in graph.edges.items():
         W = e["weight"]
         tight[(k, d)] = {"weight": np.where(dist[k][:, None] + W == dist[k + d], W, np.inf)}
-    at_f = [dist[k] + f == best for k, f in enumerate(graph.f_weight)]
-    live = reach(tight, depth, {k: np.where(a, 0.0, np.inf) for k, a in enumerate(at_f)}, 0, K,
-                 forward=False)
-    live = [np.isfinite(live[k]) for k in range(K + 1)]
-    v = next((k, int(m)) for k in range(K + 1)
-             for m in np.flatnonzero(live[k] & (graph.s_weight[k] == dist[k])))
-    chain = [v]
-    while not at_f[v[0]][v[1]]:
-        k, m = v
-        v = next((k + d, int(l)) for d in range(1, min(depth, K - k) + 1) if (k, d) in tight
-                 for l in np.flatnonzero(np.isfinite(tight[(k, d)]["weight"][m]) & live[k + d]))
-        chain.append(v)
-    return _extract_path(graph, chain, float(best))
+    live = reach(tight, _seeded(counts, K, np.where(dist[K] + graph.f_weight == best,
+                                                    0.0, np.inf)), forward=False)
+    vertices = [int(np.flatnonzero(np.isfinite(live[0]))[0])]
+    for k in range(K):
+        step = tight[(k, 1)]["weight"][vertices[-1]]
+        vertices.append(int(np.flatnonzero(np.isfinite(step) & np.isfinite(live[k + 1]))[0]))
+    return _extract_path(graph, vertices, float(best))
 
 
-def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
-    layer_idx = [k for k, _ in chain]
-    vert_idx = [m for _, m in chain]
-    # continuous unwrapped output: accumulate the wrap-minimal steps from
-    # the first vertex, an S-edge head, starting from its turn-tracked
-    # representative when the robot declares limits
-    k0, m0 = chain[0]
-    qs = [(graph.Q if graph.unwrapped is None else graph.unwrapped)[k0][m0].copy()]
-    for (ka, ma), (kb, mb) in zip(chain[:-1], chain[1:]):
-        qs.append(qs[-1] + wrap_to_pi(graph.Q[kb][mb] - graph.Q[ka][ma]))
-    q = np.stack(qs)
-    lambdas = np.array(layer_idx, dtype=float) * graph.dlambda
+def _extract_path(graph: PlanGraph, vertices: list[int], weight: float) -> JointPath:
     K = graph.n_layers - 1
+    # continuous unwrapped output: accumulate the wrap-minimal steps from
+    # the layer-0 vertex, starting from its turn-tracked representative
+    # when the robot declares limits
+    qs = [(graph.Q if graph.unwrapped is None else graph.unwrapped)[0][vertices[0]].copy()]
+    for k in range(K):
+        qs.append(qs[-1] + wrap_to_pi(graph.Q[k + 1][vertices[k + 1]] - graph.Q[k][vertices[k]]))
+    q = np.stack(qs)
+    layers = list(range(K + 1))
+    lambdas = np.array(layers, dtype=float) * graph.dlambda
     return JointPath(
         lambdas=lambdas,
-        layer_indices=layer_idx,
-        vertex_indices=vert_idx,
+        layer_indices=layers,
+        vertex_indices=vertices,
         q=q,
         cost=path_cost(q, lambdas),
         weight=weight,
@@ -417,14 +369,11 @@ def _extract_path(graph: PlanGraph, chain, weight: float) -> JointPath:
 
 
 def _first_disconnected_span(graph: PlanGraph):
-    """Layers [a, b] where forward reachability from S first dies."""
-    K = graph.n_layers - 1
-    rows = reach(graph.edges, graph.depth, _copies(graph.s_weight, range(K + 1)), 0, K)
-    dead = [not np.isfinite(rows[k]).any() for k in range(K + 1)] + [False]
-    a = b = dead.index(True) if True in dead else K
-    while dead[b + 1]:
-        b += 1
-    return (a, b)
+    """Layers [a, K] from the first one that no route from S reaches: edges
+    join consecutive layers only, so no later layer is reached either."""
+    rows = reach(graph.edges, _seeded(graph.layer_counts, 0, graph.s_weight))
+    K = len(rows) - 1
+    return (next((k for k, r in enumerate(rows) if not np.isfinite(r).any()), K), K)
 
 
 def plan_path(robot: RobotModel, path: TaskPath, cfg: PlannerConfig | None = None,
@@ -499,7 +448,8 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
     K = graph.n_layers - 1
     matching = _match_end_layers(graph.Q[0], graph.Q[K])
     M = graph.Q[0].shape[0]
-    costs = reach(graph.edges, graph.depth, _vertex_rows(graph.layer_counts, 0, K), 0, K)[K]
+    costs = reach(graph.edges, _seeded(graph.layer_counts, 0,
+                                       np.where(np.eye(M, dtype=bool), 0.0, np.inf)))[K]
     costs = costs[:, matching]
     connectivity = np.isfinite(costs)
     regular = [m for m in range(M) if connectivity[m, m]]

@@ -9,7 +9,8 @@ with a plain pseudo-inverse Newton, the shortest-path oracle explores
 every start-to-finish route by depth-first search and keeps the
 lexicographically smallest optimal one, the IK dedup oracle applies the
 greedy radius rule one target and one row at a time, the admission oracle
-re-derives the planner's multi-pass edge rule with the same search, and the
+re-derives the planner's edge rule pair by pair and its reachability with
+the same search, and the
 joint-limit oracle tracks turns vertex by vertex and judges every admitted
 edge on its own in a plain loop. The one exception is the seed flood: the
 library's own LM from a regular seed grid, the multi-start reference that
@@ -206,13 +207,14 @@ def brute_force_shortest(graph, s_weight=None, f_weight=None):
     (layer, vertex) sequence, by exhaustive DFS over admitted edges; (inf,
     None) when F is unreachable.
 
-    s_weight and f_weight, one (M_k,) weight vector per layer with inf where
-    absent, replace the graph's start and finish edges when given. Every
-    route's weight is summed from its start in route order; a route ties the
-    best when that sum is exactly equal.
+    s_weight, the (M_0,) weights of the start edges, and f_weight, the
+    (M_K,) weights of the finish edges, inf where absent, replace the
+    graph's when given. Every route's weight is summed from its start in
+    route order; a route ties the best when that sum is exactly equal.
     """
     s_weight = graph.s_weight if s_weight is None else s_weight
     f_weight = graph.f_weight if f_weight is None else f_weight
+    K = len(graph.Q) - 1
     out_edges: dict = {}
     for (k, d), e in graph.edges.items():
         W = e["weight"]
@@ -223,73 +225,50 @@ def brute_force_shortest(graph, s_weight=None, f_weight=None):
 
     def dfs(v, acc, route):
         k, m = v
-        total = acc + f_weight[k][m]
+        total = acc + f_weight[m] if k == K else np.inf
         if total < best[0] or (total == best[0] < np.inf and route < best[1]):
             best[:] = [total, route]
         for w, wt in out_edges.get(v, ()):
             dfs(w, acc + wt, route + (w,))
 
-    for k, w in enumerate(s_weight):
-        for m in np.flatnonzero(np.isfinite(w)):
-            dfs((k, int(m)), w[m], ((k, int(m)),))
+    for m in np.flatnonzero(np.isfinite(s_weight)):
+        dfs((0, int(m)), s_weight[m], ((0, int(m)),))
     return best[0], best[1]
 
 
-def multipass_admission(Q, det_j, dlambda: float, eps: float, skip_depth: int,
-                        nonsingular_only: bool = False):
-    """Edge set, S/F terminals and first disconnected span of the multi-pass
-    rule, each derived from its definition by depth-first search.
+def single_pass_admission(Q, det_j, dlambda: float, eps: float, nonsingular_only: bool = False):
+    """Edge set, S/F terminals and first disconnected span of the planner's
+    admission rule, each derived from its definition by depth-first search.
 
-    Pass d (1..skip_depth) admits (k, m) -> (k+d, l) when the squared
-    wrap-aware step over the d*dlambda gap stays under eps (and the
-    determinant signs agree under nonsingular_only), and, for d > 1, when no
-    path over edges of the earlier passes already joins the two vertices.
-    S joins every layer-0 vertex and F every layer-K vertex; after pass d,
-    S also joins the layer-(d-1) vertices it cannot reach and F the
-    layer-(K-d+1) vertices that cannot reach it. Returns (edges, s, f, span)
-    with edges a set of (k, d, m, l).
+    (k, m) -> (k+1, l) is admitted when the squared wrap-aware step over
+    dlambda stays under eps (and the determinant signs agree under
+    nonsingular_only). S joins every layer-0 vertex and F every layer-K
+    vertex. The span runs from the first layer that no route from S
+    reaches to the last of the unreached layers that follow it, (K, K) when
+    every layer is reached. Returns (edges, s, f, span) with edges a set of
+    (k, 1, m, l).
     """
     K = len(Q) - 1
-    edges: set = set()
 
-    def successors(v, edge_set):
-        k, m = v
-        return [(k + d, l) for (kk, d, mm, l) in edge_set if (kk, mm) == (k, m)]
-
-    def reachable(sources, edge_set):
-        seen, stack = set(sources), list(sources)
-        while stack:
-            for w in successors(stack.pop(), edge_set):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    def close_enough(k, d, m, l):
-        step = wrap_to_pi(np.asarray(Q[k + d][l], float) - np.asarray(Q[k][m], float))
-        if float(step @ step) / (d * dlambda) >= eps:
+    def close_enough(k, m, l):
+        step = wrap_to_pi(np.asarray(Q[k + 1][l], float) - np.asarray(Q[k][m], float))
+        if float(step @ step) / dlambda >= eps:
             return False
-        return not nonsingular_only or det_j[k][m] * det_j[k + d][l] > 0
+        return not nonsingular_only or det_j[k][m] * det_j[k + 1][l] > 0
 
+    edges = {(k, 1, m, l) for k in range(K) for m in range(len(Q[k]))
+             for l in range(len(Q[k + 1])) if close_enough(k, m, l)}
     s = {(0, m) for m in range(len(Q[0]))}
     f = {(K, m) for m in range(len(Q[K]))}
-    for d in range(1, skip_depth + 1):
-        earlier = set(edges)
-        for k in range(K - d + 1):
-            for m in range(len(Q[k])):
-                joined = reachable([(k, m)], earlier) if d > 1 else set()
-                for l in range(len(Q[k + d])):
-                    if close_enough(k, d, m, l) and (k + d, l) not in joined:
-                        edges.add((k, d, m, l))
-        j = d - 1
-        if d > 1 and j <= K - 1:
-            from_s = reachable(s, edges)
-            s |= {(j, m) for m in range(len(Q[j])) if (j, m) not in from_s}
-            f |= {(K - j, m) for m in range(len(Q[K - j]))
-                  if not reachable([(K - j, m)], edges) & f}
 
-    from_s = reachable(s, edges)
-    alive = [any((k, m) in from_s for m in range(len(Q[k]))) for k in range(K + 1)]
+    seen, stack = set(s), list(s)
+    while stack:
+        k, m = stack.pop()
+        for w in [(kk + d, l) for (kk, d, mm, l) in edges if (kk, mm) == (k, m)]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    alive = [any((k, m) in seen for m in range(len(Q[k]))) for k in range(K + 1)]
     if all(alive):
         return edges, s, f, (K, K)
     a = alive.index(False)
@@ -299,54 +278,56 @@ def multipass_admission(Q, det_j, dlambda: float, eps: float, skip_depth: int,
     return edges, s, f, (a, b)
 
 
-def joint_limit_loop(Q, edges, s_weight, f_weight, depth: int, limits, barrier: float):
+def joint_limit_loop(Q, edges, s_weight, f_weight, limits, barrier: float):
     """Vertex-by-vertex reference for the planner's joint-limit pass, applied
     in place to the weights of a graph built without limits; returns the
     turn-tracked joint vectors.
 
-    An S-edge head takes, per joint, the 2*pi shift inside the limits
-    nearest its wrapped value (the value itself when none fits); any other
-    vertex extends its first admitted, already tracked predecessor (nearest
-    layer first, then lowest index) by the wrap-minimal step. Every vertex
-    pays barrier * sum(1/margin_lo + 1/margin_hi) on its incoming and S
-    weights. An edge goes when its tail or head lies outside the limits or
-    the head's implied unwrap differs from its tracked value by more than
-    1e-9; a terminal goes when outside.
+    An S-edge head (a layer-0 vertex) takes, per joint, the 2*pi shift
+    inside the limits nearest its wrapped value (the value itself when none
+    fits); a vertex of a later layer extends its lowest-index admitted,
+    already tracked predecessor by the wrap-minimal step. Every vertex pays
+    barrier * sum(1/margin_lo + 1/margin_hi) on its incoming and S weights.
+    An edge goes when its tail or head lies outside the limits or the
+    head's implied unwrap differs from its tracked value by more than 1e-9;
+    a terminal goes when outside.
     """
     lo, hi = limits[:, 0], limits[:, 1]
+    K = len(Q) - 1
     unwrapped = [np.array(q, dtype=float) for q in Q]
     tracked = [np.zeros(len(q), dtype=bool) for q in Q]
-    for j in range(len(Q)):
+    for l in range(len(Q[0])):
+        if np.isfinite(s_weight[l]):
+            for i in range(len(lo)):
+                fits = [Q[0][l][i] + 2 * np.pi * t for t in sorted(range(-4, 5), key=abs)
+                        if lo[i] <= Q[0][l][i] + 2 * np.pi * t <= hi[i]]
+                unwrapped[0][l][i] = fits[0] if fits else Q[0][l][i]
+            tracked[0][l] = True
+    for j in range(1, K + 1):
         for l in range(len(Q[j])):
-            if np.isfinite(s_weight[j][l]):
-                for i in range(len(lo)):
-                    fits = [Q[j][l][i] + 2 * np.pi * t for t in sorted(range(-4, 5), key=abs)
-                            if lo[i] <= Q[j][l][i] + 2 * np.pi * t <= hi[i]]
-                    unwrapped[j][l][i] = fits[0] if fits else Q[j][l][i]
+            preds = [m for m in range(len(Q[j - 1])) if tracked[j - 1][m]
+                     and (j - 1, 1) in edges
+                     and np.isfinite(edges[(j - 1, 1)]["weight"][m, l])]
+            if preds:
+                m = preds[0]
+                unwrapped[j][l] = unwrapped[j - 1][m] + wrap_to_pi(Q[j][l] - Q[j - 1][m])
                 tracked[j][l] = True
-                continue
-            for d in range(1, min(depth, j) + 1):
-                k = j - d
-                preds = [m for m in range(len(Q[k])) if tracked[k][m] and (k, d) in edges
-                         and np.isfinite(edges[(k, d)]["weight"][m, l])]
-                if preds:
-                    m = preds[0]
-                    unwrapped[j][l] = unwrapped[k][m] + wrap_to_pi(Q[j][l] - Q[k][m])
-                    tracked[j][l] = True
-                    break
     inside = [[bool(np.all((u >= lo) & (u <= hi))) for u in uj] for uj in unwrapped]
-    for j in range(len(Q)):
+    for j in range(K + 1):
         for l, u in enumerate(unwrapped[j]):
             if barrier > 0.0:
                 pen = barrier * np.sum(1.0 / np.maximum(u - lo, 1e-6)
                                        + 1.0 / np.maximum(hi - u, 1e-6))
-                s_weight[j][l] += pen
+                if j == 0:
+                    s_weight[l] += pen
                 for (k, d), e in edges.items():
                     if k + d == j:
                         e["weight"][:, l] += pen
             if not inside[j][l]:
-                s_weight[j][l] = np.inf
-                f_weight[j][l] = np.inf
+                if j == 0:
+                    s_weight[l] = np.inf
+                if j == K:
+                    f_weight[l] = np.inf
     for (k, d), e in edges.items():
         W = e["weight"]
         for m in range(len(Q[k])):

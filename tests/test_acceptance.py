@@ -173,7 +173,6 @@ def test_criterion_5_planner_oracle_equivalence():
             dl = float(rng.uniform(0.05, 0.5))
             path = _const_path(K + 1, dlambda=dl)
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
-                                skip_depth=int(rng.integers(1, 4)),
                                 nonsingular_only=bool(rng.random() < 0.5))
             g = build_plan_graph(layers, path, cfg)
             jp = shortest_joint_path(g)
@@ -183,6 +182,7 @@ def test_criterion_5_planner_oracle_equivalence():
             else:
                 assert jp.weight == expected
                 assert list(zip(jp.layer_indices, jp.vertex_indices)) == list(route)
+                assert jp.layer_indices == list(range(K + 1))
 
 
 def test_criterion_6_infeasible_line_detection():

@@ -2,8 +2,9 @@
 
 perfbench/tracing.py replaces module attributes (its BOUNDARIES) by timing
 wrappers and reads counts off their arguments and results:
-IKSolutionSet.solutions, PlanGraph.edges[(k, d)]["weight"], layer_counts
-and edge_count. A rename there breaks the benchmark without failing any
+IKSolutionSet.solutions, PlanGraph.edges[(k, d)]["weight"] (d is always 1:
+edges join consecutive layers only), layer_counts and edge_count. A rename
+there breaks the benchmark without failing any
 other test here, so this runs the tracer on three tiny CLI calls. The IK
 must also reach the kernel through ik.fk_jacobian_batch, the name the
 tracer wraps, or the kernel rows read 0.

@@ -91,6 +91,16 @@ class TestPlan:
         assert min(doc["layer_counts"]) > 0
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("command", ["plan", "optimize"])
+    def test_skip_depth_option_is_gone(self, capsys, command):
+        # plans visit every sample, so there is no depth to set
+        source = "--path" if command == "plan" else "--toolpath"
+        code, out, err = run(capsys, command, "--robot", "3r-canonical", source,
+                             "3r-infeasible-line", "--skip-depth", "2")
+        assert code == 2
+        assert out == ""
+        assert "--skip-depth" in err
+
     def test_closed_path_reports_repeatability(self, capsys):
         code, out, _ = run(capsys, "plan", "--robot", "3r-canonical",
                            "--path", "3r-control-loop", "--ik-seeds", "8")

@@ -26,7 +26,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_control_path,
 )
 
-from oracles import brute_force_shortest, joint_limit_loop, multipass_admission
+from oracles import brute_force_shortest, joint_limit_loop, single_pass_admission
 
 
 def _sol(q, det=1.0, approx=False, residual=0.0):
@@ -68,7 +68,7 @@ class TestPlannerConfig:
         {"eps0": np.inf}, {"eps0": np.nan}, {"eps0": 0.0}, {"eps0": -1.0},
         {"manipulability_weight": np.nan}, {"manipulability_weight": np.inf},
         {"manipulability_weight": -0.1}, {"joint_limit_barrier": np.nan},
-        {"joint_limit_barrier": np.inf}, {"joint_limit_barrier": -0.1}, {"skip_depth": 0}])
+        {"joint_limit_barrier": np.inf}, {"joint_limit_barrier": -0.1}])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PlannerConfig(**kwargs)
@@ -138,25 +138,35 @@ class TestBuildGraph:
         g2 = build_plan_graph(layers, path, PlannerConfig(nonsingular_only=False))
         assert shortest_joint_path(g2) is not None
 
-    def test_skip_edge_over_empty_layer(self):
+    def test_empty_layer_is_infeasible(self):
+        # no edge bridges a sample without solutions
         layers = _layers([[np.zeros(3)], [], [np.full(3, 0.02)]])
-        path = _const_path(3)
-        g1 = build_plan_graph(layers, path, PlannerConfig(skip_depth=1))
-        assert shortest_joint_path(g1) is None
-        g2 = build_plan_graph(layers, path, PlannerConfig(skip_depth=2))
-        jp = shortest_joint_path(g2)
-        assert jp is not None
-        assert jp.layer_indices == [0, 2]
-        assert jp.cost == pytest.approx(3 * 0.02 ** 2 / 0.2)
+        g = build_plan_graph(layers, _const_path(3), PlannerConfig())
+        assert g.edges == {}
+        assert shortest_joint_path(g) is None
+        assert _first_disconnected_span(g) == (1, 2)
 
-    def test_skip_edge_not_added_when_connected(self):
-        layers = _layers([[np.zeros(3)], [np.full(3, 0.01)], [np.full(3, 0.02)]])
-        path = _const_path(3)
-        g = build_plan_graph(layers, path, PlannerConfig(skip_depth=2))
-        # edge keys are (layer, gap): no depth-2 edge appears because the
-        # window is already connected through layer 1
-        assert (0, 2) not in g.edges
-        assert (0, 1) in g.edges and (1, 1) in g.edges
+    def test_unreached_layer_1_vertex_is_no_start(self):
+        # layer 1's only vertex is too far from layer 0 (and so is layer 2's);
+        # S joins layer 0 alone, so no plan starts past the first sample
+        layers = _layers([[np.zeros(3)], [np.full(3, 2.0)], [np.full(3, 2.01)]])
+        g = build_plan_graph(layers, _const_path(3), PlannerConfig())
+        assert list(g.edges) == [(1, 1)]
+        assert shortest_joint_path(g) is None
+        assert _first_disconnected_span(g) == (1, 2)
+        assert g.s_weight.shape == (1,) and g.f_weight.shape == (1,)
+
+    def test_nonsingular_plan_never_hops_a_sign_change(self):
+        # det signs +, -, +: each consecutive step crosses det J = 0, and no
+        # edge from layer 0 to layer 2 passes over the middle sample
+        layers = _layers([[np.zeros(3)], [np.full(3, 0.01)], [np.full(3, 0.02)]],
+                         dets=[[1.0], [-1.0], [1.0]])
+        g = build_plan_graph(layers, _const_path(3), PlannerConfig(nonsingular_only=True))
+        assert g.edges == {}
+        assert shortest_joint_path(g) is None
+        assert _first_disconnected_span(g) == (1, 2)
+        free = shortest_joint_path(build_plan_graph(layers, _const_path(3), PlannerConfig()))
+        assert free.layer_indices == [0, 1, 2]
 
     def test_admission_threshold(self):
         # wrap distance beyond eps never gets an edge
@@ -182,11 +192,10 @@ class TestBuildGraph:
         res = r6_line_plan
         assert res.feasible
         g = res.graph
-        reached = {k: np.isfinite(w) for k, w in enumerate(g.s_weight)}
-        for (k, dd) in sorted(g.edges):
-            ok = np.isfinite(g.edges[(k, dd)]["weight"])
-            reached[k + dd] |= reached[k] @ ok
-        assert any(not r.all() for r in reached.values())
+        reached = [np.isfinite(g.s_weight)]
+        for k in range(g.n_layers - 1):
+            reached.append(reached[k] @ np.isfinite(g.edges[(k, 1)]["weight"]))
+        assert any(not r.all() for r in reached)
 
     def test_joint_limit_enforcement(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
@@ -263,16 +272,15 @@ def _assert_limits_match_loop(layers, path, cfg, robot):
     if robot.joint_limits is None:
         assert fast.unwrapped is None
     else:
-        unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight, cfg.skip_depth,
+        unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight,
                                      robot.joint_limits, cfg.joint_limit_barrier * path.dlambda)
         for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
             nt.assert_array_equal(u_fast, u_ref)
     assert fast.edges.keys() == ref.edges.keys()
     for key, e in ref.edges.items():
         nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
-    for w_fast, w_ref in zip(fast.s_weight + fast.f_weight, ref.s_weight + ref.f_weight,
-                             strict=True):
-        nt.assert_array_equal(w_fast, w_ref)
+    nt.assert_array_equal(fast.s_weight, ref.s_weight)
+    nt.assert_array_equal(fast.f_weight, ref.f_weight)
 
 
 class TestJointLimits:
@@ -305,8 +313,8 @@ class TestJointLimits:
             _assert_limits_match_loop(layers, path, cfg, robot)
 
     def test_limits_match_loop_on_random_graphs(self, r3):
-        # skip edges at depths up to 4 give heads several tracked
-        # predecessors, so the nearest-layer-first rule decides their turn
+        # dense layers give heads several tracked predecessors, so the
+        # lowest-index rule decides their turn
         rng = np.random.default_rng(47)
         for _ in range(150):
             K = int(rng.integers(1, 10))
@@ -317,15 +325,14 @@ class TestJointLimits:
             lo = rng.uniform(-7.0, 0.0, 3)
             robot = _limited(r3, np.stack([lo, lo + rng.uniform(1.0, 12.0, 3)], axis=1))
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
-                                skip_depth=int(rng.integers(1, 5)),
                                 joint_limit_barrier=float(rng.choice([0.0, 0.02])))
             _assert_limits_match_loop(_layers(layer_sets, approxes=approxes),
                                       _const_path(K + 1, dlambda=dl), cfg, robot)
 
 
 def _tie_heavy_graph(rng, closed=False) -> PlanGraph:
-    """A random plan graph with weights in {0, 1, 2}: empty layers, skip
-    edges up to three layers long, S/F edges at inner layers. closed makes
+    """A random plan graph with weights in {0, 1, 2}: empty layers, edges
+    between consecutive layers, S/F edges at the end layers. closed makes
     the last layer a permutation of a nonempty first one."""
     K = int(rng.integers(1, 9))
     counts = [int(rng.integers(0, 5)) for _ in range(K + 1)]
@@ -340,25 +347,25 @@ def _tie_heavy_graph(rng, closed=False) -> PlanGraph:
 
     edges = {}
     for k in range(K):
-        for d in range(1, min(3, K - k) + 1):
-            W = weights((counts[k], counts[k + d]), 0.7 if d == 1 else 0.3)
-            if np.isfinite(W).any():
-                edges[(k, d)] = {"weight": W}
+        W = weights((counts[k], counts[k + 1]), 0.7)
+        if np.isfinite(W).any():
+            edges[(k, 1)] = {"weight": W}
     return PlanGraph(dlambda=0.1, eps=1.0, Q=Q, det_j=[np.ones(c) for c in counts],
-                     edges=edges,
-                     s_weight=[weights(c, 0.8 if k == 0 else 0.15) for k, c in enumerate(counts)],
-                     f_weight=[weights(c, 0.8 if k == K else 0.15) for k, c in enumerate(counts)])
+                     edges=edges, s_weight=weights(counts[0], 0.8),
+                     f_weight=weights(counts[K], 0.8))
 
 
 def _assert_matches_oracle(g: PlanGraph):
     """The planner's path has the optimal weight and is the lexicographically
-    smallest optimal (layer, vertex) sequence, with Python int indices."""
+    smallest optimal (layer, vertex) sequence, with Python int indices, and
+    visits every layer."""
     weight, route = brute_force_shortest(g)
     jp = shortest_joint_path(g)
     if route is None:
         assert jp is None and np.isinf(weight)
         return
     assert jp.weight == weight
+    assert jp.layer_indices == list(range(g.n_layers))
     assert list(zip(jp.layer_indices, jp.vertex_indices)) == list(route)
     assert all(type(i) is int for i in jp.layer_indices + jp.vertex_indices)
 
@@ -377,7 +384,6 @@ class TestShortestPath:
             dl = float(rng.uniform(0.05, 0.5))
             path = _const_path(K + 1, dlambda=dl)
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
-                                skip_depth=int(rng.integers(1, 4)),
                                 nonsingular_only=bool(rng.random() < 0.5))
             g = build_plan_graph(layers, path, cfg)
             _assert_matches_oracle(g)
@@ -402,27 +408,9 @@ class TestShortestPath:
         if a is not None:
             assert a.cost == pytest.approx(b.cost, abs=1e-12)
 
-    def test_skip_depth_never_degrades(self):
-        rng = np.random.default_rng(44)
-        for _ in range(30):
-            K = int(rng.integers(2, 8))
-            layer_sets = [[rng.uniform(-np.pi, np.pi, 3) for _ in range(rng.integers(0, 5))]
-                          for _ in range(K + 1)]
-            if not layer_sets[0] or not layer_sets[-1]:
-                layer_sets[0] = layer_sets[0] or [rng.uniform(-np.pi, np.pi, 3)]
-                layer_sets[-1] = layer_sets[-1] or [rng.uniform(-np.pi, np.pi, 3)]
-            path = _const_path(K + 1, dlambda=0.2)
-            r1 = shortest_joint_path(build_plan_graph(
-                _layers(layer_sets), path, PlannerConfig(eps0=100.0, skip_depth=1)))
-            r2 = shortest_joint_path(build_plan_graph(
-                _layers(layer_sets), path, PlannerConfig(eps0=100.0, skip_depth=2)))
-            if r1 is not None:
-                assert r2 is not None
-                assert r2.weight <= r1.weight + 1e-12
 
-
-def _terminals(weights) -> set:
-    return {(k, int(m)) for k, w in enumerate(weights) for m in np.flatnonzero(np.isfinite(w))}
+def _terminals(k: int, weights) -> set:
+    return {(k, int(m)) for m in np.flatnonzero(np.isfinite(weights))}
 
 
 class TestAdmissionOracle:
@@ -437,18 +425,20 @@ class TestAdmissionOracle:
             approxes = [[bool(rng.random() < 0.15) for _ in qs] for qs in layer_sets]
             dl = float(rng.uniform(0.05, 0.5))
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
-                                skip_depth=int(rng.integers(1, 5)),
                                 nonsingular_only=bool(rng.random() < 0.5))
             g = build_plan_graph(_layers(layer_sets, dets, approxes),
                                  _const_path(K + 1, dlambda=dl), cfg)
-            edges, s, f, span = multipass_admission(
-                layer_sets, dets, dl, g.eps, cfg.skip_depth, cfg.nonsingular_only)
+            edges, s, f, span = single_pass_admission(
+                layer_sets, dets, dl, g.eps, cfg.nonsingular_only)
             admitted = {(k, d, int(m), int(l)) for (k, d), e in g.edges.items()
                         for m, l in np.argwhere(np.isfinite(e["weight"]))}
             assert admitted == edges
-            assert _terminals(g.s_weight) == s
-            assert _terminals(g.f_weight) == f
+            assert _terminals(0, g.s_weight) == s
+            assert _terminals(K, g.f_weight) == f
             assert _first_disconnected_span(g) == span
+            jp = shortest_joint_path(g)
+            if jp is not None:
+                assert jp.layer_indices == list(range(K + 1))
 
 
 class TestPlanPath:
@@ -546,8 +536,7 @@ class TestRepeatability:
             K = len(counts) - 1
 
             def one_hot(k, m):
-                return [np.where(np.arange(c) == m, 0.0, np.inf) if i == k
-                        else np.full(c, np.inf) for i, c in enumerate(counts)]
+                return np.where(np.arange(counts[k]) == m, 0.0, np.inf)
 
             expected = [[brute_force_shortest(g, one_hot(0, m), one_hot(K, l))[0]
                          for l in rep.end_matching] for m in range(counts[0])]
