@@ -143,9 +143,9 @@ def cmd_plan(args) -> int:
         doc["joint_path"] = _joint_path_doc(result.graph, result.path)
     else:
         doc["infeasible_span"] = list(result.infeasible_span)
-        print(f"infeasible: forward connectivity dies over layers "
-              f"{result.infeasible_span}; per-layer solution counts "
-              f"{sorted(set(result.layer_counts))}", file=sys.stderr)
+        first, last = result.infeasible_span
+        print(f"infeasible: no route from S reaches layer {first} of 0..{last}; "
+              f"per-layer solution counts {sorted(set(result.layer_counts))}", file=sys.stderr)
     if path.closed:
         rep = analyze_repeatability(robot, path, cfg, ik_cfg)
         doc["repeatability"] = {

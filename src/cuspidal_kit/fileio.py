@@ -20,15 +20,12 @@ _AXIS_WARN_TOL = 1e-6
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
+    """Numpy scalars and arrays, also inside dicts, lists and tuples, as
+    plain Python values for json.dumps."""
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -11,6 +11,7 @@ S-to-F path, so it visits every sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,64 +108,70 @@ def build_layers(robot: RobotModel, path: TaskPath,
 
 @dataclass
 class PlanGraph:
-    """Layered DAG over IK solutions with start/finish pseudo-vertices.
+    """Layered DAG over IK solutions with start/finish pseudo-vertices, on
+    arrays padded to M = the path's largest layer count.
 
-    Every edge is a weight, inf where absent: one (M_k, M_k+1) matrix per
-    pair of consecutive layers with an admitted edge, one (M_0,) vector for
-    the edges S -> (0, m) and one (M_K,) vector for (K, m) -> F."""
+    Layer k's counts[k] vertices are rows 0..counts[k]-1 of Q[k] and
+    det_j[k]; the rows past them are padding (zeros). Every edge is a
+    weight, inf where absent and at every padding slot: weight[k] is the
+    (M, M) matrix from layer k to layer k+1, s_weight the (M,) vector of
+    edges S -> (0, m) and f_weight the (M,) vector of edges (K, m) -> F.
+    """
     dlambda: float
     eps: float
-    Q: list[np.ndarray]                 # (M_k, n) wrapped joint vectors
-    det_j: list[np.ndarray]
-    edges: dict                         # (k, 1) -> dict(weight=(M_k, M_k+1))
-    s_weight: np.ndarray                # (M_0,)
-    f_weight: np.ndarray                # (M_K,)
-    # turn-tracked joint vectors when the robot declares joint limits
-    unwrapped: list[np.ndarray] | None = None
+    counts: np.ndarray                  # (K+1,) vertices per layer
+    Q: np.ndarray                       # (K+1, M, n) wrapped joint vectors
+    det_j: np.ndarray                   # (K+1, M)
+    weight: np.ndarray                  # (K, M, M)
+    s_weight: np.ndarray                # (M,)
+    f_weight: np.ndarray                # (M,)
+    # (K+1, M, n) turn-tracked joint vectors when the robot declares joint limits
+    unwrapped: np.ndarray | None = None
 
     @property
     def n_layers(self) -> int:
-        return len(self.Q)
+        return len(self.counts)
 
     @property
     def layer_counts(self) -> list[int]:
-        return [q.shape[0] for q in self.Q]
+        return self.counts.tolist()
 
     @property
     def edge_count(self) -> int:
-        weights = [e["weight"] for e in self.edges.values()] + [self.s_weight, self.f_weight]
-        return sum(int(np.isfinite(w).sum()) for w in weights)
+        return sum(int(np.isfinite(w).sum()) for w in (self.weight, self.s_weight, self.f_weight))
+
+    @property
+    def edges(self) -> dict:
+        """Read-only (M_k, M_k+1) views of weight, {(k, 1): {"weight": ...}}
+        for every pair of consecutive layers with an admitted edge."""
+        c = self.layer_counts
+        views = {}
+        for k in np.flatnonzero(np.isfinite(self.weight).any(axis=(1, 2))).tolist():
+            W = self.weight[k, :c[k], :c[k + 1]]
+            W.flags.writeable = False
+            views[(k, 1)] = {"weight": W}
+        return views
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """(K+1, M) least weight of a route from S to each vertex, inf where
+        no route reaches it; relaxed once, on first use."""
+        return reach(self.weight, self.s_weight)
 
 
-def reach(edges, rows: list, forward: bool = True) -> list:
-    """Min-plus relaxation along admitted edges over every layer.
+def reach(weight: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Min-plus relaxation forward over every layer of a padded graph.
 
-    rows holds for every layer k an (M_k,) or (R, M_k) float array of seed
-    weights, inf where not reached, and is relaxed in place and returned:
-    forward, row r at layer j ends up holding the least weight of a route
-    from row r's seeds to each vertex, summed in route order; backward, the
-    least weight from each vertex to row r's seeds. np.isfinite of a row is
-    its reachability. With one row per start solution, one call relaxes
-    every start of a repeatability report at once.
+    seed is an (M,) or (R, M) array of layer-0 weights, inf where not
+    seeded. Returns (K+1,) + seed.shape: row r at layer k holds the least
+    weight of a route from row r's seeds to each vertex, summed in route
+    order, inf where none. With one row per start solution, one call
+    relaxes every start of a repeatability report at once.
     """
-    heads = range(1, len(rows)) if forward else range(len(rows) - 1, 0, -1)
-    for j in heads:
-        if (j - 1, 1) not in edges:
-            continue
-        W = edges[(j - 1, 1)]["weight"]
-        if forward:
-            np.minimum(rows[j], (rows[j - 1][..., :, None] + W).min(axis=-2), out=rows[j])
-        else:
-            np.minimum(rows[j - 1], (W + rows[j][..., None, :]).min(axis=-1), out=rows[j - 1])
-    return rows
-
-
-def _seeded(counts, k: int, seed) -> list:
-    """Rows for reach, inf everywhere but layer k, which holds a copy of
-    seed, (M_k,) or (R, M_k)."""
-    seed = np.array(seed, dtype=float)
-    rows = [np.full(seed.shape[:-1] + (c,), np.inf) for c in counts]
-    rows[k] = seed
+    rows = np.empty((len(weight) + 1,) + np.shape(seed))
+    rows[0] = seed
+    for k, W in enumerate(weight):
+        rows[k + 1] = (rows[k][..., :, None] + W).min(axis=-2)
     return rows
 
 
@@ -185,42 +192,38 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     K = path.K
     if len(layers) != K + 1:
         raise ValueError("layer count must match path samples")
-    sols = [layer.solutions for layer in layers]
-    dof = next((ss[0].q.shape[0] for ss in sols if ss),
-               robot.dof if robot is not None else 3)
+    sols = [s for layer in layers for s in layer.solutions]
+    counts = np.array([len(layer.solutions) for layer in layers])
+    dof = sols[0].q.shape[0] if sols else (robot.dof if robot is not None else 3)
     eps = path.dlambda * cfg.resolve_eps0(dof)
-    Q = [np.stack([s.q for s in ss]) if ss else np.empty((0, dof)) for ss in sols]
-    det_j = [np.array([s.det_j for s in ss]) for ss in sols]
+    valid = np.arange(max(counts.max(), 1)) < counts[:, None]      # (K+1, M)
+    Q = np.zeros(valid.shape + (dof,))
+    Q[valid] = np.reshape([s.q for s in sols], (-1, dof))
+    det_j, pen = np.zeros(valid.shape), np.zeros(valid.shape)
+    det_j[valid] = [s.det_j for s in sols]
+    pen[valid] = [s.residual if s.approximate else 0.0 for s in sols]
 
     # vertex penalties
-    penalties = []
-    for k in range(K + 1):
-        pen = _APPROX_PENALTY * np.array([s.residual if s.approximate else 0.0
-                                          for s in sols[k]])
-        if cfg.manipulability_weight > 0.0:
-            mu = np.abs(det_j[k])
-            pen = pen + cfg.manipulability_weight * path.dlambda / np.maximum(mu, _MU_FLOOR)
-        penalties.append(pen)
+    pen = _APPROX_PENALTY * pen
+    if cfg.manipulability_weight > 0.0:
+        pen = pen + cfg.manipulability_weight * path.dlambda / np.maximum(np.abs(det_j), _MU_FLOOR)
 
-    sign = [np.sign(d) for d in det_j]
-    edges: dict = {}
-    for k in range(K):
-        cost = _step_cost(Q[k][:, None], Q[k + 1][None], path.dlambda)
-        ok = cost < eps
-        if cfg.nonsingular_only:
-            ok &= (sign[k][:, None] * sign[k + 1][None, :]) > 0
-        if ok.any():
-            edges[(k, 1)] = {"weight": np.where(ok, cost + penalties[k + 1][None, :], np.inf)}
-    s_weight = penalties[0]
-    f_weight = np.zeros(Q[K].shape[0])
+    cost = _step_cost(Q[:-1, :, None], Q[1:, None], path.dlambda)      # (K, M, M)
+    ok = (cost < eps) & valid[:-1, :, None] & valid[1:, None, :]
+    if cfg.nonsingular_only:
+        sign = np.sign(det_j)
+        ok &= sign[:-1, :, None] * sign[1:, None, :] > 0
+    weight = np.where(ok, cost + pen[1:, None, :], np.inf)
+    s_weight = np.where(valid[0], pen[0], np.inf)
+    f_weight = np.where(valid[K], 0.0, np.inf)
 
     unwrapped = None
     if robot is not None and robot.joint_limits is not None:
-        unwrapped = _enforce_limits(Q, edges, s_weight, f_weight, robot.joint_limits,
+        unwrapped = _enforce_limits(Q, valid, weight, s_weight, f_weight, robot.joint_limits,
                                     cfg.joint_limit_barrier * path.dlambda)
 
-    return PlanGraph(dlambda=path.dlambda, eps=eps, Q=Q, det_j=det_j,
-                     edges=edges, s_weight=s_weight, f_weight=f_weight, unwrapped=unwrapped)
+    return PlanGraph(dlambda=path.dlambda, eps=eps, counts=counts, Q=Q, det_j=det_j,
+                     weight=weight, s_weight=s_weight, f_weight=f_weight, unwrapped=unwrapped)
 
 
 def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
@@ -232,51 +235,48 @@ def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
     return np.where((turns != 0.0) & (shifted >= lo) & (shifted <= hi), shifted, q)
 
 
-def _enforce_limits(Q, edges, s_weight, f_weight, limits: np.ndarray,
-                    barrier: float) -> list[np.ndarray]:
+def _enforce_limits(Q, valid, weight, s_weight, f_weight, limits: np.ndarray,
+                    barrier: float) -> np.ndarray:
     """Turn tracking, joint-limit barrier (weight times dlambda) and limit
-    drops in one layer-by-layer pass, in place; returns the tracked vectors.
+    drops, in place on the padded weights; returns the tracked vectors.
 
     Each layer-0 vertex, an S-edge head, takes its representative inside
     the limits (see _start_representative). A vertex of layer j > 0 takes
     the unwrapped value nearest its lowest-index tracked predecessor (exact
     +/- pi steps take the positive branch), or keeps its wrapped value when
-    it has none. The barrier of j's vertices joins their incoming weights,
-    and at layer 0 their S weights. Then edges into j go whose tail or head
-    lies outside the limits or whose implied unwrap of the head disagrees
-    with its value, and so do terminals outside the limits. Each step reads
-    only layers j-1 and j.
+    it has none; that is the one pass over layers, each reading the one
+    before it. Then, over all layers at once, the barrier of each vertex
+    joins its incoming weights (at layer 0 its S weight), and edges go
+    whose tail or head lies outside the limits or whose implied unwrap of
+    the head disagrees with its value, and so do terminals outside them.
     """
     lo, hi = limits[:, 0], limits[:, 1]
-    unwrapped = [_start_representative(Q[0], limits)] + [q.copy() for q in Q[1:]]
-    tracked = np.ones(Q[0].shape[0], dtype=bool)
-    inside = []
-    for j, u in enumerate(unwrapped):
-        e = edges.get((j - 1, 1))
-        if e is not None:
-            # each tail's turn-tracked value plus the wrap-minimal step to each head
-            implied = unwrapped[j - 1][:, None, :] + wrap_to_pi(Q[j][None, :, :]
-                                                                 - Q[j - 1][:, None, :])
-            from_tracked = np.isfinite(e["weight"]) & tracked[:, None]
-            tracked = from_tracked.any(axis=0)
-            heads = np.flatnonzero(tracked)
-            u[heads] = implied[from_tracked.argmax(axis=0)[heads], heads]
-        elif j > 0:
-            tracked = np.zeros(Q[j].shape[0], dtype=bool)
-        bar = 0.0
-        if barrier > 0.0:
-            bar = barrier * np.sum(1.0 / np.maximum(u - lo, _BARRIER_MARGIN)
-                                   + 1.0 / np.maximum(hi - u, _BARRIER_MARGIN), axis=1)
-        inside.append(np.all((u >= lo) & (u <= hi), axis=1))
-        if j == 0:
-            s_weight += bar
-            s_weight[~inside[0]] = np.inf
-        if e is not None:
-            off = np.max(np.abs(implied - u), axis=2) > 1e-9
-            e["weight"] += bar
-            e["weight"][off | ~inside[j - 1][:, None] | ~inside[j]] = np.inf
-    f_weight[~inside[-1]] = np.inf
-    return unwrapped
+    K = len(weight)
+    # wrap-minimal step from each tail m of layer k to each head l of layer k+1
+    step = wrap_to_pi(Q[1:, None, :, :] - Q[:-1, :, None, :])        # (K, M, M, n)
+    admitted = np.isfinite(weight)
+    tracked = np.empty_like(valid)
+    tracked[0] = valid[0]
+    for k in range(K):
+        tracked[k + 1] = tracked[k] @ admitted[k]
+    pred = (admitted & tracked[:-1, :, None]).argmax(axis=1)          # (K, M)
+    hop = step[np.arange(K)[:, None], pred, np.arange(valid.shape[1])]
+    u = Q.copy()
+    u[0] = _start_representative(Q[0], limits)
+    for k in range(K):
+        u[k + 1] = u[k, pred[k]] + hop[k]
+    u = np.where(tracked[..., None], u, Q)
+    inside = np.all((u >= lo) & (u <= hi), axis=2)
+    if barrier > 0.0:
+        bar = barrier * np.sum(1.0 / np.maximum(u - lo, _BARRIER_MARGIN)
+                               + 1.0 / np.maximum(hi - u, _BARRIER_MARGIN), axis=2)
+        s_weight += bar[0]
+        weight += bar[1:, None, :]
+    off = np.max(np.abs(u[:-1, :, None] + step - u[1:, None]), axis=3) > 1e-9
+    weight[off | ~inside[:-1, :, None] | ~inside[1:, None, :]] = np.inf
+    s_weight[~inside[0]] = np.inf
+    f_weight[~inside[K]] = np.inf
+    return u
 
 
 @dataclass
@@ -326,35 +326,34 @@ def shortest_joint_path(graph: PlanGraph):
     edge over tight edges, and the path starts at the smallest live layer-0
     vertex, then takes the smallest live tight successor in each layer.
     """
-    counts = graph.layer_counts
-    K = len(counts) - 1
-    dist = reach(graph.edges, _seeded(counts, 0, graph.s_weight))
-    best = np.min(dist[K] + graph.f_weight, initial=np.inf)
+    dist = graph.dist
+    K = graph.n_layers - 1
+    last = dist[K] + graph.f_weight
+    best = last.min()
     if best == np.inf:
         return None
-    tight = {}
-    for (k, d), e in graph.edges.items():
-        W = e["weight"]
-        tight[(k, d)] = {"weight": np.where(dist[k][:, None] + W == dist[k + d], W, np.inf)}
-    live = reach(tight, _seeded(counts, K, np.where(dist[K] + graph.f_weight == best,
-                                                    0.0, np.inf)), forward=False)
-    vertices = [int(np.flatnonzero(np.isfinite(live[0]))[0])]
-    for k in range(K):
-        step = tight[(k, 1)]["weight"][vertices[-1]]
-        vertices.append(int(np.flatnonzero(np.isfinite(step) & np.isfinite(live[k + 1]))[0]))
+    # an unreached head (inf) may look tight, but it is never live
+    tight = dist[:-1, :, None] + graph.weight == dist[1:, None, :]     # (K, M, M)
+    live = np.empty(dist.shape, dtype=bool)
+    live[K] = last == best
+    for k in range(K - 1, -1, -1):
+        live[k] = tight[k] @ live[k + 1]
+    successor = (tight & live[1:, None, :]).argmax(axis=2).tolist()   # (K, M)
+    vertices = [int(live[0].argmax())]
+    for row in successor:
+        vertices.append(row[vertices[-1]])
     return _extract_path(graph, vertices, float(best))
 
 
 def _extract_path(graph: PlanGraph, vertices: list[int], weight: float) -> JointPath:
     K = graph.n_layers - 1
+    layers = list(range(K + 1))
     # continuous unwrapped output: accumulate the wrap-minimal steps from
     # the layer-0 vertex, starting from its turn-tracked representative
     # when the robot declares limits
-    qs = [(graph.Q if graph.unwrapped is None else graph.unwrapped)[0][vertices[0]].copy()]
-    for k in range(K):
-        qs.append(qs[-1] + wrap_to_pi(graph.Q[k + 1][vertices[k + 1]] - graph.Q[k][vertices[k]]))
-    q = np.stack(qs)
-    layers = list(range(K + 1))
+    on_path = graph.Q[layers, vertices]
+    start = (graph.Q if graph.unwrapped is None else graph.unwrapped)[0, vertices[0]]
+    q = np.add.accumulate(np.concatenate([start[None], wrap_to_pi(np.diff(on_path, axis=0))]))
     lambdas = np.array(layers, dtype=float) * graph.dlambda
     return JointPath(
         lambdas=lambdas,
@@ -369,11 +368,12 @@ def _extract_path(graph: PlanGraph, vertices: list[int], weight: float) -> Joint
 
 
 def _first_disconnected_span(graph: PlanGraph):
-    """Layers [a, K] from the first one that no route from S reaches: edges
-    join consecutive layers only, so no later layer is reached either."""
-    rows = reach(graph.edges, _seeded(graph.layer_counts, 0, graph.s_weight))
-    K = len(rows) - 1
-    return (next((k for k, r in enumerate(rows) if not np.isfinite(r).any()), K), K)
+    """Layers [a, K] from the first one that no route from S reaches, read
+    off the search's forward distances: edges join consecutive layers
+    only, so no later layer is reached either."""
+    dead = np.flatnonzero(~np.isfinite(graph.dist).any(axis=1))
+    K = graph.n_layers - 1
+    return (int(dead[0]) if dead.size else K, K)
 
 
 def plan_path(robot: RobotModel, path: TaskPath, cfg: PlannerConfig | None = None,
@@ -445,15 +445,14 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
         raise ValueError("repeatability analysis requires a closed path")
     layers = build_layers(robot, path, ik_cfg)
     graph = build_plan_graph(layers, path, cfg, robot=robot)
-    K = graph.n_layers - 1
-    matching = _match_end_layers(graph.Q[0], graph.Q[K])
-    M = graph.Q[0].shape[0]
-    costs = reach(graph.edges, _seeded(graph.layer_counts, 0,
-                                       np.where(np.eye(M, dtype=bool), 0.0, np.inf)))[K]
-    costs = costs[:, matching]
+    M0, MK = graph.counts[[0, -1]]
+    matching = _match_end_layers(graph.Q[0, :M0], graph.Q[-1, :MK])
+    starts = np.full((M0, graph.Q.shape[1]), np.inf)
+    starts[range(M0), range(M0)] = 0.0
+    costs = reach(graph.weight, starts)[-1][:, matching]
     connectivity = np.isfinite(costs)
-    regular = [m for m in range(M) if connectivity[m, m]]
-    cycles = _simple_cycles(connectivity & ~np.eye(M, dtype=bool))
+    regular = [m for m in range(M0) if connectivity[m, m]]
+    cycles = _simple_cycles(connectivity & ~np.eye(M0, dtype=bool))
     return RepeatabilityReport(connectivity=connectivity, costs=costs,
                                regular_solutions=regular, cycles=cycles,
                                end_matching=matching)

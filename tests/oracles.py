@@ -10,11 +10,13 @@ every start-to-finish route by depth-first search and keeps the
 lexicographically smallest optimal one, the IK dedup oracle applies the
 greedy radius rule one target and one row at a time, the admission oracle
 re-derives the planner's edge rule pair by pair and its reachability with
-the same search, and the
-joint-limit oracle tracks turns vertex by vertex and judges every admitted
-edge on its own in a plain loop. The one exception is the seed flood: the
-library's own LM from a regular seed grid, the multi-start reference that
-the closed-form 3R IK is checked against.
+the same search, the joint-limit oracle tracks turns vertex by vertex and
+judges every admitted edge on its own in a plain loop, and the layerwise
+planner builds and searches the graph one pair of layers at a time (the
+padded planner must match it bit for bit, as the kernel must match the
+walk). The one exception is the seed flood: the library's own LM from a
+regular seed grid, the multi-start reference that the closed-form 3R IK
+is checked against.
 """
 
 import numpy as np
@@ -337,3 +339,125 @@ def joint_limit_loop(Q, edges, s_weight, f_weight, limits, barrier: float):
                         np.max(np.abs(implied - unwrapped[k + d][l])) > 1e-9:
                     W[m, l] = np.inf
     return unwrapped
+
+
+def layerwise_plan(layers, path, cfg=None, robot=None, closed_costs: bool = False):
+    """The planner one layer pair at a time, the bitwise reference for the
+    padded planner: per-layer solution stacks, one weight matrix per pair
+    of consecutive layers with an admitted edge, the limits pass one layer
+    at a time, a min-plus relaxation per pair, and the path accumulated
+    step by step.
+
+    Returns a namespace with Q, det_j, edges ({(k, 1): {"weight": (M_k,
+    M_k+1)}}), s_weight, f_weight, unwrapped (None without limits), path
+    (None, or vertex_indices, q, cost, weight), span (None when feasible)
+    and, with closed_costs, the repeatability costs of a closed path.
+    """
+    from types import SimpleNamespace
+
+    from cuspidal_kit import planner as P
+
+    cfg = cfg or P.PlannerConfig()
+    K = path.K
+    sols = [layer.solutions for layer in layers]
+    dof = next((ss[0].q.shape[0] for ss in sols if ss), robot.dof if robot is not None else 3)
+    eps = path.dlambda * cfg.resolve_eps0(dof)
+    Q = [np.stack([s.q for s in ss]) if ss else np.empty((0, dof)) for ss in sols]
+    det_j = [np.array([s.det_j for s in ss]) for ss in sols]
+    penalties = []
+    for k in range(K + 1):
+        pen = P._APPROX_PENALTY * np.array([s.residual if s.approximate else 0.0
+                                            for s in sols[k]])
+        if cfg.manipulability_weight > 0.0:
+            pen = pen + cfg.manipulability_weight * path.dlambda / np.maximum(
+                np.abs(det_j[k]), P._MU_FLOOR)
+        penalties.append(pen)
+    sign = [np.sign(d) for d in det_j]
+    edges = {}
+    for k in range(K):
+        d = wrap_to_pi(Q[k + 1][None] - Q[k][:, None])
+        cost = np.einsum("...j,...j->...", d, d) / path.dlambda
+        ok = cost < eps
+        if cfg.nonsingular_only:
+            ok &= (sign[k][:, None] * sign[k + 1][None, :]) > 0
+        if ok.any():
+            edges[(k, 1)] = {"weight": np.where(ok, cost + penalties[k + 1][None, :], np.inf)}
+    s_weight = penalties[0]
+    f_weight = np.zeros(Q[K].shape[0])
+
+    unwrapped = None
+    if robot is not None and robot.joint_limits is not None:
+        limits = robot.joint_limits
+        barrier = cfg.joint_limit_barrier * path.dlambda
+        lo, hi = limits[:, 0], limits[:, 1]
+        unwrapped = [P._start_representative(Q[0], limits)] + [q.copy() for q in Q[1:]]
+        tracked = np.ones(Q[0].shape[0], dtype=bool)
+        inside = []
+        for j, u in enumerate(unwrapped):
+            e = edges.get((j - 1, 1))
+            if e is not None:
+                implied = unwrapped[j - 1][:, None, :] + wrap_to_pi(Q[j][None, :, :]
+                                                                     - Q[j - 1][:, None, :])
+                from_tracked = np.isfinite(e["weight"]) & tracked[:, None]
+                tracked = from_tracked.any(axis=0)
+                heads = np.flatnonzero(tracked)
+                u[heads] = implied[from_tracked.argmax(axis=0)[heads], heads]
+            elif j > 0:
+                tracked = np.zeros(Q[j].shape[0], dtype=bool)
+            bar = 0.0
+            if barrier > 0.0:
+                bar = barrier * np.sum(1.0 / np.maximum(u - lo, 1e-6)
+                                       + 1.0 / np.maximum(hi - u, 1e-6), axis=1)
+            inside.append(np.all((u >= lo) & (u <= hi), axis=1))
+            if j == 0:
+                s_weight += bar
+                s_weight[~inside[0]] = np.inf
+            if e is not None:
+                off = np.max(np.abs(implied - u), axis=2) > 1e-9
+                e["weight"] += bar
+                e["weight"][off | ~inside[j - 1][:, None] | ~inside[j]] = np.inf
+        f_weight[~inside[-1]] = np.inf
+
+    def relax(seed, tight=None, forward=True):
+        graph = edges if tight is None else tight
+        rows = [np.full(np.shape(seed)[:-1] + (len(q),), np.inf) for q in Q]
+        rows[0 if forward else K] = np.array(seed, dtype=float)
+        heads = range(1, K + 1) if forward else range(K, 0, -1)
+        for j in heads:
+            if (j - 1, 1) not in graph:
+                continue
+            W = graph[(j - 1, 1)]["weight"]
+            if forward:
+                np.minimum(rows[j], (rows[j - 1][..., :, None] + W).min(axis=-2), out=rows[j])
+            else:
+                np.minimum(rows[j - 1], (W + rows[j][..., None, :]).min(axis=-1),
+                           out=rows[j - 1])
+        return rows
+
+    dist = relax(s_weight)
+    best = np.min(dist[K] + f_weight, initial=np.inf)
+    plan, span = None, None
+    if best == np.inf:
+        span = (next((k for k, r in enumerate(dist) if not np.isfinite(r).any()), K), K)
+    else:
+        tight = {key: {"weight": np.where(dist[k][:, None] + e["weight"] == dist[k + 1],
+                                          e["weight"], np.inf)}
+                 for key, e in edges.items() for k in [key[0]]}
+        live = relax(np.where(dist[K] + f_weight == best, 0.0, np.inf), tight, forward=False)
+        vertices = [int(np.flatnonzero(np.isfinite(live[0]))[0])]
+        for k in range(K):
+            step = tight[(k, 1)]["weight"][vertices[-1]]
+            vertices.append(int(np.flatnonzero(np.isfinite(step) & np.isfinite(live[k + 1]))[0]))
+        qs = [(Q if unwrapped is None else unwrapped)[0][vertices[0]].copy()]
+        for k in range(K):
+            qs.append(qs[-1] + wrap_to_pi(Q[k + 1][vertices[k + 1]] - Q[k][vertices[k]]))
+        q = np.stack(qs)
+        lambdas = np.arange(K + 1, dtype=float) * path.dlambda
+        plan = SimpleNamespace(vertex_indices=vertices, q=q, weight=float(best),
+                               cost=P.path_cost(q, lambdas))
+    costs = None
+    if closed_costs:
+        M = Q[0].shape[0]
+        costs = relax(np.where(np.eye(M, dtype=bool), 0.0, np.inf))[K]
+    return SimpleNamespace(Q=Q, det_j=det_j, edges=edges, s_weight=s_weight, f_weight=f_weight,
+                           unwrapped=unwrapped, path=plan, span=span, costs=costs)

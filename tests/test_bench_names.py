@@ -3,9 +3,11 @@
 perfbench/tracing.py replaces module attributes (its BOUNDARIES) by timing
 wrappers and reads counts off their arguments and results:
 IKSolutionSet.solutions, PlanGraph.edges[(k, d)]["weight"] (d is always 1:
-edges join consecutive layers only), layer_counts and edge_count. A rename
-there breaks the benchmark without failing any
-other test here, so this runs the tracer on three tiny CLI calls. The IK
+edges join consecutive layers only; the planner keeps one padded weight
+array, and edges is a view of it that nothing in the package reads),
+layer_counts and edge_count. A rename there breaks the benchmark without
+failing any other test here, so this runs the tracer on three tiny CLI
+calls and on one plan whose graph counts it checks. The IK
 must also reach the kernel through ik.fk_jacobian_batch, the name the
 tracer wraps, or the kernel rows read 0.
 """
@@ -15,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cuspidal_kit import cli, fileio
+from cuspidal_kit import cli, fileio, planner
+from cuspidal_kit.ik import IKConfig
 from cuspidal_kit.kinematics import forward_kinematics
-from cuspidal_kit.scenarios import canonical_3r
+from cuspidal_kit.scenarios import canonical_3r, infeasible_line_control_path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -52,3 +55,20 @@ def test_traced_commands_fill_every_layer_metric(tmp_path, capsys):
     assert metrics["planner.vertices"] > 0
     assert metrics["ik.exact_solutions"] > 0
     assert metrics["kinematics.fkjac_rows"] > 0
+
+
+def test_graph_counts_match_the_graph():
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        result = planner.plan_path(canonical_3r(), infeasible_line_control_path(41),
+                                   ik_cfg=IKConfig(seeds_per_joint=6))
+    (rec,) = [s for s in tracer.spans if s["name"] == "planner.build_plan_graph"]
+    graph = result.graph
+    assert graph.edge_count > 0
+    assert rec["edges"] == graph.edge_count and rec["skip_edges"] == 0
+    assert rec["vertices"] == sum(graph.layer_counts)
+    # the edges view holds every edge between layers, one matrix per pair
+    between = sum(int(np.isfinite(e["weight"]).sum()) for e in graph.edges.values())
+    terminals = np.isfinite(graph.s_weight).sum() + np.isfinite(graph.f_weight).sum()
+    assert between + terminals == graph.edge_count
+    assert all(d == 1 for _, d in graph.edges)

@@ -89,7 +89,10 @@ class TestPlan:
         doc = json.loads(out)
         assert doc["feasible"] is False
         assert min(doc["layer_counts"]) > 0
-        assert "infeasible" in err
+        # reachability from S is lost for good: the span always ends at K
+        first, last = doc["infeasible_span"]
+        assert last == len(doc["layer_counts"]) - 1 and first <= last
+        assert f"infeasible: no route from S reaches layer {first} of 0..{last};" in err
 
     @pytest.mark.parametrize("command", ["plan", "optimize"])
     def test_skip_depth_option_is_gone(self, capsys, command):

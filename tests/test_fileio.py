@@ -130,6 +130,17 @@ class TestHelix:
             fileio.generate_helix(samples=1)
 
 
+class TestJson:
+    def test_numpy_values_convert_like_python_ones(self):
+        doc = {"a": np.array([[1.5, -0.0], [np.pi, 1e-300]]), "b": np.float32(0.1),
+               "c": [np.int64(3), np.bool_(True), (np.float64(2.0), None)],
+               "d": np.array([True, False]), "e": np.arange(3), "f": np.array(7.25)}
+        plain = {"a": [[1.5, -0.0], [np.pi, 1e-300]], "b": float(np.float32(0.1)),
+                 "c": [3, True, [2.0, None]], "d": [True, False], "e": [0, 1, 2], "f": 7.25}
+        assert fileio.dump_json(doc) == json.dumps(plain, sort_keys=True, indent=2)
+        assert type(fileio.to_jsonable(doc)["e"][0]) is int
+
+
 class TestCsv:
     def test_seventeen_digit_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

@@ -26,7 +26,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_control_path,
 )
 
-from oracles import brute_force_shortest, joint_limit_loop, single_pass_admission
+from oracles import brute_force_shortest, joint_limit_loop, layerwise_plan, single_pass_admission
 
 
 def _sol(q, det=1.0, approx=False, residual=0.0):
@@ -52,7 +52,7 @@ def _const_path(n, dlambda=0.1, closed=False):
 
 
 @pytest.fixture(scope="module")
-def r6_line_plan(r6):
+def r6_line(r6):
     # a line whose middle layers gain extra IK solutions
     qa, _ = THREE_PARALLEL_WITNESS
     base = forward_kinematics(r6, qa)
@@ -60,7 +60,12 @@ def r6_line_plan(r6):
     K = 10
     poses = [Pose(base.rotation, base.position + d * k / K) for k in range(K + 1)]
     path = TaskPath(poses, dlambda=float(np.linalg.norm(d)) / K)
-    return plan_path(r6, path)
+    return path, build_layers(r6, path)
+
+
+@pytest.fixture(scope="module")
+def r6_line_plan(r6, r6_line):
+    return plan_path(r6, r6_line[0])
 
 
 class TestPlannerConfig:
@@ -193,9 +198,9 @@ class TestBuildGraph:
         assert res.feasible
         g = res.graph
         reached = [np.isfinite(g.s_weight)]
-        for k in range(g.n_layers - 1):
-            reached.append(reached[k] @ np.isfinite(g.edges[(k, 1)]["weight"]))
-        assert any(not r.all() for r in reached)
+        for W in g.weight:
+            reached.append(reached[-1] @ np.isfinite(W))
+        assert any(not r[:c].all() for r, c in zip(reached, g.layer_counts))
 
     def test_joint_limit_enforcement(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
@@ -264,23 +269,33 @@ def fixture_layers(r3):
     return [(path, build_layers(r3, path, cfg)) for path in paths]
 
 
+def _per_layer(graph, padded):
+    """The (M_k, ...) rows of each layer of a padded (K+1, M, ...) array."""
+    return [a[:c] for a, c in zip(padded, graph.layer_counts)]
+
+
 def _assert_limits_match_loop(layers, path, cfg, robot):
-    """The planner's one-pass turn tracking, barrier and drops equal, bit for
-    bit, the vertex-by-vertex loop applied to the graph built without limits."""
+    """The planner's turn tracking, barrier and drops equal, bit for bit,
+    the vertex-by-vertex loop applied to the graph built without limits."""
     fast = build_plan_graph(layers, path, cfg, robot=robot)
     ref = build_plan_graph(layers, path, cfg)
+    ref_edges = {key: {"weight": e["weight"].copy()} for key, e in ref.edges.items()}
+    s_weight, f_weight = ref.s_weight.copy(), ref.f_weight.copy()
     if robot.joint_limits is None:
         assert fast.unwrapped is None
     else:
-        unwrapped = joint_limit_loop(ref.Q, ref.edges, ref.s_weight, ref.f_weight,
+        unwrapped = joint_limit_loop(_per_layer(ref, ref.Q), ref_edges, s_weight, f_weight,
                                      robot.joint_limits, cfg.joint_limit_barrier * path.dlambda)
-        for u_fast, u_ref in zip(fast.unwrapped, unwrapped, strict=True):
+        for u_fast, u_ref in zip(_per_layer(fast, fast.unwrapped), unwrapped, strict=True):
             nt.assert_array_equal(u_fast, u_ref)
-    assert fast.edges.keys() == ref.edges.keys()
-    for key, e in ref.edges.items():
-        nt.assert_array_equal(fast.edges[key]["weight"], e["weight"])
-    nt.assert_array_equal(fast.s_weight, ref.s_weight)
-    nt.assert_array_equal(fast.f_weight, ref.f_weight)
+    fast_edges = fast.edges
+    # a pair whose every edge the limits dropped keeps no view
+    assert fast_edges.keys() <= ref_edges.keys()
+    for key, e in ref_edges.items():
+        W = fast_edges[key]["weight"] if key in fast_edges else np.full(e["weight"].shape, np.inf)
+        nt.assert_array_equal(W, e["weight"])
+    nt.assert_array_equal(fast.s_weight, s_weight)
+    nt.assert_array_equal(fast.f_weight, f_weight)
 
 
 class TestJointLimits:
@@ -330,29 +345,130 @@ class TestJointLimits:
                                       _const_path(K + 1, dlambda=dl), cfg, robot)
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_layerwise(monkeypatch, layers, path, cfg=None, robot=None):
+    """The padded planner gives, bit for bit, what the per-layer planner
+    gives: the same edges, terminals, tracked vectors, path and span, and
+    for a closed path the same repeatability costs."""
+    g = build_plan_graph(layers, path, cfg, robot=robot)
+    ref = layerwise_plan(layers, path, cfg, robot, closed_costs=path.closed)
+    assert g.layer_counts == [len(q) for q in ref.Q]
+    assert all(map(_same_bits, _per_layer(g, g.Q), ref.Q))
+    assert all(map(_same_bits, _per_layer(g, g.det_j), ref.det_j))
+    views = g.edges
+    assert views.keys() <= ref.edges.keys()
+    for key, e in ref.edges.items():
+        W = views[key]["weight"] if key in views else np.full(e["weight"].shape, np.inf)
+        assert _same_bits(W, e["weight"]), key
+    M0, MK = g.layer_counts[0], g.layer_counts[-1]
+    assert _same_bits(g.s_weight[:M0], ref.s_weight) and _same_bits(g.f_weight[:MK], ref.f_weight)
+    assert (ref.unwrapped is None) == (g.unwrapped is None)
+    if ref.unwrapped is not None:
+        assert all(map(_same_bits, _per_layer(g, g.unwrapped), ref.unwrapped))
+    jp = shortest_joint_path(g)
+    assert (jp is None) == (ref.path is None)
+    if jp is None:
+        assert _first_disconnected_span(g) == ref.span
+    else:
+        assert jp.vertex_indices == ref.path.vertex_indices
+        assert _same_bits(jp.q, ref.path.q)
+        assert _same_bits(jp.cost, ref.path.cost) and _same_bits(jp.weight, ref.path.weight)
+    if path.closed:
+        monkeypatch.setattr(planner, "build_layers", lambda *args, **kwargs: layers)
+        rep = analyze_repeatability(robot, path, cfg)
+        assert _same_bits(rep.costs, ref.costs[:, rep.end_matching])
+
+
+def _random_plan_input(rng):
+    """Ragged random layers (0 to 8 solutions, none empty in about half of
+    the draws; some approximate, random det signs), a planner config, and
+    joint limits for about half of them."""
+    K = int(rng.integers(1, 12))
+    fewest = int(rng.integers(0, 2))
+    layer_sets = [[rng.uniform(-np.pi, np.pi, 3) for _ in range(rng.integers(fewest, 9))]
+                  for _ in range(K + 1)]
+    dets = [[float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1e-3, 2.0)) for _ in qs]
+            for qs in layer_sets]
+    approxes = [[bool(rng.random() < 0.15) for _ in qs] for qs in layer_sets]
+    dl = float(rng.uniform(0.05, 0.5))
+    cfg = PlannerConfig(eps0=float(rng.uniform(10, 400)) / dl,
+                        nonsingular_only=bool(rng.random() < 0.5),
+                        manipulability_weight=float(rng.choice([0.0, 0.3])),
+                        joint_limit_barrier=float(rng.choice([0.0, 0.02])))
+    limits = None
+    if rng.random() < 0.5:
+        lo = rng.uniform(-7.0, 0.0, 3)
+        limits = np.stack([lo, lo + rng.uniform(1.0, 12.0, 3)], axis=1)
+    layers = [IKSolutionSet([_sol(q, d, a, residual=float(rng.uniform(0, 1e-3)) if a else 0.0)
+                             for q, d, a in zip(qs, ds, aps)])
+              for qs, ds, aps in zip(layer_sets, dets, approxes)]
+    return layers, _const_path(K + 1, dlambda=dl), cfg, limits
+
+
+class TestPaddedMatchesLayerwise:
+    @pytest.mark.parametrize("nonsingular", [False, True])
+    @pytest.mark.parametrize("variant", list(_LIMIT_VARIANTS))
+    def test_fixtures(self, r3, fixture_layers, monkeypatch, variant, nonsingular):
+        limits, barrier = _LIMIT_VARIANTS[variant]
+        cfg = PlannerConfig(nonsingular_only=nonsingular, joint_limit_barrier=barrier)
+        for path, layers in fixture_layers:
+            _assert_matches_layerwise(monkeypatch, layers, path, cfg, _limited(r3, limits))
+
+    def test_control_segment(self, r3, monkeypatch):
+        path = infeasible_line_control_path(500)
+        layers = build_layers(r3, path, IKConfig(seeds_per_joint=6))
+        _assert_matches_layerwise(monkeypatch, layers, path)
+
+    def test_6r_ragged_line(self, r6, r6_line, monkeypatch):
+        path, layers = r6_line
+        _assert_matches_layerwise(monkeypatch, layers, path, robot=r6)
+
+    def test_random_ragged_graphs(self, r3, monkeypatch):
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            layers, path, cfg, limits = _random_plan_input(rng)
+            _assert_matches_layerwise(monkeypatch, layers, path, cfg, _limited(r3, limits))
+
+    def test_padding_is_never_admitted_or_visited(self, r3):
+        rng = np.random.default_rng(51)
+        for _ in range(100):
+            layers, path, cfg, limits = _random_plan_input(rng)
+            g = build_plan_graph(layers, path, cfg, robot=_limited(r3, limits))
+            pad = np.arange(g.Q.shape[1]) >= g.counts[:, None]
+            assert np.isinf(g.s_weight[pad[0]]).all() and np.isinf(g.f_weight[pad[-1]]).all()
+            assert np.isinf(g.weight[pad[:-1]]).all()
+            assert np.isinf(g.weight.transpose(0, 2, 1)[pad[1:]]).all()
+            jp = shortest_joint_path(g)
+            if jp is not None:
+                assert all(v < c for v, c in zip(jp.vertex_indices, g.layer_counts))
+
+
 def _tie_heavy_graph(rng, closed=False) -> PlanGraph:
-    """A random plan graph with weights in {0, 1, 2}: empty layers, edges
-    between consecutive layers, S/F edges at the end layers. closed makes
-    the last layer a permutation of a nonempty first one."""
+    """A random padded plan graph with weights in {0, 1, 2}: empty layers,
+    edges between consecutive layers, S/F edges at the end layers. closed
+    makes the last layer a permutation of a nonempty first one."""
     K = int(rng.integers(1, 9))
     counts = [int(rng.integers(0, 5)) for _ in range(K + 1)]
-    Q = [rng.uniform(-np.pi, np.pi, (c, 3)) for c in counts]
     if closed:
         counts[0] = counts[K] = max(counts[0], 1)
-        Q[0] = rng.uniform(-np.pi, np.pi, (counts[0], 3))
-        Q[K] = Q[0][rng.permutation(counts[0])]
+    M = max(max(counts), 1)
+    valid = np.arange(M) < np.array(counts)[:, None]
+    Q = np.where(valid[..., None], rng.uniform(-np.pi, np.pi, (K + 1, M, 3)), 0.0)
+    if closed:
+        Q[K, :counts[0]] = Q[0, rng.permutation(counts[0])]
 
-    def weights(shape, p):
-        return np.where(rng.random(shape) < p, rng.integers(0, 3, shape).astype(float), np.inf)
+    def weights(shape, p, mask):
+        W = np.where(rng.random(shape) < p, rng.integers(0, 3, shape).astype(float), np.inf)
+        return np.where(mask, W, np.inf)
 
-    edges = {}
-    for k in range(K):
-        W = weights((counts[k], counts[k + 1]), 0.7)
-        if np.isfinite(W).any():
-            edges[(k, 1)] = {"weight": W}
-    return PlanGraph(dlambda=0.1, eps=1.0, Q=Q, det_j=[np.ones(c) for c in counts],
-                     edges=edges, s_weight=weights(counts[0], 0.8),
-                     f_weight=weights(counts[K], 0.8))
+    return PlanGraph(dlambda=0.1, eps=1.0, counts=np.array(counts), Q=Q,
+                     det_j=valid.astype(float),
+                     weight=weights((K, M, M), 0.7, valid[:-1, :, None] & valid[1:, None, :]),
+                     s_weight=weights(M, 0.8, valid[0]), f_weight=weights(M, 0.8, valid[K]))
 
 
 def _assert_matches_oracle(g: PlanGraph):
@@ -473,6 +589,16 @@ class TestPlanPath:
         assert not res.feasible
         assert min(res.layer_counts) > 0
         assert res.infeasible_span is not None
+
+    def test_span_reuses_the_search_distances(self, monkeypatch):
+        # the span is read off the forward distances the search relaxed
+        layers = _layers([[np.zeros(3)], [np.full(3, 2.0)], [np.full(3, 2.01)]])
+        calls = []
+        relax = planner.reach
+        monkeypatch.setattr(planner, "reach", lambda *args: calls.append(1) or relax(*args))
+        monkeypatch.setattr(planner, "build_layers", lambda *args, **kwargs: layers)
+        res = plan_path(None, _const_path(3))
+        assert res.infeasible_span == (1, 2) and len(calls) == 1
 
     def test_control_fixture_feasible(self, r3):
         res = plan_path(r3, infeasible_line_control_path(81),
