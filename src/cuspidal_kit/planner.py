@@ -116,6 +116,8 @@ class PlanGraph:
     weight, inf where absent and at every padding slot: weight[k] is the
     (M, M) matrix from layer k to layer k+1, s_weight the (M,) vector of
     edges S -> (0, m) and f_weight the (M,) vector of edges (K, m) -> F.
+    edges is derived from weight, not stored: one read-only (M_k, M_k+1)
+    view per pair of layers with an admitted edge.
     """
     dlambda: float
     eps: float
@@ -142,15 +144,12 @@ class PlanGraph:
 
     @property
     def edges(self) -> dict:
-        """Read-only (M_k, M_k+1) views of weight, {(k, 1): {"weight": ...}}
-        for every pair of consecutive layers with an admitted edge."""
-        c = self.layer_counts
-        views = {}
-        for k in np.flatnonzero(np.isfinite(self.weight).any(axis=(1, 2))).tolist():
-            W = self.weight[k, :c[k], :c[k + 1]]
-            W.flags.writeable = False
-            views[(k, 1)] = {"weight": W}
-        return views
+        """{(k, 1): {"weight": (M_k, M_k+1) read-only view of weight[k]}} for
+        every pair of consecutive layers with an admitted edge."""
+        c, W = self.layer_counts, self.weight.view()
+        W.flags.writeable = False
+        return {(k, 1): {"weight": W[k, :c[k], :c[k + 1]]}
+                for k in np.flatnonzero(np.isfinite(W).any(axis=(1, 2))).tolist()}
 
     @cached_property
     def dist(self) -> np.ndarray:
