@@ -4,13 +4,15 @@ Subcommands: identify (cuspidality verdict), plan (joint path for a
 base-frame path), optimize (workpiece placement), map (solution-count
 grid), helix (toolpath generator). Results go to stdout, as JSON or as
 CSV for map, and also to the --out file when given; diagnostics to stderr.
-Exit codes: 0 ok, 2 input error, 3 undetermined, 4 infeasible, 5 no
-feasible start.
+Result files are written before stdout, so a file that cannot be written
+leaves stdout empty. Exit codes: 0 ok, 2 input error (also an unwritable
+output file), 3 undetermined, 4 infeasible, 5 no feasible start.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -81,10 +83,9 @@ def _ik_cfg(args) -> IKConfig:
 
 
 def _emit(text: str, out_path):
-    print(text)
     if out_path:
-        with open(out_path, "w") as fp:
-            fp.write(text + "\n")
+        fileio.write_text(out_path, text)
+    print(text)
 
 
 def cmd_identify(args) -> int:
@@ -111,13 +112,12 @@ def cmd_identify(args) -> int:
     return EXIT_OK if verdict.proven else EXIT_UNDETERMINED
 
 
-def _joint_path_doc(graph, jp) -> dict:
-    dets = [float(graph.det_j[k][m]) for k, m in zip(jp.layer_indices, jp.vertex_indices)]
+def _joint_path_doc(jp) -> dict:
     return {
         "lambdas": jp.lambdas,
-        "layers": jp.layer_indices,
+        "layers": list(range(len(jp.q))),
         "q": jp.q,
-        "det_j": dets,
+        "det_j": jp.det_j,
         "cost": jp.cost,
         "weight": jp.weight,
         "rms": jp.rms,
@@ -135,17 +135,18 @@ def cmd_plan(args) -> int:
         "samples": len(path.poses),
         "closed": path.closed,
         "eps": result.graph.eps,
-        "layer_counts": result.layer_counts,
+        "layer_counts": result.graph.layer_counts,
         "edges": result.graph.edge_count,
         "feasible": result.feasible,
     }
     if result.feasible:
-        doc["joint_path"] = _joint_path_doc(result.graph, result.path)
+        doc["joint_path"] = _joint_path_doc(result.path)
     else:
         doc["infeasible_span"] = list(result.infeasible_span)
         first, last = result.infeasible_span
+        counts = sorted(set(result.graph.layer_counts))
         print(f"infeasible: no route from S reaches layer {first} of 0..{last}; "
-              f"per-layer solution counts {sorted(set(result.layer_counts))}", file=sys.stderr)
+              f"per-layer solution counts {counts}", file=sys.stderr)
     if path.closed:
         rep = analyze_repeatability(robot, path, cfg, ik_cfg)
         doc["repeatability"] = {
@@ -154,13 +155,12 @@ def cmd_plan(args) -> int:
             "regular_solutions": rep.regular_solutions,
             "cycles": rep.cycles,
         }
-    _emit(fileio.dump_json(doc), args.out)
     if args.csv and result.feasible:
         jp = result.path
         header = ["lambda"] + [f"q{i+1}" for i in range(robot.dof)] + ["det_j"]
-        dets = doc["joint_path"]["det_j"]
-        rows = [[lam] + list(q) + [d] for lam, q, d in zip(jp.lambdas, jp.q, dets)]
+        rows = [[lam] + list(q) + [d] for lam, q, d in zip(jp.lambdas, jp.q, jp.det_j)]
         fileio.write_csv(args.csv, header, rows)
+    _emit(fileio.dump_json(doc), args.out)
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -196,11 +196,10 @@ def cmd_optimize(args) -> int:
             for r in results
         ],
     }
-    _emit(fileio.dump_json(doc), args.out)
     if args.csv:
-        best = results[0]
         fileio.write_csv(args.csv, ["evaluation", "best_cost"],
-                         [[i, v] for i, v in enumerate(best.history)])
+                         [[i, v] for i, v in enumerate(results[0].history)])
+    _emit(fileio.dump_json(doc), args.out)
     return EXIT_OK
 
 
@@ -223,7 +222,9 @@ def cmd_helix(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     p = argparse.ArgumentParser(prog="cuspidal-kit",
                                 description="Cuspidal robot identification, path planning, and workpiece optimization")
     sub = p.add_subparsers(dest="command", required=True)
@@ -289,7 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, KeyError) as e:
+    except (InputError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -33,17 +33,19 @@ def to_jsonable(obj):
     return obj
 
 
-def dump_json(doc, fp=None) -> str:
-    """Strict JSON text of doc; NaN or infinity raises ValueError."""
-    text = json.dumps(to_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
-    if fp is not None:
+def write_text(path: str, text: str):
+    """Write text and a newline to path; every result file goes through here."""
+    with open(path, "w") as fp:
         fp.write(text + "\n")
-    return text
+
+
+def dump_json(doc) -> str:
+    """Strict JSON text of doc; NaN or infinity raises ValueError."""
+    return json.dumps(to_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
 
 
 def save_json(doc, path: str):
-    with open(path, "w") as fp:
-        dump_json(doc, fp)
+    write_text(path, dump_json(doc))
 
 
 def load_json(path: str):
@@ -62,8 +64,7 @@ def csv_text(header, rows) -> str:
 
 
 def write_csv(path: str, header: list[str], rows):
-    with open(path, "w") as fp:
-        fp.write(csv_text(header, rows) + "\n")
+    write_text(path, csv_text(header, rows))
 
 
 # --- robot documents -------------------------------------------------------

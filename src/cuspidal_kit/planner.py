@@ -131,10 +131,6 @@ class PlanGraph:
     unwrapped: np.ndarray | None = None
 
     @property
-    def n_layers(self) -> int:
-        return len(self.counts)
-
-    @property
     def layer_counts(self) -> list[int]:
         return self.counts.tolist()
 
@@ -282,22 +278,21 @@ def _enforce_limits(Q, valid, weight, s_weight, f_weight, limits: np.ndarray,
 class JointPath:
     """Shortest continuous joint path through the graph.
 
-    cost is path_cost(q, lambdas), the pure movement metric; weight
-    additionally carries the soft penalties the search minimized. Entry k
-    sits at layer k: a path visits every layer.
+    A path visits every layer once: entry k of lambdas, vertex_indices, q
+    (unwrapped joint vectors) and det_j belongs to layer k. cost is
+    path_cost(q, lambdas), the pure movement metric; weight additionally
+    carries the soft penalties the search minimized.
     """
     lambdas: np.ndarray
-    layer_indices: list[int]
     vertex_indices: list[int]
     q: np.ndarray
+    det_j: np.ndarray
     cost: float
     weight: float
-    dlambda: float
-    total_length: float
 
     @property
     def rms(self) -> float:
-        return float(np.sqrt(self.cost / self.total_length))
+        return float(np.sqrt(self.cost / self.lambdas[-1]))
 
 
 @dataclass
@@ -309,10 +304,6 @@ class PlanResult:
     @property
     def feasible(self) -> bool:
         return self.path is not None
-
-    @property
-    def layer_counts(self) -> list[int]:
-        return self.graph.layer_counts
 
 
 def shortest_joint_path(graph: PlanGraph):
@@ -326,7 +317,7 @@ def shortest_joint_path(graph: PlanGraph):
     vertex, then takes the smallest live tight successor in each layer.
     """
     dist = graph.dist
-    K = graph.n_layers - 1
+    K = len(graph.weight)
     last = dist[K] + graph.f_weight
     best = last.min()
     if best == np.inf:
@@ -345,25 +336,18 @@ def shortest_joint_path(graph: PlanGraph):
 
 
 def _extract_path(graph: PlanGraph, vertices: list[int], weight: float) -> JointPath:
-    K = graph.n_layers - 1
-    layers = list(range(K + 1))
-    # continuous unwrapped output: accumulate the wrap-minimal steps from
-    # the layer-0 vertex, starting from its turn-tracked representative
-    # when the robot declares limits
+    """The JointPath through vertices[k] of each layer k; det_j is read off
+    the graph once, and q is continuous: the wrap-minimal steps accumulated
+    from the layer-0 vertex, starting from its turn-tracked representative
+    when the robot declares limits."""
+    layers = np.arange(len(vertices))
     on_path = graph.Q[layers, vertices]
     start = (graph.Q if graph.unwrapped is None else graph.unwrapped)[0, vertices[0]]
     q = np.add.accumulate(np.concatenate([start[None], wrap_to_pi(np.diff(on_path, axis=0))]))
-    lambdas = np.array(layers, dtype=float) * graph.dlambda
-    return JointPath(
-        lambdas=lambdas,
-        layer_indices=layers,
-        vertex_indices=vertices,
-        q=q,
-        cost=path_cost(q, lambdas),
-        weight=weight,
-        dlambda=graph.dlambda,
-        total_length=K * graph.dlambda,
-    )
+    lambdas = layers * graph.dlambda
+    return JointPath(lambdas=lambdas, vertex_indices=vertices, q=q,
+                     det_j=graph.det_j[layers, vertices],
+                     cost=path_cost(q, lambdas), weight=weight)
 
 
 def _first_disconnected_span(graph: PlanGraph):
@@ -371,7 +355,7 @@ def _first_disconnected_span(graph: PlanGraph):
     off the search's forward distances: edges join consecutive layers
     only, so no later layer is reached either."""
     dead = np.flatnonzero(~np.isfinite(graph.dist).any(axis=1))
-    K = graph.n_layers - 1
+    K = len(graph.weight)
     return (int(dead[0]) if dead.size else K, K)
 
 
@@ -387,12 +371,13 @@ def plan_path(robot: RobotModel, path: TaskPath, cfg: PlannerConfig | None = Non
 
 @dataclass
 class RepeatabilityReport:
-    """How the IK solutions of a closed path map to each other after one cycle."""
+    """How the IK solutions of a closed path map to each other after one
+    cycle. Solutions are numbered by layer 0; each layer-K vertex takes the
+    number of the layer-0 solution it coincides with."""
     connectivity: np.ndarray            # (M, M) bool, start m -> end l
     costs: np.ndarray                   # (M, M) optimal weights, inf if unreachable
     regular_solutions: list[int]        # fixed points m -> m
     cycles: list[list[int]]             # index cycles of period >= 2
-    end_matching: list[int]             # layer-K vertex for each layer-0 vertex
 
 
 def _match_end_layers(Q0: np.ndarray, QK: np.ndarray, tol: float = 1e-3) -> list[int]:
@@ -453,5 +438,4 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
     regular = [m for m in range(M0) if connectivity[m, m]]
     cycles = _simple_cycles(connectivity & ~np.eye(M0, dtype=bool))
     return RepeatabilityReport(connectivity=connectivity, costs=costs,
-                               regular_solutions=regular, cycles=cycles,
-                               end_matching=matching)
+                               regular_solutions=regular, cycles=cycles)

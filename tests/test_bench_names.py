@@ -10,12 +10,19 @@ failing any other test here, so this runs the tracer on three tiny CLI
 calls and on one plan whose graph counts it checks. The IK
 must also reach the kernel through ik.fk_jacobian_batch, the name the
 tracer wraps, or the kernel rows read 0.
+
+The benchmark also checks every answer it times (perfbench/workloads.py),
+reading stdout fields such as layers, lambdas, det_j, infeasible_span and
+repeatability; each workload's calls run here at toy size through those
+same checks.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cuspidal_kit import cli, fileio, planner
 from cuspidal_kit.ik import IKConfig
@@ -24,6 +31,7 @@ from cuspidal_kit.scenarios import canonical_3r, infeasible_line_control_path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 
 def test_boundaries_resolve():
@@ -72,3 +80,12 @@ def test_graph_counts_match_the_graph():
     terminals = np.isfinite(graph.s_weight).sum() + np.isfinite(graph.f_weight).sum()
     assert between + terminals == graph.edge_count
     assert all(d == 1 for _, d in graph.edges)
+
+
+@pytest.mark.parametrize("name", workloads.BUILDERS)
+def test_workload_answers_pass_the_harness_checks(name, tmp_path, capsys):
+    for call in workloads.build(name, 3, tmp_path, "toy").calls:
+        code = cli.main(call.argv)
+        out = capsys.readouterr().out
+        assert code in call.expect_exit, call.label
+        assert call.check(code, json.loads(out)) == [], call.label

@@ -1,10 +1,11 @@
+import argparse
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from cuspidal_kit import fileio, ik
+from cuspidal_kit import cli, fileio, ik
 from cuspidal_kit.cli import main
 from cuspidal_kit.kinematics import Pose, forward_kinematics
 from cuspidal_kit.scenarios import canonical_3r, control_loop_path
@@ -121,6 +122,14 @@ class TestPlan:
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "lambda,q1,q2,q3,det_j"
         assert len(lines) == 6
+
+    def test_unwritable_csv_exits_2(self, capsys, const_path_file, tmp_path):
+        csv = tmp_path / "missing" / "jp.csv"
+        code, out, err = run(capsys, "plan", "--robot", "3r-canonical",
+                             "--path", const_path_file, "--csv", str(csv))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(csv) in err
+        assert "Traceback" not in err
 
     def test_long_constant_path(self, capsys, tmp_path):
         # 1200 identical samples: the two solutions give two equal-cost
@@ -449,6 +458,26 @@ class TestHelixCommand:
         doc = json.loads(out.read_text())
         assert len(doc["samples"]) == 50
         assert json.loads(stdout) == doc
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "helix.json"
+        code, out, err = run(capsys, "helix", "--samples", "5", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(target) in err
+        assert "Traceback" not in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # in-process callers run main once per command line; they share one
+    # parser, whose building adds the subcommands once
+    built, add = [], argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        lambda self, **kw: built.append(None) or add(self, **kw))
+    cli.build_parser.cache_clear()
+    for samples in ("5", "6"):
+        code, out, _ = run(capsys, "helix", "--samples", samples)
+        assert code == 0 and len(json.loads(out)["samples"]) == int(samples)
+    assert len(built) == 1
 
 
 class TestThreadsEnv:

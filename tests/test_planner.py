@@ -111,7 +111,7 @@ class TestBuildLayers:
                 nt.assert_array_equal(a.q, b.q)
 
     def test_6r_line_counts_vary(self, r6_line_plan):
-        counts = r6_line_plan.layer_counts
+        counts = r6_line_plan.graph.layer_counts
         # the closed form's counts, which the seed grid at 8 per joint found too
         assert counts == [6, 6, 6, 8, 8, 4, 4, 4, 4, 4, 4]
         assert min(counts) >= 2
@@ -132,7 +132,7 @@ class TestBuildGraph:
         g = build_plan_graph(layers, path, PlannerConfig())
         jp = shortest_joint_path(g)
         assert jp is not None
-        assert jp.layer_indices == [0, 1]
+        assert jp.vertex_indices == [0, 0]
         assert jp.cost == pytest.approx(3 * 0.01 ** 2 / 0.1)
 
     def test_nonsingular_gating(self):
@@ -171,7 +171,7 @@ class TestBuildGraph:
         assert shortest_joint_path(g) is None
         assert _first_disconnected_span(g) == (1, 2)
         free = shortest_joint_path(build_plan_graph(layers, _const_path(3), PlannerConfig()))
-        assert free.layer_indices == [0, 1, 2]
+        assert free.vertex_indices == [0, 0, 0]
 
     def test_admission_threshold(self):
         # wrap distance beyond eps never gets an edge
@@ -376,11 +376,13 @@ def _assert_matches_layerwise(monkeypatch, layers, path, cfg=None, robot=None):
     else:
         assert jp.vertex_indices == ref.path.vertex_indices
         assert _same_bits(jp.q, ref.path.q)
+        assert _same_bits(jp.det_j, [d[m] for d, m in zip(ref.det_j, jp.vertex_indices)])
         assert _same_bits(jp.cost, ref.path.cost) and _same_bits(jp.weight, ref.path.weight)
     if path.closed:
         monkeypatch.setattr(planner, "build_layers", lambda *args, **kwargs: layers)
         rep = analyze_repeatability(robot, path, cfg)
-        assert _same_bits(rep.costs, ref.costs[:, rep.end_matching])
+        matching = planner._match_end_layers(g.Q[0, :M0], g.Q[-1, :MK])
+        assert _same_bits(rep.costs, ref.costs[:, matching])
 
 
 def _random_plan_input(rng):
@@ -481,9 +483,9 @@ def _assert_matches_oracle(g: PlanGraph):
         assert jp is None and np.isinf(weight)
         return
     assert jp.weight == weight
-    assert jp.layer_indices == list(range(g.n_layers))
-    assert list(zip(jp.layer_indices, jp.vertex_indices)) == list(route)
-    assert all(type(i) is int for i in jp.layer_indices + jp.vertex_indices)
+    assert list(enumerate(jp.vertex_indices)) == list(route)
+    assert len(route) == len(g.counts)
+    assert all(type(i) is int for i in jp.vertex_indices)
 
 
 class TestShortestPath:
@@ -554,7 +556,7 @@ class TestAdmissionOracle:
             assert _first_disconnected_span(g) == span
             jp = shortest_joint_path(g)
             if jp is not None:
-                assert jp.layer_indices == list(range(K + 1))
+                assert len(jp.vertex_indices) == K + 1
 
 
 class TestPlanPath:
@@ -571,10 +573,10 @@ class TestPlanPath:
         jp = res.path
         recomputed = sum(
             float(wrap_to_pi(jp.q[i + 1] - jp.q[i]) @ wrap_to_pi(jp.q[i + 1] - jp.q[i]))
-            / ((jp.layer_indices[i + 1] - jp.layer_indices[i]) * jp.dlambda)
-            for i in range(len(jp.layer_indices) - 1))
+            / 0.025 for i in range(20))
         assert jp.cost == pytest.approx(recomputed, abs=1e-12)
-        assert jp.rms == pytest.approx(np.sqrt(jp.cost / jp.total_length))
+        # the rms is over the path's length, K * dlambda, bit for bit
+        assert jp.rms == np.sqrt(jp.cost / (20 * 0.025))
 
     @pytest.mark.parametrize("fixture", [infeasible_line_control_path, cusp_loop_path,
                                          control_loop_path])
@@ -587,7 +589,7 @@ class TestPlanPath:
     def test_infeasible_fixture(self, r3):
         res = plan_path(r3, infeasible_line_path(81), ik_cfg=IKConfig(seeds_per_joint=10))
         assert not res.feasible
-        assert min(res.layer_counts) > 0
+        assert min(res.graph.layer_counts) > 0
         assert res.infeasible_span is not None
 
     def test_span_reuses_the_search_distances(self, monkeypatch):
@@ -611,9 +613,9 @@ class TestPlanPath:
                         PlannerConfig(nonsingular_only=True))
         assert res.feasible
         g = res.graph
-        signs = [np.sign(g.det_j[k][m])
-                 for k, m in zip(res.path.layer_indices, res.path.vertex_indices)]
-        assert len(set(signs)) == 1
+        nt.assert_array_equal(res.path.det_j,
+                              [g.det_j[k][m] for k, m in enumerate(res.path.vertex_indices)])
+        assert len(set(np.sign(res.path.det_j))) == 1
 
     def test_metric_convergence_under_refinement(self, r3):
         costs = {}
@@ -657,15 +659,16 @@ class TestRepeatability:
         for _ in range(150):
             g = _tie_heavy_graph(rng, closed=True)
             monkeypatch.setattr(planner, "build_plan_graph", lambda *args, **kwargs: g)
-            rep = analyze_repeatability(None, _const_path(g.n_layers, closed=True))
+            rep = analyze_repeatability(None, _const_path(len(g.counts), closed=True))
             counts = g.layer_counts
             K = len(counts) - 1
 
             def one_hot(k, m):
                 return np.where(np.arange(counts[k]) == m, 0.0, np.inf)
 
+            matching = planner._match_end_layers(g.Q[0, :counts[0]], g.Q[K, :counts[K]])
             expected = [[brute_force_shortest(g, one_hot(0, m), one_hot(K, l))[0]
-                         for l in rep.end_matching] for m in range(counts[0])]
+                         for l in matching] for m in range(counts[0])]
             nt.assert_array_equal(rep.costs, expected)
             nt.assert_array_equal(rep.connectivity, np.isfinite(expected))
 
