@@ -132,7 +132,7 @@ def cmd_plan(args) -> int:
     result = plan_path(robot, path, cfg, ik_cfg)
     doc = {
         "robot": robot.name,
-        "samples": len(path.poses),
+        "samples": path.K + 1,
         "closed": path.closed,
         "eps": result.graph.eps,
         "layer_counts": result.graph.layer_counts,
@@ -178,7 +178,7 @@ def cmd_optimize(args) -> int:
         return EXIT_NO_START
     doc = {
         "robot": robot.name,
-        "toolpath_samples": len(tp.poses),
+        "toolpath_samples": tp.K + 1,
         "starts": [
             {
                 "start_index": r.start_index,

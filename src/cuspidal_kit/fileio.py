@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .kinematics import Pose, RobotModel, quat_to_rotation, rotation_to_quat
+from .kinematics import Pose, RobotModel, rotation_to_quat, row_norms, unit_quat_matrix
 from .planner import TaskPath
 
 _AXIS_WARN_TOL = 1e-6
@@ -118,33 +118,65 @@ def path_to_doc(poses: list[Pose], dlambda: float, frame: str, closed: bool,
                         "dlambda": dlambda, "samples": samples})
 
 
-def poses_from_doc(doc: dict) -> tuple[list[Pose], float, str, bool]:
+def _sample_rows(samples, ks, key: str, width: int, what: str) -> np.ndarray:
+    """samples[k][key] for k in ks as one (len(ks), width) float array; the
+    first of those samples whose entry is not `width` numbers raises a
+    ValueError that names it."""
+    try:
+        rows = np.array([samples[k][key] for k in ks], dtype=float)
+        if rows.shape == (len(ks), width):
+            return rows
+    except (ValueError, TypeError, KeyError):
+        pass
+    for k in ks:
+        entry = samples[k]
+        if not isinstance(entry, dict) or key not in entry:
+            raise ValueError(f"sample {k} has no {what}")
+        try:
+            shape = np.asarray(entry[key], dtype=float).shape
+        except (ValueError, TypeError):
+            shape = None
+        if shape != (width,):
+            raise ValueError(f"sample {k}: {what} must be {width} numbers, got {entry[key]!r}")
+    raise ValueError(f"samples do not stack into a ({len(ks)}, {width}) {what} array")
+
+
+def poses_from_doc(doc: dict) -> tuple[np.ndarray, np.ndarray, float, str, bool]:
+    """(positions (n, 3), rotations (n, 3, 3), dlambda, frame, closed) of a
+    path document, each array built in one pass; a sample without q_wxyz
+    takes the identity rotation. A bad sample raises ValueError naming it."""
     for key in ("frame", "dlambda", "samples"):
         if key not in doc:
             raise ValueError(f"path document missing {key!r}")
     if doc["frame"] not in ("base", "workpiece"):
         raise ValueError("frame must be 'base' or 'workpiece'")
-    if len(doc["samples"]) < 2:
-        raise ValueError("path needs at least 2 samples")
+    samples = doc["samples"]
+    if len(samples) < 2:
+        raise ValueError(f"path needs at least 2 samples, got {len(samples)}")
     closed = doc.get("closed", False)
     if not isinstance(closed, bool):
         raise ValueError(f"closed must be true or false, got {closed!r}")
-    poses = []
-    for entry in doc["samples"]:
-        p = np.asarray(entry["p"], dtype=float)
-        if "q_wxyz" in entry:
-            R = quat_to_rotation(np.asarray(entry["q_wxyz"], dtype=float))
-        else:
-            R = np.eye(3)
-        poses.append(Pose(R, p))
-    return poses, float(doc["dlambda"]), doc["frame"], closed
+    n = len(samples)
+    positions = _sample_rows(samples, range(n), "p", 3, "position p")
+    rotations = np.tile(np.eye(3), (n, 1, 1))
+    oriented = [k for k, entry in enumerate(samples) if "q_wxyz" in entry]
+    if oriented:
+        quats = _sample_rows(samples, oriented, "q_wxyz", 4, "quaternion q_wxyz")
+        norms = row_norms(quats)
+        bad = ~(np.isfinite(norms) & (norms > 0.0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"sample {oriented[i]}: quaternion q_wxyz must have a finite "
+                             f"nonzero norm, got {quats[i].tolist()}")
+        rotations[oriented] = np.moveaxis(unit_quat_matrix(*(quats / norms[:, None]).T), -1, 0)
+    return positions, rotations, float(doc["dlambda"]), doc["frame"], closed
 
 
 def _checked_spacing(path: TaskPath) -> TaskPath:
     """dlambda must match the mean step between sample positions within 2x
     either way: edge admission and the reported rms scale with it. Paths
     whose positions never move are exempt, their lambda is not a length."""
-    steps = np.linalg.norm(np.diff([p.position for p in path.poses], axis=0), axis=1)
+    steps = np.linalg.norm(np.diff(path.positions, axis=0), axis=1)
     mean = float(np.mean(steps))
     if mean > 0.0 and not 0.5 <= path.dlambda / mean <= 2.0:
         raise ValueError(f"dlambda {path.dlambda!r} disagrees with the mean sample "
@@ -152,18 +184,20 @@ def _checked_spacing(path: TaskPath) -> TaskPath:
     return path
 
 
+def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
+    positions, rotations, dlambda, got, closed = poses_from_doc(doc)
+    if got != frame:
+        raise ValueError(wrong_frame)
+    return _checked_spacing(TaskPath(positions, rotations, dlambda, closed))
+
+
 def task_path_from_doc(doc: dict) -> TaskPath:
-    poses, dlambda, frame, closed = poses_from_doc(doc)
-    if frame != "base":
-        raise ValueError("planning expects a base-frame path; got a workpiece toolpath")
-    return _checked_spacing(TaskPath(poses, dlambda=dlambda, closed=closed))
+    return _path_from_doc(doc, "base", "planning expects a base-frame path; "
+                                       "got a workpiece toolpath")
 
 
 def toolpath_from_doc(doc: dict) -> TaskPath:
-    poses, dlambda, frame, closed = poses_from_doc(doc)
-    if frame != "workpiece":
-        raise ValueError("optimization expects a workpiece-frame toolpath")
-    return _checked_spacing(TaskPath(poses, dlambda=dlambda, closed=closed))
+    return _path_from_doc(doc, "workpiece", "optimization expects a workpiece-frame toolpath")
 
 
 # --- helix generator -------------------------------------------------------

@@ -652,9 +652,9 @@ def _dedup(Q, seed, approx, sample) -> np.ndarray:
 
 
 def _solutions(Q, resid, approx, det_j) -> list[IKSolution]:
-    """IKSolutions for candidate rows."""
-    return [IKSolution(q=q, residual=float(r), det_j=float(d), approximate=bool(a))
-            for q, r, d, a in zip(Q, resid, det_j, approx)]
+    """IKSolutions for candidate rows, built in one pass over the columns."""
+    return [IKSolution(q=q, residual=r, det_j=d, approximate=a)
+            for q, r, d, a in zip(Q, resid.tolist(), det_j.tolist(), approx.tolist())]
 
 
 def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = None):
@@ -680,9 +680,23 @@ def solve_all_ik(robot: RobotModel, target: Pose, cfg: IKConfig | None = None) -
     return solve_ik_along_path(robot, [target], cfg)[0]
 
 
+def _target_arrays(targets) -> tuple[np.ndarray, np.ndarray]:
+    """(3, N) positions and (3, 3, N) rotations of the targets: a path's
+    positions and rotations arrays (a TaskPath), or a sequence of Poses
+    stacked once."""
+    if hasattr(targets, "positions"):
+        P, R = targets.positions, targets.rotations
+    else:
+        targets = list(targets)
+        P = np.reshape([t.position for t in targets], (-1, 3))
+        R = np.reshape([t.rotation for t in targets], (-1, 3, 3))
+    return np.ascontiguousarray(P.T), np.ascontiguousarray(R.transpose(1, 2, 0))
+
+
 def solve_ik_along_path(robot: RobotModel, targets,
                         cfg: IKConfig | None = None) -> list[IKSolutionSet]:
-    """solve_all_ik for every pose in targets, batched into one population.
+    """solve_all_ik for every sample of a TaskPath, or every pose of a
+    sequence of Poses, batched into one population.
 
     Rows of different targets never interact, so each returned set is
     identical to a standalone solve_all_ik call on that pose, however many
@@ -693,11 +707,10 @@ def solve_ik_along_path(robot: RobotModel, targets,
     cfg = cfg or IKConfig()
     if robot.dof not in (3, 6):
         raise ValueError("all-solutions IK supports 3- and 6-DOF arms")
-    targets = list(targets)
-    if not targets:
+    Tpos, Trot = _target_arrays(targets)
+    n_targets = Tpos.shape[1]
+    if not n_targets:
         return []
-    Tpos = np.stack([t.position for t in targets], axis=-1)
-    Trot = np.stack([t.rotation for t in targets], axis=-1)
     iters = _POLISH_ITERS
     if robot.dof == 3:
         red = _reduce_3r(robot)
@@ -722,8 +735,7 @@ def solve_ik_along_path(robot: RobotModel, targets,
                     np.tile(np.arange(n_seeds), k))
 
     per_chunk = max(1, _CHUNK_ROWS // n_seeds)
-    chunks = [(lo, min(lo + per_chunk, len(targets)))
-              for lo in range(0, len(targets), per_chunk)]
+    chunks = [(lo, min(lo + per_chunk, n_targets)) for lo in range(0, n_targets, per_chunk)]
 
     def run_chunk(bounds):
         Q0, sample, seeds = starts(*bounds)
@@ -741,9 +753,9 @@ def solve_ik_along_path(robot: RobotModel, targets,
 
     sets = []
     for (lo, hi), (Q, resid, approx, sample, det_j) in zip(chunks, results):
-        cut = np.searchsorted(sample, np.arange(lo, hi + 1))
-        for a, b in zip(cut[:-1], cut[1:]):
-            sets.append(IKSolutionSet(_solutions(Q[a:b], resid[a:b], approx[a:b], det_j[a:b])))
+        sols = _solutions(Q, resid, approx, det_j)
+        cut = np.searchsorted(sample, np.arange(lo, hi + 1)).tolist()
+        sets += [IKSolutionSet(sols[a:b]) for a, b in zip(cut[:-1], cut[1:])]
     return sets
 
 

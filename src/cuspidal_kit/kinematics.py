@@ -92,12 +92,25 @@ def quat_to_rotation(q_wxyz) -> np.ndarray:
     norm = np.linalg.norm(q_wxyz)
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValueError(f"quaternion q_wxyz must have a finite nonzero norm, got {q_wxyz.tolist()}")
-    w, x, y, z = q_wxyz / norm
+    return unit_quat_matrix(*(q_wxyz / norm))
+
+
+def unit_quat_matrix(w, x, y, z) -> np.ndarray:
+    """Rotation matrix of unit quaternion components: scalars give (3, 3),
+    (N,) arrays give (3, 3, N), entry for entry the same arithmetic."""
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
         [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def row_norms(X) -> np.ndarray:
+    """Euclidean norm of each row of an (N, m) array, bit for bit what
+    np.linalg.norm gives the row alone: one dot product per row, where
+    np.linalg.norm(X, axis=1) sums in another order."""
+    X = np.asarray(X, dtype=float)
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None]).reshape(-1))
 
 
 def rotation_to_quat(R) -> np.ndarray:

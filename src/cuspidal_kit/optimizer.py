@@ -18,13 +18,13 @@ import numpy as np
 
 from .ik import IKConfig
 from .kinematics import (
-    Pose,
     RobotModel,
     fk_batch,
     per_robot,
     quat_to_rotation,
     rot_z,
     rotation_to_quat,
+    row_norms,
 )
 from .planner import PlannerConfig, TaskPath, plan_path
 
@@ -113,8 +113,10 @@ def reduced_to_pose(x: ReducedParams) -> WorkpiecePose:
 def transform_toolpath(wp: WorkpiecePose, tp: TaskPath) -> TaskPath:
     """Place the toolpath in the base frame; sample spacing is preserved."""
     R = wp.rotation
-    poses = [Pose(R @ s.rotation, wp.p + R @ s.position) for s in tp.poses]
-    return TaskPath(poses, dlambda=tp.dlambda, closed=tp.closed)
+    # R times each position as its own matrix-vector product, as R @ p
+    # rounds; positions @ R.T would round as one matrix product
+    positions = wp.p + np.matmul(R, tp.positions[:, :, None])[:, :, 0]
+    return TaskPath(positions, R @ tp.rotations, tp.dlambda, tp.closed)
 
 
 def decompose_rz_rxy(R) -> tuple[float, np.ndarray]:
@@ -151,11 +153,9 @@ def workspace_radii(robot: RobotModel):
 
 def _unreachable_penalty(robot: RobotModel, task: TaskPath) -> float:
     r_min, r_max = workspace_radii(robot)
-    dist = 0.0
-    for pose in task.poses:
-        r = float(np.linalg.norm(pose.position))
-        dist += max(0.0, r - r_max) + max(0.0, r_min - r)
-    return dist
+    r = row_norms(task.positions)
+    # summed left to right, so it rounds as a running total over the samples
+    return float(np.add.accumulate(np.maximum(0.0, r - r_max) + np.maximum(0.0, r_min - r))[-1])
 
 
 def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,

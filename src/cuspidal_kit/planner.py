@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .ik import IKConfig, IKSolutionSet, solve_ik_along_path
-from .kinematics import TWO_PI, Pose, RobotModel, pose_difference, wrap_to_pi
+from .kinematics import TWO_PI, Pose, RobotModel, geodesic_distance, wrap_to_pi
 
 # soft-penalty plumbing: approximate IK solutions cost their residual times
 # this factor, so exact routes win whenever one exists
@@ -27,33 +27,58 @@ _BARRIER_MARGIN = 1e-6
 _DEFAULT_QDOT_MAX = 4.0 * np.pi
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskPath:
     """Evenly sampled task-space path; sample k sits at lambda = k*dlambda.
 
-    Base-frame paths are planned directly; workpiece-frame toolpaths are
-    placed in the base frame by the optimizer first.
+    positions (K+1, 3) and rotations (K+1, 3, 3) are read-only copies of
+    what the caller passed, validated once as whole arrays. poses derives
+    one Pose per sample for callers that want them; a caller holding a
+    Pose list builds the path with from_poses. Base-frame paths are
+    planned directly; workpiece-frame toolpaths are placed in the base
+    frame by the optimizer first.
     """
-    poses: list[Pose]
+    positions: np.ndarray
+    rotations: np.ndarray
     dlambda: float
     closed: bool = False
 
     def __post_init__(self):
-        if len(self.poses) < 2:
+        P = np.array(self.positions, dtype=float)
+        R = np.array(self.rotations, dtype=float)
+        if P.ndim != 2 or P.shape[1:] != (3,) or R.shape != P.shape[:1] + (3, 3):
+            raise ValueError(f"positions must be (K+1, 3) and rotations (K+1, 3, 3), "
+                             f"got {P.shape} and {R.shape}")
+        if len(P) < 2:
             raise ValueError("a path needs at least two samples")
         if not (np.isfinite(self.dlambda) and self.dlambda > 0):
             raise ValueError("dlambda must be finite and positive")
-        if not all(np.isfinite(p.position).all() and np.isfinite(p.rotation).all()
-                   for p in self.poses):
-            raise ValueError("path samples must be finite")
+        bad = ~(np.isfinite(P).all(axis=1) & np.isfinite(R).all(axis=(1, 2)))
+        if bad.any():
+            raise ValueError(f"path samples must be finite; sample {int(bad.argmax())} is not")
         if self.closed:
-            gap = pose_difference(self.poses[0], self.poses[-1])
+            gap = float(np.linalg.norm(P[0] - P[-1])) + geodesic_distance(R[0], R[-1])
             if gap > 1e-9:
                 raise ValueError(f"closed path endpoints differ by {gap:.2e} > 1e-9")
+        for name, v in (("positions", P), ("rotations", R)):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def from_poses(cls, poses, dlambda: float, closed: bool = False) -> "TaskPath":
+        """The path through a sequence of Poses, stacked once."""
+        poses = list(poses)
+        return cls(np.reshape([p.position for p in poses], (-1, 3)),
+                   np.reshape([p.rotation for p in poses], (-1, 3, 3)), dlambda, closed)
 
     @property
     def K(self) -> int:
-        return len(self.poses) - 1
+        return len(self.positions) - 1
+
+    @property
+    def poses(self) -> list[Pose]:
+        """One Pose per sample, viewing the path's arrays."""
+        return [Pose(R, p) for R, p in zip(self.rotations, self.positions)]
 
 
 @dataclass
@@ -103,7 +128,7 @@ def path_cost(qs, lambdas) -> float:
 def build_layers(robot: RobotModel, path: TaskPath,
                  ik_cfg: IKConfig | None = None) -> list[IKSolutionSet]:
     """All IK solutions for every sample; approximate ones retained, flagged."""
-    return solve_ik_along_path(robot, path.poses, ik_cfg)
+    return solve_ik_along_path(robot, path, ik_cfg)
 
 
 @dataclass

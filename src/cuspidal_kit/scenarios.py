@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kinematics import Pose, RobotModel
+from .kinematics import RobotModel
 from .planner import TaskPath
 
 _EX, _EY, _EZ = np.eye(3)
@@ -96,12 +96,17 @@ CUSP_LOOP = {"center": (1.376, 0.498), "radius": 0.10}
 CONTROL_LOOP = {"center": (3.6, -1.0), "radius": 0.15}
 
 
+def _fixed_orientation(positions, dlambda: float, closed: bool = False) -> TaskPath:
+    return TaskPath(positions, np.broadcast_to(np.eye(3), (len(positions), 3, 3)),
+                    dlambda, closed)
+
+
 def _segment_path(a, b, samples: int):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     K = samples - 1
-    pts = [a + (b - a) * k / K for k in range(samples)]
+    pts = a + (b - a) * np.arange(samples)[:, None] / K
     L = float(np.linalg.norm(b - a))
-    return TaskPath([Pose(np.eye(3), p) for p in pts], dlambda=L / K)
+    return _fixed_orientation(pts, L / K)
 
 
 def infeasible_line_path(samples: int = 101):
@@ -119,11 +124,10 @@ def infeasible_line_control_path(samples: int = 101):
 def _circle_path(center, radius: float, samples: int):
     K = samples - 1
     ts = np.linspace(0.0, 2.0 * np.pi, samples)
-    pts = [np.array([center[0] + radius * np.cos(t), 0.0, center[1] + radius * np.sin(t)])
-           for t in ts]
-    pts[-1] = pts[0].copy()
-    return TaskPath([Pose(np.eye(3), p) for p in pts],
-                    dlambda=2.0 * np.pi * radius / K, closed=True)
+    pts = np.stack([center[0] + radius * np.cos(ts), np.zeros(samples),
+                    center[1] + radius * np.sin(ts)], axis=1)
+    pts[-1] = pts[0]
+    return _fixed_orientation(pts, 2.0 * np.pi * radius / K, closed=True)
 
 
 def cusp_loop_path(samples: int = 201):

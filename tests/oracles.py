@@ -14,15 +14,19 @@ the same search, the joint-limit oracle tracks turns vertex by vertex and
 judges every admitted edge on its own in a plain loop, and the layerwise
 planner builds and searches the graph one pair of layers at a time (the
 padded planner must match it bit for bit, as the kernel must match the
-walk). The one exception is the seed flood: the library's own LM from a
-regular seed grid, the multi-start reference that the closed-form 3R IK
-is checked against.
+walk), and the per-sample path builders make one Pose per sample of a
+path file, a fixture or a placed toolpath and price its reach one pose at
+a time (the array-backed TaskPath must match them bit for bit). The one
+exception is the seed flood: the library's own LM from a regular seed
+grid, the multi-start reference that the closed-form 3R IK is checked
+against.
 """
 
 import numpy as np
 
 from cuspidal_kit import ik
-from cuspidal_kit.kinematics import RobotModel, fk_batch, forward_kinematics, wrap_to_pi
+from cuspidal_kit.kinematics import (Pose, RobotModel, fk_batch, forward_kinematics,
+                                     quat_to_rotation, wrap_to_pi)
 
 
 def finite_difference_jacobian(robot: RobotModel, q, h: float = 1e-6) -> np.ndarray:
@@ -461,3 +465,52 @@ def layerwise_plan(layers, path, cfg=None, robot=None, closed_costs: bool = Fals
         costs = relax(np.where(np.eye(M, dtype=bool), 0.0, np.inf))[K]
     return SimpleNamespace(Q=Q, det_j=det_j, edges=edges, s_weight=s_weight, f_weight=f_weight,
                            unwrapped=unwrapped, path=plan, span=span, costs=costs)
+
+
+def per_sample_path(doc: dict):
+    """(poses, dlambda, frame, closed) of a path document, one Pose per
+    sample: p as given, q_wxyz through quat_to_rotation, identity without."""
+    poses = []
+    for entry in doc["samples"]:
+        p = np.asarray(entry["p"], dtype=float)
+        if "q_wxyz" in entry:
+            R = quat_to_rotation(np.asarray(entry["q_wxyz"], dtype=float))
+        else:
+            R = np.eye(3)
+        poses.append(Pose(R, p))
+    return poses, float(doc["dlambda"]), doc["frame"], doc.get("closed", False)
+
+
+def per_sample_segment(a, b, samples: int) -> list[np.ndarray]:
+    """Points of the straight-segment fixtures, one expression per k."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    K = samples - 1
+    return [a + (b - a) * k / K for k in range(samples)]
+
+
+def per_sample_circle(center, radius: float, samples: int) -> list[np.ndarray]:
+    """Points of the loop fixtures in the xz plane, one expression per t;
+    the last repeats the first."""
+    ts = np.linspace(0.0, 2.0 * np.pi, samples)
+    pts = [np.array([center[0] + radius * np.cos(t), 0.0, center[1] + radius * np.sin(t)])
+           for t in ts]
+    pts[-1] = pts[0].copy()
+    return pts
+
+
+def per_sample_transform(wp, poses) -> list[Pose]:
+    """A workpiece placement applied to each pose on its own: R @ rotation
+    and p + R @ position."""
+    R = wp.rotation
+    return [Pose(R @ s.rotation, wp.p + R @ s.position) for s in poses]
+
+
+def per_sample_unreachable_penalty(radii, poses) -> float:
+    """How far poses stick out of the shell r_min <= |p| <= r_max, summed
+    one pose at a time."""
+    r_min, r_max = radii
+    dist = 0.0
+    for pose in poses:
+        r = float(np.linalg.norm(pose.position))
+        dist += max(0.0, r - r_max) + max(0.0, r_min - r)
+    return dist

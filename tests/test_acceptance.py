@@ -202,7 +202,7 @@ def test_criterion_6_infeasible_line_detection():
 def _smooth_segment(samples: int) -> TaskPath:
     K = samples - 1
     poses = [Pose(np.eye(3), np.array([3.0, 0.0, -0.5 + k / K])) for k in range(samples)]
-    return TaskPath(poses, dlambda=1.0 / K)
+    return TaskPath.from_poses(poses, dlambda=1.0 / K)
 
 
 def test_criterion_7_metric_convergence():

@@ -203,6 +203,31 @@ class TestPlan:
             assert "RuntimeWarning" not in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("bad,named", [
+        ({1: {"p": [3.0, 0.0]}}, "sample 1: position p"),
+        ({0: {"p": [3.0, 0.0]}, 1: {"p": [3.0, 0.0]}, 2: {"p": [3.0, 0.0]}},
+         "sample 0: position p"),
+        ({2: {"p": [3.0, float("inf"), -0.5]}}, "sample 2"),
+        ({1: {"p": [3.0, 0.0, -0.5], "q_wxyz": [0.0, 0.0, 0.0, 0.0]}}, "sample 1: quaternion"),
+        (None, "at least 2 samples, got 1"),
+    ], ids=["ragged-p", "two-entry-p", "non-finite", "zero-q", "one-sample"])
+    def test_bad_sample_is_named(self, capsys, tmp_path, bad, named):
+        samples = [{"p": [3.0, 0.0, -0.5]} for _ in range(3)]
+        if bad is None:
+            samples = samples[:1]
+        else:
+            for k, entry in bad.items():
+                samples[k] = entry
+        f = tmp_path / "bad-sample.json"
+        f.write_text(json.dumps({"frame": "base", "dlambda": 0.1, "samples": samples}))
+        code, out, err = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(f),
+                             "--ik-seeds", "4")
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and str(f) in line and named in line
+                   for line in err.splitlines()), err
+        assert "inhomogeneous" not in err
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("command,bad", [("plan", "axis"), ("identify", "axis"),

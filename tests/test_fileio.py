@@ -55,11 +55,11 @@ class TestPathDocs:
         fileio.save_json(doc, path)
         again = fileio.load_json(path)
         assert again == json.loads(fileio.dump_json(doc))
-        loaded, dl, frame, closed = fileio.poses_from_doc(again)
+        positions, rotations, dl, frame, closed = fileio.poses_from_doc(again)
         assert (dl, frame, closed) == (0.05, "base", False)
-        for a, b in zip(poses, loaded):
-            nt.assert_allclose(a.position, b.position, atol=1e-16)
-            nt.assert_allclose(a.rotation, b.rotation, atol=1e-12)
+        for a, p, R in zip(poses, positions, rotations):
+            nt.assert_allclose(a.position, p, atol=1e-16)
+            nt.assert_allclose(a.rotation, R, atol=1e-12)
 
     def test_frame_mismatch(self):
         doc = fileio.path_to_doc([Pose.identity(), Pose.identity()], 0.1, "workpiece", False)

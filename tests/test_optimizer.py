@@ -40,7 +40,8 @@ def _random_rotation(rng):
 
 
 def _toolpath(points, dlambda=0.05):
-    return TaskPath([Pose(np.eye(3), np.asarray(p, float)) for p in points], dlambda=dlambda)
+    return TaskPath.from_poses([Pose(np.eye(3), np.asarray(p, float)) for p in points],
+                               dlambda=dlambda)
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +67,8 @@ class TestTransformToolpath:
 
     def test_matches_homogeneous_matrix_oracle(self):
         rng = np.random.default_rng(20)
-        tp = TaskPath([Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(5)],
-                      dlambda=0.1)
+        tp = TaskPath.from_poses(
+            [Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(5)], dlambda=0.1)
         q = rng.normal(size=4)
         wp = WorkpiecePose(q, rng.normal(size=3))
         T = np.eye(4)
@@ -83,8 +84,8 @@ class TestTransformToolpath:
 
     def test_equivariance_under_composition(self):
         rng = np.random.default_rng(21)
-        tp = TaskPath([Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(4)],
-                      dlambda=0.1)
+        tp = TaskPath.from_poses(
+            [Pose(_random_rotation(rng), rng.normal(size=3)) for _ in range(4)], dlambda=0.1)
         Ra, Rb = _random_rotation(rng), _random_rotation(rng)
         pa, pb = rng.normal(size=3), rng.normal(size=3)
         ab = WorkpiecePose(rotation_to_quat(Ra @ Rb), pa + Ra @ pb)

@@ -48,7 +48,7 @@ def _layers(qsets, dets=None, approxes=None):
 
 def _const_path(n, dlambda=0.1, closed=False):
     pose = Pose(np.eye(3), np.zeros(3))
-    return TaskPath([pose] * n, dlambda=dlambda, closed=closed)
+    return TaskPath.from_poses([pose] * n, dlambda=dlambda, closed=closed)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def r6_line(r6):
     d = np.array([0.0, 0.3, -0.2])
     K = 10
     poses = [Pose(base.rotation, base.position + d * k / K) for k in range(K + 1)]
-    path = TaskPath(poses, dlambda=float(np.linalg.norm(d)) / K)
+    path = TaskPath.from_poses(poses, dlambda=float(np.linalg.norm(d)) / K)
     return path, build_layers(r6, path)
 
 
@@ -101,7 +101,7 @@ class TestBuildLayers:
     def test_constant_pose(self, r3):
         path = _const_path(6)
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        path = TaskPath([pose] * 6, dlambda=0.1)
+        path = TaskPath.from_poses([pose] * 6, dlambda=0.1)
         layers = build_layers(r3, path)
         assert len(layers) == 6
         first = layers[0]
@@ -120,7 +120,7 @@ class TestBuildLayers:
 
     def test_path_exiting_workspace(self, r3):
         poses = [Pose(np.eye(3), np.array([4.0 + 0.2 * k, 0.0, 0.0])) for k in range(6)]
-        path = TaskPath(poses, dlambda=0.2)
+        path = TaskPath.from_poses(poses, dlambda=0.2)
         layers = build_layers(r3, path)
         assert any(l.count == 0 or all(s.approximate for s in l.solutions) for l in layers)
 
@@ -204,7 +204,7 @@ class TestBuildGraph:
 
     def test_joint_limit_enforcement(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        path = TaskPath([pose] * 4, dlambda=0.1)
+        path = TaskPath.from_poses([pose] * 4, dlambda=0.1)
         layers = build_layers(r3, path)
         assert layers[0].count == 2
         # limits that exclude the second solution's q3
@@ -219,7 +219,7 @@ class TestBuildGraph:
 
     def test_barrier_penalty_increases_weight(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        path = TaskPath([pose] * 3, dlambda=0.1)
+        path = TaskPath.from_poses([pose] * 3, dlambda=0.1)
         layers = build_layers(r3, path)
         from cuspidal_kit.kinematics import RobotModel
         limited = RobotModel(axes=r3.axes, offsets=r3.offsets, tool_offset=r3.tool_offset,
@@ -312,7 +312,7 @@ class TestJointLimits:
         # 2 pi shift, which the start vertex must take
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
         robot = _limited(r3, [_FREE, q2_limits, _FREE])
-        result = plan_path(robot, TaskPath([pose] * 4, dlambda=0.1),
+        result = plan_path(robot, TaskPath.from_poses([pose] * 4, dlambda=0.1),
                            ik_cfg=IKConfig(seeds_per_joint=8))
         assert result.feasible
         lo, hi = robot.joint_limits.T
@@ -562,14 +562,14 @@ class TestAdmissionOracle:
 class TestPlanPath:
     def test_constant_pose(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        res = plan_path(r3, TaskPath([pose] * 6, dlambda=0.1))
+        res = plan_path(r3, TaskPath.from_poses([pose] * 6, dlambda=0.1))
         assert res.feasible
         assert res.path.cost == 0.0
         nt.assert_allclose(np.diff(res.path.q, axis=0), 0.0, atol=1e-12)
 
     def test_cost_consistency(self, r3):
         poses = [Pose(np.eye(3), np.array([3.0, 0.0, -0.5 + k / 40])) for k in range(21)]
-        res = plan_path(r3, TaskPath(poses, dlambda=0.025))
+        res = plan_path(r3, TaskPath.from_poses(poses, dlambda=0.025))
         jp = res.path
         recomputed = sum(
             float(wrap_to_pi(jp.q[i + 1] - jp.q[i]) @ wrap_to_pi(jp.q[i + 1] - jp.q[i]))
@@ -609,7 +609,7 @@ class TestPlanPath:
 
     def test_nonsingular_gating_constant_sign(self, r3):
         poses = [Pose(np.eye(3), np.array([3.0, 0.0, -0.5 + k / 40])) for k in range(21)]
-        res = plan_path(r3, TaskPath(poses, dlambda=0.025),
+        res = plan_path(r3, TaskPath.from_poses(poses, dlambda=0.025),
                         PlannerConfig(nonsingular_only=True))
         assert res.feasible
         g = res.graph
@@ -621,7 +621,7 @@ class TestPlanPath:
         costs = {}
         for K in (100, 200):
             poses = [Pose(np.eye(3), np.array([3.0, 0.0, -0.5 + k / K])) for k in range(K + 1)]
-            res = plan_path(r3, TaskPath(poses, dlambda=1.0 / K),
+            res = plan_path(r3, TaskPath.from_poses(poses, dlambda=1.0 / K),
                             ik_cfg=IKConfig(seeds_per_joint=10))
             costs[K] = res.path.cost
         assert abs(costs[200] - costs[100]) / costs[100] < 0.01
@@ -630,7 +630,7 @@ class TestPlanPath:
 class TestRepeatability:
     def test_constant_closed_path(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        rep = analyze_repeatability(r3, TaskPath([pose] * 5, dlambda=0.1, closed=True))
+        rep = analyze_repeatability(r3, TaskPath.from_poses([pose] * 5, dlambda=0.1, closed=True))
         assert rep.regular_solutions == list(range(rep.connectivity.shape[0]))
 
     def test_cusp_loop_nonrepeatable_change(self, r3):
@@ -675,7 +675,7 @@ class TestRepeatability:
     def test_requires_closed_path(self, r3):
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
         with pytest.raises(ValueError):
-            analyze_repeatability(r3, TaskPath([pose] * 4, dlambda=0.1, closed=False))
+            analyze_repeatability(r3, TaskPath.from_poses([pose] * 4, dlambda=0.1, closed=False))
 
 
 class TestTaskPath:
@@ -683,11 +683,11 @@ class TestTaskPath:
         a = Pose(np.eye(3), np.zeros(3))
         b = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            TaskPath([a, b], dlambda=0.1, closed=True)
+            TaskPath.from_poses([a, b], dlambda=0.1, closed=True)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            TaskPath([Pose(np.eye(3), np.zeros(3))], dlambda=0.1)
+            TaskPath.from_poses([Pose(np.eye(3), np.zeros(3))], dlambda=0.1)
 
     def test_path_cost_helper(self):
         qs = np.array([[0.0, 0, 0], [0.1, 0, 0], [0.1, 0.2, 0]])
@@ -699,4 +699,4 @@ class TestTaskPath:
     def test_non_finite_rejected(self, dlambda, position):
         poses = [Pose(np.eye(3), np.zeros(3)), Pose(np.eye(3), np.array([position, 0.0, 0.0]))]
         with pytest.raises(ValueError):
-            TaskPath(poses, dlambda=dlambda)
+            TaskPath.from_poses(poses, dlambda=dlambda)
