@@ -13,20 +13,17 @@ from .ik import (
     IKConfig,
     IKSolution,
     IKSolutionSet,
-    refine_solution,
     solution_count_map,
     solve_all_ik,
     solve_ik_along_path,
 )
 from .kinematics import (
-    CylindricalPoint,
     Pose,
     RobotModel,
     forward_kinematics,
     jacobian,
     jacobian_determinant,
     manipulability,
-    to_cylindrical,
     wrap_to_pi,
 )
 from .optimizer import (

@@ -65,21 +65,8 @@ def _load(kind: str, source: str):
         raise InputError(f"{kind} file {source!r}: {e}") from e
 
 
-def _threads(args) -> int:
-    env = os.environ.get("CUSPIDAL_KIT_THREADS")
-    threads, source = args.threads, "--threads"
-    if env is not None:
-        try:
-            threads, source = int(env), "CUSPIDAL_KIT_THREADS"
-        except ValueError:
-            raise InputError(f"CUSPIDAL_KIT_THREADS={env!r} is not an integer")
-    if threads < 1:
-        raise InputError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
 def _ik_cfg(args) -> IKConfig:
-    return IKConfig(seeds_per_joint=args.ik_seeds, threads=_threads(args))
+    return IKConfig(seeds_per_joint=args.ik_seeds, threads=args.threads)
 
 
 def _emit(text: str, out_path):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ik import IKConfig, solve_all_ik
+from .ik import EXACT_TOL, IKConfig, solve_all_ik
 from .kinematics import Pose, RobotModel, det_j_batch, forward_kinematics, pose_difference
 
 # |det J| below this times the segment's median |det J| counts as a
@@ -116,7 +116,7 @@ def identify_cuspidal(robot: RobotModel, rng_seed: int = 0, max_poses: int = 100
                 pairs_tested += 1
                 ok, min_abs = nonsingular_pair_check(
                     robot, sols[i].q, sols[j].q, samples=samples,
-                    pose_tol=10.0 * cfg.exact_tol)
+                    pose_tol=10.0 * EXACT_TOL)
                 if ok:
                     witness = Witness(pose=pose, q_a=sols[i].q.copy(), q_b=sols[j].q.copy(),
                                       min_abs_det_j=min_abs, interp_samples=samples)

@@ -70,7 +70,7 @@ _LAM_SHRINK = 0.3
 _LAM_MAX = 1e8
 # initial and minimum per-row damping
 _DAMPING = 1e-4
-# LM budget of the 6R seed grid and of refine_solution's single start
+# LM budget of the 6R seed grid
 _MAX_REFINE_ITERS = 100
 # LM budget of the closed forms' starts: a root's start banks by the second
 # iteration; starts that are not roots and still move after this many are
@@ -79,37 +79,29 @@ _MAX_REFINE_ITERS = 100
 _POLISH_ITERS = 6
 # exact solutions closer than this (per joint, after wrapping) are one solution
 _DEDUP_TOL = 1e-4
+# a root banks as exact at residual <= EXACT_TOL and as approximate at
+# <= APPROX_TOL
+EXACT_TOL = 1e-8
+APPROX_TOL = 1e-3
 
 
 @dataclass
 class IKConfig:
-    """Every setting of the IK solver.
+    """The IK settings a caller chooses.
 
     seeds_per_joint sets the seed grid of 6-DOF arms without h2 = h3 = h4
     only, 8 per joint when left as None; 3-DOF arms and 6-DOF arms with
-    that structure are solved in closed form and ignore it. A root
-    banks as exact at residual <= exact_tol and as approximate at
-    <= approx_tol. threads is how many chunks of a path are refined at
-    once; it never changes a result.
+    that structure are solved in closed form and ignore it. threads is how
+    many chunks of a path are refined at once; it never changes a result.
     """
     seeds_per_joint: int | None = None
-    exact_tol: float = 1e-8
-    approx_tol: float = 1e-3
     threads: int = 1
 
     def __post_init__(self):
         if self.seeds_per_joint is not None and self.seeds_per_joint < 1:
             raise ValueError("seeds_per_joint must be >= 1")
         if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        for name in ("exact_tol", "approx_tol"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.exact_tol >= self.approx_tol:
-            raise ValueError("exact_tol must be smaller than approx_tol")
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def resolve_seeds(self, dof: int) -> int:
         return 8 if self.seeds_per_joint is None else self.seeds_per_joint
@@ -131,10 +123,6 @@ class IKSolution:
 @dataclass
 class IKSolutionSet:
     solutions: list[IKSolution]
-
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
 
 
 def seed_grid(dof: int, seeds_per_joint: int) -> np.ndarray:
@@ -519,7 +507,7 @@ def _cell_key(Q, sample_of, cell: float) -> np.ndarray:
     return key
 
 
-def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKConfig,
+def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
                        max_iters: int = _MAX_REFINE_ITERS):
     """Levenberg-Marquardt over rows of (target, seed) pairs.
 
@@ -549,7 +537,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
     def bank(sel):
         if np.any(sel):
             r = rows["resid"][sel]
-            done.append((rows["Q"][:, sel].T, r, rows["seed"][sel], r > cfg.exact_tol,
+            done.append((rows["Q"][:, sel].T, r, rows["seed"][sel], r > EXACT_TOL,
                          rows["sample"][sel],
                          jacobian_dets(rows["J"][..., sel].transpose(2, 0, 1))))
 
@@ -585,7 +573,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
                 bad &= ~worse
             lam = np.where(worse, np.minimum(lam * _LAM_GROW, _LAM_MAX),
                            np.maximum(lam * _LAM_SHRINK, _DAMPING))
-        below = resid <= cfg.exact_tol
+        below = resid <= EXACT_TOL
         # bank a root only after a second sub-tolerance pass: the extra
         # Newton step polishes it to machine accuracy, which downstream
         # cost comparisons rely on
@@ -597,9 +585,9 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed, cfg: IKC
                     best=np.minimum(rows["best"], resid))
         if it == max_iters - 1:
             # out of budget: bank whatever is close enough
-            bank(~bad & (resid <= cfg.approx_tol))
+            bank(~bad & (resid <= APPROX_TOL))
             break
-        bank((converged | gave_up) & (resid <= cfg.approx_tol))
+        bank((converged | gave_up) & (resid <= APPROX_TOL))
         keep = ~(converged | gave_up | bad)
         if not keep.any():
             break
@@ -649,23 +637,6 @@ def _dedup(Q, seed, approx, sample) -> np.ndarray:
         gap = np.max(np.abs(wrap_to_pi(Q[alive] - Q[own])), axis=1)
         alive = alive[gap > radius[alive]]
     return order[kept]
-
-
-def _solutions(Q, resid, approx, det_j) -> list[IKSolution]:
-    """IKSolutions for candidate rows, built in one pass over the columns."""
-    return [IKSolution(q=q, residual=r, det_j=d, approximate=a)
-            for q, r, d, a in zip(Q, resid.tolist(), det_j.tolist(), approx.tolist())]
-
-
-def refine_solution(robot: RobotModel, target: Pose, q0, cfg: IKConfig | None = None):
-    """Polish a single start; returns an IKSolution or None on no convergence."""
-    cfg = cfg or IKConfig()
-    q0 = robot._check_q(np.asarray(q0, dtype=float))
-    zero = np.zeros(1, dtype=int)
-    Q, resid, _, approx, _, det_j = _refine_population(
-        robot, target.position[:, None], target.rotation[:, :, None], q0[None, :], zero, zero, cfg)
-    sols = _solutions(Q, resid, approx, det_j)
-    return sols[0] if sols else None
 
 
 def solve_all_ik(robot: RobotModel, target: Pose, cfg: IKConfig | None = None) -> IKSolutionSet:
@@ -740,7 +711,7 @@ def solve_ik_along_path(robot: RobotModel, targets,
     def run_chunk(bounds):
         Q0, sample, seeds = starts(*bounds)
         Q, resid, seed, approx, sample, det_j = _refine_population(
-            robot, Tpos, Trot, Q0, sample, seeds, cfg, iters)
+            robot, Tpos, Trot, Q0, sample, seeds, iters)
         keep = _dedup(Q, seed, approx, sample)
         return Q[keep], resid[keep], approx[keep], sample[keep], det_j[keep]
 
@@ -753,7 +724,8 @@ def solve_ik_along_path(robot: RobotModel, targets,
 
     sets = []
     for (lo, hi), (Q, resid, approx, sample, det_j) in zip(chunks, results):
-        sols = _solutions(Q, resid, approx, det_j)
+        sols = [IKSolution(q=q, residual=r, det_j=d, approximate=a) for q, r, d, a
+                in zip(Q, resid.tolist(), det_j.tolist(), approx.tolist())]
         cut = np.searchsorted(sample, np.arange(lo, hi + 1)).tolist()
         sets += [IKSolutionSet(sols[a:b]) for a, b in zip(cut[:-1], cut[1:])]
     return sets

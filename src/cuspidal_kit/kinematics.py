@@ -28,21 +28,6 @@ def wrap_to_pi(dq):
     return np.pi - np.mod(np.pi - dq, TWO_PI)
 
 
-@dataclass(frozen=True)
-class CylindricalPoint:
-    rho: float
-    phi: float
-    z: float
-
-
-def to_cylindrical(p) -> CylindricalPoint:
-    """Cartesian (x, y, z) -> (rho, phi, z) with phi = 0 on the axis rho = 0."""
-    x, y, z = np.asarray(p, dtype=float)
-    rho = float(np.hypot(x, y))
-    phi = float(np.arctan2(y, x)) if rho > 0.0 else 0.0
-    return CylindricalPoint(rho, phi, float(z))
-
-
 def skew(v) -> np.ndarray:
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])

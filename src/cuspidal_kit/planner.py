@@ -275,10 +275,9 @@ def _enforce_limits(Q, valid, weight, s_weight, f_weight, limits: np.ndarray,
     # wrap-minimal step from each tail m of layer k to each head l of layer k+1
     step = wrap_to_pi(Q[1:, None, :, :] - Q[:-1, :, None, :])        # (K, M, M, n)
     admitted = np.isfinite(weight)
-    tracked = np.empty_like(valid)
-    tracked[0] = valid[0]
-    for k in range(K):
-        tracked[k + 1] = tracked[k] @ admitted[k]
+    # vertices that some admitted route from layer 0 reaches
+    tracked = np.isfinite(reach(np.where(admitted, 0.0, np.inf),
+                                np.where(valid[0], 0.0, np.inf)))
     pred = (admitted & tracked[:-1, :, None]).argmax(axis=1)          # (K, M)
     hop = step[np.arange(K)[:, None], pred, np.arange(valid.shape[1])]
     u = Q.copy()

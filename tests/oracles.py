@@ -181,7 +181,7 @@ def seed_flood(robot: RobotModel, targets, seeds: int):
         k = min(per_chunk, len(targets) - lo)
         Q, resid, seed, approx, sample, det_j = ik._refine_population(
             robot, Tpos, Trot, np.tile(grid, (k, 1)), np.repeat(np.arange(lo, lo + k), n),
-            np.tile(np.arange(n), k), ik.IKConfig())
+            np.tile(np.arange(n), k))
         keep = ik._dedup(Q, seed, approx, sample)
         for t in range(lo, lo + k):
             sets.append(ik.IKSolutionSet([

@@ -148,11 +148,11 @@ def test_criterion_4_ik_completeness():
             q = rng.uniform(-np.pi, np.pi, 3)
             pose = forward_kinematics(r3, q)
             ss = solve_all_ik(r3, pose)
-            if not ss.count or any(abs(s.det_j) <= 0.4 for s in ss.solutions):
+            if not ss.solutions or any(abs(s.det_j) <= 0.4 for s in ss.solutions):
                 continue  # keep clear of solution-count region boundaries
-            assert ss.count in (2, 4)
+            assert len(ss.solutions) in (2, 4)
             expected = oracle.solve(pose.position)
-            assert len(expected) == ss.count
+            assert len(expected) == len(ss.solutions)
             for q_exp in expected:
                 assert any(np.max(np.abs(wrap_to_pi(s.q - q_exp))) < 1e-6
                            for s in ss.solutions)

@@ -18,7 +18,6 @@ from cuspidal_kit.kinematics import (
     quat_to_rotation,
     rot_about_axis,
     rotation_angle,
-    to_cylindrical,
     wrap_to_pi,
 )
 from cuspidal_kit.scenarios import (
@@ -274,16 +273,6 @@ class TestRotationAngle:
             axis = rng.normal(size=3)
             R = rot_about_axis(axis / np.linalg.norm(axis), angle)
             assert rotation_angle(R) == pytest.approx(angle, rel=1e-9, abs=1e-15)
-
-
-class TestCylindrical:
-    def test_examples(self):
-        c = to_cylindrical([1.0, 1.0, 0.0])
-        nt.assert_allclose([c.rho, c.phi, c.z], [np.sqrt(2), np.pi / 4, 0.0])
-        c = to_cylindrical([0.0, 0.0, 5.0])
-        assert (c.rho, c.phi, c.z) == (0.0, 0.0, 5.0)
-        c = to_cylindrical([-1.0, 0.0, 2.0])
-        nt.assert_allclose([c.rho, c.phi, c.z], [1.0, np.pi, 2.0])
 
 
 class TestRobotModel:

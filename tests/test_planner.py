@@ -106,7 +106,7 @@ class TestBuildLayers:
         assert len(layers) == 6
         first = layers[0]
         for layer in layers[1:]:
-            assert layer.count == first.count
+            assert len(layer.solutions) == len(first.solutions)
             for a, b in zip(first.solutions, layer.solutions):
                 nt.assert_array_equal(a.q, b.q)
 
@@ -122,7 +122,7 @@ class TestBuildLayers:
         poses = [Pose(np.eye(3), np.array([4.0 + 0.2 * k, 0.0, 0.0])) for k in range(6)]
         path = TaskPath.from_poses(poses, dlambda=0.2)
         layers = build_layers(r3, path)
-        assert any(l.count == 0 or all(s.approximate for s in l.solutions) for l in layers)
+        assert any(not l.solutions or all(s.approximate for s in l.solutions) for l in layers)
 
 
 class TestBuildGraph:
@@ -206,7 +206,7 @@ class TestBuildGraph:
         pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
         path = TaskPath.from_poses([pose] * 4, dlambda=0.1)
         layers = build_layers(r3, path)
-        assert layers[0].count == 2
+        assert len(layers[0].solutions) == 2
         # limits that exclude the second solution's q3
         from cuspidal_kit.kinematics import RobotModel
         limited = RobotModel(axes=r3.axes, offsets=r3.offsets, tool_offset=r3.tool_offset,
