@@ -19,29 +19,22 @@ from .planner import TaskPath
 _AXIS_WARN_TOL = 1e-6
 
 
-def to_jsonable(obj):
-    """Numpy scalars and arrays, also inside dicts, lists and tuples, as
-    plain Python values for json.dumps."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
 def write_text(path: str, text: str):
     """Write text and a newline to path; every result file goes through here."""
     with open(path, "w") as fp:
         fp.write(text + "\n")
 
 
+def _plain(obj):
+    """A numpy array or scalar as the plain Python value json.dumps writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def dump_json(doc) -> str:
     """Strict JSON text of doc; NaN or infinity raises ValueError."""
-    return json.dumps(to_jsonable(doc), sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain)
 
 
 def save_json(doc, path: str):
@@ -73,20 +66,38 @@ def robot_to_doc(robot: RobotModel) -> dict:
     doc = {
         "name": robot.name,
         "dof": robot.dof,
-        "axes": robot.axes,
-        "offsets": robot.offsets,
-        "tool_offset": robot.tool_offset,
+        "axes": robot.axes.tolist(),
+        "offsets": robot.offsets.tolist(),
+        "tool_offset": robot.tool_offset.tolist(),
     }
     if robot.joint_limits is not None:
-        doc["joint_limits"] = robot.joint_limits
-    return to_jsonable(doc)
+        doc["joint_limits"] = robot.joint_limits.tolist()
+    return doc
+
+
+def _as_floats(value) -> np.ndarray | None:
+    """value as a float array, or None unless it is all numbers: the raw
+    array's dtype is checked before the cast, so strings, booleans and nulls
+    are refused rather than converted."""
+    try:
+        raw = np.asarray(value)
+    except ValueError:
+        return None
+    return raw.astype(float) if raw.dtype.kind in "iuf" else None
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    value = _as_floats(doc[key])
+    if value is None:
+        raise ValueError(f"{key} must be numbers, got {doc[key]!r}")
+    return value
 
 
 def robot_from_doc(doc: dict, warn=lambda msg: print(msg, file=sys.stderr)) -> RobotModel:
     for key in ("dof", "axes", "offsets", "tool_offset"):
         if key not in doc:
             raise ValueError(f"robot document missing {key!r}")
-    axes = np.asarray(doc["axes"], dtype=float)
+    axes = _numbers(doc, "axes")
     if axes.ndim != 2 or axes.shape[1] != 3 or axes.shape[0] != doc["dof"]:
         raise ValueError("axes must be dof x 3")
     norms = np.linalg.norm(axes, axis=1)
@@ -97,9 +108,9 @@ def robot_from_doc(doc: dict, warn=lambda msg: print(msg, file=sys.stderr)) -> R
     axes = axes / norms[:, None]
     return RobotModel(
         axes=axes,
-        offsets=np.asarray(doc["offsets"], dtype=float),
-        tool_offset=np.asarray(doc["tool_offset"], dtype=float),
-        joint_limits=np.asarray(doc["joint_limits"], dtype=float) if "joint_limits" in doc else None,
+        offsets=_numbers(doc, "offsets"),
+        tool_offset=_numbers(doc, "tool_offset"),
+        joint_limits=_numbers(doc, "joint_limits") if "joint_limits" in doc else None,
         name=doc.get("name", ""),
     )
 
@@ -110,12 +121,12 @@ def path_to_doc(poses: list[Pose], dlambda: float, frame: str, closed: bool,
                 with_orientation: bool = True) -> dict:
     samples = []
     for pose in poses:
-        entry = {"p": pose.position}
+        entry = {"p": pose.position.tolist()}
         if with_orientation:
-            entry["q_wxyz"] = rotation_to_quat(pose.rotation)
+            entry["q_wxyz"] = rotation_to_quat(pose.rotation).tolist()
         samples.append(entry)
-    return to_jsonable({"frame": frame, "closed": closed,
-                        "dlambda": dlambda, "samples": samples})
+    return {"frame": frame, "closed": bool(closed), "dlambda": float(dlambda),
+            "samples": samples}
 
 
 def _sample_rows(samples, ks, key: str, width: int, what: str) -> np.ndarray:
@@ -123,20 +134,17 @@ def _sample_rows(samples, ks, key: str, width: int, what: str) -> np.ndarray:
     first of those samples whose entry is not `width` numbers raises a
     ValueError that names it."""
     try:
-        rows = np.array([samples[k][key] for k in ks], dtype=float)
-        if rows.shape == (len(ks), width):
-            return rows
-    except (ValueError, TypeError, KeyError):
-        pass
+        rows = _as_floats([samples[k][key] for k in ks])
+    except (TypeError, KeyError):
+        rows = None
+    if rows is not None and rows.shape == (len(ks), width):
+        return rows
     for k in ks:
         entry = samples[k]
         if not isinstance(entry, dict) or key not in entry:
             raise ValueError(f"sample {k} has no {what}")
-        try:
-            shape = np.asarray(entry[key], dtype=float).shape
-        except (ValueError, TypeError):
-            shape = None
-        if shape != (width,):
+        row = _as_floats(entry[key])
+        if row is None or row.shape != (width,):
             raise ValueError(f"sample {k}: {what} must be {width} numbers, got {entry[key]!r}")
     raise ValueError(f"samples do not stack into a ({len(ks)}, {width}) {what} array")
 
@@ -153,6 +161,8 @@ def poses_from_doc(doc: dict) -> tuple[np.ndarray, np.ndarray, float, str, bool]
     samples = doc["samples"]
     if len(samples) < 2:
         raise ValueError(f"path needs at least 2 samples, got {len(samples)}")
+    if type(doc["dlambda"]) not in (int, float):
+        raise ValueError(f"dlambda must be a number, got {doc['dlambda']!r}")
     closed = doc.get("closed", False)
     if not isinstance(closed, bool):
         raise ValueError(f"closed must be true or false, got {closed!r}")

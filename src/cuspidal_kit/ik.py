@@ -664,24 +664,12 @@ def _target_arrays(targets) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(P.T), np.ascontiguousarray(R.transpose(1, 2, 0))
 
 
-def solve_ik_along_path(robot: RobotModel, targets,
-                        cfg: IKConfig | None = None) -> list[IKSolutionSet]:
-    """solve_all_ik for every sample of a TaskPath, or every pose of a
-    sequence of Poses, batched into one population.
-
-    Rows of different targets never interact, so each returned set is
-    identical to a standalone solve_all_ik call on that pose, however many
-    chunks of targets are refined at once. Approximate solutions are kept
-    and flagged; callers that want exact ones only filter on .approximate.
-    Raises ValueError for an arm with no isolated solutions.
-    """
-    cfg = cfg or IKConfig()
-    if robot.dof not in (3, 6):
-        raise ValueError("all-solutions IK supports 3- and 6-DOF arms")
-    Tpos, Trot = _target_arrays(targets)
+def _solve(robot: RobotModel, Tpos, Trot, cfg: IKConfig):
+    """All isolated IK solutions of N >= 1 targets (Tpos (3, N), Trot
+    (3, 3, N)) as one flat record (q, residual, approximate, sample, det_j),
+    ordered by sample and within a sample as solve_all_ik lists them.
+    Chunks of about _CHUNK_ROWS start rows run cfg.threads at a time."""
     n_targets = Tpos.shape[1]
-    if not n_targets:
-        return []
     iters = _POLISH_ITERS
     if robot.dof == 3:
         red = _reduce_3r(robot)
@@ -706,29 +694,46 @@ def solve_ik_along_path(robot: RobotModel, targets,
                     np.tile(np.arange(n_seeds), k))
 
     per_chunk = max(1, _CHUNK_ROWS // n_seeds)
-    chunks = [(lo, min(lo + per_chunk, n_targets)) for lo in range(0, n_targets, per_chunk)]
 
-    def run_chunk(bounds):
-        Q0, sample, seeds = starts(*bounds)
+    def run_chunk(lo):
+        Q0, sample, seeds = starts(lo, min(lo + per_chunk, n_targets))
         Q, resid, seed, approx, sample, det_j = _refine_population(
             robot, Tpos, Trot, Q0, sample, seeds, iters)
         keep = _dedup(Q, seed, approx, sample)
         return Q[keep], resid[keep], approx[keep], sample[keep], det_j[keep]
 
+    chunks = range(0, n_targets, per_chunk)
     if cfg.threads > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(run_chunk, chunks))
     else:
-        results = [run_chunk(b) for b in chunks]
+        results = [run_chunk(lo) for lo in chunks]
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
-    sets = []
-    for (lo, hi), (Q, resid, approx, sample, det_j) in zip(chunks, results):
-        sols = [IKSolution(q=q, residual=r, det_j=d, approximate=a) for q, r, d, a
-                in zip(Q, resid.tolist(), det_j.tolist(), approx.tolist())]
-        cut = np.searchsorted(sample, np.arange(lo, hi + 1)).tolist()
-        sets += [IKSolutionSet(sols[a:b]) for a, b in zip(cut[:-1], cut[1:])]
-    return sets
+
+def solve_ik_along_path(robot: RobotModel, targets,
+                        cfg: IKConfig | None = None) -> list[IKSolutionSet]:
+    """solve_all_ik for every sample of a TaskPath, or every pose of a
+    sequence of Poses, batched into one population.
+
+    Rows of different targets never interact, so each returned set is
+    identical to a standalone solve_all_ik call on that pose, however many
+    chunks of targets are refined at once. Approximate solutions are kept
+    and flagged; callers that want exact ones only filter on .approximate.
+    Raises ValueError for an arm with no isolated solutions.
+    """
+    if robot.dof not in (3, 6):
+        raise ValueError("all-solutions IK supports 3- and 6-DOF arms")
+    Tpos, Trot = _target_arrays(targets)
+    n_targets = Tpos.shape[1]
+    if not n_targets:
+        return []
+    Q, resid, approx, sample, det_j = _solve(robot, Tpos, Trot, cfg or IKConfig())
+    sols = [IKSolution(q=q, residual=r, det_j=d, approximate=a) for q, r, d, a
+            in zip(Q, resid.tolist(), det_j.tolist(), approx.tolist())]
+    cut = np.searchsorted(sample, np.arange(n_targets + 1)).tolist()
+    return [IKSolutionSet(sols[a:b]) for a, b in zip(cut[:-1], cut[1:])]
 
 
 def solution_count_map(robot: RobotModel, rho_range, z_range, grid,
@@ -746,10 +751,9 @@ def solution_count_map(robot: RobotModel, rho_range, z_range, grid,
         raise ValueError("rho and z ranges must be finite")
     if min(n_rho, n_z) < 1:
         raise ValueError("grid sizes must be >= 1")
-    rhos = np.linspace(rho_range[0], rho_range[1], n_rho)
-    zs = np.linspace(z_range[0], z_range[1], n_z)
-    eye = np.eye(3)
-    targets = [Pose(eye, np.array([rho, 0.0, z])) for rho in rhos for z in zs]
-    sets = solve_ik_along_path(robot, targets, cfg)
-    counts = [sum(not x.approximate for x in s.solutions) for s in sets]
-    return np.array(counts, dtype=int).reshape(n_rho, n_z)
+    n = n_rho * n_z
+    Tpos = np.stack([np.repeat(np.linspace(*rho_range, n_rho), n_z), np.zeros(n),
+                     np.tile(np.linspace(*z_range, n_z), n_rho)])
+    Trot = np.broadcast_to(np.eye(3)[..., None], (3, 3, n))
+    _, _, approx, sample, _ = _solve(robot, Tpos, Trot, cfg or IKConfig())
+    return np.bincount(sample[~approx], minlength=n).reshape(n_rho, n_z)

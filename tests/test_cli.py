@@ -254,6 +254,43 @@ class TestNonFiniteInput:
         assert any(line.startswith("error:") for line in err.splitlines())
 
 
+class TestNonNumericInput:
+    # numbers written as JSON strings, booleans or nulls are refused, not cast
+    @pytest.mark.parametrize("command,edit,named", [
+        ("plan", lambda r, p: p.update(dlambda="0.01"), "dlambda"),
+        ("plan", lambda r, p: p.update(dlambda=True), "dlambda"),
+        ("plan", lambda r, p: p["samples"][1].update(p=["3.0", "0.0", "-0.5"]),
+         "sample 1: position p"),
+        ("plan", lambda r, p: p["samples"][0].update(p=[3.0, None, -0.5]),
+         "sample 0: position p"),
+        ("plan", lambda r, p: p["samples"][2].update(q_wxyz=["1", "0", "0", "0"]),
+         "sample 2: quaternion q_wxyz"),
+        ("plan", lambda r, p: p["samples"][2].update(q_wxyz=[True, False, False, False]),
+         "sample 2: quaternion q_wxyz"),
+        ("identify", lambda r, p: r.update(axes=[["0", "0", "1"]] * 3), "axes"),
+        ("plan", lambda r, p: r["offsets"][1].__setitem__(0, "1.0"), "offsets"),
+        ("identify", lambda r, p: r.update(tool_offset=[str(v) for v in r["tool_offset"]]),
+         "tool_offset"),
+    ], ids=["dlambda-string", "dlambda-bool", "p-strings", "p-null", "q-strings", "q-bools",
+            "axes-strings", "offsets-string", "tool-strings"])
+    def test_exits_2(self, capsys, tmp_path, command, edit, named):
+        robot_doc = fileio.robot_to_doc(canonical_3r())
+        path_doc = {"frame": "base", "dlambda": 0.1,
+                    "samples": [{"p": [3.0, 0.0, -0.5]} for _ in range(3)]}
+        edit(robot_doc, path_doc)
+        robot, path = tmp_path / "robot.json", tmp_path / "path.json"
+        robot.write_text(json.dumps(robot_doc))
+        path.write_text(json.dumps(path_doc))
+        argv = [command, "--robot", str(robot)]
+        if command == "plan":
+            argv += ["--path", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith("error:") and named in line
+                   for line in err.splitlines()), err
+
+
 class TestNonFiniteOptions:
     @pytest.mark.parametrize("argv", [
         ["plan", "--robot", "3r-canonical", "--path", "3r-infeasible-line", "--ik-seeds", "4",
@@ -447,13 +484,13 @@ class TestMap:
         # targets into ten chunks, so two threads really solve side by side;
         # the CSV must not change
         seen = []
-        solve = ik.solve_ik_along_path
+        solve = ik._solve
 
-        def spy(robot, targets, cfg):
+        def spy(robot, Tpos, Trot, cfg):
             seen.append(cfg.threads)
-            return solve(robot, targets, cfg)
+            return solve(robot, Tpos, Trot, cfg)
 
-        monkeypatch.setattr(ik, "solve_ik_along_path", spy)
+        monkeypatch.setattr(ik, "_solve", spy)
         chunks = count_calls(monkeypatch, ik, "_refine_population")
         monkeypatch.setattr(ik, "_CHUNK_ROWS", 5 * 4)
         argv = ["map", "--robot", "3r-canonical", "--rho-range", "0", "5",

@@ -138,7 +138,43 @@ class TestJson:
         plain = {"a": [[1.5, -0.0], [np.pi, 1e-300]], "b": float(np.float32(0.1)),
                  "c": [3, True, [2.0, None]], "d": [True, False], "e": [0, 1, 2], "f": 7.25}
         assert fileio.dump_json(doc) == json.dumps(plain, sort_keys=True, indent=2)
-        assert type(fileio.to_jsonable(doc)["e"][0]) is int
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_documents_match_plain_json(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def leaf():
+            x = float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+            k = int(rng.integers(-2 ** 62, 2 ** 62))
+            b = bool(rng.integers(2))
+            return [(x, x), (-0.0, -0.0), (0.0, 0.0), (k, k), (b, b), (None, None),
+                    (np.float64(x), x), (np.float32(x / 1e290), float(np.float32(x / 1e290))),
+                    (np.int64(k), k), (np.int32(k % 1000), k % 1000), (np.bool_(b), b),
+                    (f"s{k}", f"s{k}"), (np.array([x, -0.0]), [x, -0.0]),
+                    (np.arange(3), [0, 1, 2])][rng.integers(14)]
+
+        def node(depth):
+            kind = rng.integers(4) if depth < 4 else 3
+            if kind == 3:
+                return leaf()
+            items = [node(depth + 1) for _ in range(rng.integers(4))]
+            if kind == 0:
+                return [v for v, _ in items], [p for _, p in items]
+            if kind == 1:
+                return tuple(v for v, _ in items), [p for _, p in items]
+            keys = [f"k{rng.integers(100)}" for _ in items]
+            return ({k: v for k, (v, _) in zip(keys, items)},
+                    {k: p for k, (_, p) in zip(keys, items)})
+
+        for _ in range(20):
+            doc, plain = node(0)
+            assert fileio.dump_json(doc) == json.dumps(plain, indent=2, sort_keys=True)
+            with pytest.raises(ValueError):
+                fileio.dump_json({"a": [doc, (np.float64(np.nan),)]})
+
+    def test_other_objects_are_refused(self):
+        with pytest.raises(TypeError):
+            fileio.dump_json({"a": {1, 2}})
 
 
 class TestCsv:

@@ -331,6 +331,30 @@ class TestSolutionCountMap:
         with pytest.raises(ValueError):
             solution_count_map(r6, (0.0, 1.0), (0.0, 1.0), (2, 2))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_standalone_solves(self, r3, monkeypatch, threads):
+        # the window spans the z axis, unreachable corners, the four-solution
+        # region and the cells on both sides of its folds
+        rho_range, z_range, grid = (0.0, 4.0), (-3.0, 3.0), (17, 13)
+        rhos, zs = np.linspace(*rho_range, grid[0]), np.linspace(*z_range, grid[1])
+        expected = np.array([[sum(not s.approximate for s in solve_all_ik(
+            r3, Pose(np.eye(3), np.array([rho, 0.0, z]))).solutions) for z in zs]
+            for rho in rhos])
+        vertical = {frozenset(p) for p in zip(expected[:-1].ravel(), expected[1:].ravel())}
+        across = {frozenset(p) for p in zip(expected[:, :-1].ravel(), expected[:, 1:].ravel())}
+        assert {frozenset((0, 2)), frozenset((2, 4))} <= vertical | across
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the count map builds no Pose or IKSolution")
+
+        monkeypatch.setattr(ik, "IKSolution", refuse)
+        monkeypatch.setattr(ik, "Pose", refuse)
+        monkeypatch.setattr(ik, "_CHUNK_ROWS", 7 * 4)
+        chunks = count_calls(monkeypatch, ik, "_refine_population")
+        counts = solution_count_map(r3, rho_range, z_range, grid, IKConfig(threads=threads))
+        assert len(chunks) == int(np.ceil(grid[0] * grid[1] / 7))
+        nt.assert_array_equal(counts, expected)
+
     @pytest.mark.parametrize("rho_range,z_range,grid", [((np.nan, 1.0), (0.0, 1.0), (2, 2)),
                                                         ((0.0, 1.0), (-np.inf, 1.0), (2, 2)),
                                                         ((0.0, 1.0), (0.0, 1.0), (0, 2)),
