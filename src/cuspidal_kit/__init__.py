@@ -36,6 +36,7 @@ from .optimizer import (
     objective,
     objective_from_pose,
     optimize_workpiece_pose,
+    price_placements,
     random_feasible_start,
     reduced_to_pose,
     transform_toolpath,

@@ -8,6 +8,7 @@ JSON, 17 significant digits in CSV.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -78,12 +79,18 @@ def robot_to_doc(robot: RobotModel) -> dict:
 def _as_floats(value) -> np.ndarray | None:
     """value as a float array, or None unless it is all numbers: the raw
     array's dtype is checked before the cast, so strings, booleans and nulls
-    are refused rather than converted."""
+    are refused rather than converted. numpy casts a boolean among numbers
+    up to 0 or 1, so the entries themselves are checked for booleans too."""
     try:
         raw = np.asarray(value)
     except ValueError:
         return None
-    return raw.astype(float) if raw.dtype.kind in "iuf" else None
+    if raw.dtype.kind not in "iuf":
+        return None
+    entries = [value]
+    for _ in range(raw.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    return None if bool in map(type, entries) else raw.astype(float)
 
 
 def _numbers(doc: dict, key: str) -> np.ndarray:

@@ -26,7 +26,7 @@ from .kinematics import (
     rotation_to_quat,
     row_norms,
 )
-from .planner import PlannerConfig, TaskPath, plan_path
+from .planner import PlannerConfig, PlanResult, TaskPath, plan_path
 
 logger = logging.getLogger(__name__)
 
@@ -158,16 +158,28 @@ def _unreachable_penalty(robot: RobotModel, task: TaskPath) -> float:
     return float(np.add.accumulate(np.maximum(0.0, r - r_max) + np.maximum(0.0, r_min - r))[-1])
 
 
+def price_placements(robot: RobotModel, tp: TaskPath, poses: list[WorkpiecePose],
+                     planner_cfg: PlannerConfig | None = None,
+                     ik_cfg: IKConfig | None = None) -> list[tuple[float, PlanResult]]:
+    """(value, plan) of each full placement. The value is the planner
+    weight; an infeasible placement prices at the sentinel plus how far
+    the path sticks out of the reachable shell. The samples of all the
+    placements are solved as one IK population (one plan_path call on the
+    list of placed paths), and each pair is what pricing that placement
+    alone gives."""
+    tasks = [transform_toolpath(wp, tp) for wp in poses]
+    plans = plan_path(robot, tasks, planner_cfg, ik_cfg)
+    return [(res.path.weight if res.feasible
+             else INFEASIBLE_SENTINEL + _unreachable_penalty(robot, task), res)
+            for task, res in zip(tasks, plans)]
+
+
 def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
                         planner_cfg: PlannerConfig | None = None,
                         ik_cfg: IKConfig | None = None) -> float:
-    """Planner weight of a full placement; infeasible placements price at
-    the sentinel plus how far the path sticks out of the reachable shell."""
-    task = transform_toolpath(wp, tp)
-    res = plan_path(robot, task, planner_cfg, ik_cfg)
-    if res.feasible:
-        return res.path.weight
-    return INFEASIBLE_SENTINEL + _unreachable_penalty(robot, task)
+    """Planner weight of a full placement: price_placements of that one
+    placement."""
+    return price_placements(robot, tp, [wp], planner_cfg, ik_cfg)[0][0]
 
 
 def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
@@ -189,34 +201,39 @@ class NelderMeadOptions:
             raise ValueError("max_evals must be >= 1")
 
 
-def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
+def nelder_mead(f, x0, opts: NelderMeadOptions | None = None, f0: float | None = None):
     """Plain simplex descent; returns (x_best, f_best, best-so-far history).
 
-    History gets one entry per function evaluation, so it is non-increasing
-    by construction. Terminates on simplex diameter, f-spread, or budget;
-    the initial simplex costs n + 1 evaluations whatever the budget.
+    f maps a (k, n) stack of points to their k values. Points that do not
+    depend on one another go to f as one stack: the initial simplex (its
+    n new points when f0 is given) and the n new points of a shrink step;
+    reflection, expansion and contraction go one point at a time. f0 is
+    f(x0) when the caller already knows it; it counts as the first
+    evaluation. History gets one entry per evaluation, in the order of the
+    stacks, so it is non-increasing by construction. Terminates on simplex
+    diameter, f-spread, or budget; the initial simplex costs n + 1
+    evaluations whatever the budget.
     """
     opts = opts or NelderMeadOptions()
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     history: list[float] = []
-    best_so_far = [np.inf]
+    best_so_far = np.inf
 
-    def ev(x):
-        val = float(f(x))
-        best_so_far[0] = min(best_so_far[0], val)
-        history.append(best_so_far[0])
-        return val
+    def record(vals) -> list[float]:
+        nonlocal best_so_far
+        vals = [float(v) for v in vals]
+        for val in vals:
+            best_so_far = min(best_so_far, val)
+            history.append(best_so_far)
+        return vals
 
-    simplex = [x0.copy()]
-    fvals = [ev(x0)]
-    for i in range(n):
-        x = x0.copy()
-        x[i] += _NM_INITIAL_STEP
-        simplex.append(x)
-        fvals.append(ev(x))
-    simplex = np.stack(simplex)
-    fvals = np.array(fvals)
+    simplex = np.repeat(x0[None], n + 1, axis=0)
+    simplex[range(1, n + 1), range(n)] += _NM_INITIAL_STEP
+    if f0 is None:
+        fvals = np.array(record(f(simplex)))
+    else:
+        fvals = np.array(record([f0]) + record(f(simplex[1:])))
 
     while len(history) < opts.max_evals:
         order = np.argsort(fvals, kind="stable")
@@ -229,10 +246,10 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
         xr = centroid + _NM_REFLECTION * (centroid - worst)
-        fr = ev(xr)
+        [fr] = record(f(xr[None]))
         if fr < fvals[0]:
             xe = centroid + _NM_EXPANSION * (xr - centroid)
-            fe = ev(xe)
+            [fe] = record(f(xe[None]))
             if fe < fr:
                 simplex[-1], fvals[-1] = xe, fe
             else:
@@ -241,13 +258,12 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None):
             simplex[-1], fvals[-1] = xr, fr
         else:
             xc = centroid + _NM_CONTRACTION * (worst - centroid)
-            fc = ev(xc)
+            [fc] = record(f(xc[None]))
             if fc < fvals[-1]:
                 simplex[-1], fvals[-1] = xc, fc
             else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + _NM_SHRINK * (simplex[i] - simplex[0])
-                    fvals[i] = ev(simplex[i])
+                simplex[1:] = simplex[0] + _NM_SHRINK * (simplex[1:] - simplex[0])
+                fvals[1:] = record(f(simplex[1:]))
     order = np.argsort(fvals, kind="stable")
     return simplex[order[0]].copy(), float(fvals[order[0]]), history
 
@@ -261,9 +277,11 @@ class StartExhaustionError(RuntimeError):
 def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
                           max_attempts: int = _MAX_START_ATTEMPTS,
                           planner_cfg: PlannerConfig | None = None,
-                          ik_cfg: IKConfig | None = None) -> ReducedParams:
+                          ik_cfg: IKConfig | None = None
+                          ) -> tuple[ReducedParams, float, PlanResult]:
     """Uniform tilt over the v-disk and translation inside the box around
-    the reachable shell until the planner finds a feasible path."""
+    the reachable shell until the planner finds a feasible path; returns
+    that placement with its value and plan."""
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     r_max = workspace_radii(robot)[1]
@@ -274,9 +292,9 @@ def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
         v = np.array([r * np.cos(ang), r * np.sin(ang)])
         p = rng.uniform(lo, hi)
         x = ReducedParams(v, p)
-        val = objective(robot, tp, x, planner_cfg, ik_cfg)
+        [(val, res)] = price_placements(robot, tp, [reduced_to_pose(x)], planner_cfg, ik_cfg)
         if val < INFEASIBLE_SENTINEL:
-            return x
+            return x, val, res
     raise StartExhaustionError(max_attempts)
 
 
@@ -295,9 +313,8 @@ class OptResult:
     is_best: bool = False
 
 
-def _plan_rms(robot, tp, x, planner_cfg, ik_cfg) -> float:
-    """rms of the joint path planned at placement x; NaN when infeasible."""
-    res = plan_path(robot, transform_toolpath(reduced_to_pose(x), tp), planner_cfg, ik_cfg)
+def _rms(res: PlanResult) -> float:
+    """rms of a plan's joint path; NaN when infeasible."""
     return res.path.rms if res.feasible else float("nan")
 
 
@@ -308,13 +325,14 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
     """Multi-start placement optimization.
 
     Each start draws a feasible random placement and runs Nelder-Mead on the
-    planner cost; initial and final rms come from planning the start and
-    the best placement again. Results come back sorted by final cost, best
-    first (marked), deterministic for a fixed seed via independently
-    spawned per-start generators. An arm whose joint 1 does not turn freely
-    about the base z axis (off that axis, or with a finite limit) is
-    refused: the reduced placement would lose a degree of freedom that
-    matters.
+    planner cost from it. Every placement is priced once: the start check's
+    value is the first evaluation, and initial and final rms are read off
+    the plans already made at the start and the best placement. Results
+    come back sorted by final cost, best first (marked), deterministic for
+    a fixed seed via independently spawned per-start generators. An arm
+    whose joint 1 does not turn freely about the base z axis (off that
+    axis, or with a finite limit) is refused: the reduced placement would
+    lose a degree of freedom that matters.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -336,22 +354,27 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
     for idx, ss in enumerate(streams):
         rng = np.random.default_rng(ss)
         try:
-            x0 = random_feasible_start(robot, tp, rng, planner_cfg=planner_cfg,
-                                       ik_cfg=ik_cfg)
+            x0, f0, plan0 = random_feasible_start(robot, tp, rng, planner_cfg=planner_cfg,
+                                                  ik_cfg=ik_cfg)
         except StartExhaustionError:
             failures += 1
             continue
+        # rms of every placement priced, keyed by its exact parameters
+        rms = {x0.as_array().tobytes(): _rms(plan0)}
 
-        def fun(arr):
-            return objective(robot, tp, ReducedParams.from_array(arr), planner_cfg, ik_cfg)
+        def price(X):
+            priced = price_placements(
+                robot, tp, [reduced_to_pose(ReducedParams.from_array(x)) for x in X],
+                planner_cfg, ik_cfg)
+            rms.update((x.tobytes(), _rms(res)) for x, (_, res) in zip(X, priced))
+            return [val for val, _ in priced]
 
-        x_best, f_best, history = nelder_mead(fun, x0.as_array(), nm_opts)
+        x_best, f_best, history = nelder_mead(price, x0.as_array(), nm_opts, f0=f0)
         xr = ReducedParams.from_array(x_best)
         results.append(OptResult(
             start_index=idx, x=xr, pose=reduced_to_pose(xr), history=history,
             initial_cost=history[0], final_cost=f_best,
-            initial_rms=_plan_rms(robot, tp, x0, planner_cfg, ik_cfg),
-            final_rms=_plan_rms(robot, tp, xr, planner_cfg, ik_cfg),
+            initial_rms=_rms(plan0), final_rms=rms[x_best.tobytes()],
             n_evals=len(history)))
     if not results:
         raise StartExhaustionError(failures * _MAX_START_ATTEMPTS)

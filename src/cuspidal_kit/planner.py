@@ -383,14 +383,33 @@ def _first_disconnected_span(graph: PlanGraph):
     return (int(dead[0]) if dead.size else K, K)
 
 
-def plan_path(robot: RobotModel, path: TaskPath, cfg: PlannerConfig | None = None,
-              ik_cfg: IKConfig | None = None) -> PlanResult:
-    """IK layers, graph, and shortest path in one call."""
-    layers = build_layers(robot, path, ik_cfg)
-    graph = build_plan_graph(layers, path, cfg, robot=robot)
-    jp = shortest_joint_path(graph)
-    span = None if jp is not None else _first_disconnected_span(graph)
-    return PlanResult(path=jp, graph=graph, infeasible_span=span)
+def plan_path(robot: RobotModel, path: TaskPath | list[TaskPath],
+              cfg: PlannerConfig | None = None,
+              ik_cfg: IKConfig | None = None) -> PlanResult | list[PlanResult]:
+    """IK layers, graph, and shortest path in one call.
+
+    path may also be a list of TaskPaths. Their samples are then solved in
+    one build_layers call, as one IK population, and the PlanResult of
+    each path comes back in a list. IK rows of different targets never
+    interact, so each result is the one plan_path gives that path alone;
+    what the batch saves is the IK's fixed cost per call.
+    """
+    paths = [path] if isinstance(path, TaskPath) else list(path)
+    if len(paths) == 1:
+        targets = paths[0]
+    else:
+        # the population's targets, not a path that is planned
+        targets = TaskPath(np.concatenate([p.positions for p in paths]),
+                           np.concatenate([p.rotations for p in paths]), paths[0].dlambda)
+    layers = build_layers(robot, targets, ik_cfg)
+    results, lo = [], 0
+    for p in paths:
+        graph = build_plan_graph(layers[lo:lo + p.K + 1], p, cfg, robot=robot)
+        jp = shortest_joint_path(graph)
+        span = None if jp is not None else _first_disconnected_span(graph)
+        results.append(PlanResult(path=jp, graph=graph, infeasible_span=span))
+        lo += p.K + 1
+    return results[0] if isinstance(path, TaskPath) else results
 
 
 @dataclass

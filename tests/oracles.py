@@ -16,7 +16,9 @@ planner builds and searches the graph one pair of layers at a time (the
 padded planner must match it bit for bit, as the kernel must match the
 walk), and the per-sample path builders make one Pose per sample of a
 path file, a fixture or a placed toolpath and price its reach one pose at
-a time (the array-backed TaskPath must match them bit for bit). The one
+a time (the array-backed TaskPath must match them bit for bit), and the
+pointwise Nelder-Mead evaluates one point at a time (the library's, which
+evaluates independent points as one stack, must match it bit for bit). The one
 exception is the seed flood: the library's own LM from a regular seed
 grid, the multi-start reference that the closed-form 3R IK is checked
 against.
@@ -514,3 +516,64 @@ def per_sample_unreachable_penalty(radii, poses) -> float:
         r = float(np.linalg.norm(pose.position))
         dist += max(0.0, r - r_max) + max(0.0, r_min - r)
     return dist
+
+
+def pointwise_nelder_mead(f, x0, opts=None):
+    """Nelder-Mead with f called on one point at a time, the initial
+    simplex and shrink steps included; f maps a point to its value. The
+    library's nelder_mead hands the independent points of the initial
+    simplex and of a shrink step to its f as one stack and must return the
+    same x_best, f_best and history bit for bit."""
+    from cuspidal_kit import optimizer as O
+    opts = opts or O.NelderMeadOptions()
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    history: list[float] = []
+    best_so_far = [np.inf]
+
+    def ev(x):
+        val = float(f(x))
+        best_so_far[0] = min(best_so_far[0], val)
+        history.append(best_so_far[0])
+        return val
+
+    simplex = [x0.copy()]
+    fvals = [ev(x0)]
+    for i in range(n):
+        x = x0.copy()
+        x[i] += O._NM_INITIAL_STEP
+        simplex.append(x)
+        fvals.append(ev(x))
+    simplex = np.stack(simplex)
+    fvals = np.array(fvals)
+
+    while len(history) < opts.max_evals:
+        order = np.argsort(fvals, kind="stable")
+        simplex, fvals = simplex[order], fvals[order]
+        diameter = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
+        if diameter < opts.tol_x and (fvals[-1] - fvals[0]) < opts.tol_f:
+            break
+        centroid = simplex[:-1].mean(axis=0)
+        worst = simplex[-1]
+        xr = centroid + O._NM_REFLECTION * (centroid - worst)
+        fr = ev(xr)
+        if fr < fvals[0]:
+            xe = centroid + O._NM_EXPANSION * (xr - centroid)
+            fe = ev(xe)
+            if fe < fr:
+                simplex[-1], fvals[-1] = xe, fe
+            else:
+                simplex[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            simplex[-1], fvals[-1] = xr, fr
+        else:
+            xc = centroid + O._NM_CONTRACTION * (worst - centroid)
+            fc = ev(xc)
+            if fc < fvals[-1]:
+                simplex[-1], fvals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    simplex[i] = simplex[0] + O._NM_SHRINK * (simplex[i] - simplex[0])
+                    fvals[i] = ev(simplex[i])
+    order = np.argsort(fvals, kind="stable")
+    return simplex[order[0]].copy(), float(fvals[order[0]]), history

@@ -271,8 +271,16 @@ class TestNonNumericInput:
         ("plan", lambda r, p: r["offsets"][1].__setitem__(0, "1.0"), "offsets"),
         ("identify", lambda r, p: r.update(tool_offset=[str(v) for v in r["tool_offset"]]),
          "tool_offset"),
+        # a boolean among numbers, which numpy would cast to 0 or 1
+        ("plan", lambda r, p: p.update(samples=[{"p": [1.5, True, 0.3]}, {"p": [1.5, 1.0, 0.4]}]),
+         "sample 0: position p"),
+        ("plan", lambda r, p: p["samples"][2].update(q_wxyz=[1.0, False, 0.0, 0.0]),
+         "sample 2: quaternion q_wxyz"),
+        ("identify", lambda r, p: r["axes"][1].__setitem__(0, False), "axes"),
+        ("plan", lambda r, p: r["tool_offset"].__setitem__(2, True), "tool_offset"),
     ], ids=["dlambda-string", "dlambda-bool", "p-strings", "p-null", "q-strings", "q-bools",
-            "axes-strings", "offsets-string", "tool-strings"])
+            "axes-strings", "offsets-string", "tool-strings", "p-mixed-bool", "q-mixed-bool",
+            "axes-mixed-bool", "tool-mixed-bool"])
     def test_exits_2(self, capsys, tmp_path, command, edit, named):
         robot_doc = fileio.robot_to_doc(canonical_3r())
         path_doc = {"frame": "base", "dlambda": 0.1,

@@ -1,11 +1,14 @@
 import gc
+import json
 import weakref
 
 import numpy as np
 import numpy.testing as nt
 import pytest
 
-from cuspidal_kit import fileio
+from conftest import count_calls
+from cuspidal_kit import cli, fileio, optimizer, planner, scenarios
+from cuspidal_kit import ik as ik_module
 from cuspidal_kit.ik import IKConfig
 from cuspidal_kit.kinematics import (
     Pose,
@@ -26,12 +29,14 @@ from cuspidal_kit.optimizer import (
     objective,
     objective_from_pose,
     optimize_workpiece_pose,
+    price_placements,
     random_feasible_start,
     reduced_to_pose,
     transform_toolpath,
 )
 from cuspidal_kit.planner import PlannerConfig, TaskPath, plan_path
 from cuspidal_kit.scenarios import canonical_3r
+from oracles import pointwise_nelder_mead
 
 
 def _random_rotation(rng):
@@ -42,6 +47,25 @@ def _random_rotation(rng):
 def _toolpath(points, dlambda=0.05):
     return TaskPath.from_poses([Pose(np.eye(3), np.asarray(p, float)) for p in points],
                                dlambda=dlambda)
+
+
+def _stacked(f):
+    """f of one point as the stack-to-values callable nelder_mead takes."""
+    return lambda X: [f(x) for x in X]
+
+
+def _rosen(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
+
+
+def _plateau(x):
+    v = float(np.sum(x ** 2))
+    return 1e9 if v > 1.0 else v
+
+
+def _staircase(x):
+    # flat steps make contraction fail, so most iterations shrink
+    return float(np.floor(10.0 * np.sum(x ** 2)))
 
 
 @pytest.fixture(scope="module")
@@ -149,13 +173,11 @@ class TestDecompose:
 class TestNelderMead:
     def test_convex_bowl(self):
         a = np.array([1.0, -2.0, 0.5])
-        x, fx, hist = nelder_mead(lambda x: float(np.sum((x - a) ** 2)), np.zeros(3))
+        x, fx, hist = nelder_mead(_stacked(lambda x: float(np.sum((x - a) ** 2))), np.zeros(3))
         nt.assert_allclose(x, a, atol=1e-6)
 
     def test_rosenbrock(self):
-        def rosen(x):
-            return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2)
-        x, fx, hist = nelder_mead(rosen, np.array([-1.2, 1.0]),
+        x, fx, hist = nelder_mead(_stacked(_rosen), np.array([-1.2, 1.0]),
                                   NelderMeadOptions(max_evals=2000, tol_x=1e-10, tol_f=1e-14))
         nt.assert_allclose(x, [1.0, 1.0], atol=1e-4)
         assert len(hist) <= 2000
@@ -166,15 +188,41 @@ class TestNelderMead:
             NelderMeadOptions(max_evals=max_evals)
 
     def test_initial_simplex_ignores_budget(self):
-        _, _, hist = nelder_mead(lambda x: float(x @ x), np.ones(5), NelderMeadOptions(max_evals=1))
+        _, _, hist = nelder_mead(_stacked(lambda x: float(x @ x)), np.ones(5),
+                                 NelderMeadOptions(max_evals=1))
         assert len(hist) == 6
 
     def test_history_non_increasing_on_plateau(self):
-        def f(x):
-            v = float(np.sum(x ** 2))
-            return 1e9 if v > 1.0 else v
-        _, _, hist = nelder_mead(f, np.array([2.0, 2.0]), NelderMeadOptions(max_evals=200))
+        _, _, hist = nelder_mead(_stacked(_plateau), np.array([2.0, 2.0]),
+                                 NelderMeadOptions(max_evals=200))
         assert np.all(np.diff(hist) <= 0)
+
+    @pytest.mark.parametrize("f,x0,opts", [
+        (_rosen, [-1.2, 1.0], NelderMeadOptions(max_evals=2000, tol_x=1e-10, tol_f=1e-14)),
+        (_plateau, [2.0, 2.0], NelderMeadOptions(max_evals=200)),
+        (_staircase, [1.0, -1.0, 0.5], NelderMeadOptions(max_evals=300)),
+        (lambda x: float(x @ x), np.ones(5), NelderMeadOptions(max_evals=1)),
+    ], ids=["rosenbrock", "plateau", "shrink-steps", "max-evals-1"])
+    @pytest.mark.parametrize("known_f0", [False, True])
+    def test_matches_pointwise_oracle(self, f, x0, opts, known_f0):
+        x0 = np.asarray(x0, dtype=float)
+        stacks = []
+
+        def batched(X):
+            stacks.append(len(X))
+            return [f(x) for x in X]
+
+        x, fx, hist = nelder_mead(batched, x0, opts, f0=f(x0) if known_f0 else None)
+        want_x, want_f, want_hist = pointwise_nelder_mead(f, x0, opts)
+        assert x.tobytes() == want_x.tobytes()
+        assert fx == want_f and hist == want_hist
+        # the initial simplex is one stack; a shrink step's n points are one
+        n = x0.size
+        assert stacks[0] == (n if known_f0 else n + 1)
+        assert sum(stacks) + known_f0 == len(hist)
+        assert set(stacks[1:]) <= {1, n}
+        if f is _staircase:
+            assert stacks[1:].count(n) > 5
 
 
 class TestObjective:
@@ -223,11 +271,63 @@ class TestObjective:
             assert abs(objective_from_pose(r3, tp, rotated, ik_cfg=ik) - base) < 1e-9
 
 
+class TestPricePlacements:
+    # one batch mixes feasible placements with an unreachable one
+    @pytest.mark.parametrize("robot,helix,threads", [
+        ("3r-canonical", {}, 1),
+        ("3r-canonical", {"pitch": 0.0, "turns": 1.0}, 1),
+        ("3parallel-cuspidal", {"orientation_mode": "tangent-following"}, 1),
+        ("3r-canonical", {}, 2),
+    ], ids=["helix", "closed-helix", "6r-tangent-helix", "threads-2"])
+    def test_batch_equals_standalone(self, monkeypatch, robot, helix, threads):
+        if threads > 1:
+            # chunks of 7 targets, so the batch is split across the threads
+            monkeypatch.setattr(ik_module, "_CHUNK_ROWS", 28)
+        robot = scenarios.ROBOTS[robot]()
+        tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=30, **helix))
+        ik = IKConfig(seeds_per_joint=6, threads=threads)
+        xs = [random_feasible_start(robot, tp, np.random.default_rng(s), ik_cfg=ik)[0]
+              for s in range(3)]
+        xs.insert(1, ReducedParams(np.zeros(2), np.array([50.0, 0.0, 0.0])))
+        poses = [reduced_to_pose(x) for x in xs]
+        priced = price_placements(robot, tp, poses, ik_cfg=ik)
+        assert len(priced) == 4 and priced[1][0] > INFEASIBLE_SENTINEL
+        for x, wp, (val, res) in zip(xs, poses, priced):
+            assert val == objective(robot, tp, x, ik_cfg=ik)
+            alone = plan_path(robot, transform_toolpath(wp, tp), ik_cfg=ik)
+            assert res.feasible == alone.feasible
+            assert res.infeasible_span == alone.infeasible_span
+            nt.assert_array_equal(res.graph.Q, alone.graph.Q)
+            if alone.feasible:
+                assert val == alone.path.weight
+                assert res.path.rms == alone.path.rms
+                assert res.path.vertex_indices == alone.path.vertex_indices
+                assert res.path.q.tobytes() == alone.path.q.tobytes()
+                assert res.path.det_j.tobytes() == alone.path.det_j.tobytes()
+
+    def test_each_placement_priced_once(self, monkeypatch, tmp_path, capsys):
+        # the benchmark's optimize shape: a 30-sample helix, one start, 20
+        # evaluations, a start found on the first draw
+        helix = tmp_path / "helix.json"
+        fileio.save_json(fileio.generate_helix(samples=30), helix)
+        placed = count_calls(monkeypatch, optimizer, "transform_toolpath")
+        solves = count_calls(monkeypatch, planner, "solve_ik_along_path")
+        code = cli.main(["optimize", "--robot", "3r-canonical", "--toolpath", str(helix),
+                         "--starts", "1", "--seed", "0", "--max-evals", "20",
+                         "--ik-seeds", "6", "--threads", "1"])
+        assert code == 0
+        [start] = json.loads(capsys.readouterr().out)["starts"]
+        assert start["n_evals"] == 20
+        # 1 start check, 1 stack of 5 simplex points, 14 single steps
+        assert len(placed) == 20
+        assert len(solves) == 16
+
+
 class TestRandomStart:
     def test_constant_reachable_toolpath(self, r3):
         tp = _toolpath([[0.3, 0.0, 0.1]] * 3)
         rng = np.random.default_rng(25)
-        x = random_feasible_start(r3, tp, rng, ik_cfg=IKConfig(seeds_per_joint=8))
+        x, _, _ = random_feasible_start(r3, tp, rng, ik_cfg=IKConfig(seeds_per_joint=8))
         assert objective(r3, tp, x, ik_cfg=IKConfig(seeds_per_joint=8)) < INFEASIBLE_SENTINEL
 
     def test_oversized_toolpath_exhausts(self, r3):

@@ -592,6 +592,28 @@ class TestPlanPath:
         assert min(res.graph.layer_counts) > 0
         assert res.infeasible_span is not None
 
+    def test_list_of_paths_equals_each_path_alone(self, r3, monkeypatch):
+        # paths of different lengths, open and closed, feasible and not
+        paths = [infeasible_line_control_path(41), cusp_loop_path(61),
+                 infeasible_line_path(81), control_loop_path(21)]
+        ik = IKConfig(seeds_per_joint=6)
+        builds = []
+        build = planner.build_layers
+        monkeypatch.setattr(planner, "build_layers", lambda *a: builds.append(1) or build(*a))
+        batch = plan_path(r3, paths, ik_cfg=ik)
+        assert len(builds) == 1 and len(batch) == len(paths)
+        for path, res in zip(paths, batch):
+            alone = plan_path(r3, path, ik_cfg=ik)
+            assert res.feasible == alone.feasible
+            assert res.infeasible_span == alone.infeasible_span
+            assert res.graph.Q.tobytes() == alone.graph.Q.tobytes()
+            assert res.graph.weight.tobytes() == alone.graph.weight.tobytes()
+            if alone.feasible:
+                assert res.path.weight == alone.path.weight
+                assert res.path.vertex_indices == alone.path.vertex_indices
+                assert res.path.q.tobytes() == alone.path.q.tobytes()
+        assert [p.feasible for p in batch] == [True, True, False, True]
+
     def test_span_reuses_the_search_distances(self, monkeypatch):
         # the span is read off the forward distances the search relaxed
         layers = _layers([[np.zeros(3)], [np.full(3, 2.0)], [np.full(3, 2.01)]])

@@ -169,7 +169,7 @@ class TestNoPerSamplePoses:
     def test_objective(self, r3, pose_count):
         tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=12))
         ik_cfg = IKConfig(seeds_per_joint=6)
-        x = random_feasible_start(r3, tp, np.random.default_rng(0), ik_cfg=ik_cfg)
+        x, _, _ = random_feasible_start(r3, tp, np.random.default_rng(0), ik_cfg=ik_cfg)
         far = ReducedParams(np.zeros(2), np.array([50.0, 0.0, 0.0]))
         del pose_count[:]
         assert optimizer.objective(r3, tp, x, ik_cfg=ik_cfg) < optimizer.INFEASIBLE_SENTINEL
