@@ -50,18 +50,21 @@ from .kinematics import (  # noqa: F401  det_j_batch: see below
 
 # iterates of the same target in the same cell of this size (per joint, after
 # wrapping) are assumed to share a basin and are merged onto the lowest seed
-# index; only seed grids (6-DOF arms without the closed form) have enough rows
-# per target to coalesce, and completeness under this shortcut is covered by
+# index while their target has more than _COALESCE_MIN_ROWS live rows; only
+# seed grids (6-DOF arms without the closed form) start with that many, and
+# completeness under this shortcut is covered by
 # tests/test_ik.py::TestCoalescing::test_coalescing_keeps_every_exact_root_6r
 # on such an arm
 _COALESCE_CELL = 0.3
 _COALESCE_START_ITER = 2
+_COALESCE_MIN_ROWS = 64
 # rows this close to a root (meters+radians of residual) are exempt from
 # coalescing: distinct near-fold roots can sit closer than the cell size
 _COALESCE_RESID_GUARD = 1e-2
 _STALL_LIMIT = 4
 _STALL_REL_IMPROVEMENT = 1e-3
 _CHUNK_ROWS = 150_000
+_STEP_BLOCK = 4096
 # boundary local minima are valley-shaped; stalled points this close (rad)
 # describe the same continuous approximate solution
 _APPROX_DEDUP = 0.05
@@ -464,35 +467,33 @@ def _rotvec_batch(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Damped least-squares step J^T (J J^T + lam^2 I)^-1 e, entry by entry.
+def _orientation_error(T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """T R^T of joint-major rotation stacks (3, 3, N), summed over ascending k."""
+    return (T[:, None, 0] * R[None, :, 0] + T[:, None, 1] * R[None, :, 1]
+            + T[:, None, 2] * R[None, :, 2])
 
-    J (m, n, N) and e (m, N) are joint-major. The normal-equation entries
-    are sums of elementwise products and LAPACK solves each system of the
-    contiguous stack on its own, so each row gets the same bits in any
-    batch. Returns the (n, N) step.
+
+def _lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Damped least-squares step (n, N) J^T (J J^T + lam^2 I)^-1 e.
+
+    J (m, n, N) and e (m, N) are joint-major. J J^T + lam^2 I is summed
+    over ascending k in whole (m, m, rows) stacks of _STEP_BLOCK rows (larger
+    ones fall out of cache), J^T y over ascending i, and LAPACK solves each
+    system on its own: every row takes the same operations in any batch.
     """
     m, n, N = J.shape
-    A = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            a = J[i, 0] * J[j, 0]
-            for k in range(1, n):
-                a += J[i, k] * J[j, k]
-            if i == j:
-                a += lam * lam
-            A[i][j] = A[j][i] = a
     stack = np.empty((N, m, m))
-    for i in range(m):
-        for j in range(m):
-            stack[:, i, j] = A[i][j]
+    for lo in range(0, N, _STEP_BLOCK):
+        Jb, lb = J[..., lo:lo + _STEP_BLOCK], lam[lo:lo + _STEP_BLOCK]
+        A = Jb[:, None, 0] * Jb[None, :, 0]
+        for k in range(1, n):
+            A += Jb[:, None, k] * Jb[None, :, k]
+        A[range(m), range(m)] += lb * lb
+        stack[lo:lo + _STEP_BLOCK] = A.transpose(2, 0, 1)
     y = np.linalg.solve(stack, np.ascontiguousarray(e.T)[..., None])[..., 0].T
-    dq = np.empty((n, N))
-    for k in range(n):
-        d = J[0, k] * y[0]
-        for i in range(1, m):
-            d += J[i, k] * y[i]
-        dq[k] = d
+    dq = J[0] * y[0]
+    for i in range(1, m):
+        dq += J[i] * y[i]
     return dq
 
 
@@ -533,6 +534,8 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
             "stall": np.zeros(N, dtype=np.int8), "below": np.zeros(N, dtype=bool)}
     Q = wrap_to_pi(np.ascontiguousarray(np.asarray(Q0, dtype=float).T))
     done: list[tuple] = []
+    # rows only leave, so only seed grids coalesce, never the closed forms
+    coalesce = np.bincount(rows["sample"]).max(initial=0) > _COALESCE_MIN_ROWS
 
     def bank(sel):
         if np.any(sel):
@@ -549,13 +552,7 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
         dp = Tpos[:, target] - p
         resid = np.sqrt(dp[0] ** 2 + dp[1] ** 2 + dp[2] ** 2)
         if m6:
-            T, R = Trot[:, :, target], R.transpose(1, 2, 0)
-            # orientation error T R^T
-            E = np.empty_like(T)
-            for a in range(3):
-                for b in range(3):
-                    E[a, b] = T[a, 0] * R[b, 0] + T[a, 1] * R[b, 1] + T[a, 2] * R[b, 2]
-            w = _rotvec_batch(E)
+            w = _rotvec_batch(_orientation_error(Trot[:, :, target], R.transpose(1, 2, 0)))
             e = np.concatenate([dp, w])
             resid += np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
         else:
@@ -591,11 +588,12 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
         keep = ~(converged | gave_up | bad)
         if not keep.any():
             break
-        if it >= _COALESCE_START_ITER:
-            # only targets with more than 64 live rows coalesce, each judged
-            # on its own count; rows already homing in on a root are exempt:
-            # distinct near-fold twin roots can sit closer than the cell size
-            live = np.bincount(target[keep], minlength=Tpos.shape[1])[target] > 64
+        if coalesce and it >= _COALESCE_START_ITER:
+            # each target is judged on its own live-row count; rows already
+            # homing in on a root are exempt: distinct near-fold twin roots
+            # can sit closer than the cell size
+            live = (np.bincount(target[keep], minlength=Tpos.shape[1])[target]
+                    > _COALESCE_MIN_ROWS)
             free = np.flatnonzero(keep & live & (resid >= _COALESCE_RESID_GUARD))
             if free.size:
                 # the first row of a cell is its lowest seed (see docstring)

@@ -21,7 +21,9 @@ pointwise Nelder-Mead evaluates one point at a time (the library's, which
 evaluates independent points as one stack, must match it bit for bit). The one
 exception is the seed flood: the library's own LM from a regular seed
 grid, the multi-start reference that the closed-form 3R IK is checked
-against.
+against. Alongside them, the entrywise LM step and orientation error build
+one (N,) array per matrix entry (the library's whole-matrix versions must
+match them bit for bit).
 """
 
 import numpy as np
@@ -191,6 +193,48 @@ def seed_flood(robot: RobotModel, targets, seeds: int):
                               approximate=bool(approx[i]))
                 for i in keep[sample[keep] == t]]))
     return sets
+
+
+def entrywise_lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Damped least-squares step J^T (J J^T + lam^2 I)^-1 e, entry by entry.
+
+    J (m, n, N) and e (m, N) are joint-major. The normal-equation entries
+    are sums of elementwise products and LAPACK solves each system of the
+    contiguous stack on its own, so each row gets the same bits in any
+    batch. Returns the (n, N) step.
+    """
+    m, n, N = J.shape
+    A = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            a = J[i, 0] * J[j, 0]
+            for k in range(1, n):
+                a += J[i, k] * J[j, k]
+            if i == j:
+                a += lam * lam
+            A[i][j] = A[j][i] = a
+    stack = np.empty((N, m, m))
+    for i in range(m):
+        for j in range(m):
+            stack[:, i, j] = A[i][j]
+    y = np.linalg.solve(stack, np.ascontiguousarray(e.T)[..., None])[..., 0].T
+    dq = np.empty((n, N))
+    for k in range(n):
+        d = J[0, k] * y[0]
+        for i in range(1, m):
+            d += J[i, k] * y[i]
+        dq[k] = d
+    return dq
+
+
+def entrywise_orientation_error(T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """T R^T of two joint-major stacks of rotations (3, 3, N), one (N,)
+    array per matrix entry."""
+    E = np.empty_like(T)
+    for a in range(3):
+        for b in range(3):
+            E[a, b] = T[a, 0] * R[b, 0] + T[a, 1] * R[b, 1] + T[a, 2] * R[b, 2]
+    return E
 
 
 def greedy_dedup(Q, seed, approx, sample, exact_radius: float, approx_radius: float):

@@ -17,6 +17,7 @@ from cuspidal_kit.kinematics import (
     RobotModel,
     det_j_batch,
     fk_batch,
+    fk_jacobian_batch,
     forward_kinematics,
     jacobian_determinant,
     wrap_to_pi,
@@ -31,7 +32,8 @@ from cuspidal_kit.scenarios import (
 )
 
 from conftest import coaxial_6r, count_calls, degenerate_3r_arms, random_3r, random_6r
-from oracles import DenseGridIKOracle, greedy_dedup, seed_flood
+from oracles import (DenseGridIKOracle, entrywise_lm_step, entrywise_orientation_error,
+                     greedy_dedup, seed_flood)
 
 # outermost reach of the canonical arm, used to build boundary targets
 _R3_MAX_REACH_Q = np.array([1.242451, 0.0, 0.321751])
@@ -306,6 +308,88 @@ class TestCoalescing:
             for mine, theirs in ((ea, eb), (eb, ea)):
                 for q in mine:
                     assert min(_gap(q, p) for p in theirs) <= 1e-9
+
+
+def _kernel_jacobians(robot, rng, N, layout):
+    """(m, n, N) Jacobians at random joint vectors, some at q2 = q3 = 0:
+    the kernel's buffer as _refine_population hands it to _lm_step, or a
+    transposed, non-contiguous view of a row-major copy."""
+    Q = rng.uniform(-np.pi, np.pi, size=(N, robot.dof))
+    Q[::3, 1:3] = 0.0
+    J = fk_jacobian_batch(robot, Q)[2]
+    if layout == "transposed":
+        J = np.ascontiguousarray(J)
+    J = J.transpose(1, 2, 0)
+    assert N == 1 or J.flags.c_contiguous == (layout == "kernel")
+    return J
+
+
+def _rotations(rng, N):
+    """Joint-major stack (3, 3, N) of random rotations."""
+    Qr, _ = np.linalg.qr(rng.normal(size=(N, 3, 3)))
+    Qr *= np.sign(np.linalg.det(Qr))[:, None, None]
+    return np.ascontiguousarray(Qr.transpose(1, 2, 0))
+
+
+class TestLMStep:
+    """The whole-matrix LM step and orientation error against the
+    entry-by-entry oracles, bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("layout", ["kernel", "transposed"])
+    @pytest.mark.parametrize("N", [1, 8, 2000])
+    @pytest.mark.parametrize("dof", [3, 6])
+    def test_matches_entrywise(self, r3, r6, dof, N, layout, block, monkeypatch):
+        if block:
+            # several normal-equation blocks, the last one short
+            monkeypatch.setattr(ik, "_STEP_BLOCK", block)
+        rng = np.random.default_rng(100 * dof + N)
+        J = _kernel_jacobians(r3 if dof == 3 else r6, rng, N, layout)
+        e = rng.normal(size=(J.shape[0], N))
+        for lam in np.geomspace(1e-4, 1e8, 13):
+            lams = np.full(N, lam)
+            assert np.array_equal(ik._lm_step(J, e, lams), entrywise_lm_step(J, e, lams))
+        lams = 10.0 ** rng.uniform(-4.0, 8.0, size=N)
+        assert np.array_equal(ik._lm_step(J, e, lams), entrywise_lm_step(J, e, lams))
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("layout", ["kernel", "transposed"])
+    @pytest.mark.parametrize("dof", [3, 6])
+    def test_batch_row_matches_row_alone(self, r3, r6, dof, layout, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(ik, "_STEP_BLOCK", block)
+        rng = np.random.default_rng(7 + dof)
+        J = _kernel_jacobians(r3 if dof == 3 else r6, rng, 40, layout)
+        e = rng.normal(size=(J.shape[0], 40))
+        lam = np.geomspace(1e-4, 1e8, 40)
+        batch = ik._lm_step(J, e, lam)
+        for i in range(40):
+            alone = ik._lm_step(J[..., i:i + 1], e[:, i:i + 1], lam[i:i + 1])
+            assert np.array_equal(alone[:, 0], batch[:, i])
+
+    def test_orientation_error_matches_entrywise(self):
+        rng = np.random.default_rng(24)
+        T = _rotations(rng, 500)
+        R = _rotations(rng, 500)
+        # near-antipodal pairs: T R^T turns by pi - delta about a random axis
+        axis = rng.normal(size=(3, 6))
+        axis /= np.linalg.norm(axis, axis=0)
+        delta = np.array([0.0, 1e-12, 1e-9, 1e-8, 5e-8, 1e-6])
+        K = np.zeros((3, 3, 6))
+        K[0, 1], K[0, 2], K[1, 2] = -axis[2], axis[1], -axis[0]
+        K = K - K.transpose(1, 0, 2)
+        KK = np.einsum("ijn,jkn->ikn", K, K)
+        turn = np.eye(3)[..., None] + np.sin(np.pi - delta) * K + (1.0 + np.cos(delta)) * KK
+        R[..., :6] = np.einsum("jin,jkn->ikn", turn, T[..., :6])
+        got = ik._orientation_error(T, R)
+        want = entrywise_orientation_error(T, R)
+        assert np.array_equal(got, want)
+        # the rotation-vector's flipped-axis branch sees these rows
+        vee = 0.5 * np.stack([got[2, 1] - got[1, 2], got[0, 2] - got[2, 0], got[1, 0] - got[0, 1]])
+        trace = got[0, 0] + got[1, 1] + got[2, 2]
+        assert np.sum((np.linalg.norm(vee, axis=0) <= 1e-7) & (trace < 1.0)) >= 4
+        nt.assert_allclose(np.linalg.norm(ik._rotvec_batch(got)[:, :6], axis=0),
+                           np.pi - delta, atol=1e-6)
 
 
 class TestSolutionCountMap:
