@@ -27,14 +27,12 @@ from .kinematics import (
     wrap_to_pi,
 )
 from .optimizer import (
-    NelderMeadOptions,
     OptResult,
     ReducedParams,
     WorkpiecePose,
     decompose_rz_rxy,
     nelder_mead,
     objective,
-    objective_from_pose,
     optimize_workpiece_pose,
     price_placements,
     random_feasible_start,

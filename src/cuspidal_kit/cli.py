@@ -21,11 +21,7 @@ import numpy as np
 from . import fileio, scenarios
 from .cuspidality import identify_cuspidal
 from .ik import IKConfig, solution_count_map
-from .optimizer import (
-    NelderMeadOptions,
-    StartExhaustionError,
-    optimize_workpiece_pose,
-)
+from .optimizer import StartExhaustionError, optimize_workpiece_pose
 from .planner import PlannerConfig, analyze_repeatability, plan_path
 
 EXIT_OK = 0
@@ -47,22 +43,18 @@ _INPUTS = {
 }
 
 
-class InputError(Exception):
-    pass
-
-
 def _load(kind: str, source: str):
     """A built-in robot or path by name, else a JSON file of that kind; every
-    failure to read or parse the file becomes an InputError."""
+    failure to read or parse the file becomes a ValueError naming it."""
     builtins, builtin_word, from_doc = _INPUTS[kind]
     if source in builtins:
         return builtins[source]()
     if not os.path.exists(source):
-        raise InputError(f"{kind} {source!r}: not a built-in {builtin_word} and no such file")
+        raise ValueError(f"{kind} {source!r}: not a built-in {builtin_word} and no such file")
     try:
         return from_doc(fileio.load_json(source))
     except (ValueError, KeyError, OSError, TypeError) as e:
-        raise InputError(f"{kind} file {source!r}: {e}") from e
+        raise ValueError(f"{kind} file {source!r}: {e}") from e
 
 
 def _ik_cfg(args) -> IKConfig:
@@ -142,6 +134,10 @@ def cmd_plan(args) -> int:
             "regular_solutions": rep.regular_solutions,
             "cycles": rep.cycles,
         }
+        if rep.cycles_truncated:
+            doc["repeatability"]["cycles_truncated"] = True
+            print(f"repeatability: only the first {len(rep.cycles)} solution-change cycles "
+                  "are listed; more exist", file=sys.stderr)
     if args.csv and result.feasible:
         jp = result.path
         header = ["lambda"] + [f"q{i+1}" for i in range(robot.dof)] + ["det_j"]
@@ -154,10 +150,9 @@ def cmd_plan(args) -> int:
 def cmd_optimize(args) -> int:
     robot = _load("robot", args.robot)
     tp = _load("toolpath", args.toolpath)
-    nm = NelderMeadOptions(max_evals=args.max_evals)
     try:
         results = optimize_workpiece_pose(
-            robot, tp, n_starts=args.starts, seed=args.seed, nm_opts=nm,
+            robot, tp, n_starts=args.starts, seed=args.seed, max_evals=args.max_evals,
             planner_cfg=PlannerConfig(eps0=args.eps0),
             ik_cfg=_ik_cfg(args))
     except StartExhaustionError as e:
@@ -277,7 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -125,10 +125,8 @@ def identify_cuspidal(robot: RobotModel, rng_seed: int = 0, max_poses: int = 100
     return Verdict(status="undetermined", poses_tried=max_poses, pairs_tested=pairs_tested)
 
 
-def validate_witness(robot: RobotModel, witness: Witness, density_multiplier: int = 10,
-                     pose_tol: float = DEFAULT_POSE_TOL) -> bool:
-    """Re-check a witness at higher interpolation density."""
-    ok, _ = nonsingular_pair_check(
-        robot, witness.q_a, witness.q_b,
-        samples=witness.interp_samples * density_multiplier, pose_tol=pose_tol)
+def validate_witness(robot: RobotModel, witness: Witness) -> bool:
+    """Re-check a witness at ten times its interpolation density."""
+    ok, _ = nonsingular_pair_check(robot, witness.q_a, witness.q_b,
+                                   samples=witness.interp_samples * 10)
     return ok

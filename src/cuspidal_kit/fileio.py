@@ -47,13 +47,10 @@ def load_json(path: str):
         return json.load(fp)
 
 
-def format_sig(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def csv_text(header, rows) -> str:
-    """CSV lines of header and rows; floats by format_sig, the rest by str."""
-    return "\n".join(",".join(format_sig(v) if isinstance(v, (float, np.floating))
+    """CSV lines of header and rows; floats to 17 significant digits, the
+    rest by str."""
+    return "\n".join(",".join(f"{float(v):.17g}" if isinstance(v, (float, np.floating))
                               else str(v) for v in row) for row in [header, *rows])
 
 
@@ -100,7 +97,9 @@ def _numbers(doc: dict, key: str) -> np.ndarray:
     return value
 
 
-def robot_from_doc(doc: dict, warn=lambda msg: print(msg, file=sys.stderr)) -> RobotModel:
+def robot_from_doc(doc: dict) -> RobotModel:
+    """The robot of a document; joint axes off unit length by more than
+    _AXIS_WARN_TOL are normalized with a warning on stderr."""
     for key in ("dof", "axes", "offsets", "tool_offset"):
         if key not in doc:
             raise ValueError(f"robot document missing {key!r}")
@@ -111,7 +110,8 @@ def robot_from_doc(doc: dict, warn=lambda msg: print(msg, file=sys.stderr)) -> R
     if np.any(norms == 0):
         raise ValueError("zero-length joint axis")
     if np.any(np.abs(norms - 1.0) > _AXIS_WARN_TOL):
-        warn(f"normalizing joint axes off unit length by up to {np.max(np.abs(norms - 1.0)):.2e}")
+        print(f"normalizing joint axes off unit length by up to "
+              f"{np.max(np.abs(norms - 1.0)):.2e}", file=sys.stderr)
     axes = axes / norms[:, None]
     return RobotModel(
         axes=axes,

@@ -146,10 +146,6 @@ class Pose:
         if self.rotation.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {self.rotation.shape}")
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
 
 def pose_difference(a: Pose, b: Pose, position_only: bool = False) -> float:
     """Position error (m) plus orientation geodesic angle (rad)."""
@@ -444,26 +440,12 @@ def jacobian_determinant(robot: RobotModel, q) -> float:
     return float(jacobian_dets(J[None])[0])
 
 
-def manipulability(robot: RobotModel, q, W=None) -> float:
-    """Yoshikawa measure sqrt(det(J W J^T)) with an SPD joint weight W."""
+def manipulability(robot: RobotModel, q) -> float:
+    """Yoshikawa measure sqrt(det(J J^T))."""
     J = jacobian(robot, q)
-    n = robot.dof
-    if W is None:
-        W = np.eye(n)
-    else:
-        W = np.asarray(W, dtype=float)
-        if W.shape != (n, n):
-            raise ValueError(f"W must be {n}x{n}")
-        if np.max(np.abs(W - W.T)) > 1e-9:
-            raise ValueError("W must be symmetric positive definite")
-        try:
-            np.linalg.cholesky(W)
-        except np.linalg.LinAlgError:
-            raise ValueError("W must be symmetric positive definite") from None
     if J.shape[0] == J.shape[1]:
-        # det(J W J^T) = det(J)^2 det(W); the factored form keeps mu exact
-        # at rank-deficient configurations where the Gram determinant drowns
-        # in roundoff
-        return float(abs(jacobian_dets(J[None])[0]) * np.sqrt(np.linalg.det(W)))
-    g = np.linalg.det(J @ W @ J.T)
+        # det(J J^T) = det(J)^2; |det J| keeps mu exact at rank-deficient
+        # configurations where the Gram determinant drowns in roundoff
+        return float(abs(jacobian_dets(J[None])[0]))
+    g = np.linalg.det(J @ J.T)
     return float(np.sqrt(max(g, 0.0)))

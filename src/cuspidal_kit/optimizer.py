@@ -42,6 +42,9 @@ _NM_EXPANSION = 2.0
 _NM_CONTRACTION = 0.5
 _NM_SHRINK = 0.5
 _NM_INITIAL_STEP = 0.1
+# termination: simplex diameter and f-spread both below these
+_NM_TOL_X = 1e-6
+_NM_TOL_F = 1e-9
 
 
 @dataclass
@@ -64,10 +67,6 @@ class WorkpiecePose:
     @property
     def rotation(self) -> np.ndarray:
         return quat_to_rotation(self.quat)
-
-    @staticmethod
-    def identity() -> "WorkpiecePose":
-        return WorkpiecePose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
 @dataclass
@@ -174,34 +173,15 @@ def price_placements(robot: RobotModel, tp: TaskPath, poses: list[WorkpiecePose]
             for task, res in zip(tasks, plans)]
 
 
-def objective_from_pose(robot: RobotModel, tp: TaskPath, wp: WorkpiecePose,
-                        planner_cfg: PlannerConfig | None = None,
-                        ik_cfg: IKConfig | None = None) -> float:
-    """Planner weight of a full placement: price_placements of that one
-    placement."""
-    return price_placements(robot, tp, [wp], planner_cfg, ik_cfg)[0][0]
-
-
 def objective(robot: RobotModel, tp: TaskPath, x: ReducedParams,
               planner_cfg: PlannerConfig | None = None,
               ik_cfg: IKConfig | None = None) -> float:
     """Planner weight of a reduced placement; raises ValueError only for an
     arm the IK refuses (a 3R arm with no isolated solutions)."""
-    return objective_from_pose(robot, tp, reduced_to_pose(x), planner_cfg, ik_cfg)
+    return price_placements(robot, tp, [reduced_to_pose(x)], planner_cfg, ik_cfg)[0][0]
 
 
-@dataclass
-class NelderMeadOptions:
-    tol_x: float = 1e-6
-    tol_f: float = 1e-9
-    max_evals: int = 5000
-
-    def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-
-
-def nelder_mead(f, x0, opts: NelderMeadOptions | None = None, f0: float | None = None):
+def nelder_mead(f, x0, max_evals: int = 5000, f0: float | None = None):
     """Plain simplex descent; returns (x_best, f_best, best-so-far history).
 
     f maps a (k, n) stack of points to their k values. Points that do not
@@ -214,7 +194,8 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None, f0: float | None =
     diameter, f-spread, or budget; the initial simplex costs n + 1
     evaluations whatever the budget.
     """
-    opts = opts or NelderMeadOptions()
+    if max_evals < 1:
+        raise ValueError("max_evals must be >= 1")
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     history: list[float] = []
@@ -235,13 +216,13 @@ def nelder_mead(f, x0, opts: NelderMeadOptions | None = None, f0: float | None =
     else:
         fvals = np.array(record([f0]) + record(f(simplex[1:])))
 
-    while len(history) < opts.max_evals:
+    while len(history) < max_evals:
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
         diameter = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
         # fminsearch-style joint test: both the simplex and the f-spread
         # must collapse, otherwise quadratic bowls stop an order short
-        if diameter < opts.tol_x and (fvals[-1] - fvals[0]) < opts.tol_f:
+        if diameter < _NM_TOL_X and (fvals[-1] - fvals[0]) < _NM_TOL_F:
             break
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
@@ -275,18 +256,16 @@ class StartExhaustionError(RuntimeError):
 
 
 def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
-                          max_attempts: int = _MAX_START_ATTEMPTS,
                           planner_cfg: PlannerConfig | None = None,
                           ik_cfg: IKConfig | None = None
                           ) -> tuple[ReducedParams, float, PlanResult]:
     """Uniform tilt over the v-disk and translation inside the box around
-    the reachable shell until the planner finds a feasible path; returns
-    that placement with its value and plan."""
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    the reachable shell until the planner finds a feasible path, at most
+    _MAX_START_ATTEMPTS draws; returns that placement with its value and
+    plan."""
     r_max = workspace_radii(robot)[1]
     lo, hi = np.full(3, -r_max), np.full(3, r_max)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_START_ATTEMPTS):
         r = np.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * np.pi)
         v = np.array([r * np.cos(ang), r * np.sin(ang)])
@@ -295,7 +274,7 @@ def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
         [(val, res)] = price_placements(robot, tp, [reduced_to_pose(x)], planner_cfg, ik_cfg)
         if val < INFEASIBLE_SENTINEL:
             return x, val, res
-    raise StartExhaustionError(max_attempts)
+    raise StartExhaustionError(_MAX_START_ATTEMPTS)
 
 
 @dataclass
@@ -319,21 +298,24 @@ def _rms(res: PlanResult) -> float:
 
 
 def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
-                            seed: int = 0, nm_opts: NelderMeadOptions | None = None,
+                            seed: int = 0, max_evals: int = 5000,
                             planner_cfg: PlannerConfig | None = None,
                             ik_cfg: IKConfig | None = None) -> list[OptResult]:
     """Multi-start placement optimization.
 
     Each start draws a feasible random placement and runs Nelder-Mead on the
-    planner cost from it. Every placement is priced once: the start check's
-    value is the first evaluation, and initial and final rms are read off
-    the plans already made at the start and the best placement. Results
-    come back sorted by final cost, best first (marked), deterministic for
-    a fixed seed via independently spawned per-start generators. An arm
-    whose joint 1 does not turn freely about the base z axis (off that
-    axis, or with a finite limit) is refused: the reduced placement would
-    lose a degree of freedom that matters.
+    planner cost from it, for at most max_evals evaluations. Every placement
+    is priced once: the start check's value is the first evaluation, and
+    initial and final rms are read off the plans already made at the start
+    and the best placement. Results come back sorted by final cost, best
+    first (marked), deterministic for a fixed seed via independently
+    spawned per-start generators. An arm whose joint 1 does not turn freely
+    about the base z axis (off that axis, or with a finite limit) is
+    refused: the reduced placement would lose a degree of freedom that
+    matters. max_evals below 1 is refused before any placement is priced.
     """
+    if max_evals < 1:
+        raise ValueError("max_evals must be >= 1")
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     axis, offset = robot.axes[0], robot.offsets[0]
@@ -347,7 +329,6 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
         raise ValueError(
             f"the five-parameter placement needs joint 1 to turn freely about the base z "
             f"axis; got joint 1 limits {robot.joint_limits[0].tolist()}")
-    nm_opts = nm_opts or NelderMeadOptions()
     streams = np.random.SeedSequence(seed).spawn(n_starts)
     results = []
     failures = 0
@@ -369,7 +350,7 @@ def optimize_workpiece_pose(robot: RobotModel, tp: TaskPath, n_starts: int = 2,
             rms.update((x.tobytes(), _rms(res)) for x, (_, res) in zip(X, priced))
             return [val for val, _ in priced]
 
-        x_best, f_best, history = nelder_mead(price, x0.as_array(), nm_opts, f0=f0)
+        x_best, f_best, history = nelder_mead(price, x0.as_array(), max_evals, f0=f0)
         xr = ReducedParams.from_array(x_best)
         results.append(OptResult(
             start_index=idx, x=xr, pose=reduced_to_pose(xr), history=history,

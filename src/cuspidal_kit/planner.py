@@ -25,6 +25,8 @@ _MU_FLOOR = 1e-9
 _BARRIER_MARGIN = 1e-6
 # per-joint default speed bound (rad per unit path parameter) behind eps0
 _DEFAULT_QDOT_MAX = 4.0 * np.pi
+# a repeatability report lists at most this many solution-change cycles
+_MAX_CYCLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -420,7 +422,8 @@ class RepeatabilityReport:
     connectivity: np.ndarray            # (M, M) bool, start m -> end l
     costs: np.ndarray                   # (M, M) optimal weights, inf if unreachable
     regular_solutions: list[int]        # fixed points m -> m
-    cycles: list[list[int]]             # index cycles of period >= 2
+    cycles: list[list[int]]             # index cycles of period >= 2, the first _MAX_CYCLES
+    cycles_truncated: bool              # more than _MAX_CYCLES cycles exist
 
 
 def _match_end_layers(Q0: np.ndarray, QK: np.ndarray, tol: float = 1e-3) -> list[int]:
@@ -440,8 +443,9 @@ def _match_end_layers(Q0: np.ndarray, QK: np.ndarray, tol: float = 1e-3) -> list
     return matching
 
 
-def _simple_cycles(adj: np.ndarray, cap: int = 10_000) -> list[list[int]]:
-    """All simple cycles of length >= 2 in a small boolean digraph."""
+def _simple_cycles(adj: np.ndarray, cap: int) -> list[list[int]]:
+    """The simple cycles of length >= 2 in a small boolean digraph, the
+    first cap of them."""
     M = adj.shape[0]
     cycles = []
     for s in range(M):
@@ -479,6 +483,8 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
     costs = reach(graph.weight, starts)[-1][:, matching]
     connectivity = np.isfinite(costs)
     regular = [m for m in range(M0) if connectivity[m, m]]
-    cycles = _simple_cycles(connectivity & ~np.eye(M0, dtype=bool))
+    # one past the cap tells whether the list is complete
+    cycles = _simple_cycles(connectivity & ~np.eye(M0, dtype=bool), _MAX_CYCLES + 1)
     return RepeatabilityReport(connectivity=connectivity, costs=costs,
-                               regular_solutions=regular, cycles=cycles)
+                               regular_solutions=regular, cycles=cycles[:_MAX_CYCLES],
+                               cycles_truncated=len(cycles) > _MAX_CYCLES)

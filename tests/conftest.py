@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cuspidal_kit.kinematics import RobotModel
+from cuspidal_kit.kinematics import RobotModel, forward_kinematics
+from cuspidal_kit.planner import TaskPath
 from cuspidal_kit.scenarios import canonical_3r, elbow_3r, three_parallel_6r
 
 
@@ -18,6 +19,18 @@ def r6():
 @pytest.fixture(scope="session")
 def elbow():
     return elbow_3r()
+
+
+# a 3parallel-cuspidal joint vector whose pose has 8 exact IK solutions
+EIGHT_SOLUTION_Q = np.array([-2.613708681215308, 2.0900648210551056, 1.803891867329022,
+                             -1.6375900863887145, 2.3655201874146226, -2.7735988378314134])
+
+
+def eight_solution_loop() -> TaskPath:
+    """A 3-sample closed path standing still at the pose of
+    EIGHT_SOLUTION_Q on 3parallel-cuspidal."""
+    pose = forward_kinematics(three_parallel_6r(), EIGHT_SOLUTION_Q)
+    return TaskPath.from_poses([pose] * 3, dlambda=1.0, closed=True)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

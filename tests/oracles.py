@@ -562,14 +562,13 @@ def per_sample_unreachable_penalty(radii, poses) -> float:
     return dist
 
 
-def pointwise_nelder_mead(f, x0, opts=None):
+def pointwise_nelder_mead(f, x0, max_evals):
     """Nelder-Mead with f called on one point at a time, the initial
     simplex and shrink steps included; f maps a point to its value. The
     library's nelder_mead hands the independent points of the initial
     simplex and of a shrink step to its f as one stack and must return the
     same x_best, f_best and history bit for bit."""
     from cuspidal_kit import optimizer as O
-    opts = opts or O.NelderMeadOptions()
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     history: list[float] = []
@@ -591,11 +590,11 @@ def pointwise_nelder_mead(f, x0, opts=None):
     simplex = np.stack(simplex)
     fvals = np.array(fvals)
 
-    while len(history) < opts.max_evals:
+    while len(history) < max_evals:
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
         diameter = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
-        if diameter < opts.tol_x and (fvals[-1] - fvals[0]) < opts.tol_f:
+        if diameter < O._NM_TOL_X and (fvals[-1] - fvals[0]) < O._NM_TOL_F:
             break
         centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]

@@ -33,11 +33,10 @@ from cuspidal_kit.kinematics import (
 )
 from cuspidal_kit.optimizer import (
     INFEASIBLE_SENTINEL,
-    NelderMeadOptions,
     WorkpiecePose,
     decompose_rz_rxy,
-    objective_from_pose,
     optimize_workpiece_pose,
+    price_placements,
 )
 from cuspidal_kit.planner import (
     PlannerConfig,
@@ -131,7 +130,7 @@ def test_criterion_3_identification():
         r3 = canonical_3r()
         verdict = identify_cuspidal(r3, rng_seed=0, max_poses=50)
         assert verdict.proven and verdict.poses_tried <= 50
-        assert validate_witness(r3, verdict.witness, density_multiplier=10)
+        assert validate_witness(r3, verdict.witness)
         elbow = elbow_3r()
         neg = identify_cuspidal(elbow, rng_seed=0, max_poses=200)
         assert neg.status == "undetermined" and neg.poses_tried == 200
@@ -240,7 +239,7 @@ def test_criterion_9_optimizer_properties():
         ik_cfg = replace(FAST_PLAN_IK, threads=2)
         results = optimize_workpiece_pose(
             r3, tp, n_starts=2, seed=0,
-            nm_opts=NelderMeadOptions(max_evals=40),
+            max_evals=40,
             planner_cfg=PlannerConfig(), ik_cfg=ik_cfg)
         assert len(results) == 2
         for r in results:
@@ -251,16 +250,16 @@ def test_criterion_9_optimizer_properties():
 
         # (c) objective invariances at a feasible placement
         wp = results[0].pose
-        base = objective_from_pose(r3, tp, wp, ik_cfg=ik_cfg)
+        base = price_placements(r3, tp, [wp], ik_cfg=ik_cfg)[0][0]
         assert base < INFEASIBLE_SENTINEL
         for lam in (0.5, 2.0, 1.31):
             scaled = WorkpiecePose(lam * wp.quat, wp.p.copy())
-            val = objective_from_pose(r3, tp, scaled, ik_cfg=ik_cfg)
+            val = price_placements(r3, tp, [scaled], ik_cfg=ik_cfg)[0][0]
             assert abs(val - base) <= 1e-12
         for alpha in (0.9, -2.2):
             Rz = rot_z(alpha)
             rotated = WorkpiecePose(rotation_to_quat(Rz @ wp.rotation), Rz @ wp.p)
-            val = objective_from_pose(r3, tp, rotated, ik_cfg=ik_cfg)
+            val = price_placements(r3, tp, [rotated], ik_cfg=ik_cfg)[0][0]
             assert abs(val - base) < 1e-9
 
         # (d) z/xy decomposition round-trips

@@ -10,7 +10,7 @@ from cuspidal_kit.cli import main
 from cuspidal_kit.kinematics import Pose, forward_kinematics
 from cuspidal_kit.scenarios import canonical_3r, control_loop_path
 
-from conftest import coaxial_6r, count_calls, degenerate_3r_arms
+from conftest import coaxial_6r, count_calls, degenerate_3r_arms, eight_solution_loop
 
 
 def run(capsys, *argv):
@@ -106,12 +106,25 @@ class TestPlan:
         assert "--skip-depth" in err
 
     def test_closed_path_reports_repeatability(self, capsys):
-        code, out, _ = run(capsys, "plan", "--robot", "3r-canonical",
-                           "--path", "3r-control-loop", "--ik-seeds", "8")
-        assert code == 0
+        code, out, err = run(capsys, "plan", "--robot", "3r-canonical",
+                             "--path", "3r-control-loop", "--ik-seeds", "8")
+        assert code == 0 and err == ""
         doc = json.loads(out)
         assert "repeatability" in doc
         assert doc["repeatability"]["regular_solutions"] == [0, 1]
+        assert "cycles_truncated" not in doc["repeatability"]
+
+    def test_truncated_cycle_list_is_flagged(self, capsys, tmp_path):
+        path = tmp_path / "loop.json"
+        fileio.save_json(fileio.path_to_doc(eight_solution_loop().poses, 1.0, "base", True),
+                         path)
+        code, out, err = run(capsys, "plan", "--robot", "3parallel-cuspidal",
+                             "--path", str(path), "--eps0", "1e9")
+        assert code == 0
+        rep = json.loads(out)["repeatability"]
+        assert rep["cycles_truncated"] is True and len(rep["cycles"]) == 10_000
+        assert err == ("repeatability: only the first 10000 solution-change cycles "
+                       "are listed; more exist\n")
 
     def test_csv_output(self, capsys, const_path_file, tmp_path):
         csv = tmp_path / "jp.csv"

@@ -61,7 +61,7 @@ class TestIdentify:
     def test_witness_revalidates_at_higher_density(self, r3):
         verdict = identify_cuspidal(r3, rng_seed=1, max_poses=50)
         assert verdict.proven
-        assert validate_witness(r3, verdict.witness, density_multiplier=10)
+        assert validate_witness(r3, verdict.witness)
         w = verdict.witness
         assert w.min_abs_det_j > 0
 
@@ -74,8 +74,7 @@ class TestIdentify:
     def test_three_parallel_proven(self, r6):
         verdict = identify_cuspidal(r6, rng_seed=0, max_poses=200)
         assert verdict.proven
-        assert validate_witness(r6, verdict.witness,
-                                pose_tol=1e-4)
+        assert validate_witness(r6, verdict.witness)
 
     def test_determinism(self, r3):
         a = identify_cuspidal(r3, rng_seed=7, max_poses=20)

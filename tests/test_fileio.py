@@ -29,12 +29,12 @@ class TestRobotDocs:
         loaded = fileio.robot_from_doc(doc)
         nt.assert_array_equal(loaded.joint_limits, robot.joint_limits)
 
-    def test_normalizes_axes_with_warning(self):
+    def test_normalizes_axes_with_warning(self, capsys):
         doc = {"name": "x", "dof": 1, "axes": [[0.0, 0.0, 1.0 + 5e-5]],
                "offsets": [[0, 0, 0]], "tool_offset": [1, 0, 0]}
-        warnings = []
-        robot = fileio.robot_from_doc(doc, warn=warnings.append)
-        assert warnings
+        robot = fileio.robot_from_doc(doc)
+        assert capsys.readouterr().err == ("normalizing joint axes off unit length "
+                                           "by up to 5.00e-05\n")
         nt.assert_allclose(np.linalg.norm(robot.axes[0]), 1.0)
 
     def test_missing_key_rejected(self):
@@ -62,7 +62,7 @@ class TestPathDocs:
             nt.assert_allclose(a.rotation, R, atol=1e-12)
 
     def test_frame_mismatch(self):
-        doc = fileio.path_to_doc([Pose.identity(), Pose.identity()], 0.1, "workpiece", False)
+        doc = fileio.path_to_doc([Pose(np.eye(3), np.zeros(3))] * 2, 0.1, "workpiece", False)
         with pytest.raises(ValueError):
             fileio.task_path_from_doc(doc)
         with pytest.raises(ValueError):

@@ -20,14 +20,12 @@ from cuspidal_kit.kinematics import (
 )
 from cuspidal_kit.optimizer import (
     INFEASIBLE_SENTINEL,
-    NelderMeadOptions,
     ReducedParams,
     StartExhaustionError,
     WorkpiecePose,
     decompose_rz_rxy,
     nelder_mead,
     objective,
-    objective_from_pose,
     optimize_workpiece_pose,
     price_placements,
     random_feasible_start,
@@ -76,7 +74,7 @@ def helix_tp():
 class TestTransformToolpath:
     def test_identity(self):
         tp = _toolpath([[0.1, 0, 0], [0.2, 0, 0]])
-        out = transform_toolpath(WorkpiecePose.identity(), tp)
+        out = transform_toolpath(WorkpiecePose([1.0, 0.0, 0.0, 0.0], np.zeros(3)), tp)
         for a, b in zip(tp.poses, out.poses):
             nt.assert_array_equal(a.position, b.position)
             nt.assert_array_equal(a.rotation, b.rotation)
@@ -177,34 +175,31 @@ class TestNelderMead:
         nt.assert_allclose(x, a, atol=1e-6)
 
     def test_rosenbrock(self):
-        x, fx, hist = nelder_mead(_stacked(_rosen), np.array([-1.2, 1.0]),
-                                  NelderMeadOptions(max_evals=2000, tol_x=1e-10, tol_f=1e-14))
+        x, fx, hist = nelder_mead(_stacked(_rosen), np.array([-1.2, 1.0]), max_evals=2000)
         nt.assert_allclose(x, [1.0, 1.0], atol=1e-4)
         assert len(hist) <= 2000
 
     @pytest.mark.parametrize("max_evals", [0, -5])
     def test_budget_below_one_rejected(self, max_evals):
-        with pytest.raises(ValueError):
-            NelderMeadOptions(max_evals=max_evals)
+        with pytest.raises(ValueError, match="max_evals must be >= 1"):
+            nelder_mead(_stacked(lambda x: float(x @ x)), np.ones(2), max_evals=max_evals)
 
     def test_initial_simplex_ignores_budget(self):
-        _, _, hist = nelder_mead(_stacked(lambda x: float(x @ x)), np.ones(5),
-                                 NelderMeadOptions(max_evals=1))
+        _, _, hist = nelder_mead(_stacked(lambda x: float(x @ x)), np.ones(5), max_evals=1)
         assert len(hist) == 6
 
     def test_history_non_increasing_on_plateau(self):
-        _, _, hist = nelder_mead(_stacked(_plateau), np.array([2.0, 2.0]),
-                                 NelderMeadOptions(max_evals=200))
+        _, _, hist = nelder_mead(_stacked(_plateau), np.array([2.0, 2.0]), max_evals=200)
         assert np.all(np.diff(hist) <= 0)
 
-    @pytest.mark.parametrize("f,x0,opts", [
-        (_rosen, [-1.2, 1.0], NelderMeadOptions(max_evals=2000, tol_x=1e-10, tol_f=1e-14)),
-        (_plateau, [2.0, 2.0], NelderMeadOptions(max_evals=200)),
-        (_staircase, [1.0, -1.0, 0.5], NelderMeadOptions(max_evals=300)),
-        (lambda x: float(x @ x), np.ones(5), NelderMeadOptions(max_evals=1)),
+    @pytest.mark.parametrize("f,x0,max_evals", [
+        (_rosen, [-1.2, 1.0], 2000),
+        (_plateau, [2.0, 2.0], 200),
+        (_staircase, [1.0, -1.0, 0.5], 300),
+        (lambda x: float(x @ x), np.ones(5), 1),
     ], ids=["rosenbrock", "plateau", "shrink-steps", "max-evals-1"])
     @pytest.mark.parametrize("known_f0", [False, True])
-    def test_matches_pointwise_oracle(self, f, x0, opts, known_f0):
+    def test_matches_pointwise_oracle(self, f, x0, max_evals, known_f0):
         x0 = np.asarray(x0, dtype=float)
         stacks = []
 
@@ -212,8 +207,8 @@ class TestNelderMead:
             stacks.append(len(X))
             return [f(x) for x in X]
 
-        x, fx, hist = nelder_mead(batched, x0, opts, f0=f(x0) if known_f0 else None)
-        want_x, want_f, want_hist = pointwise_nelder_mead(f, x0, opts)
+        x, fx, hist = nelder_mead(batched, x0, max_evals, f0=f(x0) if known_f0 else None)
+        want_x, want_f, want_hist = pointwise_nelder_mead(f, x0, max_evals)
         assert x.tobytes() == want_x.tobytes()
         assert fx == want_f and hist == want_hist
         # the initial simplex is one stack; a shrink step's n points are one
@@ -252,10 +247,10 @@ class TestObjective:
         rng = np.random.default_rng(23)
         wp = WorkpiecePose(rng.normal(size=4), np.array([1.8, 0.3, 0.2]))
         ik = IKConfig(seeds_per_joint=10)
-        base = objective_from_pose(r3, tp, wp, ik_cfg=ik)
+        base = price_placements(r3, tp, [wp], ik_cfg=ik)[0][0]
         for lam in (0.5, 2.0, 1.31):
             scaled = WorkpiecePose(lam * wp.quat, wp.p.copy())
-            assert abs(objective_from_pose(r3, tp, scaled, ik_cfg=ik) - base) <= 1e-12
+            assert abs(price_placements(r3, tp, [scaled], ik_cfg=ik)[0][0] - base) <= 1e-12
 
     def test_z_rotation_null_space(self, r3):
         # valid because the canonical arm has h1 = e_z and p_01 along z
@@ -263,12 +258,12 @@ class TestObjective:
         rng = np.random.default_rng(24)
         ik = IKConfig(seeds_per_joint=12)
         wp = WorkpiecePose(rng.normal(size=4), np.array([1.8, 0.4, 0.1]))
-        base = objective_from_pose(r3, tp, wp, ik_cfg=ik)
+        base = price_placements(r3, tp, [wp], ik_cfg=ik)[0][0]
         assert base < INFEASIBLE_SENTINEL
         for alpha in (0.9, -2.2):
             Rz = rot_z(alpha)
             rotated = WorkpiecePose(rotation_to_quat(Rz @ wp.rotation), Rz @ wp.p)
-            assert abs(objective_from_pose(r3, tp, rotated, ik_cfg=ik) - base) < 1e-9
+            assert abs(price_placements(r3, tp, [rotated], ik_cfg=ik)[0][0] - base) < 1e-9
 
 
 class TestPricePlacements:
@@ -334,17 +329,27 @@ class TestRandomStart:
         tp = _toolpath([[0.0, 0, 0], [20.0, 0, 0]], dlambda=10.0)
         rng = np.random.default_rng(26)
         with pytest.raises(StartExhaustionError) as info:
-            random_feasible_start(r3, tp, rng, max_attempts=5,
-                                  ik_cfg=IKConfig(seeds_per_joint=6))
-        assert info.value.attempts == 5
+            random_feasible_start(r3, tp, rng, ik_cfg=IKConfig(seeds_per_joint=6))
+        assert info.value.attempts == 100
 
 
 class TestOptimize:
+    def test_budget_checked_before_any_placement_is_priced(self, monkeypatch, capsys,
+                                                           helix_tp):
+        plans = count_calls(monkeypatch, optimizer, "plan_path")
+        code = cli.main(["optimize", "--robot", "3r-canonical", "--toolpath", "3r-helix",
+                         "--max-evals", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max_evals must be >= 1\n"
+        with pytest.raises(ValueError, match="max_evals must be >= 1"):
+            optimize_workpiece_pose(canonical_3r(), helix_tp, max_evals=0)
+        assert plans == []
+
     def test_two_starts_on_helix(self, r3, helix_tp):
         ik = IKConfig(seeds_per_joint=8)
         results = optimize_workpiece_pose(
             r3, helix_tp, n_starts=2, seed=0,
-            nm_opts=NelderMeadOptions(max_evals=30),
+            max_evals=30,
             planner_cfg=PlannerConfig(), ik_cfg=ik)
         assert len(results) == 2
         assert results[0].is_best and not results[1].is_best
@@ -364,14 +369,14 @@ class TestOptimize:
                              joint_limits=[[-np.inf, np.inf], [-np.pi, np.pi], [-3.0, 0.5]])
         tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=30))
         results = optimize_workpiece_pose(limited, tp, n_starts=1, seed=0,
-                                          nm_opts=NelderMeadOptions(max_evals=6),
+                                          max_evals=6,
                                           ik_cfg=IKConfig(seeds_per_joint=8))
         assert len(results) == 1 and results[0].final_cost < INFEASIBLE_SENTINEL
 
     def test_deterministic_for_fixed_seed(self, r3):
         tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=60))
         ik = IKConfig(seeds_per_joint=8)
-        kw = dict(n_starts=1, seed=3, nm_opts=NelderMeadOptions(max_evals=12),
+        kw = dict(n_starts=1, seed=3, max_evals=12,
                   planner_cfg=PlannerConfig(), ik_cfg=ik)
         a = optimize_workpiece_pose(r3, tp, **kw)[0]
         b = optimize_workpiece_pose(r3, tp, **kw)[0]
@@ -383,7 +388,7 @@ class TestOptimize:
         robot = canonical_3r()
         tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=12))
         results = optimize_workpiece_pose(robot, tp, n_starts=1, seed=0,
-                                          nm_opts=NelderMeadOptions(max_evals=4))
+                                          max_evals=4)
         assert results[0].final_cost < INFEASIBLE_SENTINEL
         freed = weakref.ref(robot)
         del robot

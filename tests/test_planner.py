@@ -26,6 +26,7 @@ from cuspidal_kit.scenarios import (
     infeasible_line_control_path,
 )
 
+from conftest import eight_solution_loop
 from oracles import brute_force_shortest, joint_limit_loop, layerwise_plan, single_pass_admission
 
 
@@ -672,6 +673,18 @@ class TestRepeatability:
                                     IKConfig(seeds_per_joint=10))
         assert rep.connectivity.shape == (2, 2)
         assert rep.regular_solutions == [0, 1]
+        assert not rep.cycles_truncated
+
+    def test_truncated_cycle_list_is_flagged(self, r6):
+        # at eps0 1e9 each of the 8 solutions reaches every other, and the
+        # complete digraph on 8 vertices has sum_k C(8, k) (k-1)! = 16064
+        # cycles of length >= 2
+        rep = analyze_repeatability(r6, eight_solution_loop(), PlannerConfig(eps0=1e9))
+        assert rep.connectivity.shape == (8, 8) and rep.connectivity.all()
+        every = planner._simple_cycles(~np.eye(8, dtype=bool), 10**6)
+        assert len(every) == 16064
+        assert rep.cycles_truncated
+        assert rep.cycles == every[:planner._MAX_CYCLES] and len(rep.cycles) == 10_000
 
     def test_costs_match_oracle_from_each_start(self, monkeypatch):
         # every start solution's distances to the last layer, against the

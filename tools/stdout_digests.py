@@ -12,19 +12,29 @@ and of its stderr. The calls are:
 - `optimize` on a closed helix and a tangent-following helix, for
   3r-canonical and, on the tangent-following one, 3parallel-cuspidal.
 
-Run it in two checkouts (a change and its parent) and diff the outputs: a
-change that is meant to keep every answer must print the same lines. The
-calls run in-process in a temporary directory, and every input file is
+A change that is meant to keep every answer must print the same lines as
+its parent. To compare against a git revision REF in one step:
+
+    python tools/stdout_digests.py --against REF
+
+exports REF with `git archive` into a temporary directory, runs that
+checkout's own copy of this tool and this one, each in a subprocess, and
+prints every label whose line differs or that only one side prints. It
+exits 1 if any does, or if either run exits nonzero.
+
+The calls run in-process in a temporary directory, and every input file is
 named relative to it, so no line depends on where the checkout lives.
 Exits 1 if a call raised instead of returning an exit code.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -87,7 +97,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main() -> int:
+def digests() -> int:
     crashed = []
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -104,6 +114,41 @@ def main() -> int:
     if crashed:
         print(f"error: {len(crashed)} calls raised: {', '.join(crashed)}", file=sys.stderr)
     return 1 if crashed else 0
+
+
+def _run_tool(checkout: Path) -> tuple[int, dict[str, str]]:
+    """Exit code and {label: rest of line} of the tool in checkout."""
+    done = subprocess.run([sys.executable, str(checkout / "tools" / "stdout_digests.py")],
+                          stdout=subprocess.PIPE, text=True)
+    lines = dict(line.split(" ", 1) for line in done.stdout.splitlines())
+    return done.returncode, lines
+
+
+def against(ref: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        ref_code, ref_lines = _run_tool(Path(tmp))
+    code, lines = _run_tool(ROOT)
+    labels = dict.fromkeys([*ref_lines, *lines])
+    differ = [label for label in labels if ref_lines.get(label) != lines.get(label)]
+    for label in differ:
+        print(f"{label}\n  {ref}: {ref_lines.get(label, 'missing')}\n"
+              f"  this: {lines.get(label, 'missing')}")
+    print(f"{len(labels) - len(differ)} calls identical, {len(differ)} differ")
+    for side, exit_code in ((ref, ref_code), ("this checkout", code)):
+        if exit_code:
+            print(f"error: the run in {side} exited {exit_code}", file=sys.stderr)
+    return 1 if differ or ref_code or code else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--against", metavar="REF",
+                        help="compare with the digests of git revision REF")
+    args = parser.parse_args()
+    return against(args.against) if args.against else digests()
 
 
 if __name__ == "__main__":
