@@ -11,7 +11,7 @@ Nelder-Mead descends on the planner cost from random feasible starts.
 
 from __future__ import annotations
 
-import logging
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,6 @@ from .kinematics import (
     row_norms,
 )
 from .planner import PlannerConfig, PlanResult, TaskPath, plan_path
-
-logger = logging.getLogger(__name__)
 
 INFEASIBLE_SENTINEL = 1e9
 # random joint vectors behind the reachable-shell estimate
@@ -100,7 +98,8 @@ def reduced_to_pose(x: ReducedParams) -> WorkpiecePose:
     v = x.v
     s = float(v @ v)
     if s > 1.0:
-        logger.warning("tilt parameters left the unit disk (|v|^2 = %.6f); clamping", s)
+        print(f"tilt parameters left the unit disk (|v|^2 = {s:.6f}); clamping",
+              file=sys.stderr)
         v = v / np.sqrt(s)
         s = 1.0
     w = np.sqrt(max(0.0, 1.0 - s))

@@ -38,7 +38,8 @@ class TaskPath:
     one Pose per sample for callers that want them; a caller holding a
     Pose list builds the path with from_poses. Base-frame paths are
     planned directly; workpiece-frame toolpaths are placed in the base
-    frame by the optimizer first.
+    frame by the optimizer first. A closed path's last sample must lie
+    within 1e-9 of its first and is stored as it.
     """
     positions: np.ndarray
     rotations: np.ndarray
@@ -62,6 +63,8 @@ class TaskPath:
             gap = float(np.linalg.norm(P[0] - P[-1])) + geodesic_distance(R[0], R[-1])
             if gap > 1e-9:
                 raise ValueError(f"closed path endpoints differ by {gap:.2e} > 1e-9")
+            # so both ends share their IK solutions, numbered alike
+            P[-1], R[-1] = P[0], R[0]
         for name, v in (("positions", P), ("rotations", R)):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -417,30 +420,13 @@ def plan_path(robot: RobotModel, path: TaskPath | list[TaskPath],
 @dataclass
 class RepeatabilityReport:
     """How the IK solutions of a closed path map to each other after one
-    cycle. Solutions are numbered by layer 0; each layer-K vertex takes the
-    number of the layer-0 solution it coincides with."""
+    cycle. A closed path's last sample is its first, so layers 0 and K hold
+    the same solutions in the same order, and both are numbered alike."""
     connectivity: np.ndarray            # (M, M) bool, start m -> end l
     costs: np.ndarray                   # (M, M) optimal weights, inf if unreachable
     regular_solutions: list[int]        # fixed points m -> m
     cycles: list[list[int]]             # index cycles of period >= 2, the first _MAX_CYCLES
     cycles_truncated: bool              # more than _MAX_CYCLES cycles exist
-
-
-def _match_end_layers(Q0: np.ndarray, QK: np.ndarray, tol: float = 1e-3) -> list[int]:
-    if Q0.shape[0] != QK.shape[0]:
-        raise ValueError(
-            f"closed path endpoint layers differ in solution count "
-            f"({Q0.shape[0]} vs {QK.shape[0]})")
-    matching = []
-    used = set()
-    for m in range(Q0.shape[0]):
-        d = np.max(np.abs(wrap_to_pi(QK - Q0[m][None, :])), axis=1)
-        l = int(np.argmin(d))
-        if d[l] > tol or l in used:
-            raise ValueError("endpoint solution sets do not match one-to-one")
-        used.add(l)
-        matching.append(l)
-    return matching
 
 
 def _simple_cycles(adj: np.ndarray, cap: int) -> list[list[int]]:
@@ -476,11 +462,10 @@ def analyze_repeatability(robot: RobotModel, path: TaskPath,
         raise ValueError("repeatability analysis requires a closed path")
     layers = build_layers(robot, path, ik_cfg)
     graph = build_plan_graph(layers, path, cfg, robot=robot)
-    M0, MK = graph.counts[[0, -1]]
-    matching = _match_end_layers(graph.Q[0, :M0], graph.Q[-1, :MK])
+    M0 = graph.counts[0]
     starts = np.full((M0, graph.Q.shape[1]), np.inf)
     starts[range(M0), range(M0)] = 0.0
-    costs = reach(graph.weight, starts)[-1][:, matching]
+    costs = reach(graph.weight, starts)[-1][:, :M0]
     connectivity = np.isfinite(costs)
     regular = [m for m in range(M0) if connectivity[m, m]]
     # one past the cap tells whether the list is complete

@@ -24,14 +24,6 @@ THREE_PARALLEL_WITNESS = (
     np.array([0.9940, -1.4391, 0.9530, 1.2368, 1.0004, 1.5942]),
 )
 
-# recorded witness pair for the ABB GoFa CRB 15000 5 kg; the vendor's
-# kinematic parameters are not public, so this ships as data only and is
-# not validated against any in-repo model
-GOFA_WITNESS = (
-    np.array([-0.8000, 0.5900, 2.3400, 2.7200, 1.0600, -1.8400]),
-    np.array([2.2599, 2.1999, 2.6677, 2.5298, -2.5286, 0.4831]),
-)
-
 
 def canonical_3r() -> RobotModel:
     """The classic cuspidal 3R arm; positions only, unit link lengths."""
@@ -126,7 +118,6 @@ def _circle_path(center, radius: float, samples: int):
     ts = np.linspace(0.0, 2.0 * np.pi, samples)
     pts = np.stack([center[0] + radius * np.cos(ts), np.zeros(samples),
                     center[1] + radius * np.sin(ts)], axis=1)
-    pts[-1] = pts[0]
     return _fixed_orientation(pts, 2.0 * np.pi * radius / K, closed=True)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cuspidal_kit import cli, fileio, ik
 from cuspidal_kit.cli import main
-from cuspidal_kit.kinematics import Pose, forward_kinematics
+from cuspidal_kit.kinematics import Pose, forward_kinematics, jacobian
 from cuspidal_kit.scenarios import canonical_3r, control_loop_path
 
 from conftest import coaxial_6r, count_calls, degenerate_3r_arms, eight_solution_loop
@@ -125,6 +125,32 @@ class TestPlan:
         assert rep["cycles_truncated"] is True and len(rep["cycles"]) == 10_000
         assert err == ("repeatability: only the first 10000 solution-change cycles "
                        "are listed; more exist\n")
+
+    def test_closed_loop_starting_on_a_fold(self, capsys, tmp_path):
+        # a 40-sample circle of radius 0.01 whose first sample sits 4e-10 to
+        # one side of a fold and whose last sits 4e-10 to the other: solved
+        # on their own, the ends would have 2 and 1 IK solutions
+        r3 = canonical_3r()
+        q_f = np.array([-1.0698271771715926, 1.8122509915502087, -0.42971647186939443])
+        U = np.linalg.svd(jacobian(r3, q_f))[0]
+        n = U[:, -1] * np.sign(U[2, -1])
+        np.testing.assert_allclose(n, [0.4698190142931701, 0.009424963553112821,
+                                       0.882712446876454], atol=1e-9)
+        t = np.cross(n, [0.0, 0.0, 1.0])
+        t /= np.linalg.norm(t)
+        p_f = forward_kinematics(r3, q_f).position
+        a = 2.0 * np.pi * np.arange(41) / 40
+        pts = p_f + 0.01 * n + 0.01 * (-np.cos(a)[:, None] * n + np.sin(a)[:, None] * t)
+        pts[0], pts[40] = p_f + 4e-10 * n, p_f - 4e-10 * n
+        path = tmp_path / "fold_loop.json"
+        fileio.save_json({"frame": "base", "closed": True, "dlambda": 2.0 * np.pi * 0.01 / 40,
+                          "samples": [{"p": p} for p in pts.tolist()]}, path)
+        code, out, err = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(path))
+        assert code == 4 and err.startswith("infeasible:")
+        doc = json.loads(out)
+        assert doc["layer_counts"][-1] == doc["layer_counts"][0]
+        M = doc["layer_counts"][0]
+        assert np.shape(doc["repeatability"]["connectivity"]) == (M, M)
 
     def test_csv_output(self, capsys, const_path_file, tmp_path):
         csv = tmp_path / "jp.csv"

@@ -135,8 +135,10 @@ class TestReducedParams:
         wp = reduced_to_pose(x)
         nt.assert_allclose(wp.p, wp.rotation @ x.p, atol=1e-15)
 
-    def test_clamp_outside_disk(self, caplog):
+    def test_clamp_outside_disk(self, capsys):
         wp = reduced_to_pose(ReducedParams(np.array([1.2, 0.9]), np.zeros(3)))
+        assert capsys.readouterr().err == (
+            "tilt parameters left the unit disk (|v|^2 = 2.250000); clamping\n")
         assert np.linalg.norm(wp.quat) == pytest.approx(1.0)
         assert wp.quat[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -4,7 +4,8 @@ import pytest
 
 from cuspidal_kit import planner
 from cuspidal_kit.ik import IKConfig, IKSolution, IKSolutionSet
-from cuspidal_kit.kinematics import Pose, RobotModel, forward_kinematics, wrap_to_pi
+from cuspidal_kit.kinematics import (Pose, RobotModel, forward_kinematics, rot_about_axis,
+                                     wrap_to_pi)
 from cuspidal_kit.planner import (
     PlanGraph,
     PlannerConfig,
@@ -382,8 +383,7 @@ def _assert_matches_layerwise(monkeypatch, layers, path, cfg=None, robot=None):
     if path.closed:
         monkeypatch.setattr(planner, "build_layers", lambda *args, **kwargs: layers)
         rep = analyze_repeatability(robot, path, cfg)
-        matching = planner._match_end_layers(g.Q[0, :M0], g.Q[-1, :MK])
-        assert _same_bits(rep.costs, ref.costs[:, matching])
+        assert _same_bits(rep.costs, ref.costs)
 
 
 def _random_plan_input(rng):
@@ -453,7 +453,7 @@ class TestPaddedMatchesLayerwise:
 def _tie_heavy_graph(rng, closed=False) -> PlanGraph:
     """A random padded plan graph with weights in {0, 1, 2}: empty layers,
     edges between consecutive layers, S/F edges at the end layers. closed
-    makes the last layer a permutation of a nonempty first one."""
+    makes the last layer a copy of a nonempty first one."""
     K = int(rng.integers(1, 9))
     counts = [int(rng.integers(0, 5)) for _ in range(K + 1)]
     if closed:
@@ -462,7 +462,7 @@ def _tie_heavy_graph(rng, closed=False) -> PlanGraph:
     valid = np.arange(M) < np.array(counts)[:, None]
     Q = np.where(valid[..., None], rng.uniform(-np.pi, np.pi, (K + 1, M, 3)), 0.0)
     if closed:
-        Q[K, :counts[0]] = Q[0, rng.permutation(counts[0])]
+        Q[K] = Q[0]
 
     def weights(shape, p, mask):
         W = np.where(rng.random(shape) < p, rng.integers(0, 3, shape).astype(float), np.inf)
@@ -701,9 +701,8 @@ class TestRepeatability:
             def one_hot(k, m):
                 return np.where(np.arange(counts[k]) == m, 0.0, np.inf)
 
-            matching = planner._match_end_layers(g.Q[0, :counts[0]], g.Q[K, :counts[K]])
             expected = [[brute_force_shortest(g, one_hot(0, m), one_hot(K, l))[0]
-                         for l in matching] for m in range(counts[0])]
+                         for l in range(counts[K])] for m in range(counts[0])]
             nt.assert_array_equal(rep.costs, expected)
             nt.assert_array_equal(rep.connectivity, np.isfinite(expected))
 
@@ -719,6 +718,18 @@ class TestTaskPath:
         b = Pose(np.eye(3), np.array([0.1, 0.0, 0.0]))
         with pytest.raises(ValueError):
             TaskPath.from_poses([a, b], dlambda=0.1, closed=True)
+
+    def test_closed_end_is_stored_as_start(self):
+        # 3e-10 in position plus 2e-10 of rotation: within the 1e-9 gap
+        start = Pose(rot_about_axis([0.3, -0.5, 0.8], 0.7), np.array([1.5, 0.2, -0.4]))
+        end = Pose(rot_about_axis([0.0, 0.0, 1.0], 2e-10) @ start.rotation,
+                   start.position + [3e-10, 0.0, 0.0])
+        mid = Pose(np.eye(3), np.array([1.6, 0.2, -0.4]))
+        path = TaskPath.from_poses([start, mid, end], dlambda=0.1, closed=True)
+        assert not np.array_equal(end.position, start.position)
+        assert not np.array_equal(end.rotation, start.rotation)
+        for stored, given in ((path.positions, start.position), (path.rotations, start.rotation)):
+            assert stored[0].tobytes() == stored[-1].tobytes() == given.tobytes()
 
     def test_too_short(self):
         with pytest.raises(ValueError):
