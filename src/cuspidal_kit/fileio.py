@@ -103,6 +103,9 @@ def robot_from_doc(doc: dict) -> RobotModel:
     for key in ("dof", "axes", "offsets", "tool_offset"):
         if key not in doc:
             raise ValueError(f"robot document missing {key!r}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
     axes = _numbers(doc, "axes")
     if axes.ndim != 2 or axes.shape[1] != 3 or axes.shape[0] != doc["dof"]:
         raise ValueError("axes must be dof x 3")
@@ -118,7 +121,7 @@ def robot_from_doc(doc: dict) -> RobotModel:
         offsets=_numbers(doc, "offsets"),
         tool_offset=_numbers(doc, "tool_offset"),
         joint_limits=_numbers(doc, "joint_limits") if "joint_limits" in doc else None,
-        name=doc.get("name", ""),
+        name=name,
     )
 
 
@@ -156,24 +159,30 @@ def _sample_rows(samples, ks, key: str, width: int, what: str) -> np.ndarray:
     raise ValueError(f"samples do not stack into a ({len(ks)}, {width}) {what} array")
 
 
-def poses_from_doc(doc: dict) -> tuple[np.ndarray, np.ndarray, float, str, bool]:
-    """(positions (n, 3), rotations (n, 3, 3), dlambda, frame, closed) of a
-    path document, each array built in one pass; a sample without q_wxyz
-    takes the identity rotation. A bad sample raises ValueError naming it."""
+def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
+    """The TaskPath of a path document, its positions and rotations each
+    built in one pass; a sample without q_wxyz takes the identity rotation.
+    A bad field or sample raises ValueError naming it, a frame other than
+    `frame` raises wrong_frame, and dlambda must match the mean step between
+    sample positions within 2x either way: edge admission and the reported
+    rms scale with it. Paths whose positions never move are exempt from
+    that, their lambda is not a length."""
     for key in ("frame", "dlambda", "samples"):
         if key not in doc:
             raise ValueError(f"path document missing {key!r}")
     if doc["frame"] not in ("base", "workpiece"):
         raise ValueError("frame must be 'base' or 'workpiece'")
     samples = doc["samples"]
-    if len(samples) < 2:
-        raise ValueError(f"path needs at least 2 samples, got {len(samples)}")
+    if not isinstance(samples, list):
+        raise ValueError(f"samples must be a list, got {samples!r}")
+    n = len(samples)
+    if n < 2:
+        raise ValueError(f"path needs at least 2 samples, got {n}")
     if type(doc["dlambda"]) not in (int, float):
         raise ValueError(f"dlambda must be a number, got {doc['dlambda']!r}")
     closed = doc.get("closed", False)
     if not isinstance(closed, bool):
         raise ValueError(f"closed must be true or false, got {closed!r}")
-    n = len(samples)
     positions = _sample_rows(samples, range(n), "p", 3, "position p")
     rotations = np.tile(np.eye(3), (n, 1, 1))
     oriented = [k for k, entry in enumerate(samples) if "q_wxyz" in entry]
@@ -186,26 +195,14 @@ def poses_from_doc(doc: dict) -> tuple[np.ndarray, np.ndarray, float, str, bool]
             raise ValueError(f"sample {oriented[i]}: quaternion q_wxyz must have a finite "
                              f"nonzero norm, got {quats[i].tolist()}")
         rotations[oriented] = np.moveaxis(unit_quat_matrix(*(quats / norms[:, None]).T), -1, 0)
-    return positions, rotations, float(doc["dlambda"]), doc["frame"], closed
-
-
-def _checked_spacing(path: TaskPath) -> TaskPath:
-    """dlambda must match the mean step between sample positions within 2x
-    either way: edge admission and the reported rms scale with it. Paths
-    whose positions never move are exempt, their lambda is not a length."""
-    steps = np.linalg.norm(np.diff(path.positions, axis=0), axis=1)
-    mean = float(np.mean(steps))
+    if doc["frame"] != frame:
+        raise ValueError(wrong_frame)
+    path = TaskPath(positions, rotations, float(doc["dlambda"]), closed)
+    mean = float(np.mean(np.linalg.norm(np.diff(path.positions, axis=0), axis=1)))
     if mean > 0.0 and not 0.5 <= path.dlambda / mean <= 2.0:
         raise ValueError(f"dlambda {path.dlambda!r} disagrees with the mean sample "
                          f"spacing {mean!r} by more than 2x")
     return path
-
-
-def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
-    positions, rotations, dlambda, got, closed = poses_from_doc(doc)
-    if got != frame:
-        raise ValueError(wrong_frame)
-    return _checked_spacing(TaskPath(positions, rotations, dlambda, closed))
 
 
 def task_path_from_doc(doc: dict) -> TaskPath:

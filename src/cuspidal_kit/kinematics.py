@@ -101,31 +101,24 @@ def row_norms(X) -> np.ndarray:
 def rotation_to_quat(R) -> np.ndarray:
     """Rotation matrix to unit quaternion (w, x, y, z), w >= 0.
 
-    The dominant component comes from a square root; the rest divide
-    off-diagonal terms by it, which keeps near-zero components accurate to
-    machine precision instead of sqrt(eps).
+    Row k of the symmetric matrix m is 4 q_k q; its diagonal holds the four
+    4 q_k^2, which sum to 4. The largest of them gives q_k from a square
+    root and the rest of row k divides by it, which keeps near-zero
+    components accurate to machine precision instead of sqrt(eps).
     """
     R = np.asarray(R, dtype=float)
-    t = np.array([
-        1.0 + R[0, 0] + R[1, 1] + R[2, 2],
-        1.0 + R[0, 0] - R[1, 1] - R[2, 2],
-        1.0 - R[0, 0] + R[1, 1] - R[2, 2],
-        1.0 - R[0, 0] - R[1, 1] + R[2, 2],
+    a, b, c = R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]
+    x, y, z = R[0, 1] + R[1, 0], R[0, 2] + R[2, 0], R[1, 2] + R[2, 1]
+    m = np.array([
+        [1.0 + R[0, 0] + R[1, 1] + R[2, 2], a, b, c],
+        [a, 1.0 + R[0, 0] - R[1, 1] - R[2, 2], x, y],
+        [b, x, 1.0 - R[0, 0] + R[1, 1] - R[2, 2], z],
+        [c, y, z, 1.0 - R[0, 0] - R[1, 1] + R[2, 2]],
     ])
-    k = int(np.argmax(t))
-    s = 2.0 * np.sqrt(max(t[k], 0.0))
-    if k == 0:
-        q = np.array([s / 4.0, (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
-    elif k == 1:
-        q = np.array([(R[2, 1] - R[1, 2]) / s, s / 4.0,
-                      (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
-    elif k == 2:
-        q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
-                      s / 4.0, (R[1, 2] + R[2, 1]) / s])
-    else:
-        q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
-                      (R[1, 2] + R[2, 1]) / s, s / 4.0])
+    k = int(np.argmax(m.diagonal()))
+    s = 2.0 * np.sqrt(m[k, k])
+    q = m[k] / s
+    q[k] = s / 4.0
     q /= np.linalg.norm(q)
     if q[0] < 0.0:
         q = -q

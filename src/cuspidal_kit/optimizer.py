@@ -121,21 +121,14 @@ def decompose_rz_rxy(R) -> tuple[float, np.ndarray]:
     """Split R = Rz(theta_z) @ R_xy with R_xy a rotation about an xy-plane axis.
 
     Always succeeds: any rotation decomposes this way (z-x-z Euler argument);
-    a pure z-rotation returns (its angle, identity). A correction pass damps
-    the matrix-to-quaternion roundoff so the residual axis z-component stays
-    at machine precision.
+    a pure z-rotation returns (its angle, identity). theta_z is twice the
+    angle of R's quaternion (w, z) pair, so R_xy's quaternion has z = 0 up
+    to roundoff.
     """
     R = np.asarray(R, dtype=float)
-    theta_z = 0.0
-    R_xy = R
-    for _ in range(3):
-        q = rotation_to_quat(R_xy)
-        delta = 2.0 * np.arctan2(q[3], q[0])
-        theta_z += delta
-        R_xy = rot_z(-theta_z) @ R
-        if abs(delta) < 1e-14:
-            break
-    return float(theta_z), R_xy
+    q = rotation_to_quat(R)
+    theta_z = 2.0 * np.arctan2(q[3], q[0])
+    return float(theta_z), rot_z(-theta_z) @ R
 
 
 @per_robot

@@ -201,7 +201,7 @@ def reach(weight: np.ndarray, seed: np.ndarray) -> np.ndarray:
 
 
 def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerConfig | None = None,
-                     robot: RobotModel | None = None) -> PlanGraph:
+                     *, robot: RobotModel) -> PlanGraph:
     """Weighted DAG over the layers.
 
     Edges join consecutive layers whose metric stays below
@@ -219,7 +219,7 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
         raise ValueError("layer count must match path samples")
     sols = [s for layer in layers for s in layer.solutions]
     counts = np.array([len(layer.solutions) for layer in layers])
-    dof = sols[0].q.shape[0] if sols else (robot.dof if robot is not None else 3)
+    dof = robot.dof
     eps = path.dlambda * cfg.resolve_eps0(dof)
     valid = np.arange(max(counts.max(), 1)) < counts[:, None]      # (K+1, M)
     Q = np.zeros(valid.shape + (dof,))
@@ -243,7 +243,7 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     f_weight = np.where(valid[K], 0.0, np.inf)
 
     unwrapped = None
-    if robot is not None and robot.joint_limits is not None:
+    if robot.joint_limits is not None:
         unwrapped = _enforce_limits(Q, valid, weight, s_weight, f_weight, robot.joint_limits,
                                     cfg.joint_limit_barrier * path.dlambda)
 

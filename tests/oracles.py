@@ -23,7 +23,9 @@ exception is the seed flood: the library's own LM from a regular seed
 grid, the multi-start reference that the closed-form 3R IK is checked
 against. Alongside them, the entrywise LM step and orientation error build
 one (N,) array per matrix entry (the library's whole-matrix versions must
-match them bit for bit).
+match them bit for bit), and the branched matrix-to-quaternion conversion
+writes one formula per dominant component (the library's row of one
+symmetric matrix must match it bit for bit).
 """
 
 import numpy as np
@@ -235,6 +237,40 @@ def entrywise_orientation_error(T: np.ndarray, R: np.ndarray) -> np.ndarray:
         for b in range(3):
             E[a, b] = T[a, 0] * R[b, 0] + T[a, 1] * R[b, 1] + T[a, 2] * R[b, 2]
     return E
+
+
+def branched_rotation_to_quat(R) -> np.ndarray:
+    """Rotation matrix to unit quaternion (w, x, y, z), w >= 0.
+
+    The dominant component comes from a square root; the rest divide
+    off-diagonal terms by it, which keeps near-zero components accurate to
+    machine precision instead of sqrt(eps).
+    """
+    R = np.asarray(R, dtype=float)
+    t = np.array([
+        1.0 + R[0, 0] + R[1, 1] + R[2, 2],
+        1.0 + R[0, 0] - R[1, 1] - R[2, 2],
+        1.0 - R[0, 0] + R[1, 1] - R[2, 2],
+        1.0 - R[0, 0] - R[1, 1] + R[2, 2],
+    ])
+    k = int(np.argmax(t))
+    s = 2.0 * np.sqrt(max(t[k], 0.0))
+    if k == 0:
+        q = np.array([s / 4.0, (R[2, 1] - R[1, 2]) / s,
+                      (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
+    elif k == 1:
+        q = np.array([(R[2, 1] - R[1, 2]) / s, s / 4.0,
+                      (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
+    elif k == 2:
+        q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
+                      s / 4.0, (R[1, 2] + R[2, 1]) / s])
+    else:
+        q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
+                      (R[1, 2] + R[2, 1]) / s, s / 4.0])
+    q /= np.linalg.norm(q)
+    if q[0] < 0.0:
+        q = -q
+    return q
 
 
 def greedy_dedup(Q, seed, approx, sample, exact_radius: float, approx_radius: float):

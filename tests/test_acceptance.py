@@ -161,6 +161,7 @@ def test_criterion_4_ik_completeness():
 def test_criterion_5_planner_oracle_equivalence():
     with criterion(5, "graph shortest path equals brute force on 100 instances",
                    budget=10.0):
+        r3 = canonical_3r()
         rng = np.random.default_rng(42)
         for _ in range(100):
             K = int(rng.integers(2, 10))
@@ -173,7 +174,7 @@ def test_criterion_5_planner_oracle_equivalence():
             path = _const_path(K + 1, dlambda=dl)
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
                                 nonsingular_only=bool(rng.random() < 0.5))
-            g = build_plan_graph(layers, path, cfg)
+            g = build_plan_graph(layers, path, cfg, robot=r3)
             jp = shortest_joint_path(g)
             expected, route = brute_force_shortest(g)
             if jp is None:

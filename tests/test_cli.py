@@ -229,6 +229,8 @@ class TestPlan:
                   "q_wxyz")]
         cases += [({**const, "samples": [{"p": [3.0, 0.0, -0.5], "q_wxyz": q}] * 3}, "q_wxyz")
                   for q in ([0.0, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0])]
+        cases += [({**const, "samples": samples}, "samples must be a list")
+                  for samples in ({"0": {"p": [3.0, 0.0, -0.5]}}, 5, None)]
         bad = tmp_path / "bad.json"
         for doc, field in cases:
             bad.write_text(json.dumps(doc))
@@ -241,6 +243,17 @@ class TestPlan:
             assert any(line.startswith("error:") and field in line for line in err.splitlines())
             assert "RuntimeWarning" not in err
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("name", [5, None, ["a"]], ids=["number", "null", "list"])
+    def test_robot_name_not_a_string(self, capsys, tmp_path, const_path_file, name):
+        robot = tmp_path / "robot.json"
+        robot.write_text(json.dumps({**fileio.robot_to_doc(canonical_3r()), "name": name}))
+        code, out, err = run(capsys, "plan", "--robot", str(robot), "--path", const_path_file,
+                             "--ik-seeds", "4")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: robot file {str(robot)!r}: name must be a string, "
+                                    f"got {name!r}"]
 
     @pytest.mark.parametrize("bad,named", [
         ({1: {"p": [3.0, 0.0]}}, "sample 1: position p"),

@@ -37,6 +37,12 @@ class TestRobotDocs:
                                            "by up to 5.00e-05\n")
         nt.assert_allclose(np.linalg.norm(robot.axes[0]), 1.0)
 
+    def test_missing_name_is_empty(self):
+        doc = fileio.robot_to_doc(RobotModel(axes=np.eye(3), offsets=np.eye(3),
+                                             tool_offset=[0.1, 0, 0], name="gone"))
+        del doc["name"]
+        assert fileio.robot_from_doc(doc).name == ""
+
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError):
             fileio.robot_from_doc({"dof": 3})
@@ -50,14 +56,17 @@ class TestPathDocs:
             q = rng.normal(size=4)
             from cuspidal_kit.kinematics import quat_to_rotation
             poses.append(Pose(quat_to_rotation(q), rng.normal(size=3)))
-        doc = fileio.path_to_doc(poses, 0.05, "base", False)
+        # dlambda is the mean spacing, which the reader checks it against
+        positions = np.array([pose.position for pose in poses])
+        dlambda = float(np.mean(np.linalg.norm(np.diff(positions, axis=0), axis=1)))
+        doc = fileio.path_to_doc(poses, dlambda, "base", False)
         path = tmp_path / "path.json"
         fileio.save_json(doc, path)
         again = fileio.load_json(path)
         assert again == json.loads(fileio.dump_json(doc))
-        positions, rotations, dl, frame, closed = fileio.poses_from_doc(again)
-        assert (dl, frame, closed) == (0.05, "base", False)
-        for a, p, R in zip(poses, positions, rotations):
+        loaded = fileio.task_path_from_doc(again)
+        assert (loaded.dlambda, loaded.closed) == (dlambda, False)
+        for a, p, R in zip(poses, loaded.positions, loaded.rotations, strict=True):
             nt.assert_allclose(a.position, p, atol=1e-16)
             nt.assert_allclose(a.rotation, R, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as nt
 import pytest
@@ -18,6 +20,7 @@ from cuspidal_kit.kinematics import (
     quat_to_rotation,
     rot_about_axis,
     rotation_angle,
+    rotation_to_quat,
     wrap_to_pi,
 )
 from cuspidal_kit.scenarios import (
@@ -27,7 +30,7 @@ from cuspidal_kit.scenarios import (
     three_parallel_6r,
 )
 
-from oracles import finite_difference_jacobian, walked_fk_jacobian
+from oracles import branched_rotation_to_quat, finite_difference_jacobian, walked_fk_jacobian
 from conftest import count_calls, random_3r, random_6r
 
 
@@ -263,6 +266,26 @@ class TestRotationAngle:
             axis = rng.normal(size=3)
             R = rot_about_axis(axis / np.linalg.norm(axis), angle)
             assert rotation_angle(R) == pytest.approx(angle, rel=1e-9, abs=1e-15)
+
+
+class TestRotationToQuat:
+    def test_matches_branched_oracle_bitwise(self):
+        # random rotations, the 24 axis-aligned ones, and turns within 1e-9
+        # of a half turn, where the dominant component is not w
+        rng = np.random.default_rng(9)
+        rotations = [quat_to_rotation(rng.normal(size=4)) for _ in range(2000)]
+        for perm in itertools.permutations(np.eye(3)):
+            for signs in itertools.product([1.0, -1.0], repeat=3):
+                R = np.array(perm) * np.array(signs)[:, None]
+                if np.linalg.det(R) > 0.0:
+                    rotations.append(R)
+        for _ in range(500):
+            axis = rng.normal(size=3)
+            angle = np.pi - float(rng.choice([0.0, 1e-15, 1e-12, 1e-9]))
+            rotations.append(rot_about_axis(axis / np.linalg.norm(axis), angle))
+        assert len(rotations) == 2000 + 24 + 500
+        for R in rotations:
+            assert rotation_to_quat(R).tobytes() == branched_rotation_to_quat(R).tobytes()
 
 
 class TestRobotModel:

@@ -21,6 +21,7 @@ from cuspidal_kit.planner import (
 )
 from cuspidal_kit.scenarios import (
     THREE_PARALLEL_WITNESS,
+    canonical_3r,
     control_loop_path,
     cusp_loop_path,
     infeasible_line_path,
@@ -128,67 +129,76 @@ class TestBuildLayers:
 
 
 class TestBuildGraph:
-    def test_single_chain(self):
+    def test_single_chain(self, r3):
         layers = _layers([[np.zeros(3)], [np.full(3, 0.01)]])
         path = _const_path(2)
-        g = build_plan_graph(layers, path, PlannerConfig())
+        g = build_plan_graph(layers, path, PlannerConfig(), robot=r3)
         jp = shortest_joint_path(g)
         assert jp is not None
         assert jp.vertex_indices == [0, 0]
         assert jp.cost == pytest.approx(3 * 0.01 ** 2 / 0.1)
 
-    def test_nonsingular_gating(self):
+    def test_nonsingular_gating(self, r3):
         layers = _layers([[np.zeros(3)], [np.full(3, 0.01)]], dets=[[1.0], [-1.0]])
         path = _const_path(2)
-        g = build_plan_graph(layers, path, PlannerConfig(nonsingular_only=True))
+        g = build_plan_graph(layers, path, PlannerConfig(nonsingular_only=True), robot=r3)
         assert shortest_joint_path(g) is None
-        g2 = build_plan_graph(layers, path, PlannerConfig(nonsingular_only=False))
+        g2 = build_plan_graph(layers, path, PlannerConfig(nonsingular_only=False), robot=r3)
         assert shortest_joint_path(g2) is not None
 
-    def test_empty_layer_is_infeasible(self):
+    def test_empty_layer_is_infeasible(self, r3):
         # no edge bridges a sample without solutions
         layers = _layers([[np.zeros(3)], [], [np.full(3, 0.02)]])
-        g = build_plan_graph(layers, _const_path(3), PlannerConfig())
+        g = build_plan_graph(layers, _const_path(3), PlannerConfig(), robot=r3)
         assert g.edges == {}
         assert shortest_joint_path(g) is None
         assert _first_disconnected_span(g) == (1, 2)
 
-    def test_unreached_layer_1_vertex_is_no_start(self):
+    def test_unreached_layer_1_vertex_is_no_start(self, r3):
         # layer 1's only vertex is too far from layer 0 (and so is layer 2's);
         # S joins layer 0 alone, so no plan starts past the first sample
         layers = _layers([[np.zeros(3)], [np.full(3, 2.0)], [np.full(3, 2.01)]])
-        g = build_plan_graph(layers, _const_path(3), PlannerConfig())
+        g = build_plan_graph(layers, _const_path(3), PlannerConfig(), robot=r3)
         assert list(g.edges) == [(1, 1)]
         assert shortest_joint_path(g) is None
         assert _first_disconnected_span(g) == (1, 2)
         assert g.s_weight.shape == (1,) and g.f_weight.shape == (1,)
 
-    def test_nonsingular_plan_never_hops_a_sign_change(self):
+    def test_nonsingular_plan_never_hops_a_sign_change(self, r3):
         # det signs +, -, +: each consecutive step crosses det J = 0, and no
         # edge from layer 0 to layer 2 passes over the middle sample
         layers = _layers([[np.zeros(3)], [np.full(3, 0.01)], [np.full(3, 0.02)]],
                          dets=[[1.0], [-1.0], [1.0]])
-        g = build_plan_graph(layers, _const_path(3), PlannerConfig(nonsingular_only=True))
+        g = build_plan_graph(layers, _const_path(3), PlannerConfig(nonsingular_only=True),
+                             robot=r3)
         assert g.edges == {}
         assert shortest_joint_path(g) is None
         assert _first_disconnected_span(g) == (1, 2)
-        free = shortest_joint_path(build_plan_graph(layers, _const_path(3), PlannerConfig()))
+        free = shortest_joint_path(build_plan_graph(layers, _const_path(3), PlannerConfig(),
+                                                    robot=r3))
         assert free.vertex_indices == [0, 0, 0]
 
-    def test_admission_threshold(self):
+    def test_robot_is_required(self):
+        # the arm sets the dof and the joint limits; no default stands in
+        # for it, so a graph never silently drops the arm's limits
+        layers = _layers([[np.zeros(3)], [np.full(3, 0.01)]])
+        with pytest.raises(TypeError):
+            build_plan_graph(layers, _const_path(2), PlannerConfig())
+
+    def test_admission_threshold(self, r3):
         # wrap distance beyond eps never gets an edge
         layers = _layers([[np.zeros(3)], [np.full(3, 3.0)]])
         path = _const_path(2, dlambda=0.001)
-        g = build_plan_graph(layers, path, PlannerConfig(eps0=1.0))
+        g = build_plan_graph(layers, path, PlannerConfig(eps0=1.0), robot=r3)
         assert shortest_joint_path(g) is None
 
-    def test_wrap_edge_crosses_the_chart(self):
+    def test_wrap_edge_crosses_the_chart(self, r3):
         # solutions hugging opposite ends of (-pi, pi] connect through the
         # wrap, and the extracted path stays continuous in the unwrapped
         # representation
         layers = _layers([[np.array([3.1, 0.0, 0.0])], [np.array([-3.1, 0.0, 0.0])]])
         path = _const_path(2, dlambda=0.1)
-        g = build_plan_graph(layers, path, PlannerConfig())
+        g = build_plan_graph(layers, path, PlannerConfig(), robot=r3)
         jp = shortest_joint_path(g)
         assert jp is not None
         assert jp.cost == pytest.approx((2 * np.pi - 6.2) ** 2 / 0.1)
@@ -232,17 +242,17 @@ class TestBuildGraph:
         assert barred.weight > free.weight
         assert barred.cost == pytest.approx(free.cost)
 
-    def test_manipulability_penalty_prefers_high_mu(self):
+    def test_manipulability_penalty_prefers_high_mu(self, r3):
         # two parallel chains, the lower-det one cheaper on the metric
         layers = _layers(
             [[np.zeros(3), np.array([1.0, 0, 0])],
              [np.array([0.0, 0.01, 0]), np.array([1.0, 0.01, 0])]],
             dets=[[1e-6, 2.0], [1e-6, 2.0]])
         path = _const_path(2)
-        plain = shortest_joint_path(build_plan_graph(layers, path, PlannerConfig()))
+        plain = shortest_joint_path(build_plan_graph(layers, path, PlannerConfig(), robot=r3))
         assert plain.vertex_indices == [0, 0]
         weighted = shortest_joint_path(build_plan_graph(
-            layers, path, PlannerConfig(manipulability_weight=1.0)))
+            layers, path, PlannerConfig(manipulability_weight=1.0), robot=r3))
         assert weighted.vertex_indices == [1, 1]
 
 
@@ -280,7 +290,7 @@ def _assert_limits_match_loop(layers, path, cfg, robot):
     """The planner's turn tracking, barrier and drops equal, bit for bit,
     the vertex-by-vertex loop applied to the graph built without limits."""
     fast = build_plan_graph(layers, path, cfg, robot=robot)
-    ref = build_plan_graph(layers, path, cfg)
+    ref = build_plan_graph(layers, path, cfg, robot=canonical_3r())
     ref_edges = {key: {"weight": e["weight"].copy()} for key, e in ref.edges.items()}
     s_weight, f_weight = ref.s_weight.copy(), ref.f_weight.copy()
     if robot.joint_limits is None:
@@ -352,7 +362,7 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_matches_layerwise(monkeypatch, layers, path, cfg=None, robot=None):
+def _assert_matches_layerwise(monkeypatch, layers, path, cfg=None, robot=canonical_3r()):
     """The padded planner gives, bit for bit, what the per-layer planner
     gives: the same edges, terminals, tracked vectors, path and span, and
     for a closed path the same repeatability costs."""
@@ -490,7 +500,7 @@ def _assert_matches_oracle(g: PlanGraph):
 
 
 class TestShortestPath:
-    def test_matches_brute_force_on_random_instances(self):
+    def test_matches_brute_force_on_random_instances(self, r3):
         rng = np.random.default_rng(42)
         for _ in range(100):
             K = int(rng.integers(2, 10))
@@ -504,7 +514,7 @@ class TestShortestPath:
             path = _const_path(K + 1, dlambda=dl)
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
                                 nonsingular_only=bool(rng.random() < 0.5))
-            g = build_plan_graph(layers, path, cfg)
+            g = build_plan_graph(layers, path, cfg, robot=r3)
             _assert_matches_oracle(g)
 
     def test_tie_rule_on_tie_heavy_graphs(self):
@@ -514,15 +524,15 @@ class TestShortestPath:
         for _ in range(500):
             _assert_matches_oracle(_tie_heavy_graph(rng))
 
-    def test_wrap_translation_invariance(self):
+    def test_wrap_translation_invariance(self, r3):
         rng = np.random.default_rng(43)
         layer_sets = [[rng.uniform(-np.pi, np.pi, 3) for _ in range(3)] for _ in range(5)]
         path = _const_path(5, dlambda=0.2)
         cfg = PlannerConfig(eps0=200.0)
-        a = shortest_joint_path(build_plan_graph(_layers(layer_sets), path, cfg))
+        a = shortest_joint_path(build_plan_graph(_layers(layer_sets), path, cfg, robot=r3))
         shifted = [list(qs) for qs in layer_sets]
         shifted[2] = [q + np.array([2 * np.pi, 0, 0]) for q in shifted[2]]
-        b = shortest_joint_path(build_plan_graph(_layers(shifted), path, cfg))
+        b = shortest_joint_path(build_plan_graph(_layers(shifted), path, cfg, robot=r3))
         assert (a is None) == (b is None)
         if a is not None:
             assert a.cost == pytest.approx(b.cost, abs=1e-12)
@@ -533,7 +543,7 @@ def _terminals(k: int, weights) -> set:
 
 
 class TestAdmissionOracle:
-    def test_matches_dfs_oracle_on_random_instances(self):
+    def test_matches_dfs_oracle_on_random_instances(self, r3):
         rng = np.random.default_rng(45)
         for _ in range(300):
             K = int(rng.integers(1, 10))
@@ -546,7 +556,7 @@ class TestAdmissionOracle:
             cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
                                 nonsingular_only=bool(rng.random() < 0.5))
             g = build_plan_graph(_layers(layer_sets, dets, approxes),
-                                 _const_path(K + 1, dlambda=dl), cfg)
+                                 _const_path(K + 1, dlambda=dl), cfg, robot=r3)
             edges, s, f, span = single_pass_admission(
                 layer_sets, dets, dl, g.eps, cfg.nonsingular_only)
             admitted = {(k, d, int(m), int(l)) for (k, d), e in g.edges.items()
@@ -615,14 +625,14 @@ class TestPlanPath:
                 assert res.path.q.tobytes() == alone.path.q.tobytes()
         assert [p.feasible for p in batch] == [True, True, False, True]
 
-    def test_span_reuses_the_search_distances(self, monkeypatch):
+    def test_span_reuses_the_search_distances(self, r3, monkeypatch):
         # the span is read off the forward distances the search relaxed
         layers = _layers([[np.zeros(3)], [np.full(3, 2.0)], [np.full(3, 2.01)]])
         calls = []
         relax = planner.reach
         monkeypatch.setattr(planner, "reach", lambda *args: calls.append(1) or relax(*args))
         monkeypatch.setattr(planner, "build_layers", lambda *args, **kwargs: layers)
-        res = plan_path(None, _const_path(3))
+        res = plan_path(r3, _const_path(3))
         assert res.infeasible_span == (1, 2) and len(calls) == 1
 
     def test_control_fixture_feasible(self, r3):
