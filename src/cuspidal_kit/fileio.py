@@ -90,6 +90,13 @@ def _as_floats(value) -> np.ndarray | None:
     return None if bool in map(type, entries) else raw.astype(float)
 
 
+def _require_object(doc, what: str):
+    """Refuse a document whose JSON is not an object, before any key lookup:
+    a string would answer `in` by substring and a list by membership."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} document must be a JSON object, got {type(doc).__name__}")
+
+
 def _numbers(doc: dict, key: str) -> np.ndarray:
     value = _as_floats(doc[key])
     if value is None:
@@ -100,9 +107,13 @@ def _numbers(doc: dict, key: str) -> np.ndarray:
 def robot_from_doc(doc: dict) -> RobotModel:
     """The robot of a document; joint axes off unit length by more than
     _AXIS_WARN_TOL are normalized with a warning on stderr."""
+    _require_object(doc, "robot")
     for key in ("dof", "axes", "offsets", "tool_offset"):
         if key not in doc:
             raise ValueError(f"robot document missing {key!r}")
+    # a JSON true would otherwise count as 1
+    if type(doc["dof"]) is not int:
+        raise ValueError(f"dof must be an integer, got {doc['dof']!r}")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {name!r}")
@@ -167,6 +178,7 @@ def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
     sample positions within 2x either way: edge admission and the reported
     rms scale with it. Paths whose positions never move are exempt from
     that, their lambda is not a length."""
+    _require_object(doc, "path")
     for key in ("frame", "dlambda", "samples"):
         if key not in doc:
             raise ValueError(f"path document missing {key!r}")

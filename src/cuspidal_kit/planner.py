@@ -18,11 +18,9 @@ import numpy as np
 from .ik import IKConfig, IKSolutionSet, solve_ik_along_path
 from .kinematics import TWO_PI, Pose, RobotModel, geodesic_distance, wrap_to_pi
 
-# soft-penalty plumbing: approximate IK solutions cost their residual times
-# this factor, so exact routes win whenever one exists
+# approximate IK solutions cost their residual times this factor, so exact
+# routes win whenever one exists
 _APPROX_PENALTY = 1e3
-_MU_FLOOR = 1e-9
-_BARRIER_MARGIN = 1e-6
 # per-joint default speed bound (rad per unit path parameter) behind eps0
 _DEFAULT_QDOT_MAX = 4.0 * np.pi
 # a repeatability report lists at most this many solution-change cycles
@@ -93,19 +91,15 @@ class PlannerConfig:
     eps0 is the edge admission threshold per unit lambda; when None it
     defaults to ||qdot_max||^2 for a per-joint bound of 4*pi rad per unit
     lambda. Tuning it matters: too small disconnects genuinely continuous
-    solutions, too large bridges distinct branches.
+    solutions, too large bridges distinct branches. nonsingular_only
+    admits only edges whose determinant signs agree.
     """
     eps0: float | None = None
     nonsingular_only: bool = False
-    manipulability_weight: float = 0.0
-    joint_limit_barrier: float = 0.0
 
     def __post_init__(self):
         if self.eps0 is not None and not (np.isfinite(self.eps0) and self.eps0 > 0):
             raise ValueError("eps0 must be finite and positive")
-        for name in ("manipulability_weight", "joint_limit_barrier"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
 
     def resolve_eps0(self, dof: int) -> float:
         if self.eps0 is not None:
@@ -113,12 +107,10 @@ class PlannerConfig:
         return dof * _DEFAULT_QDOT_MAX ** 2
 
 
-def _step_cost(qa, qb, gap):
-    """Squared wrap-aware joint step from qa to qb per unit lambda, over the
-    last axis; the one price of joint motion behind edge weights and
-    path_cost."""
-    d = wrap_to_pi(qb - qa)
-    return np.einsum("...j,...j->...", d, d) / gap
+def _step_cost(step, gap):
+    """Squared wrap-minimal joint step per unit lambda, over the last axis;
+    the one price of joint motion behind edge weights and path_cost."""
+    return np.einsum("...j,...j->...", step, step) / gap
 
 
 def path_cost(qs, lambdas) -> float:
@@ -127,7 +119,7 @@ def path_cost(qs, lambdas) -> float:
     gaps = np.diff(np.asarray(lambdas, dtype=float))
     if np.any(gaps <= 0):
         raise ValueError("lambdas must be strictly increasing")
-    return float(np.sum(_step_cost(qs[:-1], qs[1:], gaps)))
+    return float(np.sum(_step_cost(wrap_to_pi(qs[1:] - qs[:-1]), gaps)))
 
 
 def build_layers(robot: RobotModel, path: TaskPath,
@@ -207,11 +199,11 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     Edges join consecutive layers whose metric stays below
     eps = dlambda * eps0 (and, under nonsingular_only, whose determinant
     signs agree); S joins every layer-0 vertex and every layer-K vertex
-    joins F. Vertex penalties (manipulability, joint-limit barrier,
-    approximate-solution residual) ride on incoming edge and S weights so a
-    path pays each visited vertex exactly once. When the robot declares
-    joint limits, edges and terminals whose vertices leave them under
-    greedy turn tracking are dropped.
+    joins F. An edge weighs its joint step cost plus the approximate-
+    solution penalty of its head, and an S edge the penalty of its layer-0
+    vertex, so a path pays each visited vertex exactly once. When the robot
+    declares joint limits, edges and terminals whose vertices leave them
+    under greedy turn tracking are dropped; finite weights stay as they are.
     """
     cfg = cfg or PlannerConfig()
     K = path.K
@@ -227,13 +219,11 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     det_j, pen = np.zeros(valid.shape), np.zeros(valid.shape)
     det_j[valid] = [s.det_j for s in sols]
     pen[valid] = [s.residual if s.approximate else 0.0 for s in sols]
-
-    # vertex penalties
     pen = _APPROX_PENALTY * pen
-    if cfg.manipulability_weight > 0.0:
-        pen = pen + cfg.manipulability_weight * path.dlambda / np.maximum(np.abs(det_j), _MU_FLOOR)
 
-    cost = _step_cost(Q[:-1, :, None], Q[1:, None], path.dlambda)      # (K, M, M)
+    # wrap-minimal step from each tail m of layer k to each head l of layer k+1
+    step = wrap_to_pi(Q[1:, None, :, :] - Q[:-1, :, None, :])        # (K, M, M, n)
+    cost = _step_cost(step, path.dlambda)                              # (K, M, M)
     ok = (cost < eps) & valid[:-1, :, None] & valid[1:, None, :]
     if cfg.nonsingular_only:
         sign = np.sign(det_j)
@@ -244,8 +234,8 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
 
     unwrapped = None
     if robot.joint_limits is not None:
-        unwrapped = _enforce_limits(Q, valid, weight, s_weight, f_weight, robot.joint_limits,
-                                    cfg.joint_limit_barrier * path.dlambda)
+        unwrapped = _enforce_limits(Q, step, valid, weight, s_weight, f_weight,
+                                    robot.joint_limits)
 
     return PlanGraph(dlambda=path.dlambda, eps=eps, counts=counts, Q=Q, det_j=det_j,
                      weight=weight, s_weight=s_weight, f_weight=f_weight, unwrapped=unwrapped)
@@ -260,25 +250,23 @@ def _start_representative(q: np.ndarray, limits: np.ndarray) -> np.ndarray:
     return np.where((turns != 0.0) & (shifted >= lo) & (shifted <= hi), shifted, q)
 
 
-def _enforce_limits(Q, valid, weight, s_weight, f_weight, limits: np.ndarray,
-                    barrier: float) -> np.ndarray:
-    """Turn tracking, joint-limit barrier (weight times dlambda) and limit
-    drops, in place on the padded weights; returns the tracked vectors.
+def _enforce_limits(Q, step, valid, weight, s_weight, f_weight,
+                    limits: np.ndarray) -> np.ndarray:
+    """Turn tracking and limit drops, in place on the padded weights, which
+    only ever become inf; returns the tracked vectors. step is the (K, M,
+    M, n) wrap-minimal step from each tail of layer k to each head of k+1.
 
     Each layer-0 vertex, an S-edge head, takes its representative inside
     the limits (see _start_representative). A vertex of layer j > 0 takes
     the unwrapped value nearest its lowest-index tracked predecessor (exact
     +/- pi steps take the positive branch), or keeps its wrapped value when
     it has none; that is the one pass over layers, each reading the one
-    before it. Then, over all layers at once, the barrier of each vertex
-    joins its incoming weights (at layer 0 its S weight), and edges go
-    whose tail or head lies outside the limits or whose implied unwrap of
-    the head disagrees with its value, and so do terminals outside them.
+    before it. Then, over all layers at once, edges go whose tail or head
+    lies outside the limits or whose implied unwrap of the head disagrees
+    with its value, and so do terminals outside them.
     """
     lo, hi = limits[:, 0], limits[:, 1]
     K = len(weight)
-    # wrap-minimal step from each tail m of layer k to each head l of layer k+1
-    step = wrap_to_pi(Q[1:, None, :, :] - Q[:-1, :, None, :])        # (K, M, M, n)
     admitted = np.isfinite(weight)
     # vertices that some admitted route from layer 0 reaches
     tracked = np.isfinite(reach(np.where(admitted, 0.0, np.inf),
@@ -291,11 +279,6 @@ def _enforce_limits(Q, valid, weight, s_weight, f_weight, limits: np.ndarray,
         u[k + 1] = u[k, pred[k]] + hop[k]
     u = np.where(tracked[..., None], u, Q)
     inside = np.all((u >= lo) & (u <= hi), axis=2)
-    if barrier > 0.0:
-        bar = barrier * np.sum(1.0 / np.maximum(u - lo, _BARRIER_MARGIN)
-                               + 1.0 / np.maximum(hi - u, _BARRIER_MARGIN), axis=2)
-        s_weight += bar[0]
-        weight += bar[1:, None, :]
     off = np.max(np.abs(u[:-1, :, None] + step - u[1:, None]), axis=3) > 1e-9
     weight[off | ~inside[:-1, :, None] | ~inside[1:, None, :]] = np.inf
     s_weight[~inside[0]] = np.inf
@@ -309,8 +292,9 @@ class JointPath:
 
     A path visits every layer once: entry k of lambdas, vertex_indices, q
     (unwrapped joint vectors) and det_j belongs to layer k. cost is
-    path_cost(q, lambdas), the pure movement metric; weight additionally
-    carries the soft penalties the search minimized.
+    path_cost(q, lambdas), the pure movement metric; weight, the length
+    the search minimized, adds the approximate-solution penalties of the
+    visited vertices.
     """
     lambdas: np.ndarray
     vertex_indices: list[int]

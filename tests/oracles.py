@@ -366,7 +366,7 @@ def single_pass_admission(Q, det_j, dlambda: float, eps: float, nonsingular_only
     return edges, s, f, (a, b)
 
 
-def joint_limit_loop(Q, edges, s_weight, f_weight, limits, barrier: float):
+def joint_limit_loop(Q, edges, s_weight, f_weight, limits):
     """Vertex-by-vertex reference for the planner's joint-limit pass, applied
     in place to the weights of a graph built without limits; returns the
     turn-tracked joint vectors.
@@ -374,9 +374,7 @@ def joint_limit_loop(Q, edges, s_weight, f_weight, limits, barrier: float):
     An S-edge head (a layer-0 vertex) takes, per joint, the 2*pi shift
     inside the limits nearest its wrapped value (the value itself when none
     fits); a vertex of a later layer extends its lowest-index admitted,
-    already tracked predecessor by the wrap-minimal step. Every vertex pays
-    barrier * sum(1/margin_lo + 1/margin_hi) on its incoming and S weights.
-    An edge goes when its tail or head lies outside the limits or the
+    already tracked predecessor by the wrap-minimal step. An edge goes when its tail or head lies outside the limits or the
     head's implied unwrap differs from its tracked value by more than 1e-9;
     a terminal goes when outside.
     """
@@ -402,15 +400,7 @@ def joint_limit_loop(Q, edges, s_weight, f_weight, limits, barrier: float):
                 tracked[j][l] = True
     inside = [[bool(np.all((u >= lo) & (u <= hi))) for u in uj] for uj in unwrapped]
     for j in range(K + 1):
-        for l, u in enumerate(unwrapped[j]):
-            if barrier > 0.0:
-                pen = barrier * np.sum(1.0 / np.maximum(u - lo, 1e-6)
-                                       + 1.0 / np.maximum(hi - u, 1e-6))
-                if j == 0:
-                    s_weight[l] += pen
-                for (k, d), e in edges.items():
-                    if k + d == j:
-                        e["weight"][:, l] += pen
+        for l in range(len(unwrapped[j])):
             if not inside[j][l]:
                 if j == 0:
                     s_weight[l] = np.inf
@@ -450,14 +440,8 @@ def layerwise_plan(layers, path, cfg=None, robot=None, closed_costs: bool = Fals
     eps = path.dlambda * cfg.resolve_eps0(dof)
     Q = [np.stack([s.q for s in ss]) if ss else np.empty((0, dof)) for ss in sols]
     det_j = [np.array([s.det_j for s in ss]) for ss in sols]
-    penalties = []
-    for k in range(K + 1):
-        pen = P._APPROX_PENALTY * np.array([s.residual if s.approximate else 0.0
-                                            for s in sols[k]])
-        if cfg.manipulability_weight > 0.0:
-            pen = pen + cfg.manipulability_weight * path.dlambda / np.maximum(
-                np.abs(det_j[k]), P._MU_FLOOR)
-        penalties.append(pen)
+    penalties = [P._APPROX_PENALTY * np.array([s.residual if s.approximate else 0.0
+                                               for s in ss]) for ss in sols]
     sign = [np.sign(d) for d in det_j]
     edges = {}
     for k in range(K):
@@ -474,7 +458,6 @@ def layerwise_plan(layers, path, cfg=None, robot=None, closed_costs: bool = Fals
     unwrapped = None
     if robot is not None and robot.joint_limits is not None:
         limits = robot.joint_limits
-        barrier = cfg.joint_limit_barrier * path.dlambda
         lo, hi = limits[:, 0], limits[:, 1]
         unwrapped = [P._start_representative(Q[0], limits)] + [q.copy() for q in Q[1:]]
         tracked = np.ones(Q[0].shape[0], dtype=bool)
@@ -490,17 +473,11 @@ def layerwise_plan(layers, path, cfg=None, robot=None, closed_costs: bool = Fals
                 u[heads] = implied[from_tracked.argmax(axis=0)[heads], heads]
             elif j > 0:
                 tracked = np.zeros(Q[j].shape[0], dtype=bool)
-            bar = 0.0
-            if barrier > 0.0:
-                bar = barrier * np.sum(1.0 / np.maximum(u - lo, 1e-6)
-                                       + 1.0 / np.maximum(hi - u, 1e-6), axis=1)
             inside.append(np.all((u >= lo) & (u <= hi), axis=1))
             if j == 0:
-                s_weight += bar
                 s_weight[~inside[0]] = np.inf
             if e is not None:
                 off = np.max(np.abs(implied - u), axis=2) > 1e-9
-                e["weight"] += bar
                 e["weight"][off | ~inside[j - 1][:, None] | ~inside[j]] = np.inf
         f_weight[~inside[-1]] = np.inf
 

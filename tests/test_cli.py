@@ -350,6 +350,30 @@ class TestNonNumericInput:
         assert any(line.startswith("error:") and named in line
                    for line in err.splitlines()), err
 
+    # documents that are not JSON objects, and a boolean dof, which Python
+    # would count as 1
+    @pytest.mark.parametrize("command,kind,doc,named", [
+        ("plan", "robot", "name dof axes offsets tool_offset", "must be a JSON object"),
+        ("plan", "robot", ["dof"], "must be a JSON object"),
+        ("identify", "robot", {"dof": True, "axes": [[0.0, 0.0, 1.0]], "offsets": [[0.0] * 3],
+                               "tool_offset": [1.0, 0.0, 0.0]}, "dof must be an integer"),
+        ("plan", "path", "frame dlambda samples", "must be a JSON object"),
+        ("optimize", "toolpath", ["frame", "dlambda", "samples"], "must be a JSON object"),
+    ], ids=["robot-string", "robot-list", "dof-bool", "path-string", "toolpath-list"])
+    def test_non_object_exits_2(self, capsys, tmp_path, command, kind, doc, named):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, "--robot", str(bad) if kind == "robot" else "3r-canonical"]
+        if command == "plan":
+            argv += ["--path", str(bad) if kind == "path" else "3r-infeasible-line"]
+        if command == "optimize":
+            argv += ["--toolpath", str(bad)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert any(line.startswith(f"error: {kind} file {str(bad)!r}") and named in line
+                   for line in err.splitlines()), err
+
 
 class TestNonFiniteOptions:
     @pytest.mark.parametrize("argv", [

@@ -78,7 +78,9 @@ class TestPlannerConfig:
         {"manipulability_weight": -0.1}, {"joint_limit_barrier": np.nan},
         {"joint_limit_barrier": np.inf}, {"joint_limit_barrier": -0.1}])
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # edges are priced by joint motion and approximation only: the
+        # config takes no penalty weights at all
+        with pytest.raises(ValueError if "eps0" in kwargs else TypeError):
             PlannerConfig(**kwargs)
 
 
@@ -229,32 +231,6 @@ class TestBuildGraph:
         assert jp is not None
         assert np.all(jp.q[:, 2] >= 0.0) and np.all(jp.q[:, 2] <= 2.0)
 
-    def test_barrier_penalty_increases_weight(self, r3):
-        pose = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        path = TaskPath.from_poses([pose] * 3, dlambda=0.1)
-        layers = build_layers(r3, path)
-        from cuspidal_kit.kinematics import RobotModel
-        limited = RobotModel(axes=r3.axes, offsets=r3.offsets, tool_offset=r3.tool_offset,
-                             joint_limits=[[-3.2, 3.2]] * 3, name="3r-lim")
-        free = shortest_joint_path(build_plan_graph(layers, path, PlannerConfig(), robot=limited))
-        barred = shortest_joint_path(build_plan_graph(
-            layers, path, PlannerConfig(joint_limit_barrier=0.1), robot=limited))
-        assert barred.weight > free.weight
-        assert barred.cost == pytest.approx(free.cost)
-
-    def test_manipulability_penalty_prefers_high_mu(self, r3):
-        # two parallel chains, the lower-det one cheaper on the metric
-        layers = _layers(
-            [[np.zeros(3), np.array([1.0, 0, 0])],
-             [np.array([0.0, 0.01, 0]), np.array([1.0, 0.01, 0])]],
-            dets=[[1e-6, 2.0], [1e-6, 2.0]])
-        path = _const_path(2)
-        plain = shortest_joint_path(build_plan_graph(layers, path, PlannerConfig(), robot=r3))
-        assert plain.vertex_indices == [0, 0]
-        weighted = shortest_joint_path(build_plan_graph(
-            layers, path, PlannerConfig(manipulability_weight=1.0), robot=r3))
-        assert weighted.vertex_indices == [1, 1]
-
 
 def _limited(robot, joint_limits):
     return RobotModel(axes=robot.axes, offsets=robot.offsets, tool_offset=robot.tool_offset,
@@ -262,14 +238,15 @@ def _limited(robot, joint_limits):
 
 
 _FREE = [-np.pi, np.pi]
-# joint limits and barrier weight per variant
+# joint limits per variant; the two "-barrier" ids date from when those
+# sets also carried a joint-limit barrier weight, kept so test ids stay stable
 _LIMIT_VARIANTS = {
-    "none": (None, 0.0),
-    "q3": ([_FREE, _FREE, [-3.0, 0.5]], 0.0),
-    "wide-barrier": ([[-3.2, 3.2]] * 3, 0.01),
-    "q1": ([[-1.0, 2.5], _FREE, _FREE], 0.0),
-    "multi-turn-barrier": ([[-7.0, 7.0], [-2.0, 1.0], _FREE], 0.05),
-    "q2-multi-turn": ([_FREE, [0.0, 2 * np.pi], _FREE], 0.0),
+    "none": None,
+    "q3": [_FREE, _FREE, [-3.0, 0.5]],
+    "wide-barrier": [[-3.2, 3.2]] * 3,
+    "q1": [[-1.0, 2.5], _FREE, _FREE],
+    "multi-turn-barrier": [[-7.0, 7.0], [-2.0, 1.0], _FREE],
+    "q2-multi-turn": [_FREE, [0.0, 2 * np.pi], _FREE],
 }
 
 
@@ -287,17 +264,24 @@ def _per_layer(graph, padded):
 
 
 def _assert_limits_match_loop(layers, path, cfg, robot):
-    """The planner's turn tracking, barrier and drops equal, bit for bit,
-    the vertex-by-vertex loop applied to the graph built without limits."""
+    """The planner's turn tracking and drops equal, bit for bit, the
+    vertex-by-vertex loop applied to the graph built without limits, and
+    every weight the limits keep equals the one built without them."""
     fast = build_plan_graph(layers, path, cfg, robot=robot)
     ref = build_plan_graph(layers, path, cfg, robot=canonical_3r())
+    # the limits only mask: every weight they keep is the unlimited one
+    for w_fast, w_ref in ((fast.weight, ref.weight), (fast.s_weight, ref.s_weight),
+                          (fast.f_weight, ref.f_weight)):
+        kept = np.isfinite(w_fast)
+        assert np.isfinite(w_ref[kept]).all()
+        nt.assert_array_equal(w_fast[kept], w_ref[kept])
     ref_edges = {key: {"weight": e["weight"].copy()} for key, e in ref.edges.items()}
     s_weight, f_weight = ref.s_weight.copy(), ref.f_weight.copy()
     if robot.joint_limits is None:
         assert fast.unwrapped is None
     else:
         unwrapped = joint_limit_loop(_per_layer(ref, ref.Q), ref_edges, s_weight, f_weight,
-                                     robot.joint_limits, cfg.joint_limit_barrier * path.dlambda)
+                                     robot.joint_limits)
         for u_fast, u_ref in zip(_per_layer(fast, fast.unwrapped), unwrapped, strict=True):
             nt.assert_array_equal(u_fast, u_ref)
     fast_edges = fast.edges
@@ -333,9 +317,8 @@ class TestJointLimits:
     @pytest.mark.parametrize("nonsingular", [False, True])
     @pytest.mark.parametrize("variant", list(_LIMIT_VARIANTS))
     def test_drop_matches_edge_loop(self, r3, fixture_layers, variant, nonsingular):
-        limits, barrier = _LIMIT_VARIANTS[variant]
-        robot = _limited(r3, limits)
-        cfg = PlannerConfig(nonsingular_only=nonsingular, joint_limit_barrier=barrier)
+        robot = _limited(r3, _LIMIT_VARIANTS[variant])
+        cfg = PlannerConfig(nonsingular_only=nonsingular)
         for path, layers in fixture_layers:
             _assert_limits_match_loop(layers, path, cfg, robot)
 
@@ -351,8 +334,7 @@ class TestJointLimits:
             dl = float(rng.uniform(0.05, 0.5))
             lo = rng.uniform(-7.0, 0.0, 3)
             robot = _limited(r3, np.stack([lo, lo + rng.uniform(1.0, 12.0, 3)], axis=1))
-            cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl,
-                                joint_limit_barrier=float(rng.choice([0.0, 0.02])))
+            cfg = PlannerConfig(eps0=float(rng.uniform(5, 60)) / dl)
             _assert_limits_match_loop(_layers(layer_sets, approxes=approxes),
                                       _const_path(K + 1, dlambda=dl), cfg, robot)
 
@@ -409,9 +391,7 @@ def _random_plan_input(rng):
     approxes = [[bool(rng.random() < 0.15) for _ in qs] for qs in layer_sets]
     dl = float(rng.uniform(0.05, 0.5))
     cfg = PlannerConfig(eps0=float(rng.uniform(10, 400)) / dl,
-                        nonsingular_only=bool(rng.random() < 0.5),
-                        manipulability_weight=float(rng.choice([0.0, 0.3])),
-                        joint_limit_barrier=float(rng.choice([0.0, 0.02])))
+                        nonsingular_only=bool(rng.random() < 0.5))
     limits = None
     if rng.random() < 0.5:
         lo = rng.uniform(-7.0, 0.0, 3)
@@ -426,10 +406,10 @@ class TestPaddedMatchesLayerwise:
     @pytest.mark.parametrize("nonsingular", [False, True])
     @pytest.mark.parametrize("variant", list(_LIMIT_VARIANTS))
     def test_fixtures(self, r3, fixture_layers, monkeypatch, variant, nonsingular):
-        limits, barrier = _LIMIT_VARIANTS[variant]
-        cfg = PlannerConfig(nonsingular_only=nonsingular, joint_limit_barrier=barrier)
+        cfg = PlannerConfig(nonsingular_only=nonsingular)
         for path, layers in fixture_layers:
-            _assert_matches_layerwise(monkeypatch, layers, path, cfg, _limited(r3, limits))
+            _assert_matches_layerwise(monkeypatch, layers, path, cfg,
+                                      _limited(r3, _LIMIT_VARIANTS[variant]))
 
     def test_control_segment(self, r3, monkeypatch):
         path = infeasible_line_control_path(500)
