@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -192,6 +193,10 @@ def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
         raise ValueError(f"path needs at least 2 samples, got {n}")
     if type(doc["dlambda"]) not in (int, float):
         raise ValueError(f"dlambda must be a number, got {doc['dlambda']!r}")
+    try:
+        dlambda = float(doc["dlambda"])
+    except OverflowError:
+        raise ValueError("dlambda is an integer too large for a float") from None
     closed = doc.get("closed", False)
     if not isinstance(closed, bool):
         raise ValueError(f"closed must be true or false, got {closed!r}")
@@ -209,7 +214,7 @@ def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
         rotations[oriented] = np.moveaxis(unit_quat_matrix(*(quats / norms[:, None]).T), -1, 0)
     if doc["frame"] != frame:
         raise ValueError(wrong_frame)
-    path = TaskPath(positions, rotations, float(doc["dlambda"]), closed)
+    path = TaskPath(positions, rotations, dlambda, closed)
     mean = float(np.mean(np.linalg.norm(np.diff(path.positions, axis=0), axis=1)))
     if mean > 0.0 and not 0.5 <= path.dlambda / mean <= 2.0:
         raise ValueError(f"dlambda {path.dlambda!r} disagrees with the mean sample "
@@ -248,11 +253,17 @@ def generate_helix(radius: float = 0.3, pitch: float = 0.2, turns: float = 2.0,
     if orientation_mode == "tangent-following" and radius <= 0.0:
         raise ValueError("tangent-following orientation needs a positive radius")
     K = samples - 1
-    t_end = 2.0 * np.pi * turns
-    ts = np.linspace(0.0, t_end, samples)
-    b = pitch / (2.0 * np.pi)
-    arc_rate = float(np.hypot(radius, b))
+    # Python floats overflow to inf without a warning, and |b t| <= arc_rate t_end,
+    # so a finite dlambda keeps every position finite
+    t_end = 2.0 * np.pi * float(turns)
+    b = float(pitch) / (2.0 * np.pi)
+    with np.errstate(over="ignore"):
+        arc_rate = float(np.hypot(radius, b))
     dlambda = arc_rate * t_end / K if t_end > 0 else 1.0 / K
+    if not math.isfinite(dlambda):
+        raise ValueError(f"radius {radius!r}, pitch {pitch!r} and turns {turns!r} give a "
+                         "helix whose positions or dlambda are not finite")
+    ts = np.linspace(0.0, t_end, samples)
     poses = []
     for t in ts:
         p = np.array([radius * np.cos(t), radius * np.sin(t), b * t])

@@ -516,33 +516,30 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
     row is tagged with its sample id, so rows of different targets never
     interact: a target's rows evolve the same whatever else is in the
     population. Rows must arrive in (sample, seed) order; compaction keeps
-    that order, so coalescing merges a cell onto its first row. Each row
-    carries its own damping: steps that raise the residual are rejected and
-    retried stiffer, which keeps boundary rows from being flung away by a
-    near-singular Jacobian. All per-row state lives in one record,
-    joint-major with rows along the last axis, that is compacted once per
-    iteration. At most max_iters LM iterations run. Returns candidate arrays
-    (q, residual, seed, approximate, sample, det_j); det_j comes from the
-    Jacobian at exactly that q.
+    that order, so coalescing merges a cell onto its first row. A step that
+    raises a row's residual or makes it non-finite is rejected and retried
+    stiffer, which keeps boundary rows from being flung away by a
+    near-singular Jacobian. Each row's record, compacted once per iteration,
+    holds its seed, sample, damping lam, stall count and last accepted
+    iterate: Q (n, N), e (m, N), J (m, n, N) and resid (inf before the first
+    iteration). So the stored residual never rises and is the row's best.
+    A row finishes when it converged (two passes in a row within EXACT_TOL),
+    gave up (_STALL_LIMIT stalls above it) or ran out of the max_iters
+    budget, and banks if its residual is within APPROX_TOL; a non-finite
+    start drops out. Returns candidate arrays (q, residual, seed,
+    approximate, sample, det_j); det_j comes from the Jacobian at exactly
+    that q.
     """
     m6 = robot.dof != 3
     N = Q0.shape[0]
-    # per-row state; Q (n, N), e (m, N), J (m, n, N) and resid are the last
-    # accepted iterate
     rows = {"seed": np.asarray(seed), "sample": np.asarray(sample),
-            "lam": np.full(N, _DAMPING), "best": np.full(N, np.inf),
-            "stall": np.zeros(N, dtype=np.int8), "below": np.zeros(N, dtype=bool)}
+            "lam": np.full(N, _DAMPING), "stall": np.zeros(N, dtype=np.int8),
+            "resid": np.full(N, np.inf)}
     Q = wrap_to_pi(np.ascontiguousarray(np.asarray(Q0, dtype=float).T))
-    done: list[tuple] = []
+    done = [(np.empty((0, robot.dof)), np.empty(0), rows["seed"][:0], np.empty(0, dtype=bool),
+             rows["sample"][:0], np.empty(0))]
     # rows only leave, so only seed grids coalesce, never the closed forms
     coalesce = np.bincount(rows["sample"]).max(initial=0) > _COALESCE_MIN_ROWS
-
-    def bank(sel):
-        if np.any(sel):
-            r = rows["resid"][sel]
-            done.append((rows["Q"][:, sel].T, r, rows["seed"][sel], r > EXACT_TOL,
-                         rows["sample"][sel],
-                         jacobian_dets(rows["J"][..., sel].transpose(2, 0, 1))))
 
     for it in range(max_iters):
         R, p, J = fk_jacobian_batch(robot, Q.T)
@@ -557,37 +554,34 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
             resid += np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
         else:
             e = dp
-        bad = ~np.isfinite(resid)
-        lam = rows["lam"]
+        prev, lam = rows["resid"], rows["lam"]
         if it > 0:
-            worse = (resid > rows["resid"]) | bad
+            worse = ~(resid <= prev)
             if np.any(worse):
                 # reject the step: revert to the stored state, retry stiffer
                 Q[:, worse] = rows["Q"][:, worse]
                 e[:, worse] = rows["e"][:, worse]
                 J[..., worse] = rows["J"][..., worse]
-                resid[worse] = rows["resid"][worse]
-                bad &= ~worse
+                resid[worse] = prev[worse]
             lam = np.where(worse, np.minimum(lam * _LAM_GROW, _LAM_MAX),
                            np.maximum(lam * _LAM_SHRINK, _DAMPING))
         below = resid <= EXACT_TOL
-        # bank a root only after a second sub-tolerance pass: the extra
+        stalled = (prev - resid) < _STALL_REL_IMPROVEMENT * np.maximum(resid, 1e-12)
+        stall = np.where(stalled, rows["stall"] + 1, 0).astype(np.int8)
+        # a root finishes only after a second sub-tolerance pass: the extra
         # Newton step polishes it to machine accuracy, which downstream
         # cost comparisons rely on
-        converged = below & rows["below"]
-        stalled = (rows["best"] - resid) < _STALL_REL_IMPROVEMENT * np.maximum(resid, 1e-12)
-        stall = np.where(stalled, rows["stall"] + 1, 0).astype(np.int8)
-        gave_up = (stall >= _STALL_LIMIT) & ~below & ~bad
-        rows.update(Q=Q, e=e, J=J, resid=resid, lam=lam, below=below, stall=stall,
-                    best=np.minimum(rows["best"], resid))
-        if it == max_iters - 1:
-            # out of budget: bank whatever is close enough
-            bank(~bad & (resid <= APPROX_TOL))
-            break
-        bank((converged | gave_up) & (resid <= APPROX_TOL))
-        keep = ~(converged | gave_up | bad)
+        finished = ((below & (prev <= EXACT_TOL)) | ((stall >= _STALL_LIMIT) & ~below)
+                    | (it == max_iters - 1))
+        banked = finished & (resid <= APPROX_TOL)
+        if banked.any():
+            r = resid[banked]
+            done.append((Q[:, banked].T, r, rows["seed"][banked], r > EXACT_TOL,
+                         target[banked], jacobian_dets(J[..., banked].transpose(2, 0, 1))))
+        keep = ~finished & np.isfinite(resid)
         if not keep.any():
             break
+        rows.update(Q=Q, e=e, J=J, resid=resid, lam=lam, stall=stall)
         if coalesce and it >= _COALESCE_START_ITER:
             # each target is judged on its own live-row count; rows already
             # homing in on a root are exempt: distinct near-fold twin roots
@@ -603,9 +597,6 @@ def _refine_population(robot: RobotModel, Tpos, Trot, Q0, sample, seed,
         if not keep.all():
             rows = {name: np.compress(keep, v, axis=-1) for name, v in rows.items()}
         Q = wrap_to_pi(rows["Q"] + _lm_step(rows["J"], rows["e"], rows["lam"]))
-    if not done:
-        return (np.empty((0, robot.dof)), np.empty(0), np.empty(0, dtype=int),
-                np.empty(0, dtype=bool), np.empty(0, dtype=int), np.empty(0))
     return tuple(np.concatenate(parts) for parts in zip(*done))
 
 

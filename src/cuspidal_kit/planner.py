@@ -204,6 +204,7 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     vertex, so a path pays each visited vertex exactly once. When the robot
     declares joint limits, edges and terminals whose vertices leave them
     under greedy turn tracking are dropped; finite weights stay as they are.
+    An eps that overflows to inf raises ValueError.
     """
     cfg = cfg or PlannerConfig()
     K = path.K
@@ -212,7 +213,11 @@ def build_plan_graph(layers: list[IKSolutionSet], path: TaskPath, cfg: PlannerCo
     sols = [s for layer in layers for s in layer.solutions]
     counts = np.array([len(layer.solutions) for layer in layers])
     dof = robot.dof
-    eps = path.dlambda * cfg.resolve_eps0(dof)
+    # as Python floats, an overflow is inf without a warning
+    dlambda, eps0 = float(path.dlambda), float(cfg.resolve_eps0(dof))
+    eps = dlambda * eps0
+    if not np.isfinite(eps):
+        raise ValueError(f"eps = dlambda * eps0 = {dlambda!r} * {eps0!r} is not finite")
     valid = np.arange(max(counts.max(), 1)) < counts[:, None]      # (K+1, M)
     Q = np.zeros(valid.shape + (dof,))
     Q[valid] = np.reshape([s.q for s in sols], (-1, dof))

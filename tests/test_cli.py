@@ -445,6 +445,38 @@ class TestDlambdaSpacing:
         assert any(line.startswith("error:") and "dlambda" in line for line in err.splitlines())
 
 
+class TestOverflowingInput:
+    # finite inputs whose float value, or a value derived from them, overflows
+    @pytest.mark.parametrize("command,dlambda,extra,named", [
+        ("plan", 10 ** 400, [], "error: path file"),
+        ("optimize", 10 ** 400, [], "error: toolpath file"),
+        ("plan", 2.0, ["--eps0", "1e308"], "eps0"),
+    ], ids=["plan-huge-int-dlambda", "optimize-huge-int-dlambda", "plan-eps0"])
+    def test_path_input_exits_2(self, capsys, tmp_path, command, dlambda, extra, named):
+        # 11 samples at one point, so dlambda is not held to a sample spacing
+        pose = forward_kinematics(canonical_3r(), np.array([0.3, -0.7, 1.1]))
+        frame, flag = ("base", "--path") if command == "plan" else ("workpiece", "--toolpath")
+        doc = fileio.path_to_doc([pose] * 11, 2.0, frame, False)
+        doc["dlambda"] = dlambda
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--robot", "3r-canonical", flag, str(path),
+                             "--ik-seeds", "4", *extra)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and named in line and "dlambda" in line, err
+
+    def test_helix_exits_2(self, capsys):
+        # pitch * turns overflows, and numpy must not warn on the way
+        code, out, err = run(capsys, "helix", "--samples", "3", "--pitch", "1e308",
+                             "--turns", "2")
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "pitch" in line, err
+
+
 class TestOptimize:
     def test_small_helix(self, capsys, tmp_path):
         helix = tmp_path / "helix.json"

@@ -171,6 +171,25 @@ class TestRefine:
         target = Pose(np.eye(3), np.array([100.0, 0.0, 0.0]))
         assert solve_all_ik(r3, target).solutions == []
 
+    def test_non_finite_trial_is_rejected(self, r3, monkeypatch):
+        # a NaN step is reverted and retried stiffer like a worse one, so its
+        # row still banks the root it started at
+        target = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
+        want = solve_all_ik(r3, target)
+        step, calls = ik._lm_step, []
+
+        def nan_in_first_row_once(J, e, lam):
+            dq = step(J, e, lam)
+            if not calls:
+                dq[:, 0] = np.nan
+            calls.append(None)
+            return dq
+
+        monkeypatch.setattr(ik, "_lm_step", nan_in_first_row_once)
+        got = solve_all_ik(r3, target)
+        assert len(calls) > 1 and want.solutions
+        _assert_same_sets([got], [want])
+
 
 class TestEnumeration:
     def test_counts_and_oracle_match(self, r3, oracle):
