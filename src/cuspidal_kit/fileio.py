@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,8 +36,75 @@ def _plain(obj):
 
 
 def dump_json(doc) -> str:
-    """Strict JSON text of doc; NaN or infinity raises ValueError."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain)
+    """Strict JSON text of doc; NaN or infinity raises ValueError.
+
+    The text is that of json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False, default=_plain), byte for byte. indent=2 makes
+    json.dumps encode every number in Python; _text writes a list of plain
+    numbers, or an int or float array, with one join or one % format.
+    """
+    return _text(doc, "\n")
+
+
+def _bracket(texts: list, nl: str) -> str:
+    """A JSON list of the element texts, one per line, closed at the
+    indent that newline nl ends with."""
+    if not texts:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _array_template(shape: tuple, nl: str) -> str:
+    """The JSON text of an array of this shape, with %r for each entry."""
+    if not shape:
+        return "%r"
+    return _bracket([_array_template(shape[1:], nl + "  ")] * shape[0], nl)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _text(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _text(obj, nl: str) -> str:
+    """The JSON text of obj at the indent that newline nl ends with.
+
+    A list whose entries are all exactly int or float, and finite, is one
+    join over their reprs; any other list is walked entry by entry, which
+    keeps bool, np.float64 and non-finite entries on json.dumps's path. A
+    numpy value is written as its tolist(), as _plain makes json.dumps do,
+    in one % format when it holds finite ints or floats. Any other scalar
+    is json.dumps of itself.
+    """
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds and kinds <= {int, float}:
+            floats = obj if int not in kinds else [x for x in obj if x.__class__ is float]
+            if all(map(math.isfinite, floats)):
+                return _bracket(list(map(repr, obj)), nl)
+        inner = nl + "  "
+        return _bracket([_text(v, inner) for v in obj], nl)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return ("{" + inner + ("," + inner).join([_key_text(k) + ": " + _text(v, inner)
+                                                   for k, v in sorted(obj.items())])
+                + nl + "}")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # json.dumps of a lone float leaves the value out of this message
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    if isinstance(obj, (np.ndarray, np.generic)):
+        # tolist gives Python ints, and floats for at most double precision
+        kind = obj.dtype.kind
+        if kind in "iu" or (kind == "f" and obj.dtype.itemsize <= 8 and np.isfinite(obj).all()):
+            return _array_template(obj.shape, nl) % tuple(obj.ravel().tolist())
+        return _text(obj.tolist(), nl)
+    return json.dumps(obj, default=_plain)
 
 
 def save_json(doc, path: str):
@@ -240,7 +308,8 @@ def generate_helix(radius: float = 0.3, pitch: float = 0.2, turns: float = 2.0,
     Positions are (r cos t, r sin t, pitch*t/2pi); the per-sample spacing in
     lambda is the true arc length, which is constant for a helix. With
     pitch = 0 and integer turns the path closes; radius = 0 degenerates to a
-    vertical segment (not allowed in tangent-following mode).
+    vertical segment (not allowed in tangent-following mode), and radius =
+    pitch = 0 with turns > 0 to a point, which is refused.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -263,6 +332,9 @@ def generate_helix(radius: float = 0.3, pitch: float = 0.2, turns: float = 2.0,
     if not math.isfinite(dlambda):
         raise ValueError(f"radius {radius!r}, pitch {pitch!r} and turns {turns!r} give a "
                          "helix whose positions or dlambda are not finite")
+    if dlambda <= 0.0:
+        raise ValueError(f"radius {radius!r} and pitch {pitch!r} give a helix of zero "
+                         f"length over {turns!r} turns, so its dlambda would be 0")
     ts = np.linspace(0.0, t_end, samples)
     poses = []
     for t in ts:

@@ -174,7 +174,7 @@ _LEAD_FLOOR = 1e-14
 
 @per_robot
 def _reduce_3r(robot: RobotModel) -> _Reduced3R:
-    """The closed-form reduction of a 3-DOF arm, built once per robot object.
+    """The closed-form reduction of a 3-DOF arm, built once per geometry.
 
     Raises ValueError for an arm whose reduced equation does not depend on
     theta3 for a generic target or whose M vanishes: its det J vanishes for
@@ -360,7 +360,7 @@ _PARALLEL_TOL = 1e-12
 @per_robot
 def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
     """The closed-form constant of a 6-DOF arm with h2 = h3 = h4 = a, built
-    once per robot object: A^-1 for the 2x2 system A (cos q5, sin q5) = f.
+    once per geometry: A^-1 for the 2x2 system A (cos q5, sin q5) = f.
 
     Joints 2 to 4 turn about one axis, which a.R1^T keeps fixed, so with
     w0 = p - R p6T - o1 both a.R1^T w0 - a.(p12 + p23 + p34 + p45) = a.R5 p56

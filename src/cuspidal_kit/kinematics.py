@@ -5,7 +5,8 @@ i-1), inter-frame offsets p_{i-1,i}, and a tool offset p_{nT}. Forward
 kinematics walks the chain: translate by the offset, rotate about the joint
 axis, repeat, then apply the tool offset. Everything here is a pure function
 of its inputs; batched variants (leading N axis) carry the heavy load for
-the IK engine. A robot's arrays are read-only, so per_robot values stay valid.
+the IK engine. A robot's arrays are read-only, so a per_robot value built
+from one robot stays valid for every robot of the same geometry.
 """
 
 from __future__ import annotations
@@ -187,7 +188,6 @@ class RobotModel:
         self._K2 = np.stack([K @ K for K in self._K])
         for v in (self.axes, self.offsets, self.tool_offset, self._K, self._K2):
             v.setflags(write=False)
-        self._derived = {}   # by builder function, see per_robot
 
     @property
     def dof(self) -> int:
@@ -203,14 +203,34 @@ class RobotModel:
         return q
 
 
+# geometries whose derived values each per_robot build keeps; a new one
+# evicts the oldest, so sweeps over many random arms stay bounded
+_GEOMETRIES_KEPT = 32
+
+
 def per_robot(build):
-    """Decorator: build(robot) runs once per robot and its value is kept on
-    the robot, so it goes with it. A build that raises keeps nothing."""
+    """Decorator: build(robot) runs once per arm geometry (dof, axes,
+    offsets and tool_offset), and every robot of that geometry gets the
+    same value, whatever its name or joint limits. So a build may read only
+    the geometry; it may name the robot in an error, because a build that
+    raises keeps nothing. Threads that miss at once may each build the same
+    value; the last one is kept."""
+    cache = {}
+
     @functools.wraps(build)
     def derived(robot: RobotModel):
-        if build not in robot._derived:
-            robot._derived[build] = build(robot)
-        return robot._derived[build]
+        key = (robot.dof, robot.axes.tobytes(), robot.offsets.tobytes(),
+               robot.tool_offset.tobytes())
+        try:
+            return cache[key]
+        except KeyError:   # a build may return None, so no get()
+            pass
+        value = build(robot)
+        # the oldest keys; list() copies them, as another thread may evict too
+        for old in list(cache)[:len(cache) + 1 - _GEOMETRIES_KEPT]:
+            cache.pop(old, None)
+        cache[key] = value
+        return value
     return derived
 
 

@@ -134,7 +134,7 @@ def decompose_rz_rxy(R) -> tuple[float, np.ndarray]:
 @per_robot
 def workspace_radii(robot: RobotModel):
     """Crude reachable-shell estimate: (min, max) tool distance from base,
-    computed once per robot object."""
+    computed once per geometry."""
     rng = np.random.default_rng(0)
     Q = rng.uniform(-np.pi, np.pi, size=(_SHELL_SAMPLES, robot.dof))
     _, P = fk_batch(robot, Q)

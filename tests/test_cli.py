@@ -392,6 +392,7 @@ class TestNonFiniteOptions:
         ["helix", "--pitch", "inf", "--samples", "5"],
         ["optimize", "--robot", "3r-canonical", "--toolpath", "3r-helix", "--max-evals", "0"],
         ["optimize", "--robot", "3r-canonical", "--toolpath", "3r-helix", "--max-evals", "-5"],
+        ["helix", "--radius", "0", "--pitch", "0", "--turns", "1", "--samples", "3"],
     ])
     def test_bad_numbers_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -156,11 +156,17 @@ class TestJson:
             x = float(rng.normal() * 10.0 ** rng.integers(-300, 300))
             k = int(rng.integers(-2 ** 62, 2 ** 62))
             b = bool(rng.integers(2))
-            return [(x, x), (-0.0, -0.0), (0.0, 0.0), (k, k), (b, b), (None, None),
-                    (np.float64(x), x), (np.float32(x / 1e290), float(np.float32(x / 1e290))),
-                    (np.int64(k), k), (np.int32(k % 1000), k % 1000), (np.bool_(b), b),
-                    (f"s{k}", f"s{k}"), (np.array([x, -0.0]), [x, -0.0]),
-                    (np.arange(3), [0, 1, 2])][rng.integers(14)]
+            leaves = [(x, x), (-0.0, -0.0), (0.0, 0.0), (k, k), (b, b), (None, None),
+                      (np.float64(x), x), (np.float32(x / 1e290), float(np.float32(x / 1e290))),
+                      (np.int64(k), k), (np.int32(k % 1000), k % 1000), (np.bool_(b), b),
+                      (f"s{k}", f"s{k}"), (np.array([x, -0.0]), [x, -0.0]),
+                      (np.arange(3), [0, 1, 2]),
+                      (np.array([[x, -0.0, 1e-300], [0.5, x, -x]]), [[x, -0.0, 1e-300], [0.5, x, -x]]),
+                      (np.array([[k, 0], [-1, 7]]), [[k, 0], [-1, 7]]),
+                      (np.zeros((0, 3)), []), (np.zeros((2, 0), dtype=int), [[], []]),
+                      ([k, x, 0.5, -3], [k, x, 0.5, -3]), ([b, not b], [b, not b]),
+                      ([np.float64(x), np.float64(-0.0)], [x, -0.0])]
+            return leaves[rng.integers(len(leaves))]
 
         def node(depth):
             kind = rng.integers(4) if depth < 4 else 3
@@ -180,6 +186,8 @@ class TestJson:
             assert fileio.dump_json(doc) == json.dumps(plain, indent=2, sort_keys=True)
             with pytest.raises(ValueError):
                 fileio.dump_json({"a": [doc, (np.float64(np.nan),)]})
+            with pytest.raises(ValueError):
+                fileio.dump_json({"a": [doc, np.array([[1.0, 2.0], [np.nan, 3.0]])]})
 
     def test_other_objects_are_refused(self):
         with pytest.raises(TypeError):

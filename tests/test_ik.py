@@ -552,6 +552,13 @@ class TestClosedForm3R:
             with pytest.raises(ValueError, match="no isolated IK solutions"):
                 solve_all_ik(robot, forward_kinematics(robot, np.zeros(3)))
 
+    def test_refusal_names_each_robot_of_one_geometry(self):
+        still = degenerate_3r_arms()[0]
+        for name in ("still-a", "still-b"):
+            arm = RobotModel(still.axes, still.offsets, still.tool_offset, name=name)
+            with pytest.raises(ValueError, match=f"robot '{name}' has no isolated"):
+                solve_all_ik(arm, forward_kinematics(arm, np.zeros(3)))
+
     def test_random_arms_reduce(self):
         rng = np.random.default_rng(45)
         for _ in range(200):
@@ -818,8 +825,8 @@ class TestClosedForm6R:
 
 @pytest.mark.parametrize("make", [canonical_3r, three_parallel_6r])
 def test_solved_robot_is_freed(make):
-    # what the IK derives from a robot is kept on the robot, not in a
-    # module-level cache that would keep every robot alive
+    # what the IK derives from a robot is cached by geometry, and the
+    # cache must not keep the robot itself alive
     robot = make()
     solve_all_ik(robot, forward_kinematics(robot, np.full(robot.dof, 0.3)))
     freed = weakref.ref(robot)

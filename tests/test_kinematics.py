@@ -1,4 +1,6 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as nt
@@ -198,14 +200,43 @@ class TestKernelTape:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_tape_is_built_once_per_robot(self, monkeypatch):
+        # the tape belongs to the geometry; no other test builds this one
+        base = canonical_3r()
         walks = count_calls(monkeypatch, kinematics, "_chain_walk")
-        robot = canonical_3r()
+        robot = RobotModel(base.axes, base.offsets, [0.4375, 0.0, 0.1875], name="tape")
         for N in (1, 3, 1):
             fk_jacobian_batch(robot, np.zeros((N, 3)))
         det_j_batch(robot, np.ones((2, 3)))
         assert len(walks) == 1
-        fk_jacobian_batch(canonical_3r(), np.zeros((1, 3)))
-        assert len(walks) == 2
+        twin = RobotModel(robot.axes.copy(), robot.offsets.copy(), robot.tool_offset.copy(),
+                          joint_limits=[[-1.0, 1.0]] * 3, name="tape-twin")
+        fk_jacobian_batch(twin, np.zeros((1, 3)))
+        assert len(walks) == 1
+        for k in range(kinematics._GEOMETRIES_KEPT):
+            other = RobotModel(base.axes, base.offsets, [0.4375, 0.0, 0.25 + k / 64], name="tape")
+            fk_jacobian_batch(other, np.zeros((1, 3)))
+            assert len(walks) == 2 + k
+        # the first geometry was the oldest kept, so it was evicted
+        fk_jacobian_batch(robot, np.zeros((1, 3)))
+        assert len(walks) == 2 + kinematics._GEOMETRIES_KEPT
+
+    def test_concurrent_builds_and_evictions_never_raise(self):
+        # threads that miss at once each build, and evict from one dict
+        base = canonical_3r()
+        arms = [RobotModel(base.axes, base.offsets, [0.3125, 0.0, 0.5 + k / 128])
+                for k in range(2 * kinematics._GEOMETRIES_KEPT)]
+        Q = np.full((1, 3), 0.3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(fk_jacobian_batch, arm, Q) for _ in range(3) for arm in arms]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, got in enumerate(results):
+            want = walked_fk_jacobian(arms[k % len(arms)], Q)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestManipulability:
