@@ -283,7 +283,9 @@ def _path_from_doc(doc: dict, frame: str, wrong_frame: str) -> TaskPath:
     if doc["frame"] != frame:
         raise ValueError(wrong_frame)
     path = TaskPath(positions, rotations, dlambda, closed)
-    mean = float(np.mean(np.linalg.norm(np.diff(path.positions, axis=0), axis=1)))
+    # a quarter of each step: neither it, its length nor their mean can overflow
+    quarter = np.hypot.reduce(np.diff(0.25 * path.positions, axis=0), axis=1)
+    mean = 4.0 * float(np.sum(quarter / quarter.size))
     if mean > 0.0 and not 0.5 <= path.dlambda / mean <= 2.0:
         raise ValueError(f"dlambda {path.dlambda!r} disagrees with the mean sample "
                          f"spacing {mean!r} by more than 2x")

@@ -290,6 +290,9 @@ def _sp1(h, u, v):
     return np.arctan2(_dot3(h, _cross3(u, v)), _dot3(u, v) - _dot3(h, u) * _dot3(h, v))
 
 
+# the terms of a target too far away to square overflow: its quartic is
+# not finite, so keep drops it, and NaN candidates drop out of the LM
+@np.errstate(over="ignore", invalid="ignore")
 def _algebraic_starts(red: _Reduced3R, x):
     """Closed-form candidates of k position targets x = p - o1 (3, k).
 
@@ -388,6 +391,7 @@ def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
     return np.linalg.inv(A)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _algebraic_starts_6r(robot: RobotModel, ainv, Tpos, Trot):
     """Closed-form candidates of k poses (Tpos (3, k), Trot (3, 3, k)) of an
     arm that _reduce_6r reduces, after IK-Geo: q1 from the quartic of
@@ -395,8 +399,9 @@ def _algebraic_starts_6r(robot: RobotModel, ainv, Tpos, Trot):
     by SP1 about a, q6 by SP1 about h6, q3 by SP3 (two values; a miss takes
     the nearest), q2 by SP1 and q4 = theta - q2 - q3.
 
-    Returns joint vectors (k, 8, 6) and which to keep (k, 8). As in
-    _algebraic_starts, a target's candidates do not depend on the batch.
+    Returns joint vectors (k, 8, 6) and which to keep (k, 8), none for a
+    pose whose |w0|^2 overflows. As in _algebraic_starts, a target's
+    candidates do not depend on the batch.
     """
     h1, a, _, _, h5, h6 = robot.axes
     o1, p12, p23, p34, p45, p56 = robot.offsets
@@ -421,6 +426,7 @@ def _algebraic_starts_6r(robot: RobotModel, ainv, Tpos, Trot):
                                    for j in range(3)] for r in range(2)]
     q1, keep = _quartic_roots(g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1, g0 * g2 + k0 * k2,
                               g1 * g1 + k1 * k1, g1 * g2 + k1 * k2, g2 * g2 + k2 * k2)
+    keep &= np.isfinite(_dot3(w0, w0))[:, None]
     c1, s1 = np.cos(q1), np.sin(q1)
     g0, g1, g2, k0, k1, k2 = (v[:, None] for v in (g0, g1, g2, k0, k1, k2))
     q5 = np.arctan2(k0 + k1 * c1 + k2 * s1, g0 + g1 * c1 + g2 * s1)

@@ -4,14 +4,14 @@ The toolpath lives in a workpiece frame; a rigid transform places it in the
 robot base frame and the graph planner prices the placement. Rotating any
 placement about the robot's first joint axis changes nothing when that
 axis is the base z axis (and unconstrained), so the pose is reduced to five
-parameters: a tilt whose rotation axis lies in the xy plane, encoded by the
-quaternion vector components (v_x, v_y), plus a pre-rotation translation.
+parameters: a tilt whose rotation axis lies in the xy plane, encoded as its
+rotation vector (v_x, v_y), plus a pre-rotation translation. Every 2-vector
+is a valid tilt, so the descent needs no bounds.
 Nelder-Mead descends on the planner cost from random feasible starts.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +50,7 @@ class WorkpiecePose:
     """Rigid placement as quaternion (w, x, y, z) plus translation.
 
     The quaternion is normalized before every use, so scaling it does not
-    change the transform; optimization only has to keep its norm in a sane
-    range.
+    change the transform.
     """
     quat: np.ndarray
     p: np.ndarray
@@ -71,9 +70,9 @@ class WorkpiecePose:
 class ReducedParams:
     """Five-parameter placement: xy-plane tilt (v_x, v_y) and translation.
 
-    v = k*sin(theta/2) for a rotation axis k with k_z = 0; the implied
-    scalar part is sqrt(1 - v_x^2 - v_y^2). The translation applies before
-    the tilt.
+    v = k*theta, the rotation vector of a turn by theta about an axis k
+    with k_z = 0; v = 0 is no tilt. The translation applies before the
+    tilt.
     """
     v: np.ndarray
     p: np.ndarray
@@ -94,16 +93,12 @@ class ReducedParams:
 
 
 def reduced_to_pose(x: ReducedParams) -> WorkpiecePose:
-    """Expand the 5-parameter form; tilts outside the unit v-disk clamp to it."""
-    v = x.v
-    s = float(v @ v)
-    if s > 1.0:
-        print(f"tilt parameters left the unit disk (|v|^2 = {s:.6f}); clamping",
-              file=sys.stderr)
-        v = v / np.sqrt(s)
-        s = 1.0
-    w = np.sqrt(max(0.0, 1.0 - s))
-    quat = np.array([w, v[0], v[1], 0.0])
+    """Expand the 5-parameter form: quaternion (cos(theta/2), sin(theta/2) k, 0)
+    for the tilt v = k*theta."""
+    theta = float(np.hypot(*x.v))
+    # sin(theta/2) k = s v with s = sin(theta/2)/theta, which is 1/2 at theta = 0
+    s = 0.5 * np.sinc(theta / (2.0 * np.pi))
+    quat = np.array([np.cos(theta / 2.0), s * x.v[0], s * x.v[1], 0.0])
     R = quat_to_rotation(quat)
     return WorkpiecePose(quat=quat, p=R @ x.p)
 
@@ -184,7 +179,10 @@ def nelder_mead(f, x0, max_evals: int = 5000, f0: float | None = None):
     evaluation. History gets one entry per evaluation, in the order of the
     stacks, so it is non-increasing by construction. Terminates on simplex
     diameter, f-spread, or budget; the initial simplex costs n + 1
-    evaluations whatever the budget.
+    evaluations whatever the budget. The budget is checked at the top of
+    each iteration, and one iteration can price a reflection, a contraction
+    and n shrink points, so history can end up to n + 1 entries past
+    max_evals.
     """
     if max_evals < 1:
         raise ValueError("max_evals must be >= 1")
@@ -251,16 +249,17 @@ def random_feasible_start(robot: RobotModel, tp: TaskPath, rng,
                           planner_cfg: PlannerConfig | None = None,
                           ik_cfg: IKConfig | None = None
                           ) -> tuple[ReducedParams, float, PlanResult]:
-    """Uniform tilt over the v-disk and translation inside the box around
-    the reachable shell until the planner finds a feasible path, at most
-    _MAX_START_ATTEMPTS draws; returns that placement with its value and
-    plan."""
+    """A tilt whose quaternion (x, y) part is uniform over the unit disk
+    (radius r, so the tilt angle is 2 arcsin(r)) and a translation inside
+    the box around the reachable shell, drawn until the planner finds a
+    feasible path, at most _MAX_START_ATTEMPTS draws; returns that
+    placement with its value and plan."""
     r_max = workspace_radii(robot)[1]
     lo, hi = np.full(3, -r_max), np.full(3, r_max)
     for _ in range(_MAX_START_ATTEMPTS):
         r = np.sqrt(rng.uniform())
         ang = rng.uniform(0.0, 2.0 * np.pi)
-        v = np.array([r * np.cos(ang), r * np.sin(ang)])
+        v = 2.0 * np.arcsin(r) * np.array([np.cos(ang), np.sin(ang)])
         p = rng.uniform(lo, hi)
         x = ReducedParams(v, p)
         [(val, res)] = price_placements(robot, tp, [reduced_to_pose(x)], planner_cfg, ik_cfg)

@@ -25,7 +25,9 @@ against. Alongside them, the entrywise LM step and orientation error build
 one (N,) array per matrix entry (the library's whole-matrix versions must
 match them bit for bit), and the branched matrix-to-quaternion conversion
 writes one formula per dominant component (the library's row of one
-symmetric matrix must match it bit for bit).
+symmetric matrix must match it bit for bit). The disk start draws a random
+placement as the optimizer did when its tilt was the quaternion's (x, y)
+part; the rotation-vector tilt must land each draw on the same placement.
 """
 
 import numpy as np
@@ -573,6 +575,20 @@ def per_sample_unreachable_penalty(radii, poses) -> float:
         r = float(np.linalg.norm(pose.position))
         dist += max(0.0, r - r_max) + max(0.0, r_min - r)
     return dist
+
+
+def disk_start_pose(rng, r_max: float):
+    """The placement of one random start draw under the tilt's earlier
+    form, the (x, y) part v of a unit quaternion inside the unit disk: v
+    uniform over the disk, quaternion (sqrt(1 - |v|^2), v_x, v_y, 0), and a
+    translation uniform over the box [-r_max, r_max]^3 applied before the
+    tilt. Returns (quat, p) in the base frame."""
+    r = np.sqrt(rng.uniform())
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    v = np.array([r * np.cos(ang), r * np.sin(ang)])
+    p = rng.uniform(np.full(3, -r_max), np.full(3, r_max))
+    quat = np.array([np.sqrt(1.0 - v @ v), v[0], v[1], 0.0])
+    return quat, quat_to_rotation(quat) @ p
 
 
 def pointwise_nelder_mead(f, x0, max_evals):

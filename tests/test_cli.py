@@ -468,6 +468,29 @@ class TestOverflowingInput:
         (line,) = err.splitlines()
         assert line.startswith("error:") and named in line and "dlambda" in line, err
 
+    @pytest.mark.parametrize("dlambda,code,want", [
+        (0.1, 2, "error: path file '{}': dlambda 0.1 disagrees with the mean sample "
+                 "spacing 1e+200 by more than 2x"),
+        (1e200, 4, "infeasible:"),
+    ], ids=["spacing-check", "unreachable"])
+    def test_samples_far_apart(self, capsys, tmp_path, dlambda, code, want):
+        # samples 1e200 apart: their spacing is finite though its square is
+        # not, and no IK start survives that far away; numpy must not warn
+        doc = {"frame": "base", "dlambda": dlambda,
+               "samples": [{"p": [k * 1e200, 0.0, 0.0]} for k in range(3)]}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run(capsys, "plan", "--robot", "3r-canonical", "--path", str(path))
+        assert got == code
+        (line,) = err.splitlines()
+        assert line.startswith(want.format(path)), err
+
+    def test_map_far_window(self, capsys):
+        code, out, err = run(capsys, "map", "--robot", "3r-canonical", "--rho-range", "0",
+                             "1e200", "--z-range", "-3", "3", "--grid", "3", "3")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == ["-3,0,0,0", "0,0,0,0", "3,0,0,0"]
+
     def test_helix_exits_2(self, capsys):
         # pitch * turns overflows, and numpy must not warn on the way
         code, out, err = run(capsys, "helix", "--samples", "3", "--pitch", "1e308",

@@ -652,15 +652,16 @@ class TestClosedForm3R:
             _assert_same_sets(sets, solve_ik_along_path(r3, path.poses))
             assert len(calls) == full_calls
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_target_has_no_solutions(self, r3, elbow):
-        # |x|^2 overflows or is NaN: no roots, and no LAPACK error for the
-        # other targets of the batch
-        targets = [Pose(np.eye(3), p) for p in ([1e200, 0.0, 0.0], [np.inf, 0.0, 0.0],
-                                                [np.nan, 0.0, 0.0], [1.0, 0.0, 1.5])]
+        # the quartic's terms or |x|^2 overflow, or x is NaN: no roots, no
+        # LAPACK error for the other targets of the batch, and no numpy
+        # warning (the suite turns warnings into errors)
+        targets = [Pose(np.eye(3), p) for p in ([1e78, 0.0, 0.0], [1e200, 0.0, 0.0],
+                                                [np.inf, 0.0, 0.0], [np.nan, 0.0, 0.0],
+                                                [1.0, 0.0, 1.5])]
         for robot in (r3, elbow):
             sets = solve_ik_along_path(robot, targets)
-            assert [ss.solutions for ss in sets[:3]] == [[], [], []] and sets[3].solutions
+            assert [ss.solutions for ss in sets[:4]] == [[]] * 4 and sets[4].solutions
 
     def test_shuffled_batch_matches_single(self, r3, monkeypatch):
         rng = np.random.default_rng(43)
@@ -771,13 +772,15 @@ class TestClosedForm6R:
                               IKConfig(seeds_per_joint=5))
             assert [len(part) for part in _split(ss)] == [6, 0]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_target_has_no_solutions(self, r6):
+        # as for 3R, with (3, 0, 1e155) a pose whose quartic stays finite
+        # though |w0|^2 overflows
         good = forward_kinematics(r6, np.array([-2.4, -0.9, 1.1, -0.8, 2.3, -1.3]))
-        targets = [Pose(good.rotation, p) for p in ([1e200, 0.0, 0.0], [np.inf, 0.0, 0.0],
+        targets = [Pose(good.rotation, p) for p in ([3.0, 0.0, 1e155], [1e160, 0.0, 0.0],
+                                                    [1e200, 0.0, 0.0], [np.inf, 0.0, 0.0],
                                                     [np.nan, 0.0, 0.0])]
         sets = solve_ik_along_path(r6, targets + [good])
-        assert [ss.solutions for ss in sets[:3]] == [[], [], []] and sets[3].solutions
+        assert [ss.solutions for ss in sets[:5]] == [[]] * 5 and sets[5].solutions
 
     def test_starts_that_are_not_roots_get_only_a_polish(self, r6, monkeypatch):
         # the first pose identify draws from seed 313399065: at the full LM

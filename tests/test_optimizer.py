@@ -15,6 +15,7 @@ from cuspidal_kit.kinematics import (
     RobotModel,
     forward_kinematics,
     quat_to_rotation,
+    rot_about_axis,
     rot_z,
     rotation_to_quat,
 )
@@ -34,7 +35,7 @@ from cuspidal_kit.optimizer import (
 )
 from cuspidal_kit.planner import PlannerConfig, TaskPath, plan_path
 from cuspidal_kit.scenarios import canonical_3r
-from oracles import pointwise_nelder_mead
+from oracles import disk_start_pose, pointwise_nelder_mead
 
 
 def _random_rotation(rng):
@@ -126,8 +127,7 @@ class TestReducedParams:
         nt.assert_array_equal(wp.p, np.zeros(3))
 
     def test_quarter_turn_about_x(self):
-        wp = reduced_to_pose(ReducedParams(np.array([np.sin(np.pi / 4), 0.0]), np.zeros(3)))
-        from cuspidal_kit.kinematics import rot_about_axis
+        wp = reduced_to_pose(ReducedParams(np.array([np.pi / 2, 0.0]), np.zeros(3)))
         nt.assert_allclose(wp.rotation, rot_about_axis([1, 0, 0], np.pi / 2), atol=1e-12)
 
     def test_translation_pre_rotates(self):
@@ -135,12 +135,21 @@ class TestReducedParams:
         wp = reduced_to_pose(x)
         nt.assert_allclose(wp.p, wp.rotation @ x.p, atol=1e-15)
 
-    def test_clamp_outside_disk(self, capsys):
-        wp = reduced_to_pose(ReducedParams(np.array([1.2, 0.9]), np.zeros(3)))
-        assert capsys.readouterr().err == (
-            "tilt parameters left the unit disk (|v|^2 = 2.250000); clamping\n")
-        assert np.linalg.norm(wp.quat) == pytest.approx(1.0)
-        assert wp.quat[0] == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize("v,axis,angle", [
+        ([0.0, 0.0], [1.0, 0.0, 0.0], 0.0),
+        ([-0.6 * np.pi, 0.8 * np.pi], [-0.6, 0.8, 0.0], np.pi),
+        ([30.0, -40.0], [0.6, -0.8, 0.0], 50.0),
+        ([5e-324, -5e-324], [1.0, 0.0, 0.0], 0.0),
+    ], ids=["zero", "half-turn", "norm-50", "subnormal"])
+    def test_every_tilt_is_a_rotation(self, capsys, v, axis, angle):
+        # v is a rotation vector: no region of the plane is invalid
+        wp = reduced_to_pose(ReducedParams(np.array(v), np.zeros(3)))
+        R = wp.rotation
+        nt.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
+        assert np.linalg.det(R) == pytest.approx(1.0)
+        assert wp.quat[3] == 0.0
+        nt.assert_allclose(R, rot_about_axis(axis, angle), atol=1e-12)
+        assert capsys.readouterr().err == ""
 
     def test_roundtrip_array(self):
         x = ReducedParams(np.array([0.1, -0.2]), np.array([1.0, 2.0, 3.0]))
@@ -189,6 +198,14 @@ class TestNelderMead:
     def test_initial_simplex_ignores_budget(self):
         _, _, hist = nelder_mead(_stacked(lambda x: float(x @ x)), np.ones(5), max_evals=1)
         assert len(hist) == 6
+
+    def test_budget_overshoot_is_at_most_n_plus_1(self):
+        # the budget is checked once per iteration, and one iteration can
+        # price a reflection, a contraction and the n points of a shrink
+        x0 = np.array([1.0, -1.0, 0.5, 0.3, -0.7])
+        over = [len(nelder_mead(_stacked(_staircase), x0, max_evals)[2]) - max_evals
+                for max_evals in range(1, 200)]
+        assert max(over) == x0.size + 1
 
     def test_history_non_increasing_on_plateau(self):
         _, _, hist = nelder_mead(_stacked(_plateau), np.array([2.0, 2.0]), max_evals=200)
@@ -326,6 +343,23 @@ class TestRandomStart:
         rng = np.random.default_rng(25)
         x, _, _ = random_feasible_start(r3, tp, rng, ik_cfg=IKConfig(seeds_per_joint=8))
         assert objective(r3, tp, x, ik_cfg=IKConfig(seeds_per_joint=8)) < INFEASIBLE_SENTINEL
+
+    def test_draws_keep_their_disk_placement(self, r3, monkeypatch):
+        # the tilt angle 2 arcsin(r) puts each draw where the quaternion-disk
+        # tilt did, from the same random numbers
+        priced = []
+        monkeypatch.setattr(optimizer, "price_placements",
+                            lambda robot, tp, poses, *cfg: priced.extend(poses) or [(0.0, None)])
+        tp = _toolpath([[0.3, 0.0, 0.1]] * 2)
+        r_max = optimizer.workspace_radii(r3)[1]
+        for seed in range(200):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            random_feasible_start(r3, tp, rng)
+            quat, p = disk_start_pose(replay, r_max)
+            nt.assert_allclose(priced[-1].quat, quat, rtol=0.0, atol=1e-12)
+            nt.assert_allclose(priced[-1].p, p, rtol=0.0, atol=1e-12)
+            assert rng.uniform() == replay.uniform()
+        assert len(priced) == 200
 
     def test_oversized_toolpath_exhausts(self, r3):
         tp = _toolpath([[0.0, 0, 0], [20.0, 0, 0]], dlambda=10.0)
