@@ -10,7 +10,8 @@ Where the starts come from depends on the arm. A 3-DOF arm's position
 equations reduce to one equation in theta3 (_reduce_3r: a quartic in
 tan(theta3 / 2), or one linear branch), which gives at most four algebraic
 starts per target, one per root; a complex pair of roots gives one start
-that becomes an approximate solution or is dropped. A 6-DOF arm with
+only where the target may lie within APPROX_TOL of a fold (_near_fold),
+the only place where a start that is not a root can bank. A 6-DOF arm with
 h2 = h3 = h4 reduces to a quartic in tan(q1 / 2) and subproblems
 (_reduce_6r), which gives at most eight starts per target, two per root.
 LM only polishes the starts of both closed forms, for at most
@@ -76,9 +77,9 @@ _DAMPING = 1e-4
 # LM budget of the 6R seed grid
 _MAX_REFINE_ITERS = 100
 # LM budget of the closed forms' starts: a root's start banks by the second
-# iteration; starts that are not roots and still move after this many are
-# searching, which found no root the algebra had not given on 4000 6R poses
-# and 3000 random 3R targets
+# iteration; starts that are not roots (3R: complex pairs of targets near a
+# fold) and still move after this many are searching, which found no root
+# the algebra had not given on 4000 6R poses and 3000 random 3R targets
 _POLISH_ITERS = 6
 # exact solutions closer than this (per joint, after wrapping) are one solution
 _DEDUP_TOL = 1e-4
@@ -160,6 +161,7 @@ class _Reduced3R:
     E: np.ndarray       # (2, 3)
     U: np.ndarray       # (3, 3)
     minv: np.ndarray | None = None    # quartic branch: M^-1
+    norms: tuple = ()                 # quartic branch: |M^-1|, |M^-1 E[:, 1:]|
     null: np.ndarray | None = None    # linear branch: left null vector of M
     line: np.ndarray | None = None    # linear branch: l / sigma, m, d
 
@@ -208,7 +210,8 @@ def _reduce_3r(robot: RobotModel) -> _Reduced3R:
         # theta3 terms of the reduced equation for a free minv e
         terms = np.concatenate([B.ravel(), [U[0, 1], U[0, 2], U[1, 1] - U[2, 2], U[1, 2]]])
         if np.abs(terms).max() > floor:
-            return _Reduced3R(minv=minv, **const)
+            return _Reduced3R(minv=minv, norms=(np.linalg.norm(minv, 2), np.linalg.norm(B, 2)),
+                              **const)
     else:
         left, sv, right = np.linalg.svd(M)
         null = left[:, 1]
@@ -219,9 +222,10 @@ def _reduce_3r(robot: RobotModel) -> _Reduced3R:
                      f"det J vanishes for every joint vector")
 
 
-def _quartic_theta3(red: _Reduced3R, e1, e2):
-    """theta3 (k, 4) of the quartic's roots for targets with e = (e1, e2)
-    at v = (1, 0, 0), and which of them to keep (see _quartic_roots)."""
+def _quartic_theta3(red: _Reduced3R, x, e1, e2):
+    """theta3 (k, 4) of the quartic's roots for targets x = p - o1 (3, k)
+    with e = (e1, e2) at v = (1, 0, 0), and which of them to keep: every
+    real root, and a complex pair's start only where _near_fold keeps it."""
     (m00, m01), (m10, m11) = red.minv
     a1, a2 = m00 * e1 + m01 * e2, m10 * e1 + m11 * e2
     B = red.minv @ red.E[:, 1:]
@@ -231,14 +235,59 @@ def _quartic_theta3(red: _Reduced3R, e1, e2):
     q01 = a1 * B[0, 0] + a2 * B[1, 0] - U[0, 1]
     q02 = a1 * B[0, 1] + a2 * B[1, 1] - U[0, 2]
     q11, q12, q22 = (B.T @ B - U[1:, 1:])[[0, 0, 1], [0, 1, 1]]
-    return _quartic_roots(q00, q01, q02, q11, q12, q22)
+    theta3, keep, real = _quartic_roots(q00, q01, q02, q11, q12, q22)
+    pair = np.flatnonzero((keep & ~real).any(axis=1))
+    far = pair[~_near_fold(red, x[:, pair], np.hypot(a1, a2)[pair], q00[pair], q01[pair],
+                           q02[pair], q11, q12, q22)]
+    keep[far] = real[far]
+    return theta3, keep
+
+
+def _near_fold(red: _Reduced3R, x, a, q00, q01, q02, q11, q12, q22):
+    """Which of k targets x = p - o1 (3, k) may lie within r = APPROX_TOL of
+    a critical value; a = |M^-1 e| and q.. are v Q v's entries. Only there
+    can a start that is not a root bank: at a boundary minimum q*, J^T (x -
+    FK(q*)) = 0, so det J(q*) = rho det d(rho, z)/d(theta2, theta3) = 0, and
+    FK(q*) is on joint 1's axis or makes F = v Q v = F' = 0 at one theta3.
+    Moving x by r moves M^-1 e by at most D = |M^-1| |(|x| r + r^2 / 2, r)|,
+    F by t0 = 2 D (a + |B|) + D^2 and F' by t1 = 2 D |B|, B = M^-1 E[:, 1:].
+    F = c0 + c1 cos + s1 sin + c2 cos 2th + s2 sin 2th has |F'''| <= L =
+    |(c1, s1)| + 8 |(c2, s2)|, so Taylor bounds rule out theta cells (split
+    in four while live) that hold no theta with |F| <= t0 and |F'| <= t1; a
+    target is near once a centre lies in that set or a live cell's F' margin
+    is within t1.
+    """
+    r, (nm, nb), xx = APPROX_TOL, red.norms, _dot3(x, x)
+    D = nm * np.sqrt((np.sqrt(xx) * r + 0.5 * r * r) ** 2 + r * r)
+    c2, s2 = 0.5 * (q11 - q22), q12
+    # per target: c0, c1, s1, t0, t1 and L
+    per = np.stack([q00 + 0.5 * (q11 + q22), 2.0 * q01, 2.0 * q02, D * (2.0 * (a + nb) + D),
+                    2.0 * D * nb, 2.0 * np.hypot(q01, q02) + 8.0 * np.hypot(c2, s2)])
+    near = xx - _dot3(red.h1, x) ** 2 <= r * r
+    # each target's 16 cells, of half-width d about theta
+    cell, d = np.repeat(np.arange(x.shape[1]), 16), np.pi / 16
+    theta = np.tile(np.arange(-15.0, 16.0, 2.0) * d, x.shape[1])
+    while cell.size:
+        c0, c1, s1, t0, t1, L = per[:, cell]
+        c, s = np.cos(theta), np.sin(theta)
+        cc, ss = c * c - s * s, 2.0 * c * s
+        f1, f2 = c1 * c + s1 * s, c2 * cc + s2 * ss
+        F, dF = np.abs(c0 + f1 + f2), np.abs(s1 * c - c1 * s + 2.0 * (s2 * cc - c2 * ss))
+        m2 = np.abs(f1 + 4.0 * f2) + L * d    # |F''| over the cell
+        live = ((dF <= t1 + (m2 - 0.5 * L * d) * d)
+                & (F <= t0 + (np.minimum(dF, t1) + 0.5 * m2 * d) * d))
+        near[cell[live & ((m2 * d <= t1) | ((F <= t0) & (dF <= t1)))]] = True
+        live &= ~near[cell]
+        theta = (theta[live, None] + d * np.array([-0.75, -0.25, 0.25, 0.75])).ravel()
+        cell, d = np.repeat(cell[live], 4), 0.25 * d
+    return near
 
 
 def _quartic_roots(q00, q01, q02, q11, q12, q22):
     """Angles (k, 4) that solve v Q v = 0, v = (1, cos, sin), for k
-    symmetric Q given by their upper entries, and which of them to keep:
-    every real root and one of each complex pair, whose real part in
-    t = tan(angle / 2) is a start.
+    symmetric Q given by their upper entries, which to keep (every real root
+    and one of each complex pair, whose real part in t = tan(angle / 2) is
+    a start) and which are real (LAPACK's imaginary part is exactly 0).
 
     When |t^4 coefficient| < |t^0 coefficient| the quartic is solved in 1/t,
     so a root at angle pi, where the t^4 coefficient vanishes, is r = 0.
@@ -263,7 +312,7 @@ def _quartic_roots(q00, q01, q02, q11, q12, q22):
     # Re t of a root r of the flipped quartic is Re r / |r|^2; r = 0 is pi
     den = np.where(flip[:, None], roots.real ** 2 + roots.imag ** 2, 1.0)
     angle = np.where(den == 0.0, np.pi, 2.0 * np.arctan2(roots.real, den))
-    return angle, (roots.imag >= 0.0) & finite[:, None]
+    return angle, (roots.imag >= 0.0) & finite[:, None], roots.imag == 0.0
 
 
 def _dot3(u, v):
@@ -305,7 +354,7 @@ def _algebraic_starts(red: _Reduced3R, x):
     e2 = _dot3(red.h1, x) + red.E[1, 0]
     E = red.E
     if red.minv is not None:
-        theta3, keep = _quartic_theta3(red, e1, e2)
+        theta3, keep = _quartic_theta3(red, x, e1, e2)
     else:
         # null.e = 0 is rho cos(theta3 - phi) = -alpha; unreachable targets
         # take the nearest theta3, as a complex pair takes its real part
@@ -424,8 +473,8 @@ def _algebraic_starts_6r(robot: RobotModel, ainv, Tpos, Trot):
         E.append((x0 - const, _dot3(a, x) - x0, -_dot3(np.cross(a, h1), x)))
     (g0, g1, g2), (k0, k1, k2) = [[ainv[r, 0] * E[0][j] + ainv[r, 1] * E[1][j]
                                    for j in range(3)] for r in range(2)]
-    q1, keep = _quartic_roots(g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1, g0 * g2 + k0 * k2,
-                              g1 * g1 + k1 * k1, g1 * g2 + k1 * k2, g2 * g2 + k2 * k2)
+    q1, keep, _ = _quartic_roots(g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1, g0 * g2 + k0 * k2,
+                                 g1 * g1 + k1 * k1, g1 * g2 + k1 * k2, g2 * g2 + k2 * k2)
     keep &= np.isfinite(_dot3(w0, w0))[:, None]
     c1, s1 = np.cos(q1), np.sin(q1)
     g0, g1, g2, k0, k1, k2 = (v[:, None] for v in (g0, g1, g2, k0, k1, k2))
@@ -684,8 +733,11 @@ def _solve(robot: RobotModel, Tpos, Trot, cfg: IKConfig):
         n_seeds, iters = grid.shape[0], _MAX_REFINE_ITERS
 
         def starts(lo, hi):
-            k = hi - lo
-            return (np.tile(grid, (k, 1)), np.repeat(np.arange(lo, hi), n_seeds),
+            # as in _algebraic_starts_6r, a target whose |p|^2 overflows has none
+            with np.errstate(over="ignore", invalid="ignore"):
+                reach = np.flatnonzero(np.isfinite(_dot3(Tpos[:, lo:hi], Tpos[:, lo:hi])))
+            k = reach.size
+            return (np.tile(grid, (k, 1)), np.repeat(lo + reach, n_seeds),
                     np.tile(np.arange(n_seeds), k))
 
     per_chunk = max(1, _CHUNK_ROWS // n_seeds)

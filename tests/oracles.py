@@ -18,16 +18,19 @@ walk), and the per-sample path builders make one Pose per sample of a
 path file, a fixture or a placed toolpath and price its reach one pose at
 a time (the array-backed TaskPath must match them bit for bit), and the
 pointwise Nelder-Mead evaluates one point at a time (the library's, which
-evaluates independent points as one stack, must match it bit for bit). The one
-exception is the seed flood: the library's own LM from a regular seed
-grid, the multi-start reference that the closed-form 3R IK is checked
-against. Alongside them, the entrywise LM step and orientation error build
-one (N,) array per matrix entry (the library's whole-matrix versions must
-match them bit for bit), and the branched matrix-to-quaternion conversion
-writes one formula per dominant component (the library's row of one
-symmetric matrix must match it bit for bit). The disk start draws a random
-placement as the optimizer did when its tilt was the quaternion's (x, y)
-part; the rotation-vector tilt must land each draw on the same placement.
+evaluates independent points as one stack, must match it bit for bit). Two
+exceptions run the library's own solver: the seed flood, its LM from a
+regular seed grid, the multi-start reference that the closed-form 3R IK is
+checked against; and the every-pair rule, its closed-form 3R IK with every
+complex pair's start refined, as it ran before the starts of targets far
+from every fold were dropped. Alongside them, the entrywise LM step and
+orientation error build one (N,) array per matrix entry (the library's
+whole-matrix versions must match them bit for bit), and the branched
+matrix-to-quaternion conversion writes one formula per dominant component
+(the library's row of one symmetric matrix must match it bit for bit). The
+disk start draws a random placement as the optimizer did when its tilt was
+the quaternion's (x, y) part; the rotation-vector tilt must land each draw
+on the same placement.
 """
 
 import numpy as np
@@ -197,6 +200,18 @@ def seed_flood(robot: RobotModel, targets, seeds: int):
                               approximate=bool(approx[i]))
                 for i in keep[sample[keep] == t]]))
     return sets
+
+
+def every_pair_start(robot: RobotModel, targets):
+    """solve_ik_along_path with every complex pair's start of the 3R
+    quartic refined under the same budget, whatever the target's distance
+    to a fold: the rule the fold test (ik._near_fold) replaced."""
+    near_fold = ik._near_fold
+    ik._near_fold = lambda red, x, *rest: np.ones(x.shape[1], dtype=bool)
+    try:
+        return ik.solve_ik_along_path(robot, targets)
+    finally:
+        ik._near_fold = near_fold
 
 
 def entrywise_lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:

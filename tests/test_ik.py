@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as nt
 import pytest
 
-from cuspidal_kit import ik
+from cuspidal_kit import fileio, ik
 from cuspidal_kit.ik import (
     IKConfig,
     solution_count_map,
@@ -22,6 +22,7 @@ from cuspidal_kit.kinematics import (
     jacobian_determinant,
     wrap_to_pi,
 )
+from cuspidal_kit.optimizer import random_feasible_start, reduced_to_pose, transform_toolpath
 from cuspidal_kit.scenarios import (
     canonical_3r,
     control_loop_path,
@@ -33,7 +34,7 @@ from cuspidal_kit.scenarios import (
 
 from conftest import coaxial_6r, count_calls, degenerate_3r_arms, random_3r, random_6r
 from oracles import (DenseGridIKOracle, entrywise_lm_step, entrywise_orientation_error,
-                     greedy_dedup, seed_flood)
+                     every_pair_start, greedy_dedup, seed_flood)
 
 # outermost reach of the canonical arm, used to build boundary targets
 _R3_MAX_REACH_Q = np.array([1.242451, 0.0, 0.321751])
@@ -171,11 +172,30 @@ class TestRefine:
         target = Pose(np.eye(3), np.array([100.0, 0.0, 0.0]))
         assert solve_all_ik(r3, target).solutions == []
 
+    def test_overflowing_seed_grid_target_has_no_solutions(self):
+        # |p|^2 of the first target overflows: the seed grid drops it before
+        # the LM, as the closed forms do, so its residual raises no numpy
+        # overflow warning (the suite turns warnings into errors), and the
+        # other targets of the batch keep their solutions
+        robot = random_6r(np.random.default_rng(3))
+        assert ik._reduce_6r(robot) is None
+        far = Pose(np.eye(3), np.array([1e160, 0.0, 0.0]))
+        cfg = IKConfig(seeds_per_joint=2)
+        assert solve_all_ik(robot, far, cfg).solutions == []
+        good = forward_kinematics(robot, np.array([0.3, -0.5, 1.0, 0.2, -1.2, 0.7]))
+        sets = solve_ik_along_path(robot, [far, Pose(np.eye(3), [np.nan, 0.0, 0.0]), good], cfg)
+        assert [ss.solutions for ss in sets[:2]] == [[], []]
+        _assert_identical(sets[2], solve_all_ik(robot, good, cfg))
+        assert sets[2].solutions
+
     def test_non_finite_trial_is_rejected(self, r3, monkeypatch):
-        # a NaN step is reverted and retried stiffer like a worse one, so its
-        # row still banks the root it started at
-        target = forward_kinematics(r3, np.array([0.3, -0.7, 1.1]))
-        want = solve_all_ik(r3, target)
+        # a NaN step is reverted and retried stiffer like a worse one. At the
+        # first target, far from every fold and with no complex-pair start,
+        # the row banks the root it started at and the solve ends after that
+        # one step; 0.5 mm past the outermost reach the row is a complex
+        # pair's start, and its retries still reach the boundary minimum
+        p_star = fk_batch(r3, _R3_MAX_REACH_Q[None, :])[1][0]
+        beyond = Pose(np.eye(3), p_star * (1.0 + 0.0005 / np.linalg.norm(p_star)))
         step, calls = ik._lm_step, []
 
         def nan_in_first_row_once(J, e, lam):
@@ -185,10 +205,15 @@ class TestRefine:
             calls.append(None)
             return dq
 
-        monkeypatch.setattr(ik, "_lm_step", nan_in_first_row_once)
-        got = solve_all_ik(r3, target)
-        assert len(calls) > 1 and want.solutions
-        _assert_same_sets([got], [want])
+        for target, steps in ((forward_kinematics(r3, np.array([0.3, -0.7, 1.1])), 1),
+                              (beyond, ik._POLISH_ITERS - 1)):
+            want = solve_all_ik(r3, target)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ik, "_lm_step", nan_in_first_row_once)
+                got = solve_all_ik(r3, target)
+            assert len(calls) == steps and want.solutions
+            _assert_same_sets([got], [want])
 
 
 class TestEnumeration:
@@ -638,7 +663,9 @@ class TestClosedForm3R:
 
     def test_starts_that_are_not_roots_get_only_a_polish(self, r3, monkeypatch):
         # at the full LM budget the complex-pair starts of these paths wander
-        # for 20 and 32 iterations and reach no root the algebra did not give
+        # for 20 and 22 iterations and reach no root the algebra did not give
+        # (32 on the cusp loop before the starts of targets far from every
+        # fold were dropped)
         paths = (infeasible_line_path(), cusp_loop_path())
         calls = count_calls(monkeypatch, ik, "fk_jacobian_batch")
         polished = []
@@ -647,7 +674,7 @@ class TestClosedForm3R:
             polished.append(solve_ik_along_path(r3, path.poses))
             assert len(calls) == ik._POLISH_ITERS
         monkeypatch.setattr(ik, "_POLISH_ITERS", ik._MAX_REFINE_ITERS)
-        for path, sets, full_calls in zip(paths, polished, (20, 32)):
+        for path, sets, full_calls in zip(paths, polished, (20, 22)):
             calls.clear()
             _assert_same_sets(sets, solve_ik_along_path(r3, path.poses))
             assert len(calls) == full_calls
@@ -701,12 +728,152 @@ def _assert_same_exact(got, want, near_fold=1e-2):
     for k, (a, b) in enumerate(zip(got, want)):
         ea, eb = _split(a)[0], _split(b)[0]
         assert len(ea) == len(eb), k
-        near = min(abs(s.det_j) for ss in (a, b) for s in ss.solutions) < near_fold
+        near = min((abs(s.det_j) for ss in (a, b) for s in ss.solutions),
+                   default=np.inf) < near_fold
         folds += near
         for mine, theirs in ((ea, eb), (eb, ea)):
             for q in mine:
                 assert min(_gap(q, p) for p in theirs) <= (1e-6 if near else 1e-9), k
     return folds
+
+
+def _fold_targets(robot, rng, configs=20, per=8):
+    """Targets up to 0.999 APPROX_TOL, half of them exactly that far, from
+    critical values of a 3R arm in random directions: the FK of joint
+    vectors where det J = 0, found by bisecting det J along theta2 with
+    theta1 and theta3 random."""
+    grid = np.linspace(-np.pi, np.pi, 65)
+    q = np.repeat(rng.uniform(-np.pi, np.pi, (configs, 1, 3)), grid.size, axis=1)
+    q[..., 1] = grid
+    det = det_j_batch(robot, q.reshape(-1, 3)).reshape(configs, -1)
+    c, i = np.nonzero(det[:, :-1] * det[:, 1:] < 0.0)
+    lo, hi, det_lo = q[c, i], q[c, i + 1], det[c, i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        det_mid = det_j_batch(robot, mid)
+        left = det_mid * det_lo > 0.0
+        lo = np.where(left[:, None], mid, lo)
+        hi = np.where(left[:, None], hi, mid)
+        det_lo = np.where(left, det_mid, det_lo)
+    y = fk_batch(robot, np.repeat(0.5 * (lo + hi), per, axis=0))[1]
+    u = rng.normal(size=y.shape)
+    dist = 0.999 * ik.APPROX_TOL * np.where(rng.random(len(y)) < 0.5, 1.0, rng.random(len(y)))
+    return y + u * (dist / np.linalg.norm(u, axis=1))[:, None]
+
+
+def _axis_targets(robot, rng, count=200):
+    """Targets up to 0.999 APPROX_TOL from joint 1's axis, where every
+    reachable point is a critical value (rho = 0)."""
+    h1 = robot.axes[0]
+    n = np.cross(h1, rng.normal(size=(count, 3)))
+    n *= (0.999 * ik.APPROX_TOL * rng.random(count) / np.linalg.norm(n, axis=1))[:, None]
+    return robot.offsets[0] + rng.uniform(-3.0, 3.0, (count, 1)) * h1 + n
+
+
+class TestFoldTest:
+    """Complex-pair starts of the 3R quartic are refined only where the
+    target may lie within APPROX_TOL of a critical value (ik._near_fold);
+    the every-pair rule refines them all."""
+
+    def test_targets_near_a_fold_keep_their_complex_starts(self, monkeypatch):
+        near_fold, seen = ik._near_fold, []
+
+        def spy(red, x, *rest):
+            seen.append(near_fold(red, x, *rest))
+            return seen[-1]
+
+        monkeypatch.setattr(ik, "_near_fold", spy)
+        rng = np.random.default_rng(49)
+        counts = np.zeros(2, dtype=int)
+        arms = 0
+        while arms < 40:
+            robot = random_3r(rng)
+            red = ik._reduce_3r(robot)
+            if red.minv is None:
+                continue
+            arms += 1
+            for kind, P in enumerate((_fold_targets(robot, rng), _axis_targets(robot, rng))):
+                seen.clear()
+                ik._algebraic_starts(red, (P - robot.offsets[0]).T)
+                assert all(near.all() for near in seen)
+                counts[kind] += sum(near.size for near in seen)
+        # targets with a complex pair: near folds, and on joint 1's axis
+        assert counts[0] > 5000 and counts[1] > 500
+
+    def test_far_from_every_fold_a_solve_takes_two_kernel_calls(self, r3, monkeypatch):
+        # the 30-sample helix at the start placement of optimize --seed 0:
+        # the fold test rules out every target, so no complex-pair start
+        # runs and the roots bank on the second pass, where the every-pair
+        # rule polishes for the whole budget; what it banks beyond the roots
+        # are budget-end points beside them, which dedup drops
+        tp = fileio.toolpath_from_doc(fileio.generate_helix(samples=30))
+        x0, _, _ = random_feasible_start(r3, tp, np.random.default_rng(
+            np.random.SeedSequence(0).spawn(1)[0]))
+        poses = transform_toolpath(reduced_to_pose(x0), tp).poses
+        calls = count_calls(monkeypatch, ik, "fk_jacobian_batch")
+        got = solve_ik_along_path(r3, poses)
+        assert len(calls) == 2
+        calls.clear()
+        want = every_pair_start(r3, poses)
+        assert len(calls) == ik._POLISH_ITERS
+        assert _assert_same_exact(got, want) == 0
+        assert not any(s.approximate for ss in got + want for s in ss.solutions)
+
+    def _assert_matches_every_pair_rule(self, robot, targets):
+        """Per target: equal exact counts, each exact root within 1e-9 of the
+        every-pair rule's, or within 1e-6 near a fold (|det J| < 1e-2, as in
+        _assert_same_exact) or where the rule's root has the larger residual:
+        a complex start that reached the root within the budget ranks ahead
+        of the root's own start by seed, yet it banks up to EXACT_TOL short
+        (1.4e-9 rad at |det J| = 5 on 3r-canonical). Every approximate
+        solution bit for bit. Returns the solve's sets."""
+        got, want = solve_ik_along_path(robot, targets), every_pair_start(robot, targets)
+        for k, (a, b) in enumerate(zip(got, want)):
+            (ea, xa), (eb, xb) = (([s for s in ss.solutions if s.approximate == flag]
+                                   for flag in (False, True)) for ss in (a, b))
+            assert len(ea) == len(eb), k
+            pairs = ([(s, min(eb, key=lambda t: _gap(s.q, t.q))) for s in ea]
+                     + [(min(ea, key=lambda s: _gap(s.q, t.q)), t) for t in eb])
+            for s, t in pairs:
+                loose = min(abs(s.det_j), abs(t.det_j)) < 1e-2 or t.residual > s.residual
+                assert _gap(s.q, t.q) <= (1e-6 if loose else 1e-9), k
+            assert len(xa) == len(xb), k
+            for sa, sb in zip(xa, xb):
+                nt.assert_array_equal(sa.q, sb.q)
+                assert (sa.residual, sa.det_j) == (sb.residual, sb.det_j), k
+        return got
+
+    def test_random_arms_match_every_pair_rule(self):
+        rng = np.random.default_rng(52)
+        arms = 0
+        while arms < 40:
+            robot = random_3r(rng)
+            if ik._reduce_3r(robot).minv is None:
+                continue
+            arms += 1
+            self._assert_matches_every_pair_rule(
+                robot, _random_targets(robot, int(rng.integers(1 << 30)), 200))
+
+    def test_fixtures_match_every_pair_rule(self, r3):
+        self._assert_matches_every_pair_rule(r3, _random_targets(r3, 53, 200))
+        approximate = {}
+        for name, path in (("line", infeasible_line_path()),
+                           ("control", infeasible_line_control_path()),
+                           ("control-500", infeasible_line_control_path(500)),
+                           ("cusp-loop", cusp_loop_path()), ("control-loop", control_loop_path())):
+            sets = self._assert_matches_every_pair_rule(r3, path.poses)
+            approximate[name] = [k for k, ss in enumerate(sets)
+                                 if any(s.approximate for s in ss.solutions)]
+        # the genuine boundary minima: bit-identical under both rules above
+        assert approximate["cusp-loop"][0] == 2
+        assert 98 in approximate["control"] and 489 in approximate["control-500"]
+
+    def test_beyond_the_reach_matches_every_pair_rule(self, r3):
+        p_star = fk_batch(r3, _R3_MAX_REACH_Q[None, :])[1][0]
+        beyond = [Pose(np.eye(3), p_star * (1.0 + d / np.linalg.norm(p_star)))
+                  for d in (5e-4, 1e-3, 1.0)]
+        sets = self._assert_matches_every_pair_rule(r3, beyond)
+        assert [len(ss.solutions) for ss in sets] == [1, 0, 0]
 
 
 class TestClosedForm6R:
