@@ -13,13 +13,18 @@ starts per target, one per root; a complex pair of roots gives one start
 only where the target may lie within APPROX_TOL of a fold (_near_fold),
 the only place where a start that is not a root can bank. A 6-DOF arm with
 h2 = h3 = h4 reduces to a quartic in tan(q1 / 2) and subproblems
-(_reduce_6r), which gives at most eight starts per target, two per root.
-LM only polishes the starts of both closed forms, for at most
-_POLISH_ITERS iterations. A 3-DOF arm that does not reduce, or a 6-DOF
-arm with two consecutive coaxial joints, has det J = 0 for every joint
-vector and no isolated solutions, so it is refused. Other 6-DOF
-arms start from a regular joint-space seed grid; seeds_per_joint (the
-CLI's --ik-seeds) sets that grid and nothing else.
+(_reduce_6r), which gives at most eight starts per target, two per root
+of the quartic; its det J vanishes only at a fold (a double root), an
+elbow (subproblem 3 tangent) or a wrist (R5 h6 parallel to h2), and a
+pose that may lie within APPROX_TOL of none of them (_near_critical)
+keeps only its roots: the starts of complex pairs and of real roots
+whose subproblem 3 misses go, all or none per pose. LM only polishes the
+starts of both closed forms, for at most _POLISH_ITERS iterations. A
+3-DOF arm that does not reduce, or a 6-DOF arm with two consecutive
+coaxial joints, has det J = 0 for every joint vector and no isolated
+solutions, so it is refused. Other 6-DOF arms start from a regular
+joint-space seed grid; seeds_per_joint (the CLI's --ik-seeds) sets that
+grid and nothing else.
 
 The engine iterates one flat population of (target, seed) rows, so a whole
 task-space path can be refined in a handful of large numpy batches; a
@@ -32,6 +37,7 @@ population is batched, chunked or threaded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +84,10 @@ _DAMPING = 1e-4
 _MAX_REFINE_ITERS = 100
 # LM budget of the closed forms' starts: a root's start banks by the second
 # iteration; starts that are not roots (3R: complex pairs of targets near a
-# fold) and still move after this many are searching, which found no root
-# the algebra had not given on 4000 6R poses and 3000 random 3R targets
+# fold; 6R: complex pairs and subproblem-3 misses of poses near a fold, an
+# elbow or a wrist) and still move after this many are searching, which
+# found no root the algebra had not given on 4000 6R poses and 3000 random
+# 3R targets
 _POLISH_ITERS = 6
 # exact solutions closer than this (per joint, after wrapping) are one solution
 _DEDUP_TOL = 1e-4
@@ -249,31 +257,25 @@ def _near_fold(red: _Reduced3R, x, a, q00, q01, q02, q11, q12, q22):
     can a start that is not a root bank: at a boundary minimum q*, J^T (x -
     FK(q*)) = 0, so det J(q*) = rho det d(rho, z)/d(theta2, theta3) = 0, and
     FK(q*) is on joint 1's axis or makes F = v Q v = F' = 0 at one theta3.
-    Moving x by r moves M^-1 e by at most D = |M^-1| |(|x| r + r^2 / 2, r)|,
-    F by t0 = 2 D (a + |B|) + D^2 and F' by t1 = 2 D |B|, B = M^-1 E[:, 1:].
     F = c0 + c1 cos + s1 sin + c2 cos 2th + s2 sin 2th has |F'''| <= L =
     |(c1, s1)| + 8 |(c2, s2)|, so Taylor bounds rule out theta cells (split
-    in four while live) that hold no theta with |F| <= t0 and |F'| <= t1; a
-    target is near once a centre lies in that set or a live cell's F' margin
-    is within t1.
+    in four while live) that hold no theta with |F| <= t0 and |F'| <= t1
+    (_fold_bounds); a target is near once a centre lies in that set or a
+    live cell's F' margin is within t1.
     """
-    r, (nm, nb), xx = APPROX_TOL, red.norms, _dot3(x, x)
-    D = nm * np.sqrt((np.sqrt(xx) * r + 0.5 * r * r) ** 2 + r * r)
+    xx = _dot3(x, x)
     c2, s2 = 0.5 * (q11 - q22), q12
     # per target: c0, c1, s1, t0, t1 and L
-    per = np.stack([q00 + 0.5 * (q11 + q22), 2.0 * q01, 2.0 * q02, D * (2.0 * (a + nb) + D),
-                    2.0 * D * nb, 2.0 * np.hypot(q01, q02) + 8.0 * np.hypot(c2, s2)])
-    near = xx - _dot3(red.h1, x) ** 2 <= r * r
+    per = np.stack([q00 + 0.5 * (q11 + q22), 2.0 * q01, 2.0 * q02, *_fold_bounds(red, xx, a),
+                    2.0 * np.hypot(q01, q02) + 8.0 * np.hypot(c2, s2)])
+    near = xx - _dot3(red.h1, x) ** 2 <= APPROX_TOL * APPROX_TOL
     # each target's 16 cells, of half-width d about theta
     cell, d = np.repeat(np.arange(x.shape[1]), 16), np.pi / 16
     theta = np.tile(np.arange(-15.0, 16.0, 2.0) * d, x.shape[1])
     while cell.size:
         c0, c1, s1, t0, t1, L = per[:, cell]
-        c, s = np.cos(theta), np.sin(theta)
-        cc, ss = c * c - s * s, 2.0 * c * s
-        f1, f2 = c1 * c + s1 * s, c2 * cc + s2 * ss
-        F, dF = np.abs(c0 + f1 + f2), np.abs(s1 * c - c1 * s + 2.0 * (s2 * cc - c2 * ss))
-        m2 = np.abs(f1 + 4.0 * f2) + L * d    # |F''| over the cell
+        F, dF, m2 = (np.abs(v) for v in _trig2(c0, c1, s1, c2, s2, theta))
+        m2 += L * d    # |F''| over the cell
         live = ((dF <= t1 + (m2 - 0.5 * L * d) * d)
                 & (F <= t0 + (np.minimum(dF, t1) + 0.5 * m2 * d) * d))
         near[cell[live & ((m2 * d <= t1) | ((F <= t0) & (dF <= t1)))]] = True
@@ -281,6 +283,26 @@ def _near_fold(red: _Reduced3R, x, a, q00, q01, q02, q11, q12, q22):
         theta = (theta[live, None] + d * np.array([-0.75, -0.25, 0.25, 0.75])).ravel()
         cell, d = np.repeat(cell[live], 4), 0.25 * d
     return near
+
+
+def _fold_bounds(red: _Reduced3R, xx, a):
+    """t0 and t1 of _near_fold for targets x with |x|^2 = xx and |M^-1 e| =
+    a: moving x by r = APPROX_TOL moves M^-1 e by at most D = |M^-1|
+    |(|x| r + r^2 / 2, r)|, so F = |M^-1 e + B w|^2 - w U w by at most t0 =
+    2 D (a + |B|) + D^2 and F' by at most t1 = 2 D |B|, B = M^-1 E[:, 1:],
+    at every theta3."""
+    r, (nm, nb) = APPROX_TOL, red.norms
+    D = nm * np.sqrt((np.sqrt(xx) * r + 0.5 * r * r) ** 2 + r * r)
+    return D * (2.0 * (a + nb) + D), 2.0 * D * nb
+
+
+def _trig2(c0, c1, s1, c2, s2, q):
+    """F, F' and F'' at angles q of F = c0 + c1 cos q + s1 sin q + c2 cos 2q
+    + s2 sin 2q, elementwise."""
+    c, s = np.cos(q), np.sin(q)
+    cc, ss = c * c - s * s, 2.0 * c * s
+    f1, f2 = c1 * c + s1 * s, c2 * cc + s2 * ss
+    return c0 + f1 + f2, s1 * c - c1 * s + 2.0 * (s2 * cc - c2 * ss), -(f1 + 4.0 * f2)
 
 
 def _quartic_roots(q00, q01, q02, q11, q12, q22):
@@ -330,6 +352,20 @@ def _rotate(h, c, s, v):
     h = h.reshape((3,) + (1,) * (np.ndim(v) - 1))
     along = _dot3(h, v) * h
     return along + c * (v - along) + s * _cross3(h, v)
+
+
+def _turn_parts(h, v):
+    """(along, v - along, h x v), along = (h.v) h: what _rotate computes
+    from a fixed unit axis h (3,) and a fixed vector v (3,)."""
+    along = _dot3(h, v) * h
+    return np.stack([along, v - along, _cross3(h, v)])
+
+
+def _turn(parts, c, s):
+    """_rotate of a fixed vector by angles with cosines c and sines s, from
+    its _turn_parts (3, 3), entry by entry the same arithmetic."""
+    along, perp, cross = parts.reshape((3, 3) + (1,) * np.ndim(c))
+    return along + c * perp + s * cross
 
 
 def _sp1(h, u, v):
@@ -409,10 +445,46 @@ def _start_rows(Q, keep, lo: int, major: int, minor: int):
 _PARALLEL_TOL = 1e-12
 
 
+class _Reduced6R(NamedTuple):
+    """Robot constants of the closed-form 6R IK of an arm with h2 = h3 =
+    h4 = a (see _reduce_6r), and those of _near_critical's bounds; a named
+    tuple, as a frozen dataclass of this many fields takes longer to
+    define when the module is imported."""
+    h1: np.ndarray
+    a: np.ndarray
+    h5: np.ndarray
+    h6: np.ndarray
+    b6: np.ndarray      # a unit vector normal to h6
+    o1: np.ndarray
+    p12: np.ndarray
+    p23: np.ndarray
+    p45: np.ndarray
+    ainv: np.ndarray    # A^-1
+    ah1: float          # a.h1
+    axh1: np.ndarray    # a x h1
+    consts: np.ndarray  # (2, 1): both equations' constants
+    fixed: np.ndarray   # (3, 3, 1): tool, h6 and b6, one per column
+    uu: tuple           # |u23|^2 and |u34|^2, u23 and u34 p23 and p34 normal to a
+    rho: float          # |(alpha, beta)| of SP3 for q3
+    phase: float        # atan2(beta, alpha)
+    # _near_critical's D, D' = |a x h1| D, r max(1, |tool|), |h5 x h6|,
+    # |h5 x p56| and |u23| + |u34|
+    bounds: tuple
+    # _turn_parts of h6 and p56 about h5 and of p34 about a
+    turns: tuple
+    # _wrist_elbow, in the basis (e1, e2 = a x e1) of a's normal plane:
+    # P Rot(h1, -q1) x = xrows x over (1, cos q1, sin q1), P p12 (as
+    # pp12[:, 0]), and P R5 h6 and P (p45 + R5 p56) over (1, cos q5, sin q5)
+    xrows: np.ndarray   # (2, 3, 3)
+    pp12: np.ndarray    # (2, 3, 1)
+    m5: np.ndarray      # (4, 3)
+
+
 @per_robot
-def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
-    """The closed-form constant of a 6-DOF arm with h2 = h3 = h4 = a, built
-    once per geometry: A^-1 for the 2x2 system A (cos q5, sin q5) = f.
+def _reduce_6r(robot: RobotModel) -> _Reduced6R | None:
+    """The closed-form constants of a 6-DOF arm with h2 = h3 = h4 = a,
+    built once per geometry, A^-1 for the 2x2 system A (cos q5, sin q5) = f
+    among them.
 
     Joints 2 to 4 turn about one axis, which a.R1^T keeps fixed, so with
     w0 = p - R p6T - o1 both a.R1^T w0 - a.(p12 + p23 + p34 + p45) = a.R5 p56
@@ -429,7 +501,8 @@ def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
                 <= _PARALLEL_TOL * max(1.0, np.linalg.norm(p[i + 1]))):
             raise ValueError(f"robot {robot.name!r} has no isolated IK solutions: joints "
                              f"{i + 1} and {i + 2} are coaxial, so det J vanishes everywhere")
-    a, h5, h6, p56 = h[1], h[4], h[5], p[5]
+    h1, a, _, _, h5, h6 = h
+    o1, p12, p23, p34, p45, p56 = p
     if np.abs(h[2:4] - a).max() > _PARALLEL_TOL:
         return None
     A = np.array([[a @ p56 - (h5 @ p56) * (a @ h5), a @ np.cross(h5, p56)],
@@ -437,68 +510,234 @@ def _reduce_6r(robot: RobotModel) -> np.ndarray | None:
     norms = np.linalg.norm(A, axis=1)
     if abs(np.linalg.det(A)) <= _BRANCH_TOL * norms[0] * norms[1]:
         return None
-    return np.linalg.inv(A)
+    ainv = np.linalg.inv(A)
+    ah5, tool = a @ h5, robot.tool_offset
+    b6 = np.cross(h6, np.eye(3)[int(np.argmin(np.abs(h6)))])
+    b6 /= np.linalg.norm(b6)
+    u23, u34 = p23 - (a @ p23) * a, p34 - (a @ p34) * a
+    alpha, beta = u23 @ u34, u23 @ np.cross(a, u34)
+    e1 = np.cross(a, np.eye(3)[int(np.argmin(np.abs(a)))])
+    e1 /= np.linalg.norm(e1)
+    frame = np.stack([e1, np.cross(a, e1)])
+    xrows = np.stack([[(e @ h1) * h1, e - (e @ h1) * h1, -np.cross(e, h1)] for e in frame])
+    pp12 = np.zeros((2, 3, 1))
+    pp12[:, 0, 0] = frame @ p12
+    turns = (_turn_parts(h5, h6), _turn_parts(h5, p56), _turn_parts(a, p34))
+    # a pose move of |dp| + |drot| <= r moves w0 by |dp| + |drot| |tool|
+    # and R h6 by |drot|, so A^-1 moves (cos q5, sin q5) at a fixed q1 by at
+    # most D, the larger of the ends |drot| = 0 and |dp| = 0
+    r, (n0, n1) = APPROX_TOL, np.linalg.norm(ainv, axis=0)
+    D = r * max(n0, n0 * np.linalg.norm(tool) + n1)
+    axh1 = np.cross(a, h1)
+    bounds = (D, np.linalg.norm(axh1) * D, r * max(1.0, np.linalg.norm(tool)),
+              np.linalg.norm(np.cross(h5, h6)), np.linalg.norm(np.cross(h5, p56)),
+              np.linalg.norm(u23) + np.linalg.norm(u34))
+    return _Reduced6R(h1=h1, a=a, h5=h5, h6=h6, b6=b6, o1=o1, p12=p12, p23=p23, p45=p45,
+                      ainv=ainv, ah1=a @ h1, axh1=axh1,
+                      consts=np.array([[a @ (p12 + p23 + p34 + p45) + (h5 @ p56) * ah5],
+                                       [(h5 @ h6) * ah5]]),
+                      fixed=np.stack([tool, h6, b6], axis=1)[:, :, None],
+                      uu=(u23 @ u23, u34 @ u34), rho=np.hypot(alpha, beta),
+                      phase=np.arctan2(beta, alpha), bounds=bounds, xrows=xrows, pp12=pp12,
+                      turns=turns, m5=np.concatenate([frame @ turns[0].T, frame @ turns[1].T
+                                                      + (frame @ p45)[:, None] * [1.0, 0.0, 0.0]]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _algebraic_starts_6r(robot: RobotModel, ainv, Tpos, Trot):
+def _algebraic_starts_6r(red: _Reduced6R, Tpos, Trot):
     """Closed-form candidates of k poses (Tpos (3, k), Trot (3, 3, k)) of an
     arm that _reduce_6r reduces, after IK-Geo: q1 from the quartic of
     cos^2 q5 + sin^2 q5 = 1, q5 from the 2x2 system, theta = q2 + q3 + q4
     by SP1 about a, q6 by SP1 about h6, q3 by SP3 (two values; a miss takes
     the nearest), q2 by SP1 and q4 = theta - q2 - q3.
 
-    Returns joint vectors (k, 8, 6) and which to keep (k, 8), none for a
-    pose whose |w0|^2 overflows. As in _algebraic_starts, a target's
-    candidates do not depend on the batch.
+    Returns joint vectors (k, 8, 6) and which to keep (k, 8): none for a
+    pose whose |w0|^2 overflows, and of a pose that _near_critical rules
+    out, only the roots (real q1 whose SP3 meets). As in _algebraic_starts,
+    a target's candidates do not depend on the batch.
     """
-    h1, a, _, _, h5, h6 = robot.axes
-    o1, p12, p23, p34, p45, p56 = robot.offsets
-    ah5 = a @ h5
-    # a unit vector normal to h6
-    b6 = np.cross(h6, np.eye(3)[int(np.argmin(np.abs(h6)))])
-    b6 /= np.linalg.norm(b6)
-
-    def turn(v):
-        return Trot[:, 0] * v[0] + Trot[:, 1] * v[1] + Trot[:, 2] * v[2]
-
-    w0 = Tpos - turn(robot.tool_offset) - o1[:, None]
-    Rh6, Rb6 = turn(h6), turn(b6)
-    # both equations' left sides less their constants over v = (1, cos q1,
-    # sin q1), E v; then (cos q5, sin q5) = A^-1 E v = G v
-    E = []
-    for x, const in ((w0, a @ (p12 + p23 + p34 + p45) + (h5 @ p56) * ah5),
-                     (Rh6, (h5 @ h6) * ah5)):
-        x0 = (a @ h1) * _dot3(h1, x)
-        E.append((x0 - const, _dot3(a, x) - x0, -_dot3(np.cross(a, h1), x)))
-    (g0, g1, g2), (k0, k1, k2) = [[ainv[r, 0] * E[0][j] + ainv[r, 1] * E[1][j]
-                                   for j in range(3)] for r in range(2)]
-    q1, keep, _ = _quartic_roots(g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1, g0 * g2 + k0 * k2,
-                                 g1 * g1 + k1 * k1, g1 * g2 + k1 * k2, g2 * g2 + k2 * k2)
+    h1, a, h5, h6, b6, p12, p45 = red.h1, red.a, red.h5, red.h6, red.b6, red.p12, red.p45
+    G, w0, Rh6, Rb6 = _pose_terms(red, Tpos, Trot)
+    g0, g1, g2, k0, k1, k2 = G
+    q1, keep, real = _quartic_roots(g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1,
+                                    g0 * g2 + k0 * k2, g1 * g1 + k1 * k1,
+                                    g1 * g2 + k1 * k2, g2 * g2 + k2 * k2)
     keep &= np.isfinite(_dot3(w0, w0))[:, None]
     c1, s1 = np.cos(q1), np.sin(q1)
-    g0, g1, g2, k0, k1, k2 = (v[:, None] for v in (g0, g1, g2, k0, k1, k2))
+    g0, g1, g2, k0, k1, k2 = (v[:, None] for v in G)
     q5 = np.arctan2(k0 + k1 * c1 + k2 * s1, g0 + g1 * c1 + g2 * s1)
     c5, s5 = np.cos(q5), np.sin(q5)
-    x1, y1, b1 = (_rotate(h1, c1, -s1, v[:, :, None]) for v in (w0, Rh6, Rb6))
-    theta = _sp1(a, _rotate(h5, c5, s5, h6[:, None, None]), y1)
+    x1, y1, b1 = _rotate(h1, c1, -s1, np.stack([w0, Rh6, Rb6], axis=1)[..., None]).swapaxes(0, 1)
+    theta = _sp1(a, _turn(red.turns[0], c5, s5), y1)
     ct, st = np.cos(theta), np.sin(theta)
     # R6 b6 = (R234 R5)^T R1^T R b6
     q6 = _sp1(h6, b6[:, None, None], _rotate(h5, c5, -s5, _rotate(a, ct, -st, b1)))
     # z = R2 (p23 + R3 p34), in the plane normal to a: SP3 for q3
     z = x1 - p12[:, None, None] - _rotate(a, ct, st, p45[:, None, None]
-                                          + _rotate(h5, c5, s5, p56[:, None, None]))
+                                          + _turn(red.turns[1], c5, s5))
     zp = z - _dot3(a, z) * a[:, None, None]
-    u23, u34 = p23 - (a @ p23) * a, p34 - (a @ p34) * a
-    alpha, beta = u23 @ u34, u23 @ np.cross(a, u34)
-    gamma = 0.5 * (_dot3(zp, zp) - u23 @ u23 - u34 @ u34)
-    psi = np.arccos(np.clip(gamma / np.hypot(alpha, beta), -1.0, 1.0))
-    q3 = np.arctan2(beta, alpha) + psi[..., None] * np.array([-1.0, 1.0])
-    q2 = _sp1(a, p23[:, None, None, None] + _rotate(a, np.cos(q3), np.sin(q3),
-                                                    p34[:, None, None, None]), z[..., None])
+    gamma = 0.5 * (_dot3(zp, zp) - red.uu[0] - red.uu[1])
+    psi = np.arccos(np.clip(gamma / red.rho, -1.0, 1.0))
+    q3 = red.phase + psi[..., None] * np.array([-1.0, 1.0])
+    q2 = _sp1(a, red.p23[:, None, None, None] + _turn(red.turns[2], np.cos(q3), np.sin(q3)),
+              z[..., None])
+    # a pose with a start that is not a root keeps it only where it may lie
+    # near a critical value
+    root = real & (np.abs(gamma) <= red.rho)
+    test = np.flatnonzero((keep & ~root).any(axis=1))
+    far = test[~_near_critical(red, G[:, test], w0[:, test], Rh6[:, test],
+                               np.where(real[test], q1[test], np.nan))]
+    keep[far] &= root[far]
     q1, theta, q5, q6 = (v[..., None] for v in (q1, theta, q5, q6))
     Q = np.stack(np.broadcast_arrays(q1, q2, q3, theta - q2 - q3, q5, q6), axis=-1)
     return wrap_to_pi(Q.reshape(-1, 8, 6)), np.repeat(keep, 2, axis=1)
+
+
+def _pose_terms(red: _Reduced6R, Tpos, Trot):
+    """G (6, k), w0, R h6 and R b6 (3, k) of k poses: both equations' left
+    sides less their constants over v = (1, cos q1, sin q1) are E v, and
+    (cos q5, sin q5) = A^-1 E v = G v, G's rows g0, g1, g2, k0, k1, k2."""
+    # R tool, R h6 and R b6, each summed over ascending j
+    turned = (Trot[:, 0, None] * red.fixed[0] + Trot[:, 1, None] * red.fixed[1]
+              + Trot[:, 2, None] * red.fixed[2])
+    w0 = Tpos - turned[:, 0] - red.o1[:, None]
+    x = np.stack([w0, turned[:, 1]], axis=1)
+    x0 = red.ah1 * _dot3(red.h1, x)
+    E = (x0 - red.consts, _dot3(red.a, x) - x0, -_dot3(red.axh1, x))
+    ainv = red.ainv[:, :, None, None]
+    G = np.stack([ainv[:, 0] * e[0] + ainv[:, 1] * e[1] for e in E], axis=1)
+    return G.reshape(6, -1), w0, turned[:, 1], turned[:, 2]
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _near_critical(red: _Reduced6R, G, w0, Rh6, roots):
+    """Which of k poses, with G = A^-1 E (6, k) rows g0, g1, g2, k0, k1, k2,
+    w0 and R h6 (3, k) and the real roots (k, 4) of F (NaN for the others),
+    may lie within r = APPROX_TOL (|dp| + |drot|) of a critical value, where
+    alone a start that is not a root can bank: at a boundary minimum q*,
+    det J(q*) = 0, and with h2 = h3 = h4 = a, det J vanishes only where a
+    step of the reduction degenerates:
+    - a fold: F(q1) = |G v|^2 - 1 has a double root, F = F' = 0;
+    - an elbow: SP3 is tangent, |gamma| = rho;
+    - a wrist: R5 h6 is parallel to a, so W = |a x y1| = 0, y1 = R1^T R h6.
+
+    The critical value's own q1* solves its equations, so this pose has
+    |F(q1*)| <= t0 there and, at a fold, |F'(q1*)| <= t1 (_fold_bounds_6r).
+    A stretch of |F| <= t0 without a root of F holds a turning point of F,
+    a zero of F', so the pose is near if |F| <= t0 at one (complex zeros
+    give their real part); with four roots, each of the four turning points
+    lies between two roots, so there is no such stretch. Otherwise each
+    stretch holds one root, where |F'| = s; with |F''| <= b there, b from
+    |F''| at the root and |F'''| <= |(c1, s1)| + 8 |(c2, s2)|, the stretch
+    lies within eps = 2 t0 / (s + sqrt(s^2 - 2 b t0)) of it and has |F'| >=
+    s - b eps, so the pose is near where that is not above t1 (a fold may
+    hide there) or s^2 <= 2 b t0. Last, cells of half-width at most d =
+    D / (8 |G[:, 1:]|) cover each stretch, and the pose is near if a cell
+    centre is within _chain_bounds of a wrist (W) or an elbow (||gamma| -
+    rho|). A pose that none of these makes near is far: q1* lies in a
+    stretch, where no critical kind can be.
+    """
+    D = red.bounds[0]
+    g0, g1, g2, k0, k1, k2 = G
+    q00, q01, q02 = g0 * g0 + k0 * k0 - 1.0, g0 * g1 + k0 * k1, g0 * g2 + k0 * k2
+    q11, q12, q22 = g1 * g1 + k1 * k1, g1 * g2 + k1 * k2, g2 * g2 + k2 * k2
+    # F = c0 + c1 cos + s1 sin + c2 cos 2q1 + s2 sin 2q1
+    coef = np.stack([q00 + 0.5 * (q11 + q22), 2.0 * q01, 2.0 * q02, 0.5 * (q11 - q22), q12])
+    # |G[:, 1:]|: the larger singular value of [[g1, g2], [k1, k2]]
+    ss, det = 0.5 * (q11 + q22), g1 * k2 - g2 * k1
+    nb = np.sqrt(ss + np.sqrt(np.maximum(ss * ss - det * det, 0.0)))
+    t0, t1 = _fold_bounds_6r(red, nb)
+    # F' and F'' at the roots, and the stretch about each; every pose is
+    # near where asin(D + |G[:, 1:]| d) of _chain_bounds is not defined
+    real = ~np.isnan(roots)
+    _, s, b = (np.abs(v) for v in _trig2(*coef[..., None], roots))
+    b += (np.hypot(coef[1], coef[2]) + 8.0 * np.hypot(coef[3], coef[4]))[:, None] * (2.0 * t0 / s)
+    disc = s * s - 2.0 * t0 * b
+    eps = 2.0 * t0 / (s + np.sqrt(np.maximum(disc, 0.0)))
+    near = (D >= 8.0 / 9.0) | ((~(disc > 0.0) | ~(s - b * eps > t1[:, None])) & real).any(axis=1)
+    few = np.flatnonzero(~near & ~real.all(axis=1))
+    if few.size:
+        # F at the zeros of F' = v Q' v
+        _, c1, s1, c2, s2 = coef[:, few]
+        turn, keep, _ = _quartic_roots(np.zeros_like(c1), 0.5 * s1, -0.5 * c1, 2.0 * s2,
+                                       -2.0 * c2, -2.0 * s2)
+        F = _trig2(*coef[:, few, None], turn)[0]
+        near[few] = ~keep.any(axis=1) | (keep & ~(np.abs(F) > t0)).any(axis=1)
+    pose, i = np.nonzero(real & ~near[:, None])
+    if pose.size:
+        # m cells of half-width eps / m <= d over the stretch of each root i
+        d = 0.125 * D / nb
+        eps = eps[pose, i]
+        m = np.maximum(np.ceil(eps / d[pose]), 1.0).astype(np.int64)
+        cell = np.repeat(np.arange(m.size), m)
+        j = np.arange(cell.size) - np.repeat(np.cumsum(m) - m, m)
+        q1 = roots[pose, i][cell] + (eps / m)[cell] * (2.0 * j + 1.0 - m[cell])
+        pose = pose[cell]
+        W, slack, v = _wrist_elbow(red, q1, _chain_rows(red, G, w0, Rh6)[:, :, pose])
+        dy, dg = _chain_bounds(red, W, v, d[pose], nb[pose], np.sqrt(_dot3(w0, w0))[pose])
+        near[pose[(W <= dy) | ~(slack > dg)]] = True
+    return near
+
+
+def _fold_bounds_6r(red: _Reduced6R, nb):
+    """t0 and t1 of _near_critical for poses with |G[:, 1:]| = nb. At a
+    fixed q1, a pose move of r moves the two equations' left sides by at
+    most |dw0| and |dR h6|, so c = G v by at most D and c' by D' = |a x h1|
+    D (_reduce_6r); at q1* of a critical value, |c*| = 1, so F = |c|^2 - 1
+    is within t0 = 2 D + D^2 of 0, and at a fold, where c*.c*' = 0, F' =
+    2 c.c' is within t1 = 2 (D' + D |G[:, 1:]| + 2 D D') of 0."""
+    D, D1 = red.bounds[:2]
+    return D * (2.0 + D), 2.0 * (D1 + D * nb + 2.0 * D * D1)
+
+
+def _chain_bounds(red: _Reduced6R, W, v, d, nb, wn):
+    """dy and dg: a critical value within r = APPROX_TOL of a pose, whose
+    q1* lies within d of a cell centre with wrist measure W and |P (p45 +
+    R5 p56)| = v, has W <= dy there if it is a wrist and ||gamma| - rho|
+    <= dg if it is an elbow; nb = |G[:, 1:]| and wn = |w0| of the pose.
+    From the centre to q1*, c moves by at most D + nb d (_fold_bounds_6r)
+    onto |c*| = 1, so q5 by d5 = asin(D + nb d), R5 h6 by d5 |h5 x h6|
+    and R5 p56 by d5 |h5 x p56|; y1 moves by dy = r + d and W* >= W - dy,
+    so theta (the SP1 angle from R5 h6 to y1 about a) by dth = asin((d5
+    |h5 x h6| + dy) / W*); x1 moves by r max(1, |tool|) + d wn. Hence z by
+    dz = r max(1, |tool|) + d wn + dth v + d5 |h5 x p56|, and gamma =
+    (|zp|^2 - |u23|^2 - |u34|^2) / 2 by dg = dz (|u23| + |u34|) + dz^2 / 2,
+    as |zp*| <= |u23| + |u34|."""
+    D, _, rw, n56, np56, l234 = red.bounds
+    d5 = np.arcsin(D + nb * d)
+    dy = APPROX_TOL + d
+    du, wm = d5 * n56 + dy, W - dy
+    dz = rw + d * wn + d5 * np56 + v * np.where(du < wm, np.arcsin(du / np.maximum(wm, du)),
+                                                np.pi)
+    return dy, dz * (l234 + 0.5 * dz)
+
+
+def _chain_rows(red: _Reduced6R, G, w0, Rh6):
+    """Rows (6, 3, k) of k poses over (1, cos q1, sin q1): c = G v, and x1 -
+    p12 and y1 normal to a, in the basis of red.xrows."""
+    return np.concatenate([np.reshape(G, (2, 3, -1)),
+                           np.einsum("jkl,ln->jkn", red.xrows, w0) - red.pp12,
+                           np.einsum("jkl,ln->jkn", red.xrows, Rh6)])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _wrist_elbow(red: _Reduced6R, q1, rows):
+    """The wrist measure W = |a x y1|, the elbow measure ||gamma| - rho|
+    and |P (p45 + R5 p56)| at angles q1 (n,) of poses with rows (6, 3, n)
+    (_chain_rows), reduced as _algebraic_starts_6r reduces them: q5 is the
+    angle of c, theta turns R5 h6 onto y1 about a, and gamma = (|zp|^2 -
+    |u23|^2 - |u34|^2) / 2 for zp = x1 - p12 - R(a, theta) (p45 + R5 p56),
+    P and all normal to a."""
+    cg, ck, x1, x2, y1, y2 = np.einsum("ijn,jn->in", rows,
+                                       np.stack([np.ones_like(q1), np.cos(q1), np.sin(q1)]))
+    n = np.hypot(cg, ck)
+    u1, u2, v1, v2 = red.m5 @ np.stack([np.ones_like(n), cg / n, ck / n])
+    W = np.hypot(y1, y2)
+    # cos and sin theta times |u| W
+    cs, sn, uw = u1 * y1 + u2 * y2, u1 * y2 - u2 * y1, np.hypot(u1, u2) * W
+    z1, z2 = x1 - (cs * v1 - sn * v2) / uw, x2 - (sn * v1 + cs * v2) / uw
+    gamma = 0.5 * (z1 * z1 + z2 * z2 - red.uu[0] - red.uu[1])
+    return W, np.abs(np.abs(gamma) - red.rho), np.hypot(v1, v2)
 
 
 def _rotvec_batch(R: np.ndarray) -> np.ndarray:
@@ -722,12 +961,12 @@ def _solve(robot: RobotModel, Tpos, Trot, cfg: IKConfig):
         def starts(lo, hi):
             x = Tpos[:, lo:hi] - robot.offsets[0][:, None]
             return _start_rows(*_algebraic_starts(red, x), lo, 2, 1)
-    elif (ainv := _reduce_6r(robot)) is not None:
+    elif (red := _reduce_6r(robot)) is not None:
         n_seeds = 8
 
         def starts(lo, hi):
-            return _start_rows(*_algebraic_starts_6r(robot, ainv, Tpos[:, lo:hi],
-                                                     Trot[:, :, lo:hi]), lo, 0, 2)
+            return _start_rows(*_algebraic_starts_6r(red, Tpos[:, lo:hi], Trot[:, :, lo:hi]),
+                               lo, 0, 2)
     else:
         grid = seed_grid(robot.dof, cfg.resolve_seeds(robot.dof))
         n_seeds, iters = grid.shape[0], _MAX_REFINE_ITERS

@@ -203,15 +203,17 @@ def seed_flood(robot: RobotModel, targets, seeds: int):
 
 
 def every_pair_start(robot: RobotModel, targets):
-    """solve_ik_along_path with every complex pair's start of the 3R
-    quartic refined under the same budget, whatever the target's distance
-    to a fold: the rule the fold test (ik._near_fold) replaced."""
-    near_fold = ik._near_fold
+    """solve_ik_along_path with every start refined under the same budget,
+    whatever the target's distance to a critical value: every complex
+    pair's start of the 3R quartic, and every start of the 6R closed form.
+    The rule the fold tests (ik._near_fold, ik._near_critical) replaced."""
+    near_fold, near_critical = ik._near_fold, ik._near_critical
     ik._near_fold = lambda red, x, *rest: np.ones(x.shape[1], dtype=bool)
+    ik._near_critical = lambda red, G, *rest: np.ones(G.shape[1], dtype=bool)
     try:
         return ik.solve_ik_along_path(robot, targets)
     finally:
-        ik._near_fold = near_fold
+        ik._near_fold, ik._near_critical = near_fold, near_critical
 
 
 def entrywise_lm_step(J: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from cuspidal_kit.kinematics import (
     fk_jacobian_batch,
     forward_kinematics,
     jacobian_determinant,
+    rot_about_axis,
     wrap_to_pi,
 )
 from cuspidal_kit.optimizer import random_feasible_start, reduced_to_pose, transform_toolpath
@@ -737,6 +738,22 @@ def _assert_same_exact(got, want, near_fold=1e-2):
     return folds
 
 
+def _det_j_zeros(robot, Q):
+    """Joint vectors where det J changes sign between neighbours along the
+    rows of Q (n, samples, dof), bisected to the last bit."""
+    det = det_j_batch(robot, Q.reshape(-1, robot.dof)).reshape(Q.shape[:2])
+    c, i = np.nonzero(det[:, :-1] * det[:, 1:] < 0.0)
+    lo, hi, det_lo = Q[c, i], Q[c, i + 1], det[c, i]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        det_mid = det_j_batch(robot, mid)
+        left = det_mid * det_lo > 0.0
+        lo = np.where(left[:, None], mid, lo)
+        hi = np.where(left[:, None], hi, mid)
+        det_lo = np.where(left, det_mid, det_lo)
+    return 0.5 * (lo + hi)
+
+
 def _fold_targets(robot, rng, configs=20, per=8):
     """Targets up to 0.999 APPROX_TOL, half of them exactly that far, from
     critical values of a 3R arm in random directions: the FK of joint
@@ -745,17 +762,7 @@ def _fold_targets(robot, rng, configs=20, per=8):
     grid = np.linspace(-np.pi, np.pi, 65)
     q = np.repeat(rng.uniform(-np.pi, np.pi, (configs, 1, 3)), grid.size, axis=1)
     q[..., 1] = grid
-    det = det_j_batch(robot, q.reshape(-1, 3)).reshape(configs, -1)
-    c, i = np.nonzero(det[:, :-1] * det[:, 1:] < 0.0)
-    lo, hi, det_lo = q[c, i], q[c, i + 1], det[c, i]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        det_mid = det_j_batch(robot, mid)
-        left = det_mid * det_lo > 0.0
-        lo = np.where(left[:, None], mid, lo)
-        hi = np.where(left[:, None], hi, mid)
-        det_lo = np.where(left, det_mid, det_lo)
-    y = fk_batch(robot, np.repeat(0.5 * (lo + hi), per, axis=0))[1]
+    y = fk_batch(robot, np.repeat(_det_j_zeros(robot, q), per, axis=0))[1]
     u = rng.normal(size=y.shape)
     dist = 0.999 * ik.APPROX_TOL * np.where(rng.random(len(y)) < 0.5, 1.0, rng.random(len(y)))
     return y + u * (dist / np.linalg.norm(u, axis=1))[:, None]
@@ -768,6 +775,51 @@ def _axis_targets(robot, rng, count=200):
     n = np.cross(h1, rng.normal(size=(count, 3)))
     n *= (0.999 * ik.APPROX_TOL * rng.random(count) / np.linalg.norm(n, axis=1))[:, None]
     return robot.offsets[0] + rng.uniform(-3.0, 3.0, (count, 1)) * h1 + n
+
+
+def _fold_measure_3r(red, x, v, dv):
+    """F = |M^-1 e|^2 - v U v and F' over the columns of v (3, m) and its
+    derivative dv of targets x = p - o1 (n, 3), and |M^-1 e| at v = (1, 0,
+    0), from _reduce_3r's definitions."""
+    e0 = np.stack([0.5 * (x * x).sum(axis=1), x @ red.h1]) + red.E[:, :1]
+    w = (red.minv @ e0)[:, :, None] + (red.minv @ red.E[:, 1:] @ v[1:])[:, None, :]
+    dw = (red.minv @ red.E @ dv)[:, None, :]
+    F = (w * w).sum(axis=0) - np.einsum("it,ij,jt->t", v, red.U, v)
+    dF = 2.0 * ((w * dw).sum(axis=0) - np.einsum("it,ij,jt->t", v, red.U, dv))
+    return F, dF, np.linalg.norm(red.minv @ e0, axis=0)
+
+
+def _assert_matches_every_start_rule(robot, targets, dropped=()):
+    """Per target: equal exact counts, each exact root within 1e-9 of the
+    every-start rule's, or within 1e-6 near a fold (|det J| < 1e-2, as in
+    _assert_same_exact) or where the rule's root has the larger residual:
+    a start that is not a root can reach the root within the budget and
+    rank ahead of the root's own start by seed, yet it banks up to
+    EXACT_TOL short (1.4e-9 rad at |det J| = 5 on 3r-canonical). Every
+    approximate solution bit for bit, except at the indices in dropped,
+    whose starts that are not roots the solve dropped: there the solve has
+    none. Returns the solve's sets and the rule's approximate solutions at
+    dropped targets."""
+    got, want = solve_ik_along_path(robot, targets), every_pair_start(robot, targets)
+    gone = []
+    for k, (a, b) in enumerate(zip(got, want)):
+        (ea, xa), (eb, xb) = (([s for s in ss.solutions if s.approximate == flag]
+                               for flag in (False, True)) for ss in (a, b))
+        assert len(ea) == len(eb), k
+        pairs = ([(s, min(eb, key=lambda t: _gap(s.q, t.q))) for s in ea]
+                 + [(min(ea, key=lambda s: _gap(s.q, t.q)), t) for t in eb])
+        for s, t in pairs:
+            loose = min(abs(s.det_j), abs(t.det_j)) < 1e-2 or t.residual > s.residual
+            assert _gap(s.q, t.q) <= (1e-6 if loose else 1e-9), k
+        if k in dropped:
+            assert not xa, k
+            gone += xb
+            continue
+        assert len(xa) == len(xb), k
+        for sa, sb in zip(xa, xb):
+            nt.assert_array_equal(sa.q, sb.q)
+            assert (sa.residual, sa.det_j) == (sb.residual, sb.det_j), k
+    return got, gone
 
 
 class TestFoldTest:
@@ -800,6 +852,29 @@ class TestFoldTest:
         # targets with a complex pair: near folds, and on joint 1's axis
         assert counts[0] > 5000 and counts[1] > 500
 
+    def test_bounds_hold(self):
+        # targets of random quartic-branch arms moved by exactly r: on a
+        # theta3 grid, F = |M^-1 e|^2 - v U v and F' move by no more than
+        # the unmoved target's t0 and t1 (ik._fold_bounds)
+        rng = np.random.default_rng(54)
+        theta = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+        v = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+        dv = np.stack([np.zeros_like(theta), -np.sin(theta), np.cos(theta)])
+        arms = 0
+        while arms < 20:
+            robot = random_3r(rng)
+            red = ik._reduce_3r(robot)
+            if red.minv is None:
+                continue
+            arms += 1
+            x = np.array([t.position for t in _random_targets(robot, arms, 100)]) - robot.offsets[0]
+            u = rng.normal(size=x.shape)
+            moved = x + u * (ik.APPROX_TOL / np.linalg.norm(u, axis=1))[:, None]
+            (F, dF, a), (F2, dF2, _) = (_fold_measure_3r(red, y, v, dv) for y in (x, moved))
+            t0, t1 = ik._fold_bounds(red, (x * x).sum(axis=1), a)
+            assert (np.abs(F2 - F) <= t0[:, None]).all()
+            assert (np.abs(dF2 - dF) <= t1[:, None]).all()
+
     def test_far_from_every_fold_a_solve_takes_two_kernel_calls(self, r3, monkeypatch):
         # the 30-sample helix at the start placement of optimize --seed 0:
         # the fold test rules out every target, so no complex-pair start
@@ -819,30 +894,6 @@ class TestFoldTest:
         assert _assert_same_exact(got, want) == 0
         assert not any(s.approximate for ss in got + want for s in ss.solutions)
 
-    def _assert_matches_every_pair_rule(self, robot, targets):
-        """Per target: equal exact counts, each exact root within 1e-9 of the
-        every-pair rule's, or within 1e-6 near a fold (|det J| < 1e-2, as in
-        _assert_same_exact) or where the rule's root has the larger residual:
-        a complex start that reached the root within the budget ranks ahead
-        of the root's own start by seed, yet it banks up to EXACT_TOL short
-        (1.4e-9 rad at |det J| = 5 on 3r-canonical). Every approximate
-        solution bit for bit. Returns the solve's sets."""
-        got, want = solve_ik_along_path(robot, targets), every_pair_start(robot, targets)
-        for k, (a, b) in enumerate(zip(got, want)):
-            (ea, xa), (eb, xb) = (([s for s in ss.solutions if s.approximate == flag]
-                                   for flag in (False, True)) for ss in (a, b))
-            assert len(ea) == len(eb), k
-            pairs = ([(s, min(eb, key=lambda t: _gap(s.q, t.q))) for s in ea]
-                     + [(min(ea, key=lambda s: _gap(s.q, t.q)), t) for t in eb])
-            for s, t in pairs:
-                loose = min(abs(s.det_j), abs(t.det_j)) < 1e-2 or t.residual > s.residual
-                assert _gap(s.q, t.q) <= (1e-6 if loose else 1e-9), k
-            assert len(xa) == len(xb), k
-            for sa, sb in zip(xa, xb):
-                nt.assert_array_equal(sa.q, sb.q)
-                assert (sa.residual, sa.det_j) == (sb.residual, sb.det_j), k
-        return got
-
     def test_random_arms_match_every_pair_rule(self):
         rng = np.random.default_rng(52)
         arms = 0
@@ -851,17 +902,17 @@ class TestFoldTest:
             if ik._reduce_3r(robot).minv is None:
                 continue
             arms += 1
-            self._assert_matches_every_pair_rule(
+            _assert_matches_every_start_rule(
                 robot, _random_targets(robot, int(rng.integers(1 << 30)), 200))
 
     def test_fixtures_match_every_pair_rule(self, r3):
-        self._assert_matches_every_pair_rule(r3, _random_targets(r3, 53, 200))
+        _assert_matches_every_start_rule(r3, _random_targets(r3, 53, 200))
         approximate = {}
         for name, path in (("line", infeasible_line_path()),
                            ("control", infeasible_line_control_path()),
                            ("control-500", infeasible_line_control_path(500)),
                            ("cusp-loop", cusp_loop_path()), ("control-loop", control_loop_path())):
-            sets = self._assert_matches_every_pair_rule(r3, path.poses)
+            sets = _assert_matches_every_start_rule(r3, path.poses)[0]
             approximate[name] = [k for k, ss in enumerate(sets)
                                  if any(s.approximate for s in ss.solutions)]
         # the genuine boundary minima: bit-identical under both rules above
@@ -872,8 +923,73 @@ class TestFoldTest:
         p_star = fk_batch(r3, _R3_MAX_REACH_Q[None, :])[1][0]
         beyond = [Pose(np.eye(3), p_star * (1.0 + d / np.linalg.norm(p_star)))
                   for d in (5e-4, 1e-3, 1.0)]
-        sets = self._assert_matches_every_pair_rule(r3, beyond)
+        sets = _assert_matches_every_start_rule(r3, beyond)[0]
         assert [len(ss.solutions) for ss in sets] == [1, 0, 0]
+
+
+def _segments(rng, count, dof=6, samples=65):
+    """Joint vectors (count, samples, dof) along random joint-space segments."""
+    a, b = rng.uniform(-np.pi, np.pi, (2, count, 1, dof))
+    return a + np.linspace(0.0, 1.0, samples)[:, None] * (b - a)
+
+
+def _critical_measures(robot, Q):
+    """Scale-free measures of the three critical kinds at joint vectors Q
+    (n, 6) of an arm with h2 = h3 = h4 = a, each 0 on its kind: the fold's
+    |c.c'| / |c'| at the pose FK(q), with c = (cos q5, sin q5) = A^-1 (a.R1^T
+    w0 - k0, a.R1^T R h6 - k1) and c' its derivative in q1 at that pose; the
+    elbow's 1 - |u23.R3 u34| / (|u23| |u34|), u23 and u34 p23 and p34 normal
+    to a; and the wrist's |a x R5 h6|."""
+    h1, a, _, _, h5, h6 = robot.axes
+    o1, _, p23, p34, _, p56 = robot.offsets
+    A = np.array([[a @ p56 - (h5 @ p56) * (a @ h5), a @ np.cross(h5, p56)],
+                  [a @ h6 - (h5 @ h6) * (a @ h5), a @ np.cross(h5, h6)]])
+    R, p = fk_batch(robot, Q)
+    # d/dq1 of a.R1^T x is (h1 x R1 a).x
+    lever = np.cross(h1, [rot_about_axis(h1, q) @ a for q in Q[:, 0]])
+    dc = np.linalg.solve(A, np.stack([(lever * (p - R @ robot.tool_offset - o1)).sum(axis=1),
+                                      (lever * (R @ h6)).sum(axis=1)]))
+    fold = np.abs(np.cos(Q[:, 4]) * dc[0] + np.sin(Q[:, 4]) * dc[1]) / np.hypot(*dc)
+    u23, u34 = p23 - (a @ p23) * a, p34 - (a @ p34) * a
+    elbow = 1.0 - (np.abs([u23 @ rot_about_axis(a, q) @ u34 for q in Q[:, 2]])
+                   / (np.linalg.norm(u23) * np.linalg.norm(u34)))
+    wrist = np.linalg.norm(np.cross([rot_about_axis(h5, q) @ h6 for q in Q[:, 4]], a), axis=1)
+    return fold, elbow, wrist
+
+
+def _critical_kind(robot, Q, tol=1e-8):
+    """0, 1 or 2 where Q's fold, elbow or wrist measure is within tol, -1
+    where none is; a wrist first, since F' vanishes there too."""
+    fold, elbow, wrist = _critical_measures(robot, Q)
+    return np.select([wrist <= tol, elbow <= tol, fold <= tol], [2, 1, 0], -1)
+
+
+def _moved(rng, R, p, dist):
+    """Poses (R (n, 3, 3), p (n, 3)) moved by |dp| + |drot| = dist (n,) in
+    random directions: a third in position, a third in rotation, a third
+    split at random between them."""
+    n = len(p)
+    share = rng.choice([0.0, 1.0, 0.5], n)
+    share = np.where(share == 0.5, rng.random(n), share) * dist
+    u, w = rng.normal(size=(2, n, 3))
+    P = p + u * (share / np.linalg.norm(u, axis=1))[:, None]
+    turn = [rot_about_axis(w[k] / np.linalg.norm(w[k]), dist[k] - share[k]) for k in range(n)]
+    return np.array(turn) @ R, P
+
+
+def _start_masks(robot, R, p):
+    """Which 6R closed-form starts of poses (R (n, 3, 3), p (n, 3)) are kept
+    (n, 8): by the solve, by the every-start rule and by the rule that keeps
+    roots only."""
+    red = ik._reduce_6r(robot)
+    Tpos, Trot = np.ascontiguousarray(p.T), np.ascontiguousarray(R.transpose(1, 2, 0))
+    masks = [ik._algebraic_starts_6r(red, Tpos, Trot)[1]]
+    with pytest.MonkeyPatch.context() as m:
+        for rule in (np.ones, np.zeros):
+            m.setattr(ik, "_near_critical",
+                      lambda red, G, *rest, rule=rule: rule(G.shape[1], dtype=bool))
+            masks.append(ik._algebraic_starts_6r(red, Tpos, Trot)[1])
+    return masks
 
 
 class TestClosedForm6R:
@@ -950,18 +1066,25 @@ class TestClosedForm6R:
         assert [ss.solutions for ss in sets[:5]] == [[]] * 5 and sets[5].solutions
 
     def test_starts_that_are_not_roots_get_only_a_polish(self, r6, monkeypatch):
-        # the first pose identify draws from seed 313399065: at the full LM
-        # budget its complex-pair and SP3-miss starts wander for 40
+        # the first pose identify draws from seed 313399065, whose smallest
+        # measure is |F'| = 0.0145 at a root: the critical test rules it
+        # far, so only its two roots run and bank on the second pass. Under
+        # the every-start rule its complex-pair and SP3-miss starts run the
+        # whole polish budget, and at the full LM budget they wander for 40
         # iterations and reach no root the algebra did not give
         pose = forward_kinematics(r6, np.random.default_rng(313399065).uniform(-np.pi, np.pi, 6))
         calls = count_calls(monkeypatch, ik, "fk_jacobian_batch")
-        polished = solve_all_ik(r6, pose)
+        got = solve_all_ik(r6, pose)
+        assert len(calls) == 2
+        calls.clear()
+        polished = every_pair_start(r6, [pose])[0]
         assert len(calls) == ik._POLISH_ITERS
         monkeypatch.setattr(ik, "_POLISH_ITERS", ik._MAX_REFINE_ITERS)
         calls.clear()
-        full = solve_all_ik(r6, pose)
+        full = every_pair_start(r6, [pose])[0]
         assert len(calls) == 40
-        assert len(_split(polished)[0]) == 2
+        assert len(_split(got)[0]) == 2
+        _assert_same_exact([got], [polished])
         _assert_same_exact([polished], [full])
 
     def test_ignores_seed_count(self, r6):
@@ -991,6 +1114,101 @@ class TestClosedForm6R:
         assert chunks == 9
         for a, b in zip(single, batched):
             _assert_identical(a, b)
+
+
+class TestCriticalTest:
+    """Starts of the 6R closed form that are not roots (complex pairs of the
+    q1 quartic, SP3 misses) are refined only where the pose may lie within
+    APPROX_TOL of a critical value (ik._near_critical); the every-start
+    rule refines them all."""
+
+    def test_det_j_zeros_are_folds_elbows_or_wrists(self):
+        # det J of an arm with h2 = h3 = h4 vanishes only where a step of
+        # the reduction degenerates; random arms have no wrist zeros, as a
+        # lies outside the cone of R5 h6
+        rng = np.random.default_rng(61)
+        counts = []
+        for robot in [three_parallel_6r()] + [random_parallel_6r(rng) for _ in range(5)]:
+            kind = _critical_kind(robot, _det_j_zeros(robot, _segments(rng, 100)))
+            assert (kind >= 0).all()
+            counts.append(np.bincount(kind, minlength=3))
+        assert (counts[0] > [60, 30, 30]).all()
+        assert (np.sum(counts[1:], axis=0)[:2] > [500, 250]).all()
+
+    def test_poses_near_a_critical_value_keep_every_start(self):
+        # poses up to 0.999 APPROX_TOL, half of them exactly that far, from
+        # critical values of each kind, moved in position, rotation or both
+        rng = np.random.default_rng(62)
+        counts = np.zeros(3, dtype=int)
+        for robot in [three_parallel_6r()] + [random_parallel_6r(rng) for _ in range(5)]:
+            Q = _det_j_zeros(robot, _segments(rng, 100))
+            kind = np.repeat(_critical_kind(robot, Q), 4)
+            R, p = fk_batch(robot, np.repeat(Q, 4, axis=0))
+            dist = 0.999 * ik.APPROX_TOL * np.where(rng.random(len(p)) < 0.5, 1.0,
+                                                    rng.random(len(p)))
+            got, every, roots = _start_masks(robot, *_moved(rng, R, p, dist))
+            assert (got == every).all()
+            # the poses with a start that is not a root, which the test kept
+            counts += np.bincount(kind[(every != roots).any(axis=1)], minlength=3)
+        assert (counts > [2500, 1100, 150]).all()
+
+    def test_bounds_hold(self, r6):
+        # poses FK(q) moved by exactly r: at a fixed q1 on a grid, c = G v
+        # and c' move by at most D and D'; at q1 = q[0], a root, the moved
+        # pose's F and F' stay within t0 of 0 and t1 of the pose's F'
+        # (ik._fold_bounds_6r); and from a centre within d = D / (8
+        # |G[:, 1:]|) of q[0], the moved pose's wrist and elbow measures
+        # stay within ik._chain_bounds of q's own
+        rng = np.random.default_rng(63)
+        q1 = np.linspace(-np.pi, np.pi, 64, endpoint=False)
+        for robot in [r6] + [random_parallel_6r(rng) for _ in range(4)]:
+            red = ik._reduce_6r(robot)
+            D, D1 = red.bounds[:2]
+            Q = rng.uniform(-np.pi, np.pi, (300, 6))
+            R, p = fk_batch(robot, Q)
+            (G, _, _, _), (G2, w0, Rh6, _) = (
+                ik._pose_terms(red, np.ascontiguousarray(y.T),
+                               np.ascontiguousarray(M.transpose(1, 2, 0)))
+                for M, y in ((R, p), _moved(rng, R, p, np.full(len(p), ik.APPROX_TOL))))
+            G, G2 = G.reshape(2, 3, -1), G2.reshape(2, 3, -1)
+            for v, bound in (([np.ones_like(q1), np.cos(q1), np.sin(q1)], D),
+                             ([np.zeros_like(q1), -np.sin(q1), np.cos(q1)], D1)):
+                assert (np.hypot(*np.einsum("ijk,jn->ikn", G2 - G, v)) <= bound).all()
+            x = Q[:, 0]
+            v, dv = np.stack([np.ones_like(x), np.cos(x), np.sin(x)]), np.stack(
+                [np.zeros_like(x), -np.sin(x), np.cos(x)])
+            (c, dc), (c2, dc2) = (((g * v).sum(axis=1), (g * dv).sum(axis=1)) for g in (G, G2))
+            nb = np.linalg.norm(G2[:, 1:].transpose(2, 0, 1), ord=2, axis=(1, 2))
+            t0, t1 = ik._fold_bounds_6r(red, nb)
+            assert (np.abs((c2 * c2).sum(axis=0) - 1.0) <= t0).all()
+            assert (np.abs((c2 * dc2).sum(axis=0) - (c * dc).sum(axis=0)) <= 0.5 * t1).all()
+            d = 0.125 * D / nb
+            W, slack, v = ik._wrist_elbow(red, x + d * rng.uniform(-1.0, 1.0, len(x)),
+                                          ik._chain_rows(red, G2.reshape(6, -1), w0, Rh6))
+            dy, dg = ik._chain_bounds(red, W, v, d, nb, np.linalg.norm(w0, axis=0))
+            _, elbow, wrist = _critical_measures(robot, Q)
+            assert (np.abs(W - wrist) <= dy).all()
+            assert (np.abs(slack - red.rho * elbow) <= dg).all()
+
+    def test_matches_every_start_rule(self, r6):
+        # the poses the test rules far lose only the every-start rule's
+        # approximate solutions there: budget-end rows of starts that were
+        # still moving when the polish ended
+        rng = np.random.default_rng(64)
+        base = forward_kinematics(r6, np.array([-2.4, -0.9, 1.1, -0.8, 2.3, -1.3]))
+        cases = ([(r6, _random_targets(r6, 65, 200)),
+                  (r6, [Pose(base.rotation, base.position * scale) for scale in (1.2828, 3.0)]),
+                  (r6, [_random_targets(r6, 5, 92)[91], _random_targets(r6, 23, 4)[3]])]
+                 + [(arm, _random_targets(arm, int(rng.integers(1 << 30)), 50))
+                    for arm in (random_parallel_6r(rng) for _ in range(20))])
+        far = gone = 0
+        for robot, targets in cases:
+            got, every, _ = _start_masks(robot, np.array([t.rotation for t in targets]),
+                                         np.array([t.position for t in targets]))
+            dropped = set(np.flatnonzero((got != every).any(axis=1)).tolist())
+            far += len(dropped)
+            gone += len(_assert_matches_every_start_rule(robot, targets, dropped)[1])
+        assert far > 500 and gone == 0
 
 
 @pytest.mark.parametrize("make", [canonical_3r, three_parallel_6r])
